@@ -18,7 +18,13 @@ from typing import Iterator, Sequence, Tuple
 
 import numpy as np
 
-from .lingrp import GroupElement, LanglandsParts, group_element, iwasawa
+from .lingrp import (
+    GroupElement,
+    LanglandsParts,
+    gram_schmidt_rows,
+    group_element,
+    iwasawa,
+)
 
 RATIO_SLACK = 1e-6
 U_SLACK = 1e-9
@@ -158,20 +164,22 @@ def reduce_sl2_coords(
 
 
 def _gs_lower(b: np.ndarray) -> np.ndarray:
-    """Lower-triangular Gram-Schmidt coefficient matrix L with B = L Q."""
-    q, r = np.linalg.qr(np.swapaxes(b, -1, -2))
-    low = np.swapaxes(r, -1, -2)
-    d = np.sign(np.diagonal(low, axis1=-2, axis2=-1))
-    d = np.where(d == 0.0, 1.0, d)
-    return low * d[..., None, :]
+    """Lower-triangular Gram-Schmidt coefficient matrix L with B = L Q, from
+    the batched row kernel shared with the Iwasawa split.  At n <= 4 a
+    float64 Gram-Schmidt carries enough precision for the size-reduction and
+    swap decisions (the floating-point LLL analysis of Nguyen and Stehle's
+    L^2), so no Householder factorization is needed."""
+    return gram_schmidt_rows(b)[0]
 
 
 def _lll_rows(
-    b: np.ndarray, delta: float, u: np.ndarray, max_sweeps: int
-) -> Tuple[np.ndarray, np.ndarray, int]:
-    """Sweep-based row LLL over a stack; returns (B', U', sweeps) with
-    B' = U' @ B_input (U' accumulated over u).  One swap per matrix per sweep
-    keeps the batched swaps independent."""
+    b: np.ndarray, delta: float, u: np.ndarray, odd: np.ndarray, max_sweeps: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Sweep-based row LLL over a stack; returns (B', U', odd', sweeps) with
+    B' = U' @ B_input (U' accumulated over u) and odd' flagging the matrices
+    whose swap count (accumulated over odd) is odd, i.e. det U' = -1: size
+    reductions have determinant one, each swap minus one.  One swap per
+    matrix per sweep keeps the batched swaps independent."""
     m, n, _ = b.shape
     sweeps = 0
     for sweeps in range(1, max_sweeps + 1):
@@ -204,21 +212,28 @@ def _lll_rows(
                     u[bad, k, :].copy(),
                     u[bad, k - 1, :].copy(),
                 )
+                odd = odd ^ bad
                 pending = pending & ~bad
                 swapped = True
         if not swapped:
             break
-    return b, u, sweeps
+    return b, u, odd, sweeps
 
 
 def _reduce_stack(mats: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     m, n, _ = mats.shape
     b = np.ascontiguousarray(mats[:, ::-1, :])
     u = np.tile(np.eye(n, dtype=np.int64), (m, 1, 1))
-    conds = np.linalg.cond(mats)
-    budget = int(8 * n * n * (1.0 + np.log10(max(float(np.max(conds)), 1.0)))) + 16
-    b, u, s1 = _lll_rows(b, 0.75, u, max_sweeps=1000)
-    b, u, s2 = _lll_rows(b, 1.0 - 1e-9, u, max_sweeps=1000)
+    odd = np.zeros(m, dtype=bool)
+    # the sweep budget, past which a warning reports slow convergence, grows
+    # with the input's log condition number.  The Gram-Schmidt diagonal holds
+    # the eigenvalues of the triangular factor, so its spread max/min bounds
+    # cond_2 from below: this budget never exceeds the one cond_2 would set
+    diag = np.diagonal(_gs_lower(b), axis1=-2, axis2=-1)
+    spread = float(np.max(diag.max(axis=1) / diag.min(axis=1)))
+    budget = int(8 * n * n * (1.0 + np.log10(max(spread, 1.0)))) + 16
+    b, u, odd, s1 = _lll_rows(b, 0.75, u, odd, max_sweeps=1000)
+    b, u, odd, s2 = _lll_rows(b, 1.0 - 1e-9, u, odd, max_sweeps=1000)
     if s1 + s2 > budget:
         warnings.warn(
             f"lattice reduction used {s1 + s2} sweeps, above the "
@@ -230,11 +245,11 @@ def _reduce_stack(mats: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     # product would cancel catastrophically once the reducing coefficients
     # outgrow the small lattice scales
     reps = b[:, ::-1, :].copy()
-    # fix the reversal's sign so the reducers have determinant one
-    dets = np.rint(np.linalg.det(gammas.astype(float))).astype(np.int64)
-    flip = dets < 0
-    gammas[flip, 0, :] = -gammas[flip, 0, :]
-    reps[flip, 0, :] = -reps[flip, 0, :]
+    # det gammas = det U' (the reversal conjugates it) = -1 after an odd
+    # number of swaps; negating a row restores determinant one exactly, at
+    # any reducer size
+    gammas[odd, 0, :] = -gammas[odd, 0, :]
+    reps[odd, 0, :] = -reps[odd, 0, :]
     return gammas, reps
 
 
@@ -242,7 +257,7 @@ def _ratio_certified(reps: np.ndarray, ratio_min: float) -> np.ndarray:
     # the triangular profile reads off bottom-up (n a k order), which is
     # Gram-Schmidt over the reversed rows
     low = _gs_lower(reps[:, ::-1, :])
-    diag = np.abs(np.diagonal(low, axis1=-2, axis2=-1))[:, ::-1]
+    diag = np.diagonal(low, axis1=-2, axis2=-1)[:, ::-1]
     ratios = diag[:, :-1] / diag[:, 1:]
     return np.all(ratios >= ratio_min - 1e-9, axis=1)
 

@@ -1,5 +1,6 @@
 """Scenario-runner front end: schema validation, dispatch, exit codes."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -18,6 +19,7 @@ from escmass.cli import (
     bundled_scenarios,
     classify_scenario,
     load_scenario,
+    main,
     parse_entry,
     predicted_label,
     run_scenario,
@@ -212,6 +214,37 @@ def test_cli_run_ok_and_outputs_are_byte_identical(tmp_path):
         assert len(pts) == 513
         assert (tmp_path / "a" / f"histograms_{idx}.txt").exists()
     assert (tmp_path / "a" / "meta.txt").read_text().startswith("scenario sl2_cusp")
+
+
+# sha256 of summary.json for every bundled scenario at --samples 4096
+# --jobs 1 and its stated seed.  A change that moves one of these changes
+# results, not just speed.
+GOLDEN_SUMMARIES = {
+    "sl2_cusp": "82d0a065873604e46443630e8e21e64d642d73dea106ac2bb989f11bf0836b36",
+    "sl2_mixed": "5c615329e113b6a1f8621bc10693a79fd2a9cfdf9b2fae80f6379bec27823801",
+    "sl3_case1": "69cbc5a072ed9ddfde015e45cfa5022bf070f2d778a2656fa9ebe5b9a7b97cf5",
+    "sl3_case2_1": "a95d0ccb2e3c4ede8ef391d9c64eadae124e5b9cf9a2324b58d2e8eb95f95453",
+    "sl3_case2_2_1": "d88b63f5cb297542ce847a9b62f52efdd36ccbff5021bc6fe032a27cfbc8e462",
+    "sl3_case2_2_2_1": "5c3732e3fc40ab7fd18e49da4974e02b982f6f62f1cbfc64edd455c4a6b8c857",
+    "sl3_case2_2_2_2_1": "a7f119722db5e3c3798dd1359a28ce5c8f71daaff534f0bba7f06068677f2767",
+    "sl3_case2_2_2_2_2": "4632ceaaf9138c2d378dbe0923acc344f4c83e7ab9b25e46df77b3ecea0bb27c",
+    "sl3_case2_2_2_2_3_1": "872eb66313e2eee0a3dbd4f3057710ee9b254e01eca54425e7aabaa636d5b07e",
+    "sl3_case2_2_2_2_3_2": "7fddba7d1a074a816fa7820edf46a7ec47fee4b5d397b6f2d55a7a72d8c151af",
+    "sl3_levi_block": "14ecd7ebaf042f506f115bb9ed3fab14aa6f694d3ca33631733afa9e3067ae17",
+}
+
+
+def test_golden_summaries_cover_the_bundled_scenarios():
+    assert sorted(GOLDEN_SUMMARIES) == sorted(p.stem for p in bundled_scenarios())
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SUMMARIES))
+def test_bundled_summary_bytes_are_pinned(name, tmp_path):
+    out = tmp_path / name
+    code = main(["run", name, "--samples", "4096", "--jobs", "1", "--out", str(out)])
+    assert code == EXIT_OK
+    digest = hashlib.sha256((out / "summary.json").read_bytes()).hexdigest()
+    assert digest == GOLDEN_SUMMARIES[name]
 
 
 def test_cli_statistical_disagreement_exits_2(tmp_path):

@@ -16,6 +16,7 @@ from escmass.lingrp import (
     ParabolicIndex,
     dalpha_product,
     d_function,
+    gram_schmidt_rows,
     group_element,
     identity_element,
     iwasawa,
@@ -136,6 +137,104 @@ def test_condition_rejection():
     g = group_element(np.diag([1e7, 1e-7]))
     with pytest.raises(ValueError):
         iwasawa(g)
+
+
+# ---------------------------------------------------------------------------
+# the Gram-Schmidt kernel behind the Iwasawa split and lattice reduction
+
+KERNEL_TOL = 1e-13  # about 450 ulps: reconstruction, orthogonality, det K
+QR_AGREEMENT_TOL = 1e-12  # kernel L against the Householder L, per row norm
+
+
+def _qr_lower(b):
+    """The Householder construction the kernel replaced, kept as a reference:
+    L of B = L Q from a QR of B^T, diagonal signs made positive."""
+    q, r = np.linalg.qr(np.swapaxes(b, -1, -2))
+    low = np.swapaxes(r, -1, -2)
+    d = np.sign(np.diagonal(low, axis1=-2, axis2=-1))
+    return low * np.where(d == 0.0, 1.0, d)[..., None, :]
+
+
+def _rotations(n, count, rng):
+    q, _ = np.linalg.qr(rng.normal(size=(count, n, n)))
+    q[np.linalg.det(q) < 0, :, 0] *= -1.0
+    return q
+
+
+def _det_one_stack(n, count, rng):
+    mats = rng.normal(size=(count, n, n))
+    mats[np.linalg.det(mats) < 0, 0, :] *= -1.0
+    return mats / np.linalg.det(mats)[:, None, None] ** (1.0 / n)
+
+
+def _cusp_stack(n, count, rng, spread=1e20):
+    """N diag(a) K with a decreasing from spread^(1/2) to spread^(-1/2), so
+    cond_2 is about spread; returns the stack and its true a."""
+    log_a = np.sort(rng.uniform(0.0, np.log(spread), size=(count, n)), axis=1)
+    log_a[:, 0], log_a[:, -1] = 0.0, np.log(spread)
+    log_a = log_a[:, ::-1] - 0.5 * np.log(spread)
+    a = np.exp(log_a)
+    nil = np.eye(n) + np.triu(rng.uniform(-3.0, 3.0, size=(count, n, n)), 1)
+    return nil * a[:, None, :] @ _rotations(n, count, rng), a
+
+
+def _row_residual(approx, mats):
+    """Per-row error relative to the row's length."""
+    err = np.linalg.norm(approx - mats, axis=-1)
+    return np.max(err / np.linalg.norm(mats, axis=-1))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("kind", ["random", "cusp"])
+def test_gram_schmidt_and_iwasawa_kernel(n, kind):
+    rng = np.random.default_rng(100 * n + len(kind))
+    if kind == "random":
+        mats, a_true = _det_one_stack(n, 4000, rng), None
+    else:
+        mats, a_true = _cusp_stack(n, 4000, rng)
+        assert np.median(np.linalg.cond(mats)) > 1e19
+    eye = np.eye(n)
+
+    low, q = gram_schmidt_rows(mats)
+    assert np.all(np.triu(low, 1) == 0.0)
+    assert np.all(np.diagonal(low, axis1=-2, axis2=-1) > 0.0)
+    assert np.max(np.abs(q @ np.swapaxes(q, -1, -2) - eye)) <= KERNEL_TOL
+    assert _row_residual(low @ q, mats) <= KERNEL_TOL
+
+    nil, a, k = iwasawa_batched(mats)
+    assert _row_residual(nil @ (a[:, :, None] * k), mats) <= KERNEL_TOL
+    assert np.max(np.abs(k @ np.swapaxes(k, -1, -2) - eye)) <= KERNEL_TOL
+    assert np.max(np.abs(np.linalg.det(k) - 1.0)) <= KERNEL_TOL
+    assert np.all(a > 0.0)
+    assert np.all(np.tril(nil, -1) == 0.0)
+    assert np.all(np.diagonal(nil, axis1=-2, axis2=-1) == 1.0)
+    if a_true is not None:
+        assert np.max(np.abs(a / a_true - 1.0)) <= KERNEL_TOL
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_gram_schmidt_matches_householder_when_well_conditioned(n):
+    rng = np.random.default_rng(7 + n)
+    mats = _det_one_stack(n, 4000, rng)
+    mats = mats[np.linalg.cond(mats) < 1e3]
+    low, _ = gram_schmidt_rows(mats)
+    scale = np.linalg.norm(mats, axis=-1)[:, :, None]
+    assert np.max(np.abs(low - _qr_lower(mats)) / scale) <= QR_AGREEMENT_TOL
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_gram_schmidt_does_not_depend_on_the_stack(n):
+    """Leading axes are kept, and each matrix gets the same bits alone, in a
+    slice, or in the whole stack."""
+    mats = _det_one_stack(n, 60, np.random.default_rng(n)).reshape(3, 4, 5, n, n)
+    low, q = gram_schmidt_rows(mats)
+    assert low.shape == q.shape == mats.shape
+    flat, low_flat = mats.reshape(-1, n, n), low.reshape(-1, n, n)
+    for lo, hi in ((0, 60), (7, 8), (10, 13), (59, 60)):
+        part, _ = gram_schmidt_rows(flat[lo:hi])
+        assert np.array_equal(part, low_flat[lo:hi])
+    single, _ = gram_schmidt_rows(flat[7])
+    assert np.array_equal(single, low_flat[7])
 
 
 def test_flag_shapes():

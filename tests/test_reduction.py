@@ -12,7 +12,10 @@ import numpy as np
 import pytest
 
 import escmass.reduction as reduction
+from escmass.cli import load_scenario
+from escmass.limits import sequence_translate
 from escmass.lingrp import group_element, identity_element, iwasawa
+from escmass.measures import empirical_measure
 from escmass.reduction import (
     ReducedPoint,
     SiegelSet,
@@ -197,6 +200,39 @@ def test_reduce_siegel_gamma_invariance_of_a_part():
         )
         if interior:
             assert np.allclose(a1, a2, atol=1e-6)
+
+
+def _exact_det(rows):
+    """Determinant by cofactor expansion along the first row, in Python
+    integers."""
+    if len(rows) == 1:
+        return rows[0][0]
+    return sum(
+        (-1) ** c * rows[0][c] * _exact_det([r[:c] + r[c + 1 :] for r in rows[1:]])
+        for c in range(len(rows))
+    )
+
+
+def test_exact_det():
+    assert _exact_det([[2, 1], [7, 4]]) == 1
+    assert _exact_det([[0, 1, 0], [1, 0, 0], [0, 0, 1]]) == -1
+
+
+def test_largest_reducers_have_exact_determinant_one():
+    """At index 4 the reducers outgrow what a float64 determinant resolves;
+    their determinant is set from the swap parity and must be exactly 1."""
+    largest = 0
+    for name in ("sl3_case1", "sl3_levi_block"):
+        scn = load_scenario(name)
+        g = sequence_translate(scn.sequence, 4)
+        m = empirical_measure(scn.sequence.subgroup, g, scn.count, scn.seed, scn.y_cap)
+        gammas = m.gammas[:, 0]
+        size = np.abs(gammas).max(axis=(1, 2))
+        for idx in np.argsort(size)[-200:]:
+            rows = [[int(v) for v in row] for row in gammas[idx]]
+            assert _exact_det(rows) == 1, (name, rows)
+        largest = max(largest, int(size.max()))
+    assert largest > 2**32
 
 
 def test_in_siegel_examples():
