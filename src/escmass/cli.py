@@ -547,19 +547,17 @@ def summary_dict(res: RunResult) -> dict:
 def points_text(m: EmpiricalMeasure, cap: int = POINTS_CAP) -> str:
     """Columnar dump of the first reduced sample points (factors separated
     by '|'): the log diagonal, then the strictly-upper frame entries."""
-    r = m.log_a.shape[1]
+    _, r, n = m.log_a.shape
+    d = m.u_coords.shape[2]
     k = min(cap, m.sample_count)
+    factor = " ".join(["%+.9e"] * n) + "   " + " ".join(["%+.9e"] * d)
+    line = "  |  ".join([factor] * r)
+    rows = np.concatenate([m.log_a[:k], m.u_coords[:k]], axis=2).reshape(k, -1)
     lines = [
         f"# {k} of {m.sample_count} reduced points; per factor: "
         "log_a[0..n-1] then row-major strictly-upper u entries"
     ]
-    for s in range(k):
-        parts = []
-        for f in range(r):
-            la = " ".join(f"{v:+.9e}" for v in m.log_a[s, f])
-            uu = " ".join(f"{v:+.9e}" for v in m.u_coords[s, f])
-            parts.append(la + "   " + uu)
-        lines.append("  |  ".join(parts))
+    lines.extend(line % tuple(row) for row in rows.tolist())
     return "\n".join(lines) + "\n"
 
 

@@ -33,6 +33,7 @@ __all__ = [
     "identity_element",
     "iwasawa",
     "iwasawa_batched",
+    "gram_schmidt_components",
     "gram_schmidt_rows",
     "langlands",
     "root_values",
@@ -219,8 +220,11 @@ def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return acc
 
 
-def gram_schmidt_rows(b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Row Gram-Schmidt of a (..., n, n) stack: b = L @ Q.
+def gram_schmidt_components(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Row Gram-Schmidt of a component-major (n, n, m) stack, rows[i, k]
+    holding entry k of row i across the m matrices: each matrix factors as
+    B = L @ Q, returned component-major as low[i, j] = L[i, j] and
+    q[i, k] = Q[i, k].
 
     L is lower triangular with a positive diagonal (the lengths of the
     successive orthogonal residuals); the rows of Q are the residual
@@ -230,17 +234,11 @@ def gram_schmidt_rows(b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     row's rounding along the earlier directions ("twice is enough", Kahan
     and Parlett).  L is backward stable, as accurate as a Householder
     factor, and Q is orthogonal to working precision for every input that is
-    nonsingular at working precision.  The stack is worked component-major,
-    so every operation runs over contiguous stack-length vectors, and each
-    matrix's result does not depend on the stack it came in.
-
-    >>> low, q = gram_schmidt_rows(np.array([[3.0, 4.0], [1.0, 0.0]]))
-    >>> low.tolist()
-    [[5.0, 0.0], [0.6, 0.8]]
+    nonsingular at working precision.  Every operation runs elementwise over
+    stack-length vectors, so each matrix's result does not depend on the
+    stack it came in.
     """
-    b = np.asarray(b, dtype=float)
-    n = b.shape[-1]
-    rows = np.moveaxis(b, (-2, -1), (0, 1)).reshape(n, n, b.size // (n * n))
+    n = rows.shape[0]
     low = np.zeros(rows.shape)
     q = np.empty(rows.shape)
     for i in range(n):
@@ -253,6 +251,22 @@ def gram_schmidt_rows(b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         norm = np.sqrt(_dot(v, v))
         low[i, i] = norm
         q[i] = v / norm
+    return low, q
+
+
+def gram_schmidt_rows(b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Row Gram-Schmidt of a (..., n, n) stack: b = L @ Q, from
+    :func:`gram_schmidt_components` on the component-major view of the
+    stack.
+
+    >>> low, q = gram_schmidt_rows(np.array([[3.0, 4.0], [1.0, 0.0]]))
+    >>> low.tolist()
+    [[5.0, 0.0], [0.6, 0.8]]
+    """
+    b = np.asarray(b, dtype=float)
+    n = b.shape[-1]
+    rows = np.moveaxis(b, (-2, -1), (0, 1)).reshape(n, n, b.size // (n * n))
+    low, q = gram_schmidt_components(rows)
     back = (n, n) + b.shape[:-2]
     return (
         np.moveaxis(low.reshape(back), (0, 1), (-2, -1)),

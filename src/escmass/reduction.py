@@ -21,6 +21,7 @@ import numpy as np
 from .lingrp import (
     GroupElement,
     LanglandsParts,
+    gram_schmidt_components,
     gram_schmidt_rows,
     group_element,
     iwasawa,
@@ -163,100 +164,128 @@ def reduce_sl2_coords(
 # n = 3, 4: lattice reduction on rows
 
 
-def _gs_lower(b: np.ndarray) -> np.ndarray:
-    """Lower-triangular Gram-Schmidt coefficient matrix L with B = L Q, from
-    the batched row kernel shared with the Iwasawa split.  At n <= 4 a
-    float64 Gram-Schmidt carries enough precision for the size-reduction and
-    swap decisions (the floating-point LLL analysis of Nguyen and Stehle's
-    L^2), so no Householder factorization is needed."""
-    return gram_schmidt_rows(b)[0]
+MAX_SWEEPS = 1000  # per LLL pass; a pass that reaches it is reported
 
 
 def _lll_rows(
-    b: np.ndarray, delta: float, u: np.ndarray, odd: np.ndarray, max_sweeps: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Sweep-based row LLL over a stack; returns (B', U', odd', sweeps) with
-    B' = U' @ B_input (U' accumulated over u) and odd' flagging the matrices
-    whose swap count (accumulated over odd) is odd, i.e. det U' = -1: size
-    reductions have determinant one, each swap minus one.  One swap per
-    matrix per sweep keeps the batched swaps independent."""
-    m, n, _ = b.shape
+    b: np.ndarray,
+    u: np.ndarray,
+    odd: np.ndarray,
+    low: np.ndarray,
+    delta: float,
+    max_sweeps: int,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int, bool]:
+    """Sweep-based row LLL over a component-major stack.
+
+    b (float) and u (int64) are (n, n, m) arrays, b[i, k] and u[i, k] holding
+    entry k of row i across the m matrices, so every row operation below is
+    an elementwise update of contiguous stack-length vectors.  low is the
+    (n, n, m) lower Gram-Schmidt factor of the incoming b (from
+    :func:`gram_schmidt_components`), which the first sweep uses; every later
+    sweep refactors b.  At n <= 4 a float64 Gram-Schmidt carries enough
+    precision for the size-reduction and swap decisions (the floating-point
+    LLL analysis of Nguyen and Stehle's L^2).
+
+    Returns (b', u', odd', sweeps, converged) with B' = U' @ B_input per
+    matrix (U' accumulated over u), odd' flagging the matrices whose swap
+    count (accumulated over odd) is odd, i.e. det U' = -1 (size reductions
+    have determinant one, each swap minus one), and converged telling
+    whether the last sweep was swap-free; it is False only when the pass
+    stopped at max_sweeps.  One swap per matrix per sweep keeps the batched
+    swaps independent.
+    """
+    n = b.shape[0]
     sweeps = 0
+    swapped = True
     for sweeps in range(1, max_sweeps + 1):
-        low = _gs_lower(b)
+        if sweeps > 1:
+            low = gram_schmidt_components(b)[0]
         # size-reduce row i against rows j < i, innermost first
         for i in range(1, n):
             for j in range(i - 1, -1, -1):
-                q = np.round(low[:, i, j] / low[:, j, j])
+                q = np.round(low[i, j] / low[j, j])
                 if np.any(q != 0.0):
-                    b[:, i, :] -= q[:, None] * b[:, j, :]
-                    u[:, i, :] -= q[:, None].astype(np.int64) * u[:, j, :]
-                    low[:, i, : j + 1] -= q[:, None] * low[:, j, : j + 1]
-        # first violated swap position per matrix
-        norms2 = np.diagonal(low, axis1=-2, axis2=-1) ** 2
-        mu = low[:, 1:, :] / np.diagonal(low, axis1=-2, axis2=-1)[:, None, :]
+                    b[i] -= q * b[j]
+                    u[i] -= q.astype(np.int64) * u[j]
+                    low[i, : j + 1] -= q * low[j, : j + 1]
+        # first violated swap position per matrix (Lovasz condition)
         swapped = False
-        pending = np.ones(m, dtype=bool)
+        pending = np.ones(b.shape[2], dtype=bool)
         for k in range(1, n):
-            mu_k = mu[:, k - 1, k - 1]
+            mu_k = low[k, k - 1] / low[k - 1, k - 1]
+            norm2_prev = low[k - 1, k - 1] ** 2
             bad = pending & (
-                norms2[:, k] + mu_k**2 * norms2[:, k - 1]
-                < delta * norms2[:, k - 1] * (1.0 - 1e-14)
+                low[k, k] ** 2 + mu_k**2 * norm2_prev
+                < delta * norm2_prev * (1.0 - 1e-14)
             )
             if bad.any():
-                b[bad, k - 1, :], b[bad, k, :] = (
-                    b[bad, k, :].copy(),
-                    b[bad, k - 1, :].copy(),
-                )
-                u[bad, k - 1, :], u[bad, k, :] = (
-                    u[bad, k, :].copy(),
-                    u[bad, k - 1, :].copy(),
-                )
-                odd = odd ^ bad
-                pending = pending & ~bad
+                for rows in (b, u):
+                    prev = rows[k - 1].copy()
+                    np.copyto(rows[k - 1], rows[k], where=bad)
+                    np.copyto(rows[k], prev, where=bad)
+                odd ^= bad
+                pending &= ~bad
                 swapped = True
         if not swapped:
             break
-    return b, u, odd, sweeps
+    return b, u, odd, sweeps, not swapped
 
 
 def _reduce_stack(mats: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Two LLL passes (delta = 3/4, then delta just below 1) over the
+    row-reversed (m, n, n) stack; returns (gammas int64, reps float), both
+    (m, n, n).
+
+    The working basis b and its integer transform u are kept component-major,
+    (n, n, m), through both passes and transposed back only to form gammas
+    and reps.  The Gram-Schmidt factor of the input, which sets the sweep
+    budget, is also the factor the first sweep of pass 1 starts from, so
+    each sweep factors b exactly once.
+    """
     m, n, _ = mats.shape
-    b = np.ascontiguousarray(mats[:, ::-1, :])
-    u = np.tile(np.eye(n, dtype=np.int64), (m, 1, 1))
+    b = np.ascontiguousarray(mats[:, ::-1, :].transpose(1, 2, 0))
+    u = np.repeat(np.eye(n, dtype=np.int64)[:, :, None], m, axis=2)
     odd = np.zeros(m, dtype=bool)
     # the sweep budget, past which a warning reports slow convergence, grows
     # with the input's log condition number.  The Gram-Schmidt diagonal holds
     # the eigenvalues of the triangular factor, so its spread max/min bounds
     # cond_2 from below: this budget never exceeds the one cond_2 would set
-    diag = np.diagonal(_gs_lower(b), axis1=-2, axis2=-1)
+    low = gram_schmidt_components(b)[0]
+    diag = np.diagonal(low, axis1=0, axis2=1)
     spread = float(np.max(diag.max(axis=1) / diag.min(axis=1)))
     budget = int(8 * n * n * (1.0 + np.log10(max(spread, 1.0)))) + 16
-    b, u, odd, s1 = _lll_rows(b, 0.75, u, odd, max_sweeps=1000)
-    b, u, odd, s2 = _lll_rows(b, 1.0 - 1e-9, u, odd, max_sweeps=1000)
+    b, u, odd, s1, done1 = _lll_rows(b, u, odd, low, 0.75, MAX_SWEEPS)
+    low = gram_schmidt_components(b)[0]
+    b, u, odd, s2, done2 = _lll_rows(b, u, odd, low, 1.0 - 1e-9, MAX_SWEEPS)
+    for label, done in (("first", done1), ("second", done2)):
+        if not done:
+            warnings.warn(
+                f"lattice reduction stopped its {label} pass at the "
+                f"{MAX_SWEEPS}-sweep cap with swaps still pending"
+            )
     if s1 + s2 > budget:
         warnings.warn(
             f"lattice reduction used {s1 + s2} sweeps, above the "
             f"conditioning-based budget {budget}"
         )
-    gammas = u[:, ::-1, ::-1].copy()
+    # det gammas = det U' (the reversal conjugates it) = -1 after an odd
+    # number of swaps; negating a row restores determinant one exactly, at
+    # any reducer size.  Row n-1 of the reversed basis is row 0 of reps
+    np.negative(u[-1], out=u[-1], where=odd)
+    np.negative(b[-1], out=b[-1], where=odd)
+    gammas = np.ascontiguousarray(u[::-1, ::-1].transpose(2, 0, 1))
     # keep the incrementally maintained basis as the representative: it
     # mirrors gammas @ mats exactly in exact arithmetic, but the one-shot
     # product would cancel catastrophically once the reducing coefficients
     # outgrow the small lattice scales
-    reps = b[:, ::-1, :].copy()
-    # det gammas = det U' (the reversal conjugates it) = -1 after an odd
-    # number of swaps; negating a row restores determinant one exactly, at
-    # any reducer size
-    gammas[odd, 0, :] = -gammas[odd, 0, :]
-    reps[odd, 0, :] = -reps[odd, 0, :]
+    reps = np.ascontiguousarray(b[::-1].transpose(2, 0, 1))
     return gammas, reps
 
 
 def _ratio_certified(reps: np.ndarray, ratio_min: float) -> np.ndarray:
     # the triangular profile reads off bottom-up (n a k order), which is
     # Gram-Schmidt over the reversed rows
-    low = _gs_lower(reps[:, ::-1, :])
+    low = gram_schmidt_rows(reps[:, ::-1, :])[0]
     diag = np.diagonal(low, axis1=-2, axis2=-1)[:, ::-1]
     ratios = diag[:, :-1] / diag[:, 1:]
     return np.all(ratios >= ratio_min - 1e-9, axis=1)

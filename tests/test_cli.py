@@ -233,9 +233,104 @@ GOLDEN_SUMMARIES = {
     "sl3_levi_block": "14ecd7ebaf042f506f115bb9ed3fab14aa6f694d3ca33631733afa9e3067ae17",
 }
 
+# sha256 of the points and histogram dumps of the same runs, recorded
+# before the points dump was rewritten: the dumps are part of the output
+# contract too.
+GOLDEN_FILES = {
+    "sl2_cusp": {
+        "histograms_1.txt": "d603e775471a5f3e319f16a2899f3b0cf0a1f52c07919230936f24771c762516",
+        "histograms_2.txt": "d603e775471a5f3e319f16a2899f3b0cf0a1f52c07919230936f24771c762516",
+        "histograms_4.txt": "d603e775471a5f3e319f16a2899f3b0cf0a1f52c07919230936f24771c762516",
+        "points_1.txt": "b110427d10bfb38bd08b64202c63a9fd7a185252e4014f5bdfac4343b2209c88",
+        "points_2.txt": "20b4cdc8831087c75e94d338828ee9fed2915be136c96aa82fb95ed62d353157",
+        "points_4.txt": "62c6506f3e713ba8449d6a9b63e7e4f26277e1ca2fc722d6635f19dd66ce331f",
+    },
+    "sl2_mixed": {
+        "histograms_1.txt": "3a50cb5f205cf9780f958cea409b6b5bd778486a50aaa480f571b2013aff4356",
+        "histograms_2.txt": "17071fbf3d59fcb93ed4d511cec632f7b3a0cc426fafc0720a8e0ccc331df5cf",
+        "histograms_4.txt": "17071fbf3d59fcb93ed4d511cec632f7b3a0cc426fafc0720a8e0ccc331df5cf",
+        "points_1.txt": "9c38ffe8324c0a5e4f2a1aa9a8eaa8a0f596c65520eb806f84e3d8ed00f00652",
+        "points_2.txt": "82a4a07458fd58e9d147a705b0add6f53b376c69c169a30f17caa45841039885",
+        "points_4.txt": "a8b22817adc9ff5355f07b2a4cf3c9afc4b37b17327b5cca7414676f70f7fc01",
+    },
+    "sl3_case1": {
+        "histograms_1.txt": "17071fbf3d59fcb93ed4d511cec632f7b3a0cc426fafc0720a8e0ccc331df5cf",
+        "histograms_2.txt": "b8fa8a613520e7c45f6a455f228ab06fa466197501c2f973d7a28668b1e40531",
+        "histograms_4.txt": "6e9abd876e63ab181cd18d24573ec2466fffea04ae4b5220890af7a8a4b2e578",
+        "points_1.txt": "c1ac728c4b1fc593c5687f9e2b4c08521cf1d15fec5a2e956f56aff562ce2ada",
+        "points_2.txt": "a7dda9a16b1c8e6ee51ff6b86fab39f1511af2ae8681a01b750172c38e099cb8",
+        "points_4.txt": "4516b1a0c03e86553d2fc9e2d3f698d98a1cc5d2d684f4db667b0dc6b9543702",
+    },
+    "sl3_case2_1": {
+        "histograms_1.txt": "722819dc68d1896d22e9f6d9939cbfab0b0a61bfd566378b430c8323e4717c92",
+        "histograms_2.txt": "17071fbf3d59fcb93ed4d511cec632f7b3a0cc426fafc0720a8e0ccc331df5cf",
+        "histograms_4.txt": "17071fbf3d59fcb93ed4d511cec632f7b3a0cc426fafc0720a8e0ccc331df5cf",
+        "points_1.txt": "a8a076a8948780679ef1e5147c0fd89c642ee173098f418580462d82c5b2ba0d",
+        "points_2.txt": "fdc41e26c61159651ea772b918ecd62a16a3821ac733f901ce1139620cd47d2a",
+        "points_4.txt": "c363ef72354eba6aa0abe8ee023ef75fbd66ecbeb006da83532094a15adaaf49",
+    },
+    "sl3_case2_2_1": {
+        "histograms_1.txt": "17071fbf3d59fcb93ed4d511cec632f7b3a0cc426fafc0720a8e0ccc331df5cf",
+        "histograms_2.txt": "55f48438c694b5d9b4fbfa9319f3fea17cde04e258dabbee8aa7da7379c02f90",
+        "histograms_4.txt": "4adb51a0dd25f03ceca33533fe2b818488412cb56af7f689cd2f778f632b5a3e",
+        "points_1.txt": "16c37c99dcc202b24b6f77e2bef259f5a0c0db4c839c13d7c3c59af5418c2484",
+        "points_2.txt": "eb81f06bdaf29d4b312cc11d06702939301c7fd6cd848f00400255143b232700",
+        "points_4.txt": "65022e00e462c8d709cf39e4719d37a0e9905bb2bb81f0cb05354075a4ac6574",
+    },
+    "sl3_case2_2_2_1": {
+        "histograms_1.txt": "17071fbf3d59fcb93ed4d511cec632f7b3a0cc426fafc0720a8e0ccc331df5cf",
+        "histograms_2.txt": "17071fbf3d59fcb93ed4d511cec632f7b3a0cc426fafc0720a8e0ccc331df5cf",
+        "histograms_4.txt": "17071fbf3d59fcb93ed4d511cec632f7b3a0cc426fafc0720a8e0ccc331df5cf",
+        "points_1.txt": "2d202ac211c65f1e22bb881084ca8618e9618375de5d22c69ecb30c86e9b1e54",
+        "points_2.txt": "a48d5f7cc4cf71531d016e7d616b32fbe13c436266ec2ba73f07cc82d94a8de1",
+        "points_4.txt": "c23bb47546df52195cef5ad3c332fe89f15b1d87ba7375aa5232abb6a6b95510",
+    },
+    "sl3_case2_2_2_2_1": {
+        "histograms_1.txt": "17071fbf3d59fcb93ed4d511cec632f7b3a0cc426fafc0720a8e0ccc331df5cf",
+        "histograms_2.txt": "55f48438c694b5d9b4fbfa9319f3fea17cde04e258dabbee8aa7da7379c02f90",
+        "histograms_4.txt": "4adb51a0dd25f03ceca33533fe2b818488412cb56af7f689cd2f778f632b5a3e",
+        "points_1.txt": "e8e8aea513312f29852d64e131967885f39da6f4c3235d9067c7a17ba972a593",
+        "points_2.txt": "1164d7123744aa55962a02eeebe44fdb0fb2708e5bce3a6a846ebefe745d6013",
+        "points_4.txt": "2d3e1c5e24f0c59fdbed1e9bfbdb2b4ab3cb799bb16105dc942a40aa4448077b",
+    },
+    "sl3_case2_2_2_2_2": {
+        "histograms_1.txt": "5b085e1082892b5dabdc7b5d6899a010621b134a262ec7b5da8046bc5095bd5a",
+        "histograms_2.txt": "94e2c278acd14c7284a66e11f328c4d87940144a8fbf447fa13c2a4f115df071",
+        "histograms_4.txt": "94e2c278acd14c7284a66e11f328c4d87940144a8fbf447fa13c2a4f115df071",
+        "points_1.txt": "ae73bf4514abc3df8ded06a089416225d0f3b66350c4405d6e15a37b3cc71c8e",
+        "points_2.txt": "84fde1a880ed4fdb6374b53866cddff89eb579bfaaa60ed60698d1f1732095be",
+        "points_4.txt": "bc35b2a7f3a2c5cfe72c24cfa3e78013e75f4934ae31e96238eb567c5045a519",
+    },
+    "sl3_case2_2_2_2_3_1": {
+        "histograms_1.txt": "9e545fcf0f835e98eadcda56e3bdd62a0626b49ef561d7a13c8c83f52f19f8d3",
+        "histograms_2.txt": "83669143bb3d94c311a40ed3777049cc89437a3a57876308b9663048cd423040",
+        "histograms_4.txt": "3404581a744627cfad5d62454d9bfd55a8cf31594d70f3bf2fed1392b77b996c",
+        "points_1.txt": "5f3807a448c99327f5e9dc0510bc21606a3f0726be8310236502ff66d770a2f4",
+        "points_2.txt": "78e4a179200d3259de1f854fdcf70c3a8fd436a45dfff9f3617fed6108907a59",
+        "points_4.txt": "4c1681594ab9e0d3de81878c07fb3a28043e2679368273144b9b88c2ceab450d",
+    },
+    "sl3_case2_2_2_2_3_2": {
+        "histograms_1.txt": "9e545fcf0f835e98eadcda56e3bdd62a0626b49ef561d7a13c8c83f52f19f8d3",
+        "histograms_2.txt": "1a8fad129896432a222addc000f22735d0eb8a13df530c11ea2dd37c45594eab",
+        "histograms_4.txt": "4adb51a0dd25f03ceca33533fe2b818488412cb56af7f689cd2f778f632b5a3e",
+        "points_1.txt": "936e7396f241bded0492ea8d48643d5e650224c1440d6d2559bb3c31893fc310",
+        "points_2.txt": "090a9b6b40a7945e201369fac3595f3ea63fbea31fe6422d2cfd07783fd1f8d6",
+        "points_4.txt": "546b9c99f6549099b94c1edd017cef8160403d5cee00f4fa204ee7b010c24cf4",
+    },
+    "sl3_levi_block": {
+        "histograms_1.txt": "4f4a4710296233adfae02c99a2f108d365dca3608867700303b70bdb89032b2f",
+        "histograms_2.txt": "b4e68fbbb6d59fbc7ad64fbe686c42731d502b373590be6cb3e533097cacae67",
+        "histograms_4.txt": "446c8a3a84e2faa74c170fdf0c896d9ed90d53bf5daea6eee689570605000ed1",
+        "points_1.txt": "a3eb4e25606c40ae7701aa7373cd4db08a11443f786db244d017de3c4a6207ec",
+        "points_2.txt": "07706848bacf1b128e53e1ebfc7e0b1e17144320511153aff12788a9fca2e71f",
+        "points_4.txt": "214a2c4932c311c6348239cf6a533feb4bc2957dbc7f1bd6a19744a371b1ab5e",
+    },
+}
+
 
 def test_golden_summaries_cover_the_bundled_scenarios():
     assert sorted(GOLDEN_SUMMARIES) == sorted(p.stem for p in bundled_scenarios())
+    assert sorted(GOLDEN_FILES) == sorted(GOLDEN_SUMMARIES)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_SUMMARIES))
@@ -245,6 +340,8 @@ def test_bundled_summary_bytes_are_pinned(name, tmp_path):
     assert code == EXIT_OK
     digest = hashlib.sha256((out / "summary.json").read_bytes()).hexdigest()
     assert digest == GOLDEN_SUMMARIES[name]
+    for fname, want in GOLDEN_FILES[name].items():
+        assert hashlib.sha256((out / fname).read_bytes()).hexdigest() == want, fname
 
 
 def test_cli_statistical_disagreement_exits_2(tmp_path):

@@ -7,6 +7,7 @@ is compared against an independent brute-force filter written inline.
 
 import doctest
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -14,8 +15,13 @@ import pytest
 import escmass.reduction as reduction
 from escmass.cli import load_scenario
 from escmass.limits import sequence_translate
-from escmass.lingrp import group_element, identity_element, iwasawa
-from escmass.measures import empirical_measure
+from escmass.lingrp import (
+    gram_schmidt_components,
+    group_element,
+    identity_element,
+    iwasawa,
+)
+from escmass.measures import empirical_measure, sample_subgroup_array
 from escmass.reduction import (
     ReducedPoint,
     SiegelSet,
@@ -233,6 +239,59 @@ def test_largest_reducers_have_exact_determinant_one():
             assert _exact_det(rows) == 1, (name, rows)
         largest = max(largest, int(size.max()))
     assert largest > 2**32
+
+
+@pytest.fixture(scope="module")
+def levi_stack():
+    """The 4,096 pushed samples of sl3_levi_block at index 4: the stack that
+    takes the most LLL sweeps among the bundled scenarios."""
+    scn = load_scenario("sl3_levi_block")
+    g = sequence_translate(scn.sequence, 4)
+    samples = sample_subgroup_array(scn.sequence.subgroup, 4096, scn.seed, scn.y_cap)
+    return samples[:, 0] @ g[0]
+
+
+def test_reduction_does_not_depend_on_the_stack(levi_stack):
+    """Chunking must not change a single bit of any reducer or representative."""
+    gammas, reps = reduce_siegel_batched(levi_stack)
+    for lo in range(0, len(levi_stack), 1000):
+        part_g, part_r = reduce_siegel_batched(levi_stack[lo : lo + 1000])
+        assert np.array_equal(part_g, gammas[lo : lo + 1000])
+        assert np.array_equal(part_r, reps[lo : lo + 1000])
+    for i in np.linspace(0, len(levi_stack) - 1, 50).astype(int):
+        one_g, one_r = reduce_siegel_batched(levi_stack[i : i + 1])
+        assert np.array_equal(one_g[0], gammas[i])
+        assert np.array_equal(one_r[0], reps[i])
+
+
+def _component_major(mats):
+    m, n, _ = mats.shape
+    b = np.ascontiguousarray(mats[:, ::-1, :].transpose(1, 2, 0))
+    u = np.repeat(np.eye(n, dtype=np.int64)[:, :, None], m, axis=2)
+    return b, u, np.zeros(m, dtype=bool), gram_schmidt_components(b)[0]
+
+
+def test_lll_pass_reports_whether_it_converged(levi_stack):
+    *_, sweeps, converged = reduction._lll_rows(
+        *_component_major(levi_stack), 0.75, max_sweeps=1
+    )
+    assert sweeps == 1 and not converged
+    *_, sweeps, converged = reduction._lll_rows(
+        *_component_major(levi_stack), 0.75, max_sweeps=1000
+    )
+    assert 1 < sweeps < 1000 and converged
+
+
+def test_sweep_cap_warns_naming_the_pass(levi_stack, monkeypatch):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reduce_siegel_batched(levi_stack)  # converges well inside the cap
+    monkeypatch.setattr(reduction, "MAX_SWEEPS", 1)
+    with pytest.warns(UserWarning) as caught:
+        reduction._reduce_stack(levi_stack)
+    messages = [str(w.message) for w in caught]
+    for label in ("first", "second"):
+        assert any(f"{label} pass at the 1-sweep cap" in msg for msg in messages)
 
 
 def test_in_siegel_examples():
