@@ -53,6 +53,7 @@ from .qfield import (
     qmat_is_upper_unitriangular,
     qmat_mul,
     qmat_unipotent_inverse,
+    rat_mul,
 )
 from .reduction import enumerate_gamma
 from .rootsys import (
@@ -249,14 +250,6 @@ def _verdict(P, gens_present: bool, notes) -> LimitDescriptor:
 # exact rational matrix plumbing
 
 
-def _rat_mul(a: FracMatrix, b: FracMatrix) -> FracMatrix:
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
-
-
 def _rat_of_int(rows) -> FracMatrix:
     return tuple(tuple(Fraction(int(v)) for v in row) for row in rows)
 
@@ -295,22 +288,24 @@ def _perm_sign(p: Sequence[int]) -> int:
     return sign
 
 
-def _weyl_rep_exact(w: WeylElement) -> FracMatrix:
-    """Integer determinant-one representative of a single-factor Weyl
-    element: signed permutation, last column negated for odd permutations."""
+def _weyl_conjugate(X, w: WeylElement):
+    """R^-1 X R for the integer determinant-one representative R of a
+    single-factor Weyl element (the permutation matrix of w, last column
+    negated for odd permutations).  R is a signed permutation, so the
+    conjugate is a re-indexing: entry (i, j) is s_i s_j X[p(i)][p(j)] with
+    p the one-line form of w and s_i = -1 only at i = n-1 of an odd p.
+    Works for Fraction and QuadNum entries alike and does no arithmetic
+    beyond negation."""
     (p,) = w.perms
     n = len(p)
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for i, target in enumerate(p):
-        rows[target][i] = Fraction(1)
-    if _perm_sign(p) < 0:
-        for r in range(n):
-            rows[r][n - 1] = -rows[r][n - 1]
-    return tuple(tuple(r) for r in rows)
-
-
-def _rat_transpose(m: FracMatrix) -> FracMatrix:
-    return tuple(zip(*m))
+    flip = n - 1 if _perm_sign(p) < 0 else -1
+    return tuple(
+        tuple(
+            -X[p[i]][p[j]] if (i == flip) != (j == flip) else X[p[i]][p[j]]
+            for j in range(n)
+        )
+        for i in range(n)
+    )
 
 
 def _q_of_rat(m: FracMatrix) -> QMatrix:
@@ -353,7 +348,7 @@ def delta_truncated(spec: SubgroupSpec, g: GroupElement, height: int) -> float:
         gam = _rat_of_int(gamma)
         gam_inv = tuple(tuple(row) for row in _invert_rational_matrix(gam))
         for P in walls:
-            if all(_lie_fits(_rat_mul(_rat_mul(gam_inv, X), gam), P) for X in gens):
+            if all(_lie_fits(rat_mul(rat_mul(gam_inv, X), gam), P) for X in gens):
                 val = d_function(P, GroupElement(ginv @ np.asarray(gamma, dtype=float)))
                 best = min(best, val)
     return best
@@ -547,22 +542,17 @@ def sequence_translate(seq: SequenceSpec, index: int) -> np.ndarray:
 # the SL3 walk
 
 
-_J3 = ((Fraction(0), Fraction(0), Fraction(1)),
-       (Fraction(0), Fraction(1), Fraction(0)),
-       (Fraction(1), Fraction(0), Fraction(0)))
-
-
 def _theta_lie(X: FracMatrix) -> FracMatrix:
-    """Outer automorphism on the Lie algebra: X -> -J X^T J."""
-    m = _rat_mul(_rat_mul(_J3, _rat_transpose(X)), _J3)
-    return tuple(tuple(-x for x in row) for row in m)
+    """Outer automorphism on the Lie algebra: X -> -J X^T J, with J the
+    reversal, so entry (i, j) is -X[2-j][2-i]."""
+    return tuple(tuple(-X[2 - j][2 - i] for j in range(3)) for i in range(3))
 
 
 def _theta_unipotent(h: QMatrix) -> QMatrix:
-    """Outer automorphism on upper unitriangular matrices: J h^-T J."""
-    inv_t = tuple(zip(*qmat_unipotent_inverse(h)))
-    j = _q_of_rat(_J3)
-    return qmat_mul(qmat_mul(j, inv_t), j)
+    """Outer automorphism on upper unitriangular matrices: J h^-T J, read
+    off the inverse as entry (i, j) = inv[2-j][2-i]."""
+    inv = qmat_unipotent_inverse(h)
+    return tuple(tuple(inv[2 - j][2 - i] for j in range(3)) for i in range(3))
 
 
 def _swap_walls(I: FrozenSet[int]) -> FrozenSet[int]:
@@ -575,17 +565,21 @@ def _scan_witness(gens, h_eff, v, notes):
     strictly positive escape rate.  Preference order: wall alpha2 first,
     then the lexicographically least twist.  Any passing candidate is a
     genuine witness and the downstream walks agree on the verdict, so the
-    preference only fixes which branch the trace reports."""
+    preference only fixes which branch the trace reports.
+
+    The twists conjugate by signed permutation matrices, so the twisted
+    group and offset are re-indexed copies (:func:`_weyl_conjugate`), not
+    matrix products; so is the J-conjugation of the outer automorphism
+    that the caller applies after an alpha1 witness (:func:`_theta_lie`,
+    :func:`_theta_unipotent`)."""
     rs = build_type_a(3)
     candidates = []
     blocked_by_offset = False
     for w in weyl_elements(rs):
-        R = _weyl_rep_exact(w)
-        Rt = _rat_transpose(R)  # = R^-1
-        gens_c = [_rat_mul(_rat_mul(Rt, X), R) for X in gens]
+        gens_c = [_weyl_conjugate(X, w) for X in gens]
         p = w.one_line()
         v_c = tuple(v[p[i]] for i in range(3))
-        h_c = qmat_mul(qmat_mul(_q_of_rat(Rt), h_eff), _q_of_rat(R))
+        h_c = _weyl_conjugate(h_eff, w)
         for wall in (1, 0):
             P = _wall_parabolic(3, wall)
             if not all(_lie_fits(X, P) for X in gens_c):
@@ -674,7 +668,7 @@ def _normalise_cusp(u0: Fraction, gens, h: QMatrix, notes):
     p, q = u0.numerator, u0.denominator
     move = _embed_block(_cusp_move(p, q))
     move_inv = tuple(tuple(row) for row in _invert_rational_matrix(move))
-    new_gens = [_rat_mul(_rat_mul(move_inv, X), move) for X in gens]
+    new_gens = [rat_mul(rat_mul(move_inv, X), move) for X in gens]
     _, h02, h12 = _offset_entries(h)
     t_new = QuadNum.rational(p) * h12 - QuadNum.rational(q) * h02
     notes.append(f"m_walk:cusp_excursion;target={p}/{q}")
@@ -956,7 +950,9 @@ def levi_translate_classify(alpha: int, seq: SequenceSpec) -> LimitDescriptor:
     wall sphere.  The branch reads only the direction: bounded offsets
     cannot change which twisted wall value grows.  On escape there is no
     further degeneration -- the block itself carries no smaller parabolic --
-    so the limit is homogeneous on the reported component.
+    so the limit is homogeneous on the reported component.  The twisted
+    generators are re-indexed copies (:func:`_weyl_conjugate`), not matrix
+    products.
     """
     spec = seq.subgroup
     if spec.kind != "levi_semisimple_nc":
@@ -976,9 +972,7 @@ def levi_translate_classify(alpha: int, seq: SequenceSpec) -> LimitDescriptor:
         if len(face.I) != 1:
             continue
         P = ParabolicIndex(n, face.I)
-        R = _weyl_rep_exact(face.w)
-        Rt = _rat_transpose(R)
-        if not all(_lie_fits(_rat_mul(_rat_mul(Rt, X), R), P) for X in gens):
+        if not all(_lie_fits(_weyl_conjugate(X, face.w), P) for X in gens):
             continue
         p = face.w.one_line()
         rate = _cross_rate(P, tuple(v[p[i]] for i in range(n)))

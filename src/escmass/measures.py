@@ -24,6 +24,7 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .lingrp import GroupElement, LanglandsParts, ParabolicIndex, iwasawa_batched
+from .qfield import rat_mul
 from .reduction import (
     ReducedPoint,
     reduce_siegel_batched,
@@ -230,16 +231,8 @@ def lie_generators(spec: SubgroupSpec) -> List[Tuple[Tuple[Fraction, ...], ...]]
     if spec.conjugator is not None and gens:
         gamma = tuple(tuple(Fraction(v) for v in row) for row in spec.conjugator)
         inv = _invert_rational_matrix(gamma)
-        gens = [_rat_mul(_rat_mul(gamma, x), inv) for x in gens]
+        gens = [rat_mul(rat_mul(gamma, x), inv) for x in gens]
     return gens
-
-
-def _rat_mul(a, b):
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -290,8 +290,17 @@ def qmat_mul(x: QMatrix, y: QMatrix) -> QMatrix:
     )
 
 
-def qmat_transpose(x: QMatrix) -> QMatrix:
-    return tuple(zip(*x))
+def rat_mul(a, b):
+    """Product of two square matrices of rationals (tuples of Fractions).
+
+    >>> rat_mul(((1, 2), (0, 1)), ((1, Fraction(1, 2)), (0, 1)))[0][1]
+    Fraction(5, 2)
+    """
+    n = len(a)
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
+        for i in range(n)
+    )
 
 
 def qmat_is_upper_unitriangular(x: QMatrix) -> bool:

@@ -475,28 +475,23 @@ def levi_sphere(rs: RootSystem, I: Iterable[int]) -> List[ChamberFace]:
         if not 0 <= i < rs.rank:
             raise ValueError(f"root index {i} out of range")
     seen: Dict[Tuple[Perm, Tuple[int, ...]], ChamberFace] = {}
-    subsets = []
+    # (J, block index of each ambient coordinate under the J-joined runs)
+    block_maps = []
     for r in range(rs.rank + 1):
-        subsets.extend(frozenset(c) for c in itertools.combinations(range(rs.rank), r))
-    for w in weyl_elements(rs):
-        winv = w.inverse()
-        for J in subsets:
-            blocks = _coordinate_blocks(rs, J)
+        for c in itertools.combinations(range(rs.rank), r):
+            J = frozenset(c)
             coord_block = {}
-            for bi, b in enumerate(blocks):
-                for c in b:
-                    coord_block[c] = bi
-            ok = True
-            for beta in iset:
-                c, d = rs.root_coordinates(beta)
-                # w^{-1}·beta = e_{winv(c)} - e_{winv(d)} lies in span(J-roots)
-                # iff both coordinates fall in the same J-joined block.
-                wc = winv.one_line()[c]
-                wd = winv.one_line()[d]
-                if coord_block[wc] != coord_block[wd]:
-                    ok = False
-                    break
-            if ok:
+            for bi, b in enumerate(_coordinate_blocks(rs, J)):
+                for x in b:
+                    coord_block[x] = bi
+            block_maps.append((J, coord_block))
+    pairs = [rs.root_coordinates(beta) for beta in iset]
+    for w in weyl_elements(rs):
+        winv = w.inverse().one_line()
+        for J, coord_block in block_maps:
+            # w^{-1}·beta = e_{winv(c)} - e_{winv(d)} lies in span(J-roots)
+            # iff both coordinates fall in the same J-joined block.
+            if all(coord_block[winv[c]] == coord_block[winv[d]] for c, d in pairs):
                 face = canonical_face(w, J)
                 seen.setdefault(face.key(), face)
     return [seen[k] for k in sorted(seen)]

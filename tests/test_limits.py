@@ -3,20 +3,27 @@ brute-force oracles for the hull and chamber splitters, and the exactness
 invariants (conjugation insensitivity, twist bookkeeping, refusal paths)."""
 
 import doctest
+import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 import escmass.limits
+from escmass.cli import classify_scenario
 from escmass.limits import (
     LimitDescriptor,
     NotCoveredError,
     ProductParabolicIndex,
     _sl3_m_stage,
-    _weyl_rep_exact,
+    _theta_lie,
+    _theta_unipotent,
+    _weyl_conjugate,
     delta_truncated,
     levi_translate_classify,
     ma_split,
@@ -37,7 +44,7 @@ from escmass.measures import (
     product_subgroup,
     trivial_subgroup,
 )
-from escmass.qfield import QuadNum
+from escmass.qfield import QuadNum, qmat, qmat_mul, qmat_unipotent_inverse, rat_mul
 from escmass.rootsys import (
     _coordinate_blocks,
     build_product,
@@ -425,6 +432,22 @@ def test_sl3_not_covered_paths():
         sl3_classify(sequence_spec(one_param_unipotent(3, (0, 1)), [9, -6, -3], bounded_part=low))
 
 
+def _weyl_rep_exact(w):
+    """Oracle for the twists: the integer determinant-one representative of
+    a single-factor Weyl element as an explicit matrix -- the permutation
+    matrix of w (column i has its 1 in row w(i)), last column negated when
+    that matrix has determinant -1."""
+    (p,) = w.perms
+    n = len(p)
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i, target in enumerate(p):
+        rows[target][i] = Fraction(1)
+    if round(np.linalg.det(np.array(rows, dtype=float))) < 0:
+        for r in range(n):
+            rows[r][n - 1] = -rows[r][n - 1]
+    return tuple(tuple(r) for r in rows)
+
+
 def test_sl3_twist_representatives_exact():
     rs = build_type_a(3)
     rng = np.random.default_rng(5)
@@ -435,6 +458,74 @@ def test_sl3_twist_representatives_exact():
         p = w.one_line()
         conj = R.T @ np.diag(v) @ R
         assert np.allclose(np.diag(conj), v[list(p)])
+
+
+# ---------------------------------------------------------------------------
+# Weyl and J conjugation by re-indexing, against the explicit products
+
+TAU2 = QuadNum.tau(0, 2)
+J3 = tuple(tuple(Fraction(int(i + j == 2)) for j in range(3)) for i in range(3))
+WEYL = {n: list(weyl_elements(build_type_a(n))) for n in (3, 4)}
+
+_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+_maybe_zero = st.one_of(st.just(Fraction(0)), _rationals)
+_quads = st.builds(lambda a, b: QuadNum.make(a, b, TAU2.law), _maybe_zero, _maybe_zero)
+
+
+def _square(entries, n):
+    row = st.lists(entries, min_size=n, max_size=n).map(tuple)
+    return st.lists(row, min_size=n, max_size=n).map(tuple)
+
+
+def _all_fractions(m):
+    return all(type(x) is Fraction for row in m for x in row)
+
+
+def _all_normal_quads(m):
+    return all(isinstance(x, QuadNum) and (x.law is None) == (x.b == 0) for row in m for x in row)
+
+
+@seed(20240817)
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from((3, 4)).flatmap(lambda n: _square(_rationals, n)))
+def test_weyl_conjugate_matches_product_on_fractions(X):
+    for w in WEYL[len(X)]:
+        R = _weyl_rep_exact(w)
+        got = _weyl_conjugate(X, w)
+        assert got == rat_mul(rat_mul(tuple(zip(*R)), X), R)
+        assert _all_fractions(got)
+
+
+@seed(20240817)
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from((3, 4)).flatmap(lambda n: _square(_quads, n)))
+def test_weyl_conjugate_matches_product_on_quadnums(X):
+    for w in WEYL[len(X)]:
+        R = _weyl_rep_exact(w)
+        got = _weyl_conjugate(X, w)
+        assert got == qmat_mul(qmat_mul(qmat(tuple(zip(*R))), X), qmat(R))
+        assert _all_normal_quads(got)
+
+
+@seed(20240817)
+@settings(max_examples=40, deadline=None)
+@given(_square(_rationals, 3))
+def test_theta_lie_matches_j_product(X):
+    got = _theta_lie(X)
+    product = rat_mul(rat_mul(J3, tuple(zip(*X))), J3)
+    assert got == tuple(tuple(-x for x in row) for row in product)
+    assert _all_fractions(got)
+
+
+@seed(20240817)
+@settings(max_examples=40, deadline=None)
+@given(_quads, _quads, _quads)
+def test_theta_unipotent_matches_j_product(u01, u02, u12):
+    h = upper3(u01, u02, u12)
+    got = _theta_unipotent(h)
+    j = qmat(J3)
+    assert got == qmat_mul(qmat_mul(j, tuple(zip(*qmat_unipotent_inverse(h)))), j)
+    assert _all_normal_quads(got)
 
 
 def test_sl3_m_stage_lower_line_normalisation():
@@ -555,3 +646,78 @@ def test_levi_translate_ignores_bounded_part():
         levi_translate_classify(0, seq)
     with pytest.raises(ValueError):
         levi_translate_classify(1, sequence_spec(embedded_sl2(3, 1), [1, 1, -2]))
+
+
+# ---------------------------------------------------------------------------
+# the classifier over a fixed SL3 corpus
+
+SL3_CATALOG = (
+    trivial_subgroup(3),
+    full_unipotent_radical(3, []),
+    full_unipotent_radical(3, [0]),
+    full_unipotent_radical(3, [1]),
+    one_param_unipotent(3, (0, 1)),
+    one_param_unipotent(3, (0, 2)),
+    one_param_unipotent(3, (1, 2)),
+    embedded_sl2(3, 0),
+    embedded_sl2(3, 1),
+    levi_semisimple_nc(3, 0),
+    levi_semisimple_nc(3, 1),
+)
+TAU_OFFSET = upper3("1/2", TAU2, TAU2)
+RECORDED = ((1, 0, 0), (0, 1, 1), (0, 0, 1))
+DIRECTION_GRID = (-2, 0, 1, 3)
+# sha256 of the corpus outcomes below, recorded before the twists became
+# re-indexings; every verdict, note and refusal message is pinned
+CORPUS_SHA256 = "0a4a3a4ab064b5987ba03e73a9b01ff980c82c368525d92dc563bfa4e639f1bb"
+
+
+def _corpus_sequence(spec, a, b, offset, recorded, stage="raw"):
+    return sequence_spec(
+        spec,
+        [a, b, -a - b],
+        bounded_part=offset,
+        conjugator_policy="identity" if recorded is None else "recorded",
+        recorded_conjugator=recorded,
+        stage=stage,
+    )
+
+
+def _outcome(seq):
+    try:
+        d = classify_scenario(seq)
+    except NotCoveredError as exc:
+        return ["not_covered", str(exc)]
+    component = ["interior"] if d.support_kind == "interior" else sorted(d.P.I)
+    return [d.support_kind, component, list(d.notes)]
+
+
+def test_sl3_corpus_outcomes_are_pinned():
+    outcomes = [
+        _outcome(_corpus_sequence(spec, a, b, offset, recorded))
+        for spec in SL3_CATALOG
+        for a, b in itertools.product(DIRECTION_GRID, DIRECTION_GRID)
+        for offset in (None, TAU_OFFSET)
+        for recorded in (None, RECORDED)
+    ]
+    assert len(outcomes) == 704
+    text = json.dumps(outcomes, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == CORPUS_SHA256
+
+
+@seed(20240817)
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(SL3_CATALOG),
+    st.integers(min_value=-5, max_value=5),
+    st.integers(min_value=-5, max_value=5),
+    st.sampled_from((None, TAU_OFFSET)),
+    st.sampled_from((None, RECORDED)),
+    st.sampled_from(("raw", "block_reduced")),
+)
+def test_classifier_covers_or_refuses(spec, a, b, offset, recorded, stage):
+    seq = _corpus_sequence(spec, a, b, offset, recorded, stage)
+    try:
+        assert isinstance(classify_scenario(seq), LimitDescriptor)
+    except NotCoveredError:
+        pass

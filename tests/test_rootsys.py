@@ -9,6 +9,7 @@ The expected values below are frozen from independent derivations:
 """
 
 import doctest
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -258,3 +259,35 @@ def test_build_rejects_out_of_range():
         build_type_a(10)
     with pytest.raises(ValueError):
         make_vector(build_type_a(3), [1, 0, 0])
+
+
+# Face keys of levi_sphere at every I, recorded before its loop was
+# restructured: A_2 in full, A_3 as (count, sha256 of repr(keys)).
+LEVI_SPHERE_A2 = {
+    (): [((0, 1, 2), ()), ((0, 1, 2), (0,)), ((0, 1, 2), (0, 1)), ((0, 1, 2), (1,)),
+         ((0, 2, 1), ()), ((0, 2, 1), (0,)), ((1, 0, 2), ()), ((1, 0, 2), (1,)),
+         ((1, 2, 0), ()), ((1, 2, 0), (0,)), ((2, 0, 1), ()), ((2, 0, 1), (1,)),
+         ((2, 1, 0), ())],
+    (0,): [((0, 1, 2), (0,)), ((0, 1, 2), (0, 1)), ((2, 0, 1), (1,))],
+    (1,): [((0, 1, 2), (0, 1)), ((0, 1, 2), (1,)), ((1, 2, 0), (0,))],
+    (0, 1): [((0, 1, 2), (0, 1))],
+}
+LEVI_SPHERE_A3 = {
+    (): (75, "ae76484db5b75acb843a4b6258888e5da25dc64ba99f7ee6e84ca882add2f018"),
+    (0,): (13, "0342682df764b0ef8feab98e848caf77baa99f1aef4eef2850147d4b0df330a4"),
+    (1,): (13, "d76e04500891f23ce46795afb7c9ca3cf7449ee9ce97105286068f9cd23bb150"),
+    (2,): (13, "e2c3d69e5fccecf0e0041835e76fb1413e997181a811447617720bf38bf739e1"),
+    (0, 1): (3, "1a3a79337bb9c23a1e7c1671c74071de0678b63abfc254b34902870efe343244"),
+    (0, 2): (3, "70ecad8aff4efa5308ee75994df3b0937b5353c74bad527b6a8fc30fc55812ee"),
+    (1, 2): (3, "9d7d7070233210e327da015f75cacf494c164d40e6eb58196fa7181c8c2d1eb7"),
+    (0, 1, 2): (1, "f5c1a1f4f1b5a89a6803fd5b97cb6b0c78f46a0230bb72dbd3f39a4cb73e8985"),
+}
+
+
+def test_levi_sphere_face_keys_are_pinned():
+    rs = build_type_a(3)
+    assert {I: [f.key() for f in levi_sphere(rs, I)] for I in LEVI_SPHERE_A2} == LEVI_SPHERE_A2
+    rs = build_type_a(4)
+    for I, (count, want) in LEVI_SPHERE_A3.items():
+        keys = [f.key() for f in levi_sphere(rs, I)]
+        assert (len(keys), hashlib.sha256(repr(keys).encode()).hexdigest()) == (count, want), I
