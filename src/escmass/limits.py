@@ -36,8 +36,10 @@ The SL3 walk is organised in three levels mirroring how escape is peeled off:
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from typing import Dict, FrozenSet, List, Sequence, Tuple, Union
 
@@ -48,6 +50,8 @@ from .measures import SubgroupSpec, lie_generators, one_param_unipotent
 from .qfield import (
     QMatrix,
     QuadNum,
+    int_det,
+    int_inverse,
     qmat,
     qmat_identity,
     qmat_is_upper_unitriangular,
@@ -60,7 +64,6 @@ from .rootsys import (
     RootSystem,
     WeylElement,
     _coordinate_blocks,
-    _invert_rational_matrix,
     build_product,
     build_type_a,
     locate_chamber,
@@ -152,6 +155,8 @@ class SequenceSpec:
             raise ValueError(f"unknown conjugator policy {self.conjugator_policy!r}")
         if (self.recorded_conjugator is not None) != (self.conjugator_policy == "recorded"):
             raise ValueError("recorded policy needs a recorded conjugator, and only then")
+        if self.recorded_conjugator is not None:
+            _check_recorded(self.subgroup, self.recorded_conjugator)
         if self.stage not in ("raw", "block_reduced"):
             raise ValueError(f"unknown stage {self.stage!r}")
         object.__setattr__(self, "bounded_part", _coerce_bounded(self.subgroup, self.bounded_part))
@@ -159,6 +164,17 @@ class SequenceSpec:
     @property
     def rs(self) -> RootSystem:
         return root_system_for(self.subgroup)
+
+
+def _check_recorded(spec: SubgroupSpec, recorded) -> None:
+    """A recorded left factor is an integer n x n matrix of determinant one
+    (one per factor for products); the determinant is exact."""
+    r, n = spec.shape
+    mats = recorded if spec.kind == "product" else (recorded,)
+    if len(mats) != r or any(len(m) != n or any(len(row) != n for row in m) for m in mats):
+        raise ValueError(f"recorded conjugator must be {r} integer {n}x{n} matrices")
+    if any(int_det(m) != 1 for m in mats):
+        raise ValueError("recorded conjugator must be integral of determinant one")
 
 
 def _coerce_bounded(spec: SubgroupSpec, bounded):
@@ -250,10 +266,6 @@ def _verdict(P, gens_present: bool, notes) -> LimitDescriptor:
 # exact rational matrix plumbing
 
 
-def _rat_of_int(rows) -> FracMatrix:
-    return tuple(tuple(Fraction(int(v)) for v in row) for row in rows)
-
-
 def _block_of(P: ParabolicIndex) -> List[int]:
     """Block index of each matrix row/column."""
     out = [0] * P.n
@@ -308,19 +320,28 @@ def _weyl_conjugate(X, w: WeylElement):
     )
 
 
-def _q_of_rat(m: FracMatrix) -> QMatrix:
-    return qmat(m)
-
-
 def _wall_parabolic(n: int, alpha: int) -> ParabolicIndex:
     """The maximal parabolic whose single wall sits at simple root alpha."""
     return ParabolicIndex(n, frozenset(range(n - 1)) - {alpha})
 
 
-def _cross_rate(P: ParabolicIndex, v: Sequence[Fraction]) -> Fraction:
-    """Exact decay exponent of the P-wedge norm along exp(-n*v): positive
+def _cross_rate_form(P: ParabolicIndex, p: Sequence[int]) -> Tuple[int, ...]:
+    """Integer weights c such that sum_k c[k] * v[k] is the exact decay
+    exponent of the P-wedge norm along exp(-n*v_c), where v_c[i] = v[p[i]]
+    is the direction twisted by the one-line form p.  A positive value
     means the conjugate-P escape criterion fires along this direction."""
-    return sum((v[r] - v[c] for r, c in P.nilradical_coordinates()), Fraction(0))
+    c = [0] * P.n
+    for r, col in P.nilradical_coordinates():
+        c[p[r]] += 1
+        c[p[col]] -= 1
+    return tuple(c)
+
+
+def _scaled(v: Sequence[Fraction]) -> Tuple[Tuple[int, ...], int]:
+    """(u, L) with v = u / L, the u integers and L > 0, so that rates are
+    integer dot products; a rate num / L is rebuilt as Fraction(num, L)."""
+    L = math.lcm(*(x.denominator for x in v))
+    return tuple(x.numerator * (L // x.denominator) for x in v), L
 
 
 # ---------------------------------------------------------------------------
@@ -339,19 +360,39 @@ def delta_truncated(spec: SubgroupSpec, g: GroupElement, height: int) -> float:
     >>> round(delta_truncated(spec, GroupElement(np.eye(2)), 1), 12)
     1.0
     """
-    gens = lie_generators(spec)
+    gens = [_int_of_rat(X) for X in lie_generators(spec)]
     n = spec.n
     walls = [_wall_parabolic(n, a) for a in range(n - 1)]
     ginv = g.inv().mat
     best = math.inf
     for gamma in enumerate_gamma(n, height):
-        gam = _rat_of_int(gamma)
-        gam_inv = tuple(tuple(row) for row in _invert_rational_matrix(gam))
+        gam = gamma.tolist()
+        gam_inv = int_inverse(gam)
+        conj = [_int_mul(gam_inv, _int_mul(X, gam)) for X in gens]
         for P in walls:
-            if all(_lie_fits(rat_mul(rat_mul(gam_inv, X), gam), P) for X in gens):
+            if all(_lie_fits(X, P) for X in conj):
                 val = d_function(P, GroupElement(ginv @ np.asarray(gamma, dtype=float)))
                 best = min(best, val)
     return best
+
+
+def _int_of_rat(X: FracMatrix) -> IntMatrix:
+    assert all(x.denominator == 1 for row in X for x in row), "catalog generators are integral"
+    return tuple(tuple(x.numerator for x in row) for row in X)
+
+
+def _int_mul(a, b) -> IntMatrix:
+    """Product of square integer matrices, row by row as combinations of
+    the rows of b; zero entries of a cost nothing."""
+    out = []
+    for row in a:
+        acc = [0] * len(b[0])
+        for x, b_row in zip(row, b):
+            if x:
+                for j, y in enumerate(b_row):
+                    acc[j] += x * y
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 def parabolics_containing(spec: SubgroupSpec) -> List[ParabolicIndex]:
@@ -359,7 +400,6 @@ def parabolics_containing(spec: SubgroupSpec) -> List[ParabolicIndex]:
     decided on Lie generators; conjugated specs get the conjugator attached
     to every returned flag (the containment then holds for the conjugate).
     """
-    import dataclasses
     import itertools
 
     plain = dataclasses.replace(spec, conjugator=None)
@@ -489,8 +529,6 @@ def _strip_conjugation(seq: SequenceSpec):
     conjugator, and a recorded left factor cancels against the integer
     lattice.  Returns (plain subgroup spec, effective offset QMatrix | None
     | "bounded", ingestion notes)."""
-    import dataclasses
-
     spec = seq.subgroup
     notes: List[str] = []
     if spec.kind == "product":
@@ -503,13 +541,10 @@ def _strip_conjugation(seq: SequenceSpec):
         return spec, "bounded", notes
     h_eff: QMatrix = qmat_identity(n) if h is None else h
     if seq.conjugator_policy == "recorded":
-        rec = _rat_of_int(seq.recorded_conjugator)
-        h_eff = qmat_mul(_q_of_rat(rec), h_eff)
+        h_eff = qmat_mul(qmat(seq.recorded_conjugator), h_eff)
         notes.append("ingest:recorded_left_factor")
     if spec.conjugator is not None:
-        gam = _rat_of_int(spec.conjugator)
-        gam_inv = tuple(tuple(row) for row in _invert_rational_matrix(gam))
-        h_eff = qmat_mul(_q_of_rat(gam_inv), h_eff)
+        h_eff = qmat_mul(qmat(int_inverse(spec.conjugator)), h_eff)
         spec = dataclasses.replace(spec, conjugator=None)
         notes.append("ingest:subgroup_conjugator_absorbed")
     return spec, h_eff, notes
@@ -559,7 +594,33 @@ def _swap_walls(I: FrozenSet[int]) -> FrozenSet[int]:
     return frozenset(1 - i for i in I)
 
 
-def _scan_witness(gens, h_eff, v, notes):
+@lru_cache(maxsize=None)
+def _plain_generators(spec: SubgroupSpec) -> Tuple[FracMatrix, ...]:
+    """Lie generators of a catalog subgroup without conjugator, once per
+    subgroup."""
+    return tuple(lie_generators(spec))
+
+
+@lru_cache(maxsize=None)
+def _witness_walls(spec: SubgroupSpec):
+    """The part of the level-G scan that depends only on the (stripped)
+    catalog subgroup: every (w, one-line p, wall, twisted generators, rate
+    form) with the w-twisted group inside the wall parabolic, in scan order;
+    the rate form gives the escape rate on the untwisted direction
+    (:func:`_cross_rate_form`)."""
+    gens = _plain_generators(spec)
+    out = []
+    for w in weyl_elements(build_type_a(3)):
+        gens_c = tuple(_weyl_conjugate(X, w) for X in gens)
+        p = w.one_line()
+        for wall in (1, 0):
+            P = _wall_parabolic(3, wall)
+            if all(_lie_fits(X, P) for X in gens_c):
+                out.append((w, p, wall, gens_c, _cross_rate_form(P, p)))
+    return tuple(out)
+
+
+def _scan_witness(spec: SubgroupSpec, h_eff, v, notes):
     """Level-G witness scan: candidates (w, wall) with the twisted group
     inside the wall parabolic, the twisted offset upper unitriangular, and
     strictly positive escape rate.  Preference order: wall alpha2 first,
@@ -567,30 +628,30 @@ def _scan_witness(gens, h_eff, v, notes):
     genuine witness and the downstream walks agree on the verdict, so the
     preference only fixes which branch the trace reports.
 
-    The twists conjugate by signed permutation matrices, so the twisted
-    group and offset are re-indexed copies (:func:`_weyl_conjugate`), not
-    matrix products; so is the J-conjugation of the outer automorphism
-    that the caller applies after an alpha1 witness (:func:`_theta_lie`,
-    :func:`_theta_unipotent`)."""
-    rs = build_type_a(3)
+    Which (w, wall) pairs hold the group depends only on the subgroup, so
+    that part comes from the cached :func:`_witness_walls`; per sequence
+    only the rate and the offset test run.  The twists conjugate by signed
+    permutation matrices, so the twisted group and offset are re-indexed
+    copies (:func:`_weyl_conjugate`), not matrix products; so is the
+    J-conjugation of the outer automorphism that the caller applies after
+    an alpha1 witness (:func:`_theta_lie`, :func:`_theta_unipotent`).
+
+    ``h_eff`` is upper unitriangular, and its twist has entry (i, j) =
+    +-h_eff[p(i)][p(j)], so the twist is upper unitriangular exactly when
+    every nonzero off-diagonal entry (r, c) of h_eff keeps r before c in
+    the one-line form p; only the chosen witness's offset is re-indexed."""
+    support = [(r, c) for r in range(3) for c in range(r + 1, 3) if not h_eff[r][c].is_zero()]
     candidates = []
     blocked_by_offset = False
-    for w in weyl_elements(rs):
-        gens_c = [_weyl_conjugate(X, w) for X in gens]
-        p = w.one_line()
-        v_c = tuple(v[p[i]] for i in range(3))
-        h_c = _weyl_conjugate(h_eff, w)
-        for wall in (1, 0):
-            P = _wall_parabolic(3, wall)
-            if not all(_lie_fits(X, P) for X in gens_c):
-                continue
-            rate = _cross_rate(P, v_c)
-            if rate <= 0:
-                continue
-            if not qmat_is_upper_unitriangular(h_c):
-                blocked_by_offset = True
-                continue
-            candidates.append((0 if wall == 1 else 1, p, wall, w, gens_c, v_c, h_c, rate))
+    u, L = _scaled(v)
+    for w, p, wall, gens_c, form in _witness_walls(spec):
+        rate = sum(c * x for c, x in zip(form, u))
+        if rate <= 0:
+            continue
+        if not all(p.index(r) < p.index(c) for r, c in support):
+            blocked_by_offset = True
+            continue
+        candidates.append((0 if wall == 1 else 1, p, wall, w, gens_c, rate))
     if not candidates:
         if blocked_by_offset:
             raise _not_covered(
@@ -598,9 +659,9 @@ def _scan_witness(gens, h_eff, v, notes):
             )
         return None
     candidates.sort(key=lambda c: (c[0], c[1]))
-    _, p, wall, w, gens_c, v_c, h_c, rate = candidates[0]
-    notes.append(f"witness:wall=alpha{wall + 1};twist={p};rate={rate}")
-    return wall, gens_c, v_c, h_c
+    _, p, wall, w, gens_c, rate = candidates[0]
+    notes.append(f"witness:wall=alpha{wall + 1};twist={p};rate={Fraction(rate, L)}")
+    return wall, gens_c, tuple(v[i] for i in p), _weyl_conjugate(h_eff, w)
 
 
 def _m_block_projection(gens) -> Tuple[str, List[FracMatrix]]:
@@ -636,13 +697,13 @@ def _offset_entries(h: QMatrix) -> Tuple[QuadNum, QuadNum, QuadNum]:
     return h[0][1], h[0][2], h[1][2]
 
 
-def _cusp_move(p: int, q: int) -> FracMatrix:
+def _cusp_move(p: int, q: int) -> IntMatrix:
     """Integer matrix with first column (p, q) (so it sends infinity to the
     cusp p/q); its inverse is the normalising move used by the walks."""
     g, a, b = _ext_gcd(p, q)
     assert g == 1
     # det = p*a - q*(-b) = p*a + q*b = 1
-    return ((Fraction(p), Fraction(-b)), (Fraction(q), Fraction(a)))
+    return ((p, -b), (q, a))
 
 
 def _ext_gcd(a: int, b: int) -> Tuple[int, int, int]:
@@ -652,12 +713,8 @@ def _ext_gcd(a: int, b: int) -> Tuple[int, int, int]:
     return g, y, x - (a // b) * y
 
 
-def _embed_block(m: FracMatrix) -> FracMatrix:
-    return (
-        (m[0][0], m[0][1], Fraction(0)),
-        (m[1][0], m[1][1], Fraction(0)),
-        (Fraction(0), Fraction(0), Fraction(1)),
-    )
+def _embed_block(m: IntMatrix) -> IntMatrix:
+    return ((m[0][0], m[0][1], 0), (m[1][0], m[1][1], 0), (0, 0, 1))
 
 
 def _normalise_cusp(u0: Fraction, gens, h: QMatrix, notes):
@@ -667,8 +724,7 @@ def _normalise_cusp(u0: Fraction, gens, h: QMatrix, notes):
     third column)."""
     p, q = u0.numerator, u0.denominator
     move = _embed_block(_cusp_move(p, q))
-    move_inv = tuple(tuple(row) for row in _invert_rational_matrix(move))
-    new_gens = [rat_mul(rat_mul(move_inv, X), move) for X in gens]
+    new_gens = [rat_mul(rat_mul(int_inverse(move), X), move) for X in gens]
     _, h02, h12 = _offset_entries(h)
     t_new = QuadNum.rational(p) * h12 - QuadNum.rational(q) * h02
     notes.append(f"m_walk:cusp_excursion;target={p}/{q}")
@@ -751,10 +807,9 @@ def _sl3_raw(seq: SequenceSpec) -> LimitDescriptor:
         raise _not_covered("the SL3 walk reads offset entries; give them exactly")
     if not qmat_is_upper_unitriangular(h_eff):
         raise _not_covered("offset outside the unipotent normal position")
-    gens = lie_generators(spec)
-    has_gens = bool(gens)
+    has_gens = bool(_plain_generators(spec))
     v = seq.direction
-    found = _scan_witness(gens, h_eff, v, notes)
+    found = _scan_witness(spec, h_eff, v, notes)
     if found is None:
         notes.append("node:no_escape_witness")
         return LimitDescriptor(ParabolicIndex(3, frozenset({0, 1})), "interior", tuple(notes))
@@ -792,7 +847,7 @@ def _sl3_direct(seq: SequenceSpec) -> LimitDescriptor:
         nu = qmat_identity(3)
     if not qmat_is_upper_unitriangular(nu):
         raise _not_covered("block-reduced offset must be upper unitriangular")
-    gens = lie_generators(spec)
+    gens = _plain_generators(spec)
     for X in gens:
         if any(X[r][c] != 0 for r in range(3) for c in range(3) if r >= c):
             raise _not_covered("block-reduced data needs a group inside the minimal radical")
@@ -931,16 +986,33 @@ def _factor_offset(seq: SequenceSpec, f: int):
         return "bounded"
     m = qmat_identity(2) if h is None else h[f]
     if seq.conjugator_policy == "recorded":
-        m = qmat_mul(_q_of_rat(_rat_of_int(seq.recorded_conjugator[f])), m)
+        m = qmat_mul(qmat(seq.recorded_conjugator[f]), m)
     if spec.conjugator is not None:
-        gam = _rat_of_int(spec.conjugator)
-        gam_inv = tuple(tuple(row) for row in _invert_rational_matrix(gam))
-        m = qmat_mul(_q_of_rat(gam_inv), m)
+        m = qmat_mul(qmat(int_inverse(spec.conjugator)), m)
     return m
 
 
 # ---------------------------------------------------------------------------
 # translates of a non-compact Levi block
+
+
+@lru_cache(maxsize=None)
+def _levi_walls(n: int, alpha: int, block: int):
+    """(face, face key, rate form) for every maximal face (w, J) of the
+    alpha-wall sphere whose w-twisted Levi block (at ``block``) lies in the
+    parabolic P_J, in ``levi_sphere`` order; the rate form gives the escape
+    rate on the untwisted direction (:func:`_cross_rate_form`).  The
+    twisted generators are re-indexed copies (:func:`_weyl_conjugate`),
+    not matrix products."""
+    gens = lie_generators(SubgroupSpec("levi_semisimple_nc", n, I=frozenset({alpha}), block=block))
+    out = []
+    for face in levi_sphere(build_type_a(n), [alpha]):
+        if len(face.I) != 1:
+            continue
+        P = ParabolicIndex(n, face.I)
+        if all(_lie_fits(_weyl_conjugate(X, face.w), P) for X in gens):
+            out.append((face, face.key(), _cross_rate_form(P, face.w.one_line())))
+    return tuple(out)
 
 
 def levi_translate_classify(alpha: int, seq: SequenceSpec) -> LimitDescriptor:
@@ -950,9 +1022,9 @@ def levi_translate_classify(alpha: int, seq: SequenceSpec) -> LimitDescriptor:
     wall sphere.  The branch reads only the direction: bounded offsets
     cannot change which twisted wall value grows.  On escape there is no
     further degeneration -- the block itself carries no smaller parabolic --
-    so the limit is homogeneous on the reported component.  The twisted
-    generators are re-indexed copies (:func:`_weyl_conjugate`), not matrix
-    products.
+    so the limit is homogeneous on the reported component.  The walls that
+    hold the twisted block depend only on the block's position and come
+    from the cached :func:`_levi_walls`.
     """
     spec = seq.subgroup
     if spec.kind != "levi_semisimple_nc":
@@ -960,29 +1032,19 @@ def levi_translate_classify(alpha: int, seq: SequenceSpec) -> LimitDescriptor:
     if frozenset({alpha}) != spec.I:
         raise ValueError(f"spec sits at root {sorted(spec.I)}, not {alpha}")
     n = spec.n
-    rs = build_type_a(n)
-    v = seq.direction
+    u, L = _scaled(seq.direction)
     notes: List[str] = []
-    gens = [
-        tuple(tuple(Fraction(x) for x in row) for row in X)
-        for X in lie_generators(SubgroupSpec("levi_semisimple_nc", n, I=spec.I, block=spec.block))
-    ]
     best = None
-    for face in levi_sphere(rs, [alpha]):
-        if len(face.I) != 1:
-            continue
-        P = ParabolicIndex(n, face.I)
-        if not all(_lie_fits(_weyl_conjugate(X, face.w), P) for X in gens):
-            continue
-        p = face.w.one_line()
-        rate = _cross_rate(P, tuple(v[p[i]] for i in range(n)))
-        if rate > 0 and (best is None or (-rate, face.key()) < (-best[0], best[1].key())):
-            best = (rate, face)
+    for face, key, form in _levi_walls(n, alpha, spec.block):
+        rate = sum(c * x for c, x in zip(form, u))
+        if rate > 0 and (best is None or (-rate, key) < best[0]):
+            best = ((-rate, key), face)
     if best is None:
         notes.append("node:no_twisted_wall_grows")
         return LimitDescriptor(ParabolicIndex(n, frozenset(range(n - 1))), "interior", tuple(notes))
-    rate, face = best
+    (neg_rate, _), face = best
     notes.append(
-        f"node:wall_escape;twist={face.w.one_line()};rate={rate};no_further_degeneration"
+        f"node:wall_escape;twist={face.w.one_line()};rate={Fraction(-neg_rate, L)};"
+        "no_further_degeneration"
     )
     return LimitDescriptor(ParabolicIndex(n, face.I), "boundary_homogeneous", tuple(notes))

@@ -24,14 +24,13 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .lingrp import GroupElement, LanglandsParts, ParabolicIndex, iwasawa_batched
-from .qfield import rat_mul
+from .qfield import int_det, int_inverse, rat_mul
 from .reduction import (
     ReducedPoint,
     reduce_siegel_batched,
     reduce_sl2_coords,
     siegel_default,
 )
-from .rootsys import _invert_rational_matrix
 
 CHUNK = 1 << 16
 Y_CAP_DEFAULT = 1.0e4
@@ -130,8 +129,7 @@ def _check_conjugator(conjugator, n) -> Optional[IntMatrix]:
     rows = tuple(tuple(int(v) for v in row) for row in conjugator)
     if len(rows) != n or any(len(r) != n for r in rows):
         raise ValueError(f"conjugator must be {n}x{n}")
-    det = round(np.linalg.det(np.array(rows, dtype=float)))
-    if det != 1:
+    if int_det(rows) != 1:
         raise ValueError("conjugator must be integral of determinant one")
     return rows
 
@@ -230,7 +228,7 @@ def lie_generators(spec: SubgroupSpec) -> List[Tuple[Tuple[Fraction, ...], ...]]
         raise ValueError(f"unknown kind {spec.kind}")
     if spec.conjugator is not None and gens:
         gamma = tuple(tuple(Fraction(v) for v in row) for row in spec.conjugator)
-        inv = _invert_rational_matrix(gamma)
+        inv = int_inverse(spec.conjugator)
         gens = [rat_mul(rat_mul(gamma, x), inv) for x in gens]
     return gens
 
@@ -292,7 +290,7 @@ def _sample_factor_chunk(spec: SubgroupSpec, size: int, rng, y_cap: float) -> np
         raise ValueError(f"unknown kind {spec.kind}")
     if spec.conjugator is not None:
         gamma = np.array(spec.conjugator, dtype=float)
-        out = gamma @ out @ np.linalg.inv(gamma)
+        out = gamma @ out @ np.array(int_inverse(spec.conjugator), dtype=float)
     return out
 
 

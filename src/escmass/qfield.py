@@ -15,6 +15,16 @@ fractions, hence are badly approximable; the classifiers lean on the
 rational / badly-approximable dichotomy, so no other irrational type is
 representable here -- by design.
 
+Arithmetic is kept lean because the classifiers run it per sequence:
+results are built from parts that are already Fractions by a private
+constructor that reuses the operand's law tuple (only the public
+:meth:`QuadNum.make` validates), equality compares parts instead of
+subtracting, :func:`qmat_mul` sums the rational and tau parts of its
+nonzero terms directly, and :func:`qmat_unipotent_inverse` back-substitutes.
+Two irrational numbers of different fields still refuse to meet, in any of
+these.  The integer helpers :func:`int_det` and :func:`int_inverse` give
+exact determinants and determinant-one inverses of small integer matrices.
+
 >>> golden = QuadNum.tau(1, 1)            # tau**2 = tau + 1
 >>> (golden * golden - golden).as_fraction()
 Fraction(1, 1)
@@ -30,9 +40,11 @@ False
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple, Union
+from functools import lru_cache
+from typing import List, Optional, Sequence, Tuple, Union
 
 RationalLike = Union[int, Fraction]
 ScalarLike = Union[int, Fraction, "QuadNum"]
@@ -47,6 +59,29 @@ def _is_rational_square(x: Fraction) -> bool:
     rn = math.isqrt(num)
     rd = math.isqrt(den)
     return rn * rn == num and rd * rd == den
+
+
+_ZERO = Fraction(0)
+
+
+def _join(law: Optional[Law], other: Optional[Law]) -> Optional[Law]:
+    """Law of a result from its operands' laws (None for a rational)."""
+    if law is None or law is other:
+        return other
+    if other is None or other == law:
+        return law
+    raise ValueError(f"mixing incompatible fields {law} and {other}")
+
+
+def _mul_parts(a: Fraction, b: Fraction, c: Fraction, d: Fraction, law):
+    """Rational and tau parts of (a + b*tau)(c + d*tau), tau**2 = p*tau + q."""
+    if not b:
+        return a * c, (a * d if d else _ZERO)
+    if not d:
+        return a * c, b * c
+    p, q = law
+    bd = b * d
+    return a * c + bd * q, a * d + b * c + bd * p
 
 
 @dataclass(frozen=True)
@@ -65,7 +100,7 @@ class QuadNum:
 
     @staticmethod
     def rational(x: RationalLike) -> "QuadNum":
-        return QuadNum(Fraction(x), Fraction(0), None)
+        return QuadNum._of(Fraction(x), _ZERO, None)
 
     @staticmethod
     def zero() -> "QuadNum":
@@ -100,6 +135,17 @@ class QuadNum:
         p, q = Fraction(law[0]), Fraction(law[1])
         return QuadNum(a, b, (p, q))
 
+    @staticmethod
+    def _of(a: Fraction, b: Fraction, law: Optional[Law]) -> "QuadNum":
+        """Result constructor for parts that are already Fractions and a law
+        taken from an operand: no coercion, the law tuple is reused as is,
+        and it is dropped when b == 0."""
+        x = object.__new__(QuadNum)
+        object.__setattr__(x, "a", a)
+        object.__setattr__(x, "b", b)
+        object.__setattr__(x, "law", law if b else None)
+        return x
+
     # -- plumbing ----------------------------------------------------------
 
     @staticmethod
@@ -108,40 +154,41 @@ class QuadNum:
             return x
         return QuadNum.rational(x)
 
-    def _merged_law(self, other: "QuadNum") -> Optional[Law]:
-        if self.law is None:
-            return other.law
-        if other.law is None or other.law == self.law:
-            return self.law
-        raise ValueError(f"mixing incompatible fields {self.law} and {other.law}")
-
     # -- ring/field operations --------------------------------------------
 
     def __add__(self, other: ScalarLike) -> "QuadNum":
         o = self._coerce(other)
-        return QuadNum.make(self.a + o.a, self.b + o.b, self._merged_law(o))
+        law = _join(self.law, o.law)
+        if not o.b:
+            if not o.a:
+                return self
+            return QuadNum._of(self.a + o.a, self.b, law)
+        return QuadNum._of(self.a + o.a, self.b + o.b, law)
 
     __radd__ = __add__
 
     def __neg__(self) -> "QuadNum":
-        return QuadNum.make(-self.a, -self.b, self.law)
+        if not self.a and not self.b:
+            return self
+        return QuadNum._of(-self.a, -self.b, self.law)
 
     def __sub__(self, other: ScalarLike) -> "QuadNum":
-        return self + (-self._coerce(other))
+        o = self._coerce(other)
+        law = _join(self.law, o.law)
+        if not o.b:
+            if not o.a:
+                return self
+            return QuadNum._of(self.a - o.a, self.b, law)
+        return QuadNum._of(self.a - o.a, self.b - o.b, law)
 
     def __rsub__(self, other: ScalarLike) -> "QuadNum":
         return self._coerce(other) - self
 
     def __mul__(self, other: ScalarLike) -> "QuadNum":
         o = self._coerce(other)
-        law = self._merged_law(o)
-        # (a + b t)(c + d t) = ac + (ad + bc) t + bd t^2,  t^2 = p t + q
-        a, b, c, d = self.a, self.b, o.a, o.b
-        bd = b * d
-        if bd == 0:
-            return QuadNum.make(a * c, a * d + b * c, law)
-        p, q = law  # type: ignore[misc]
-        return QuadNum.make(a * c + bd * q, a * d + b * c + bd * p, law)
+        law = _join(self.law, o.law)
+        a, b = _mul_parts(self.a, self.b, o.a, o.b, law)
+        return QuadNum._of(a, b, law)
 
     __rmul__ = __mul__
 
@@ -150,7 +197,7 @@ class QuadNum:
         if self.b == 0:
             return self
         p, _q = self.law  # type: ignore[misc]
-        return QuadNum.make(self.a + self.b * p, -self.b, self.law)
+        return QuadNum._of(self.a + self.b * p, -self.b, self.law)
 
     def norm(self) -> Fraction:
         """Field norm (self * self.conj()), a rational number."""
@@ -164,7 +211,8 @@ class QuadNum:
         if self.b == 0:
             return QuadNum.rational(1 / self.a)
         c = self.conj()
-        return QuadNum.make(c.a / self.norm(), c.b / self.norm(), self.law)
+        norm = self.norm()
+        return QuadNum._of(c.a / norm, c.b / norm, self.law)
 
     def __truediv__(self, other: ScalarLike) -> "QuadNum":
         return self * self._coerce(other).inverse()
@@ -186,10 +234,11 @@ class QuadNum:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
-            other = QuadNum.rational(other)
+            return not self.b and self.a == other
         if not isinstance(other, QuadNum):
             return NotImplemented
-        return (self - other).is_zero()
+        _join(self.law, other.law)  # two irrationals of different fields do not compare
+        return self.a == other.a and self.b == other.b
 
     def __hash__(self) -> int:
         if self.b == 0:
@@ -274,72 +323,172 @@ def qmat(rows: Sequence[Sequence[ScalarLike]]) -> QMatrix:
     return tuple(tuple(QuadNum._coerce(x) for x in row) for row in rows)
 
 
+@lru_cache(maxsize=None)
 def qmat_identity(n: int) -> QMatrix:
     return qmat([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
 
 def qmat_mul(x: QMatrix, y: QMatrix) -> QMatrix:
+    """Exact product.  Each entry sums the rational and tau parts of its
+    nonzero terms directly; fields mix exactly where their scalar
+    operations would (a term or a partial sum joining two irrational
+    numbers of different fields raises ValueError).
+
+    >>> t = QuadNum.tau(0, 2)
+    >>> qmat_mul(qmat([[1, t], [0, 1]]), qmat([[t, 0], [1, 1]]))[0][0]
+    QuadNum(0 + 2*tau; tau^2 = 0*tau + 2)
+    """
     n, mid, m = len(x), len(y), len(y[0])
     assert len(x[0]) == mid
-    return tuple(
-        tuple(
-            sum((x[i][k] * y[k][j] for k in range(mid)), QuadNum.zero())
-            for j in range(m)
-        )
-        for i in range(n)
-    )
+    out = []
+    for i in range(n):
+        row = x[i]
+        terms = [(row[k], y[k]) for k in range(mid) if row[k].a or row[k].b]
+        out_row = []
+        for j in range(m):
+            a = b = _ZERO
+            law = None
+            for s, yk in terms:
+                t = yk[j]
+                if not t.a and not t.b:
+                    continue
+                term_law = _join(s.law, t.law)
+                ta, tb = _mul_parts(s.a, s.b, t.a, t.b, term_law)
+                if ta:
+                    a += ta
+                if tb:
+                    law = _join(law, term_law)
+                    b += tb
+                    if not b:
+                        law = None
+            out_row.append(QuadNum._of(a, b, law))
+        out.append(tuple(out_row))
+    return tuple(out)
 
 
 def rat_mul(a, b):
-    """Product of two square matrices of rationals (tuples of Fractions).
+    """Product of two square matrices of rationals (tuples of Fractions);
+    zero terms are skipped, and an entry with no nonzero term is
+    Fraction(0).
 
     >>> rat_mul(((1, 2), (0, 1)), ((1, Fraction(1, 2)), (0, 1)))[0][1]
     Fraction(5, 2)
     """
     n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
+    out = []
+    for row in a:
+        terms = [(x, b[k]) for k, x in enumerate(row) if x]
+        out_row = []
+        for j in range(n):
+            acc = _ZERO
+            for x, bk in terms:
+                y = bk[j]
+                if y:
+                    acc = acc + x * y if acc else x * y
+            out_row.append(acc)
+        out.append(tuple(out_row))
+    return tuple(out)
+
+
+def _cofactor_det(m: List[List[int]]) -> int:
+    n = len(m)
+    if n == 1:
+        return m[0][0]
+    if n == 2:
+        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+    total = 0
+    for j, x in enumerate(m[0]):
+        if x:
+            minor = [row[:j] + row[j + 1 :] for row in m[1:]]
+            total += (-1) ** j * x * _cofactor_det(minor)
+    return total
+
+
+def _square_int_rows(m) -> List[List[int]]:
+    rows = [[operator.index(v) for v in row] for row in m]
+    if not rows or any(len(row) != len(rows) for row in rows):
+        raise ValueError("expected a square integer matrix")
+    return rows
+
+
+def int_det(m) -> int:
+    """Exact determinant of a small square integer matrix, by cofactor
+    expansion in Python integers, so no entry size loses precision.  The
+    expansion costs O(n!), which is nothing at the catalog's n <= 4.
+
+    >>> int_det(((10**8, 10**8 - 1), (10**8 + 1, 10**8)))
+    1
+    """
+    return _cofactor_det(_square_int_rows(m))
+
+
+def int_inverse(m) -> Tuple[Tuple[int, ...], ...]:
+    """Inverse of a small integer matrix of determinant one: its adjugate,
+    entry (i, j) = (-1)^(i+j) det(m without row j and column i).
+
+    >>> int_inverse(((2, 1), (1, 1)))
+    ((1, -1), (-1, 2))
+    """
+    rows = _square_int_rows(m)
+    if _cofactor_det(rows) != 1:
+        raise ValueError("int_inverse needs determinant one")
+    n = len(rows)
+    if n == 1:
+        return ((1,),)
+
+    def cofactor(i: int, j: int) -> int:
+        minor = [row[:i] + row[i + 1 :] for r, row in enumerate(rows) if r != j]
+        return (-1) ** (i + j) * _cofactor_det(minor)
+
+    return tuple(tuple(cofactor(i, j) for j in range(n)) for i in range(n))
 
 
 def qmat_is_upper_unitriangular(x: QMatrix) -> bool:
-    n = len(x)
-    for i in range(n):
-        for j in range(n):
-            if i == j and x[i][j] != 1:
-                return False
-            if i > j and not x[i][j].is_zero():
-                return False
+    for i, row in enumerate(x):
+        if row[i].b or row[i].a != 1:
+            return False
+        if any(e.a or e.b for e in row[:i]):
+            return False
     return True
 
 
-def qmat_unipotent_inverse(x: QMatrix) -> QMatrix:
-    """Inverse of I + N with N strictly (upper or lower) triangular.
+def _upper_unitriangular_inverse(x: QMatrix) -> QMatrix:
+    """Back-substitution: row i of the inverse V of an upper unitriangular
+    U is fixed by V[i][j] = -(U[i][j] + sum_{i<k<j} U[i][k] V[k][j])."""
+    n = len(x)
+    zero, one = QuadNum.zero(), QuadNum.one()
+    inv = [None] * n
+    for i in range(n - 1, -1, -1):
+        row = [zero] * n
+        row[i] = one
+        for j in range(i + 1, n):
+            acc = x[i][j]
+            for k in range(i + 1, j):
+                u = x[i][k]
+                if u.a or u.b:
+                    acc = acc + u * inv[k][j]
+            row[j] = -acc
+        inv[i] = tuple(row)
+    return tuple(inv)
 
-    Uses the finite Neumann series (I + N)^-1 = I - N + N^2 - ... which
-    terminates because N is nilpotent.
+
+def _transpose(x: QMatrix) -> QMatrix:
+    return tuple(zip(*x))
+
+
+def qmat_unipotent_inverse(x: QMatrix) -> QMatrix:
+    """Inverse of I + N with N strictly (upper or lower) triangular, by
+    back-substitution (a lower matrix goes through its transpose).
 
     >>> u = qmat([[1, 2, 3], [0, 1, 5], [0, 0, 1]])
     >>> qmat_mul(u, qmat_unipotent_inverse(u)) == qmat_identity(3)
     True
     """
-    n = len(x)
-    ident = qmat_identity(n)
-    nil = tuple(
-        tuple(x[i][j] - ident[i][j] for j in range(n)) for i in range(n)
-    )
-    out = ident
-    term = ident
-    sign = -1
-    for _ in range(n - 1):
-        term = qmat_mul(term, nil)
-        out = tuple(
-            tuple(out[i][j] + sign * term[i][j] for j in range(n))
-            for i in range(n)
-        )
-        sign = -sign
-    return out
+    if qmat_is_upper_unitriangular(x):
+        return _upper_unitriangular_inverse(x)
+    if qmat_is_upper_unitriangular(_transpose(x)):
+        return _transpose(_upper_unitriangular_inverse(_transpose(x)))
+    raise ValueError("not a unitriangular matrix")
 
 
 def qmat_float(x: QMatrix) -> list:

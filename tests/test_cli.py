@@ -380,6 +380,53 @@ def test_cli_input_errors_exit_4(tmp_path):
     assert _run_cli("run", "sl2_cusp", "--samples", "0").returncode == EXIT_INPUT
 
 
+# determinant one, but float64 rounds the determinant to 0
+BIG_CONJUGATOR = [[10**8, 10**8 - 1], [10**8 + 1, 10**8]]
+
+
+def _product_doc(factor, **sequence):
+    doc = _doc(name="conjugated")
+    doc["sequence"] = {
+        "subgroup": {"kind": "product", "factors": [factor]},
+        "direction": ["1", "-1"],
+        **sequence,
+    }
+    return doc
+
+
+def test_large_determinant_one_conjugator_is_accepted():
+    factor = {"kind": "one_param_unipotent", "n": 2, "coordinate": [0, 1]}
+    scn = scenario_from_json(_product_doc({**factor, "conjugator": BIG_CONJUGATOR}))
+    assert scn.sequence.subgroup.factors[0].conjugator == tuple(map(tuple, BIG_CONJUGATOR))
+    d = classify_scenario(scn.sequence)
+    assert d.P.I == frozenset() and d.notes == ("factor0:one_param_unipotent:escape;theta_rate=2",)
+    scn = scenario_from_json(
+        _product_doc(factor, conjugator_policy="recorded", recorded_conjugator=[BIG_CONJUGATOR])
+    )
+    assert scn.sequence.recorded_conjugator == (tuple(map(tuple, BIG_CONJUGATOR)),)
+
+
+def test_cli_conjugators_of_other_determinant_exit_4(tmp_path):
+    factor = {"kind": "one_param_unipotent", "n": 2, "coordinate": [0, 1]}
+    docs = {
+        "subgroup": _product_doc({**factor, "conjugator": [[2, 0], [0, 1]]}),
+        "recorded": _product_doc(
+            {"kind": "trivial", "n": 2},
+            conjugator_policy="recorded",
+            recorded_conjugator=[[[2, 0], [0, 1]]],
+        ),
+        "recorded_sl3": _doc(name="recorded_sl3"),
+    }
+    docs["recorded_sl3"]["sequence"]["conjugator_policy"] = "recorded"
+    docs["recorded_sl3"]["sequence"]["recorded_conjugator"] = [[1, 0, 0], [0, 1, 0], [0, 0, -1]]
+    for name, doc in docs.items():
+        p = tmp_path / f"{name}.json"
+        p.write_text(json.dumps(doc))
+        r = _run_cli("run", str(p))
+        assert r.returncode == EXIT_INPUT, name
+        assert "determinant one" in r.stderr, name
+
+
 def test_cli_list_catalog_is_stable_and_complete():
     r1 = _run_cli("list-catalog")
     r2 = _run_cli("list-catalog")

@@ -692,17 +692,50 @@ def _outcome(seq):
     return [d.support_kind, component, list(d.notes)]
 
 
-def test_sl3_corpus_outcomes_are_pinned():
-    outcomes = [
-        _outcome(_corpus_sequence(spec, a, b, offset, recorded))
+def _sl3_corpus():
+    return [
+        _corpus_sequence(spec, a, b, offset, recorded)
         for spec in SL3_CATALOG
         for a, b in itertools.product(DIRECTION_GRID, DIRECTION_GRID)
         for offset in (None, TAU_OFFSET)
         for recorded in (None, RECORDED)
     ]
+
+
+def test_sl3_corpus_outcomes_are_pinned():
+    outcomes = [_outcome(seq) for seq in _sl3_corpus()]
     assert len(outcomes) == 704
     text = json.dumps(outcomes, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == CORPUS_SHA256
+
+
+def test_sl3_corpus_outcomes_do_not_depend_on_cache_order():
+    for cached in (
+        escmass.limits._plain_generators,
+        escmass.limits._witness_walls,
+        escmass.limits._levi_walls,
+    ):
+        cached.cache_clear()
+    outcomes = [_outcome(seq) for seq in reversed(_sl3_corpus())][::-1]
+    text = json.dumps(outcomes, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == CORPUS_SHA256
+
+
+def test_traced_names_are_still_called(monkeypatch):
+    """The benchmark's tracer times limits.qmat_mul, limits.levi_sphere and
+    limits.locate_chamber by replacing those module names; each must still
+    be resolved there, the wall sphere on a cache miss."""
+    calls = []
+    for name in ("qmat_mul", "levi_sphere", "locate_chamber"):
+        fn = getattr(escmass.limits, name)
+        spy = lambda *args, fn=fn, name=name: calls.append(name) or fn(*args)
+        monkeypatch.setattr(escmass.limits, name, spy)
+    escmass.limits._levi_walls.cache_clear()
+    recorded = _corpus_sequence(one_param_unipotent(3, (1, 2)), 9, -6, None, RECORDED)
+    sl3_classify(recorded)
+    levi_translate_classify(1, sequence_spec(levi_semisimple_nc(3, 1), [1, 1, -2]))
+    sl3_classify(sequence_spec(one_param_unipotent(3, (0, 2)), [0, 3, -3], stage="block_reduced"))
+    assert sorted(set(calls)) == ["levi_sphere", "locate_chamber", "qmat_mul"]
 
 
 @seed(20240817)
@@ -721,3 +754,78 @@ def test_classifier_covers_or_refuses(spec, a, b, offset, recorded, stage):
         assert isinstance(classify_scenario(seq), LimitDescriptor)
     except NotCoveredError:
         pass
+
+
+# ---------------------------------------------------------------------------
+# pinned outcomes of the Levi-block walk and of the product walk
+
+LEVI_DIRECTIONS = (-2, 0, 1, 3)
+LEVI_CONJUGATOR = {
+    3: ((1, 1, 0), (0, 1, 0), (0, 0, 1)),
+    4: ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 0, 0, 1)),
+}
+# sha256 of the outcomes below, recorded before the per-(n, alpha) wall
+# faces were cached
+LEVI_SHA256 = "191a5ee50d3ede0ab7f3bc66d12478acdeafe87ae0c8beb93866bc198eac5a2f"
+
+
+def _levi_outcomes():
+    out = []
+    for n in (3, 4):
+        for alpha in range(n - 1):
+            for conj in (None, LEVI_CONJUGATOR[n]):
+                spec = levi_semisimple_nc(n, alpha, conjugator=conj)
+                for head in itertools.product(LEVI_DIRECTIONS, repeat=n - 1):
+                    v = list(head) + [-sum(head)]
+                    out.append(_outcome(sequence_spec(spec, v)))
+    return out
+
+
+def test_levi_outcomes_are_pinned():
+    outcomes = _levi_outcomes()
+    assert len(outcomes) == 2 * (2 * 16 + 3 * 64)
+    text = json.dumps(outcomes, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == LEVI_SHA256
+
+
+PRODUCT_ATOMS = (
+    trivial_subgroup(2),
+    SubgroupSpec("trivial", 2, conjugator=((0, -1), (1, 0))),
+    one_param_unipotent(2, (0, 1)),
+    one_param_unipotent(2, (0, 1), conjugator=((1, 0), (1, 1))),
+    embedded_sl2(2),
+)
+PRODUCT_OFFSETS = (None, Fraction(1, 2), TAU2)
+PRODUCT_RECORDED = (None, ((1, 1), (0, 1)), ((0, -1), (1, 0)))
+# sha256 of the outcomes below, recorded before Q(tau) matrix products
+# skipped zero entries
+PRODUCT_SHA256 = "3853a37b442fcdc8458c5b9d1fd1c501347c7e9c6cd0885dfb9f24188f2b9fd5"
+
+
+def _product_sequence(atoms, rates, offset, recorded):
+    r = len(atoms)
+    return sequence_spec(
+        product_subgroup(atoms),
+        [x for a in rates for x in (a, -a)],
+        bounded_part=None if offset is None else [upper2(offset)] * r,
+        conjugator_policy="identity" if recorded is None else "recorded",
+        recorded_conjugator=None if recorded is None else [recorded] * r,
+    )
+
+
+def _product_outcomes():
+    out = []
+    for r, grid in ((1, (-2, -1, 0, 1, 2)), (2, (-1, 0, 1))):
+        for atoms in itertools.product(PRODUCT_ATOMS, repeat=r):
+            for rates in itertools.product(grid, repeat=r):
+                for offset in PRODUCT_OFFSETS:
+                    for recorded in PRODUCT_RECORDED:
+                        out.append(_outcome(_product_sequence(atoms, rates, offset, recorded)))
+    return out
+
+
+def test_product_outcomes_are_pinned():
+    outcomes = _product_outcomes()
+    assert len(outcomes) == 5 * 5 * 9 + 25 * 9 * 9
+    text = json.dumps(outcomes, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == PRODUCT_SHA256

@@ -1,12 +1,18 @@
 import doctest
 import math
+import operator
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 import escmass.qfield as qfield
 from escmass.qfield import (
     QuadNum,
+    int_det,
+    int_inverse,
     qmat,
     qmat_identity,
     qmat_mul,
@@ -78,3 +84,252 @@ def test_unipotent_inverse_with_irrational_entries():
     t = QuadNum.tau(0, 2)
     m = qmat([[1, t, Fraction(1, 2)], [0, 1, t * 3], [0, 0, 1]])
     assert qmat_mul(qmat_unipotent_inverse(m), m) == qmat_identity(3)
+
+
+# ---------------------------------------------------------------------------
+# the lean operations against the former implementations, kept here as
+# oracles: every scalar result went through QuadNum.make, matrix entries were
+# plain sums of products, the unipotent inverse was a Neumann series, and
+# equality was a subtraction
+
+
+def _old_law(x, y):
+    if x.law is None:
+        return y.law
+    if y.law is None or y.law == x.law:
+        return x.law
+    raise ValueError("mixing incompatible fields")
+
+
+def _old_add(x, y):
+    return QuadNum.make(x.a + y.a, x.b + y.b, _old_law(x, y))
+
+
+def _old_neg(x):
+    return QuadNum.make(-x.a, -x.b, x.law)
+
+
+def _old_mul(x, y):
+    law = _old_law(x, y)
+    a, b, c, d = x.a, x.b, y.a, y.b
+    bd = b * d
+    if bd == 0:
+        return QuadNum.make(a * c, a * d + b * c, law)
+    p, q = law
+    return QuadNum.make(a * c + bd * q, a * d + b * c + bd * p, law)
+
+
+def _old_eq(x, y):
+    return _old_add(x, _old_neg(y)).is_zero()
+
+
+def _old_qmat_mul(x, y):
+    out = []
+    for i in range(len(x)):
+        row = []
+        for j in range(len(y[0])):
+            acc = QuadNum.zero()
+            for k in range(len(y)):
+                acc = _old_add(acc, _old_mul(x[i][k], y[k][j]))
+            row.append(acc)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def _old_unipotent_inverse(x):
+    n = len(x)
+    ident = qmat_identity(n)
+    nil = tuple(
+        tuple(_old_add(x[i][j], _old_neg(ident[i][j])) for j in range(n)) for i in range(n)
+    )
+    out = term = ident
+    sign = QuadNum.rational(-1)
+    for _ in range(n - 1):
+        term = _old_qmat_mul(term, nil)
+        out = tuple(
+            tuple(_old_add(out[i][j], _old_mul(sign, term[i][j])) for j in range(n))
+            for i in range(n)
+        )
+        sign = _old_neg(sign)
+    return out
+
+
+ROOT2 = QuadNum.tau(0, 2)
+GOLDEN = QuadNum.tau(1, 1)
+_parts = st.one_of(st.just(Fraction(0)), st.fractions(min_value=-5, max_value=5, max_denominator=7))
+_rational = st.builds(QuadNum.rational, _parts)
+_root2 = st.builds(lambda a, b: QuadNum.make(a, b, ROOT2.law), _parts, _parts)
+_golden = st.builds(lambda a, b: QuadNum.make(a, b, GOLDEN.law), _parts, _parts)
+_scalar = st.one_of(_rational, _root2)
+_mixed = st.one_of(_rational, _root2, _golden)
+
+
+def _matrix(entries, rows, cols):
+    row = st.lists(entries, min_size=cols, max_size=cols).map(tuple)
+    return st.lists(row, min_size=rows, max_size=rows).map(tuple)
+
+
+def _normal(x):
+    return type(x.a) is Fraction and type(x.b) is Fraction and (x.law is None) == (x.b == 0)
+
+
+def _same(x, y):
+    return x.a == y.a and x.b == y.b and x.law == y.law and _normal(x)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError:
+        return ValueError
+
+
+@seed(20240817)
+@settings(max_examples=100, deadline=None)
+@given(_scalar, _scalar)
+def test_scalar_operations_match_make(x, y):
+    pairs = (
+        (x + y, _old_add(x, y)),
+        (x - y, _old_add(x, _old_neg(y))),
+        (-x, _old_neg(x)),
+        (x * y, _old_mul(x, y)),
+    )
+    for got, want in pairs:
+        assert _same(got, want)
+    assert (x == y) is _old_eq(x, y)
+    assert (x == x.a) is _old_eq(x, QuadNum.rational(x.a))
+
+
+@seed(20240817)
+@settings(max_examples=100, deadline=None)
+@given(_mixed, _mixed)
+def test_mixed_fields_raise_exactly_where_they_did(x, y):
+    for op, oracle in ((operator.add, _old_add), (operator.mul, _old_mul), (operator.eq, _old_eq)):
+        got, want = _outcome(op, x, y), _outcome(oracle, x, y)
+        if want is ValueError or isinstance(want, bool):
+            assert got is want
+        else:
+            assert _same(got, want)
+    if x.law is not None and y.law is not None and x.law != y.law:
+        with pytest.raises(ValueError):
+            x == y
+
+
+_shapes = st.tuples(*[st.integers(1, 4)] * 3)
+
+
+def _factors(entries):
+    """A pair of matrices whose product is defined, of random shapes."""
+    return _shapes.flatmap(
+        lambda s: st.tuples(_matrix(entries, s[0], s[1]), _matrix(entries, s[1], s[2]))
+    )
+
+
+@seed(20240817)
+@settings(max_examples=40, deadline=None)
+@given(_factors(_scalar))
+def test_qmat_mul_matches_sum_of_products(xy):
+    x, y = xy
+    got, want = qmat_mul(x, y), _old_qmat_mul(x, y)
+    assert len(got) == len(want) and all(len(r) == len(w) for r, w in zip(got, want))
+    assert all(_same(g, w) for gr, wr in zip(got, want) for g, w in zip(gr, wr))
+
+
+@seed(20240817)
+@settings(max_examples=40, deadline=None)
+@given(_factors(_mixed))
+def test_qmat_mul_mixed_fields_raise_exactly_where_they_did(xy):
+    got, want = _outcome(qmat_mul, *xy), _outcome(_old_qmat_mul, *xy)
+    if want is ValueError:
+        assert got is ValueError
+    else:
+        assert all(_same(g, w) for gr, wr in zip(got, want) for g, w in zip(gr, wr))
+
+
+def test_qmat_mul_refuses_two_fields():
+    with pytest.raises(ValueError):
+        qmat_mul(qmat([[ROOT2]]), qmat([[GOLDEN]]))
+    with pytest.raises(ValueError):
+        qmat_mul(qmat([[ROOT2, 1]]), qmat([[1], [GOLDEN]]))
+    # a partial sum whose tau part cancels is rational again, as it was for
+    # the scalar sums, so a term from another field may follow
+    x, y = qmat([[ROOT2, -ROOT2, GOLDEN]]), qmat([[1], [1], [1]])
+    assert _same(qmat_mul(x, y)[0][0], _old_qmat_mul(x, y)[0][0])
+
+
+def _unitriangular(n, lower):
+    def build(entries):
+        it = iter(entries)
+        rows = [[QuadNum.one() if i == j else QuadNum.zero() for j in range(n)] for i in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                if lower:
+                    rows[j][i] = next(it)
+                else:
+                    rows[i][j] = next(it)
+        return tuple(tuple(r) for r in rows)
+
+    k = n * (n - 1) // 2
+    return st.lists(_scalar, min_size=k, max_size=k).map(build)
+
+
+@seed(20240817)
+@settings(max_examples=40, deadline=None)
+@given(st.tuples(st.sampled_from((2, 3, 4)), st.booleans()).flatmap(lambda s: _unitriangular(*s)))
+def test_unipotent_inverse_matches_neumann_series(x):
+    got, want = qmat_unipotent_inverse(x), _old_unipotent_inverse(x)
+    assert all(_same(g, w) for gr, wr in zip(got, want) for g, w in zip(gr, wr))
+    assert qmat_mul(x, got) == qmat_identity(len(x))
+
+
+def test_unipotent_inverse_refuses_other_matrices():
+    with pytest.raises(ValueError):
+        qmat_unipotent_inverse(qmat([[1, 2], [3, 1]]))
+    with pytest.raises(ValueError):
+        qmat_unipotent_inverse(qmat([[2, 0], [0, 1]]))
+
+
+# ---------------------------------------------------------------------------
+# integer determinant and inverse
+
+
+@seed(20240817)
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: _matrix(st.integers(-9, 9), n, n)))
+def test_int_det_matches_float_det_on_small_entries(m):
+    assert int_det(m) == round(np.linalg.det(np.array(m, dtype=float)))
+
+
+def test_int_det_is_exact_where_float_rounds():
+    big = ((10**8, 10**8 - 1), (10**8 + 1, 10**8))
+    assert int_det(big) == 1
+    assert round(np.linalg.det(np.array(big, dtype=float))) != 1
+    assert int_inverse(big) == ((10**8, -(10**8) + 1), (-(10**8) - 1, 10**8))
+    with pytest.raises(TypeError):
+        int_det(((Fraction(1, 2), 0), (0, 2)))
+    with pytest.raises(ValueError):
+        int_inverse(((2, 0), (0, 1)))
+
+
+def _det_one(n, ops):
+    """Identity moved by row operations row[i] += k * row[j]: determinant one."""
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for i, j, k in ops:
+        i, j = i % n, j % n
+        if i != j:
+            m[i] = [a + k * b for a, b in zip(m[i], m[j])]
+    return tuple(tuple(row) for row in m)
+
+
+@seed(20240817)
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 4),
+    st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(-4, 4)), max_size=8),
+)
+def test_int_inverse_is_the_inverse(n, ops):
+    m = _det_one(n, ops)
+    inv = int_inverse(m)
+    assert all(type(x) is int for row in inv for x in row)
+    prod = [[sum(m[i][k] * inv[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    assert prod == [[int(i == j) for j in range(n)] for i in range(n)]
