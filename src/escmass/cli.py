@@ -627,6 +627,9 @@ def cmd_run(args) -> int:
     except NotCoveredError as exc:
         print(f"{exc}", file=sys.stderr)
         return EXIT_NOT_COVERED
+    except OverflowError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     if args.out:
         write_outputs(res, Path(args.out))
     print_report(res)

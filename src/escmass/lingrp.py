@@ -33,6 +33,7 @@ __all__ = [
     "identity_element",
     "iwasawa",
     "iwasawa_batched",
+    "iwasawa_coordinates",
     "gram_schmidt_components",
     "gram_schmidt_rows",
     "langlands",
@@ -211,6 +212,13 @@ class RootValueVector:
 # decompositions
 
 
+# Stack columns per pass of the kernel.  Every operation is elementwise over
+# the stack, so splitting it changes no bit; blocks of this size keep the
+# kernel's working vectors in cache, where a whole 65,536-matrix chunk does
+# not fit.
+GS_BLOCK = 8192
+
+
 def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Dot products of the columns of two (n, m) arrays, summed in a fixed
     order (einsum's order, and so its rounding, varies with m)."""
@@ -236,11 +244,20 @@ def gram_schmidt_components(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     factor, and Q is orthogonal to working precision for every input that is
     nonsingular at working precision.  Every operation runs elementwise over
     stack-length vectors, so each matrix's result does not depend on the
-    stack it came in.
+    stack it came in, and the stack is processed in column blocks of
+    ``GS_BLOCK`` matrices.
     """
-    n = rows.shape[0]
     low = np.zeros(rows.shape)
     q = np.empty(rows.shape)
+    for start in range(0, rows.shape[2], GS_BLOCK):
+        cols = slice(start, start + GS_BLOCK)
+        _gram_schmidt_block(rows[:, :, cols], low[:, :, cols], q[:, :, cols])
+    return low, q
+
+
+def _gram_schmidt_block(rows: np.ndarray, low: np.ndarray, q: np.ndarray) -> None:
+    """The kernel on one column block, writing into views of low and q."""
+    n = rows.shape[0]
     for i in range(n):
         v = rows[i].copy()
         for _ in range(2):
@@ -251,7 +268,6 @@ def gram_schmidt_components(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         norm = np.sqrt(_dot(v, v))
         low[i, i] = norm
         q[i] = v / norm
-    return low, q
 
 
 def gram_schmidt_rows(b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -272,6 +288,23 @@ def gram_schmidt_rows(b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         np.moveaxis(low.reshape(back), (0, 1), (-2, -1)),
         np.moveaxis(q.reshape(back), (0, 1), (-2, -1)),
     )
+
+
+def iwasawa_coordinates(low: np.ndarray) -> Tuple[List[np.ndarray], List[np.ndarray]]:
+    """The n-a-k coordinates of a stack, read from the component-major lower
+    factor ``low`` of its row-reversed stack (as :func:`gram_schmidt_components`
+    returns it): the n diagonal entries a[j] = low[n-1-j, n-1-j] and the
+    n(n-1)/2 strictly upper entries u_ij = low[n-1-i, n-1-j] / a[j] of N in
+    row-major (i, j) order, each an array over the m matrices (the a[j] are
+    views into low).
+
+    These are the divisions :func:`iwasawa_batched` performs, so both give
+    the same bits; N and K are never formed.
+    """
+    n = low.shape[0]
+    a = [low[n - 1 - j, n - 1 - j] for j in range(n)]
+    u = [low[n - 1 - i, n - 1 - j] / a[j] for i in range(n) for j in range(i + 1, n)]
+    return a, u
 
 
 def iwasawa_batched(mats: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -23,7 +23,14 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .lingrp import GroupElement, LanglandsParts, ParabolicIndex, iwasawa_batched
+from .lingrp import (
+    GroupElement,
+    LanglandsParts,
+    ParabolicIndex,
+    gram_schmidt_components,
+    iwasawa_batched,  # noqa: F401 - perfbench/tracing.py wraps this name here
+    iwasawa_coordinates,
+)
 from .qfield import int_det, int_inverse, rat_mul
 from .reduction import (
     ReducedPoint,
@@ -431,6 +438,56 @@ def truncation_bound(spec: SubgroupSpec, y_cap: float) -> float:
     return 0.0
 
 
+# Matrices per gemm of the pushforward.  Each block stays in cache, and at
+# most 4096 * 4^3 = 2^18 multiply-adds it stays within the size that
+# OpenBLAS runs on one thread; a threaded split of this thin product was
+# seen to stall for 75-85 ms on a loaded 2-CPU host, against 3 ms for one
+# thread.
+PUSH_BLOCK = 4096
+
+
+def _right_multiply(stack: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """stack @ g for an (m, n, n) stack and one (n, n) matrix, as flat gemms
+    over blocks of n * PUSH_BLOCK rows: the same bits as the stacked matmul,
+    which runs one tiny product per matrix."""
+    n = g.shape[0]
+    flat = np.ascontiguousarray(stack).reshape(-1, n)
+    out = np.empty_like(flat)
+    step = n * PUSH_BLOCK
+    for start in range(0, len(flat), step):
+        np.matmul(flat[start : start + step], g, out=out[start : start + step])
+    return out.reshape(stack.shape)
+
+
+def _reduce_into(
+    pushed: np.ndarray,
+    log_a: np.ndarray,
+    u_coords: np.ndarray,
+    gammas: Optional[np.ndarray],
+) -> None:
+    """Reduce an (m, n, n) pushed stack and write its coordinates into the
+    (rows, n) view log_a, the (rows, n(n-1)/2) view u_coords and, for
+    n = 3, 4, the (rows, n, n) view gammas; m is the row count, or 1 to
+    fill every row with one result."""
+    n = pushed.shape[-1]
+    if n in (3, 4):
+        gams, _, low = reduce_siegel_batched(pushed)
+        gammas[:] = gams
+        a, u = iwasawa_coordinates(low)
+        for j, a_j in enumerate(a):
+            log_a[:, j] = np.log(a_j)
+    else:  # the half-plane point z = x + iy of the n-a-k split, reduced
+        low = gram_schmidt_components(pushed[:, ::-1, :].transpose(1, 2, 0))[0]
+        a, u = iwasawa_coordinates(low)
+        x, y = reduce_sl2_coords(u[0], a[0] / a[1])
+        half = 0.5 * np.log(y)
+        log_a[:, 0] = half
+        log_a[:, 1] = -half
+        u = [x]
+    for col, u_col in enumerate(u):
+        u_coords[:, col] = u_col
+
+
 def empirical_measure(
     spec: SubgroupSpec,
     g,
@@ -438,7 +495,17 @@ def empirical_measure(
     seed: int,
     y_cap: float = Y_CAP_DEFAULT,
 ) -> EmpiricalMeasure:
-    """Sample the subgroup, push by g, reduce, and keep the coordinates."""
+    """Sample the subgroup, push by g, reduce, and keep the coordinates.
+
+    Each factor's chunk is pushed by flat gemms, reduced (lattice
+    reduction for n = 3, 4, the half-plane walk for n = 2), and its
+    coordinates are read from the Gram-Schmidt factor of the reduced stack;
+    N and K of the split are never formed.  Every sample of a ``trivial``
+    factor is the identity, so that factor is pushed and reduced as a
+    one-matrix stack and the result is broadcast over the samples: the
+    reduction of a matrix does not depend on the stack it comes in, so this
+    changes no bit.
+    """
     r, n = spec.shape
     g_arr = _translate_array(g, r, n)
     factors = spec.factors if spec.kind == "product" else (spec,)
@@ -446,27 +513,21 @@ def empirical_measure(
     log_a = np.empty((count, r, n))
     u_coords = np.empty((count, r, d_u))
     gammas = np.empty((count, r, n, n), dtype=np.int64) if n in (3, 4) else None
-    for ci, size in _chunk_plan(count):
-        lo = ci * CHUNK
-        for f, fac in enumerate(factors):
-            rng = np.random.default_rng([seed, ci, f])
-            pushed = _sample_factor_chunk(fac, size, rng, y_cap) @ g_arr[f]
-            if n in (3, 4):
-                gams, reps = reduce_siegel_batched(pushed)
-                nil, a, _ = iwasawa_batched(reps)
-                gammas[lo : lo + size, f] = gams
-                log_a[lo : lo + size, f] = np.log(a)
-                iu = [(i, j) for i in range(n) for j in range(i + 1, n)]
-                for col, (i, j) in enumerate(iu):
-                    u_coords[lo : lo + size, f, col] = nil[:, i, j]
-            else:
-                nil, a, _ = iwasawa_batched(pushed)
-                x, y = nil[:, 0, 1], a[:, 0] / a[:, 1]
-                xr, yr = reduce_sl2_coords(x, y)
-                half = 0.5 * np.log(yr)
-                log_a[lo : lo + size, f, 0] = half
-                log_a[lo : lo + size, f, 1] = -half
-                u_coords[lo : lo + size, f, 0] = xr
+    for f, fac in enumerate(factors):
+        if fac.kind == "trivial":  # draws nothing from its stream
+            blocks = [(slice(None), 1, None)]
+        else:
+            blocks = [
+                (slice(ci * CHUNK, ci * CHUNK + size), size, np.random.default_rng([seed, ci, f]))
+                for ci, size in _chunk_plan(count)
+            ]
+        for rows, size, rng in blocks:
+            _reduce_into(
+                _right_multiply(_sample_factor_chunk(fac, size, rng, y_cap), g_arr[f]),
+                log_a[rows, f],
+                u_coords[rows, f],
+                None if gammas is None else gammas[rows, f],
+            )
     _assert_reduced(log_a, u_coords, n)
     return EmpiricalMeasure(
         spec=spec,

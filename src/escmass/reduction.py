@@ -22,7 +22,6 @@ from .lingrp import (
     GroupElement,
     LanglandsParts,
     gram_schmidt_components,
-    gram_schmidt_rows,
     group_element,
     iwasawa,
 )
@@ -143,20 +142,35 @@ def reduce_sl2_coords(
     x: np.ndarray, y: np.ndarray, max_iter: int = 64
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Vectorized coordinate-only form of :func:`reduce_sl2` for mass
-    statistics; no reducers are tracked."""
+    statistics; no reducers are tracked.
+
+    Each iteration translates into |Re z| <= 1/2 and inverts the points still
+    inside the unit disc.  Only those points, the live set, are carried into
+    the next iteration: a translated point outside the disc is a fixed point
+    of every later iteration, so dropping it changes no bit of the result.
+    """
     x = np.array(x, dtype=float)
     y = np.array(y, dtype=float)
+    flat_x, flat_y = x.reshape(-1), y.reshape(-1)
+    live = None  # indices of the points still inside the disc; None is all
+    xs, ys = flat_x, flat_y
     for _ in range(max_iter):
-        x -= np.round(x)
-        norm2 = x * x + y * y
+        xs -= np.round(xs)
+        norm2 = xs * xs + ys * ys
         low = norm2 < DISC_BOUND
+        if live is not None:
+            flat_x[live] = xs
         if not low.any():
             break
-        x[low] = -x[low] / norm2[low]
-        y[low] = y[low] / norm2[low]
-    else:  # pragma: no cover - 64 doublings exceed float range
+        live = np.flatnonzero(low) if live is None else live[low]
+        norm2 = norm2[low]
+        xs = -xs[low] / norm2
+        ys = ys[low] / norm2
+        flat_y[live] = ys
+    else:  # at the default cap, 64 doublings of y exceed the float range
         warnings.warn("half-plane reduction hit the iteration cap")
-    x -= np.round(x)
+        xs -= np.round(xs)
+        flat_x[live] = xs
     return x, y
 
 
@@ -165,6 +179,30 @@ def reduce_sl2_coords(
 
 
 MAX_SWEEPS = 1000  # per LLL pass; a pass that reaches it is reported
+# Reducer entries are int64.  Every integer update is u_i - q * u_j with
+# both |u_i| and |q| * |u_j| kept below INT64_ROOM, so no update can reach
+# 2^63 and wrap around.
+INT64_ROOM = float(2**62)
+
+
+def _int64_overflow() -> OverflowError:
+    return OverflowError(
+        "an integer reducer entry would pass 2^62, too close to the int64 "
+        "limit 2^63: the translated samples are too ill-conditioned for "
+        "float64 reduction"
+    )
+
+
+def _exact_row_bounds(u_i, u_j, q_abs) -> Tuple[float, float]:
+    """Check the update u_i - q * u_j matrix by matrix against INT64_ROOM;
+    returns bounds over the stack on max |u_i| after the update and on
+    max |u_j|, both taken from the entries themselves."""
+    top_i = np.abs(u_i).max(axis=0).astype(float)
+    top_j = np.abs(u_j).max(axis=0).astype(float)
+    step = q_abs * top_j
+    if np.any(step >= INT64_ROOM) or np.any(top_i >= INT64_ROOM):
+        raise _int64_overflow()
+    return float(np.max(top_i + step)), float(top_j.max())
 
 
 def _lll_rows(
@@ -193,8 +231,14 @@ def _lll_rows(
     whether the last sweep was swap-free; it is False only when the pass
     stopped at max_sweeps.  One swap per matrix per sweep keeps the batched
     swaps independent.
+
+    Raises OverflowError before an entry of u could wrap past the int64
+    range.  A per-row bound on max |u| over the stack, grown by each update,
+    screens the updates; only when it passes INT64_ROOM are the entries
+    themselves checked, and the bound is reset to their exact value.
     """
     n = b.shape[0]
+    bound = np.abs(u).max(axis=(1, 2)).astype(float)
     sweeps = 0
     swapped = True
     for sweeps in range(1, max_sweeps + 1):
@@ -204,10 +248,17 @@ def _lll_rows(
         for i in range(1, n):
             for j in range(i - 1, -1, -1):
                 q = np.round(low[i, j] / low[j, j])
-                if np.any(q != 0.0):
-                    b[i] -= q * b[j]
-                    u[i] -= q.astype(np.int64) * u[j]
-                    low[i, : j + 1] -= q * low[j, : j + 1]
+                q_abs = np.abs(q)
+                q_max = float(q_abs.max())
+                if q_max == 0.0:
+                    continue
+                if q_max * bound[j] >= INT64_ROOM or bound[i] >= INT64_ROOM:
+                    bound[i], bound[j] = _exact_row_bounds(u[i], u[j], q_abs)
+                else:
+                    bound[i] += q_max * bound[j]
+                b[i] -= q * b[j]
+                u[i] -= q.astype(np.int64) * u[j]
+                low[i, : j + 1] -= q * low[j, : j + 1]
         # first violated swap position per matrix (Lovasz condition)
         swapped = False
         pending = np.ones(b.shape[2], dtype=bool)
@@ -226,21 +277,24 @@ def _lll_rows(
                 odd ^= bad
                 pending &= ~bad
                 swapped = True
+                bound[k - 1] = bound[k] = max(bound[k - 1], bound[k])
         if not swapped:
             break
     return b, u, odd, sweeps, not swapped
 
 
-def _reduce_stack(mats: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+def _reduce_stack(mats: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Two LLL passes (delta = 3/4, then delta just below 1) over the
     row-reversed (m, n, n) stack; returns (gammas int64, reps float), both
-    (m, n, n).
+    (m, n, n), and the component-major (n, n, m) lower Gram-Schmidt factor
+    of the row-reversed reps.
 
     The working basis b and its integer transform u are kept component-major,
     (n, n, m), through both passes and transposed back only to form gammas
     and reps.  The Gram-Schmidt factor of the input, which sets the sweep
     budget, is also the factor the first sweep of pass 1 starts from, so
-    each sweep factors b exactly once.
+    each sweep factors b exactly once.  The final b is the row-reversed reps
+    in component-major layout, so its factor comes without a transpose.
     """
     m, n, _ = mats.shape
     b = np.ascontiguousarray(mats[:, ::-1, :].transpose(1, 2, 0))
@@ -254,9 +308,12 @@ def _reduce_stack(mats: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     diag = np.diagonal(low, axis1=0, axis2=1)
     spread = float(np.max(diag.max(axis=1) / diag.min(axis=1)))
     budget = int(8 * n * n * (1.0 + np.log10(max(spread, 1.0)))) + 16
+    del diag
     b, u, odd, s1, done1 = _lll_rows(b, u, odd, low, 0.75, MAX_SWEEPS)
-    low = gram_schmidt_components(b)[0]
-    b, u, odd, s2, done2 = _lll_rows(b, u, odd, low, 1.0 - 1e-9, MAX_SWEEPS)
+    del low  # each pass factors b afresh; holding an old factor only adds memory
+    b, u, odd, s2, done2 = _lll_rows(
+        b, u, odd, gram_schmidt_components(b)[0], 1.0 - 1e-9, MAX_SWEEPS
+    )
     for label, done in (("first", done1), ("second", done2)):
         if not done:
             warnings.warn(
@@ -273,28 +330,45 @@ def _reduce_stack(mats: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     # any reducer size.  Row n-1 of the reversed basis is row 0 of reps
     np.negative(u[-1], out=u[-1], where=odd)
     np.negative(b[-1], out=b[-1], where=odd)
+    low = gram_schmidt_components(b)[0]
     gammas = np.ascontiguousarray(u[::-1, ::-1].transpose(2, 0, 1))
+    del u
     # keep the incrementally maintained basis as the representative: it
     # mirrors gammas @ mats exactly in exact arithmetic, but the one-shot
     # product would cancel catastrophically once the reducing coefficients
     # outgrow the small lattice scales
     reps = np.ascontiguousarray(b[::-1].transpose(2, 0, 1))
-    return gammas, reps
+    return gammas, reps, low
 
 
-def _ratio_certified(reps: np.ndarray, ratio_min: float) -> np.ndarray:
+def _ratio_certified(low: np.ndarray, ratio_min: float) -> np.ndarray:
     # the triangular profile reads off bottom-up (n a k order), which is
-    # Gram-Schmidt over the reversed rows
-    low = gram_schmidt_rows(reps[:, ::-1, :])[0]
-    diag = np.diagonal(low, axis1=-2, axis2=-1)[:, ::-1]
-    ratios = diag[:, :-1] / diag[:, 1:]
-    return np.all(ratios >= ratio_min - 1e-9, axis=1)
+    # Gram-Schmidt over the reversed rows: a_j = low[n-1-j, n-1-j]
+    n = low.shape[0]
+    ok = np.ones(low.shape[2], dtype=bool)
+    for j in range(n - 1):
+        ok &= low[n - 1 - j, n - 1 - j] / low[n - 2 - j, n - 2 - j] >= ratio_min - 1e-9
+    return ok
+
+
+def _compose(extra: np.ndarray, gammas: np.ndarray) -> np.ndarray:
+    """extra @ gammas in int64, refused (OverflowError) unless every entry's
+    sum of absolute products stays below INT64_ROOM."""
+    room = np.abs(extra).astype(float) @ np.abs(gammas).astype(float)
+    if np.any(room >= INT64_ROOM):
+        raise _int64_overflow()
+    return extra @ gammas
 
 
 def reduce_siegel_batched(
     mats: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Reduce a (m, n, n) stack; returns (gammas int64, reps float).
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Reduce a (m, n, n) stack; returns (gammas int64, reps float, low).
+
+    low is the component-major (n, n, m) lower Gram-Schmidt factor of the
+    row-reversed reps, from which :func:`lingrp.iwasawa_coordinates` reads
+    the reduced coordinates; the certification below needs it anyway, so
+    the reduced stack is factored once.
 
     A basis whose rows live at wildly different scales can stall the float
     sweep: the Gram data of a row 1e16 times longer than a sibling drowns
@@ -303,26 +377,32 @@ def reduce_siegel_batched(
     at the large scales, so stacks that miss the certified diagonal floor
     are simply reduced again -- the second pass sees the collapsed basis,
     whose dynamic range is moderate -- with the integer transforms composed.
+    Only the matrices reduced again are certified again.
+
+    Raises OverflowError when a reducer would leave the int64 range.
     """
     mats = np.ascontiguousarray(mats, dtype=float)
     n = mats.shape[1]
-    gammas, reps = _reduce_stack(mats)
+    gammas, reps, low = _reduce_stack(mats)
     ratio_min = siegel_default(n).ratio_min
-    for _ in range(2):
-        bad = ~_ratio_certified(reps, ratio_min)
-        if not bad.any():
+    bad = np.flatnonzero(~_ratio_certified(low, ratio_min))
+    for attempt in range(2):
+        if not bad.size:
             break
-        extra, fixed = _reduce_stack(reps[bad])
-        gammas[bad] = extra @ gammas[bad]
+        extra, fixed, fixed_low = _reduce_stack(reps[bad])
+        gammas[bad] = _compose(extra, gammas[bad])
         reps[bad] = fixed
-    return gammas, reps
+        low[:, :, bad] = fixed_low
+        if attempt == 0:
+            bad = bad[~_ratio_certified(fixed_low, ratio_min)]
+    return gammas, reps, low
 
 
 def reduce_siegel(g: GroupElement) -> ReducedPoint:
     """Reduce one element of SL_3 or SL_4 and verify the target bounds."""
     if g.n not in (3, 4):
         raise ValueError("reduce_siegel handles n in {3, 4}; use reduce_sl2 for n=2")
-    gammas, _ = reduce_siegel_batched(g.mat[None])
+    gammas = reduce_siegel_batched(g.mat[None])[0]
     point = _make_point(gammas[0], g)
     if not in_siegel(point.rep, siegel_default(g.n)):
         raise RuntimeError("reduction finished outside the target bounds")

@@ -22,6 +22,7 @@ from escmass.cli import (
     main,
     parse_entry,
     predicted_label,
+    resolve_scenario_path,
     run_scenario,
     scenario_from_json,
     summary_dict,
@@ -378,6 +379,17 @@ def test_cli_input_errors_exit_4(tmp_path):
     assert _run_cli("run", "no_such_scenario_anywhere").returncode == EXIT_INPUT
     assert _run_cli("run").returncode == EXIT_INPUT  # usage error, remapped from 2
     assert _run_cli("run", "sl2_cusp", "--samples", "0").returncode == EXIT_INPUT
+
+
+def test_reducer_overflow_exits_4(tmp_path, capsys):
+    """sl3_levi_block moved to index 9 needs reducers past the int64 range;
+    the run stops with exit 4 instead of wrapping them."""
+    doc = json.loads(resolve_scenario_path("sl3_levi_block").read_text())
+    doc["sequence"]["indices"] = [9]
+    p = tmp_path / "levi9.json"
+    p.write_text(json.dumps(doc))
+    assert main(["run", str(p), "--jobs", "1"]) == EXIT_INPUT
+    assert "int64 limit 2^63" in capsys.readouterr().err
 
 
 # determinant one, but float64 rounds the determinant to 0

@@ -16,11 +16,13 @@ from escmass.lingrp import (
     ParabolicIndex,
     dalpha_product,
     d_function,
+    gram_schmidt_components,
     gram_schmidt_rows,
     group_element,
     identity_element,
     iwasawa,
     iwasawa_batched,
+    iwasawa_coordinates,
     langlands,
     parabolic_root_values,
     parse_matrix,
@@ -235,6 +237,52 @@ def test_gram_schmidt_does_not_depend_on_the_stack(n):
         assert np.array_equal(part, low_flat[lo:hi])
     single, _ = gram_schmidt_rows(flat[7])
     assert np.array_equal(single, low_flat[7])
+
+
+def test_gram_schmidt_blocks_change_no_bit(monkeypatch):
+    """A stack longer than GS_BLOCK factors block by block with the bits of
+    one pass over the whole stack."""
+    rng = np.random.default_rng(4)
+    mats = np.concatenate(
+        [_det_one_stack(3, 2 * lingrp.GS_BLOCK + 5, rng), _cusp_stack(3, 99, rng)[0]]
+    )
+    rows = mats[:, ::-1, :].transpose(1, 2, 0)
+    low, q = gram_schmidt_components(rows)
+    monkeypatch.setattr(lingrp, "GS_BLOCK", len(mats))
+    whole_low, whole_q = gram_schmidt_components(rows)
+    assert np.array_equal(low, whole_low) and np.array_equal(q, whole_q)
+
+
+def _same_bits(x, y):
+    return np.array_equal(x, y) and np.array_equal(np.signbit(x), np.signbit(y))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("kind", ["random", "cusp", "integer"])
+def test_iwasawa_coordinates_read_the_split_bit_for_bit(n, kind):
+    """Coordinates read from the component-major factor of the row-reversed
+    stack equal iwasawa_batched's a and the strictly upper entries of its N,
+    signs of zero included."""
+    rng = np.random.default_rng(31 * n + len(kind))
+    if kind == "random":
+        mats = _det_one_stack(n, 500, rng)
+    elif kind == "cusp":
+        mats, _ = _cusp_stack(n, 500, rng)
+    else:  # exact zeros in every position, as pushed identities have
+        mats = np.tile(np.eye(n), (6, 1, 1))
+        mats[1] = mats[1, ::-1]
+        mats[2, 0, -1] = -3.0
+        mats[3, -1, 0] = 2.0
+        mats[4] = np.diag(np.linspace(2.0, 0.5, n))
+        mats[5, 0, 1] = -0.0
+    nil, a, _ = iwasawa_batched(mats)
+    low = gram_schmidt_components(mats[:, ::-1, :].transpose(1, 2, 0))[0]
+    a_read, u_read = iwasawa_coordinates(low)
+    assert _same_bits(np.stack(a_read, axis=1), a)
+    iu = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    assert len(u_read) == len(iu)
+    for col, (i, j) in enumerate(iu):
+        assert _same_bits(u_read[col], nil[:, i, j])
 
 
 def test_flag_shapes():

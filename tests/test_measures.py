@@ -6,14 +6,17 @@ same value guards the derivation).  Escape statistics use constructions whose
 reduced heights are known exactly.
 """
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 from scipy import integrate
 
-from escmass.lingrp import GroupElement, group_element, identity_element
+import escmass.measures as measures
+from escmass.lingrp import GroupElement, group_element, identity_element, iwasawa_batched
 from escmass.measures import (
+    CHUNK,
     CoordinateWindow,
     boundary_histogram,
     embedded_sl2,
@@ -240,3 +243,174 @@ def test_truncation_insensitivity():
             p = h1.fraction(label)
             se = math.sqrt(max(p * (1 - p), 1e-9) / count)
             assert abs(p - h2.fraction(label)) <= 3.0 / (np.pi * 1.0e4) + 2 * se
+
+
+# ---------------------------------------------------------------------------
+# bit-for-bit equivalence of the lean sampling path with its old form
+
+
+def _same_bits(x, y):
+    return np.array_equal(x, y) and np.array_equal(np.signbit(x), np.signbit(y))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("length", [1, 7, CHUNK + 3])
+def test_flat_gemm_pushforward_matches_the_stacked_matmul(n, length):
+    rng = np.random.default_rng(10 * n + length % 97)
+    stack = rng.normal(size=(length, n, n))
+    stack[::5] = np.eye(n)  # exact zeros, as trivial and unipotent samples have
+    stack[1::5, 0, :] = 0.0
+    g = rng.normal(size=(n, n))
+    g[0, -1] = 0.0
+    g[-1] = -np.abs(g[-1])  # negative entries meet the zeros: signed zeros
+    assert _same_bits(measures._right_multiply(stack, g), stack @ g)
+
+
+def _empirical_measure_full(spec, g, count, seed, y_cap=measures.Y_CAP_DEFAULT):
+    """The old form of empirical_measure, kept as an oracle: every factor,
+    trivial ones too, is sampled as a full stack, pushed by the stacked
+    matmul and split by iwasawa_batched."""
+    r, n = spec.shape
+    g_arr = measures._translate_array(g, r, n)
+    factors = spec.factors if spec.kind == "product" else (spec,)
+    d_u = n * (n - 1) // 2
+    log_a = np.empty((count, r, n))
+    u_coords = np.empty((count, r, d_u))
+    gammas = np.empty((count, r, n, n), dtype=np.int64) if n in (3, 4) else None
+    iu = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for ci, size in measures._chunk_plan(count):
+        lo = ci * CHUNK
+        for f, fac in enumerate(factors):
+            rng = np.random.default_rng([seed, ci, f])
+            pushed = measures._sample_factor_chunk(fac, size, rng, y_cap) @ g_arr[f]
+            if n in (3, 4):
+                gams, reps, _ = measures.reduce_siegel_batched(pushed)
+                nil, a, _ = iwasawa_batched(reps)
+                gammas[lo : lo + size, f] = gams
+                log_a[lo : lo + size, f] = np.log(a)
+                for col, (i, j) in enumerate(iu):
+                    u_coords[lo : lo + size, f, col] = nil[:, i, j]
+            else:
+                nil, a, _ = iwasawa_batched(pushed)
+                x, y = nil[:, 0, 1], a[:, 0] / a[:, 1]
+                xr, yr = measures.reduce_sl2_coords(x, y)
+                half = 0.5 * np.log(yr)
+                log_a[lo : lo + size, f, 0] = half
+                log_a[lo : lo + size, f, 1] = -half
+                u_coords[lo : lo + size, f, 0] = xr
+    return log_a, u_coords, gammas
+
+
+def _assert_same_measure(m, full):
+    log_a, u_coords, gammas = full
+    assert _same_bits(m.log_a, log_a)
+    assert _same_bits(m.u_coords, u_coords)
+    if gammas is None:
+        assert m.gammas is None
+    else:
+        assert np.array_equal(m.gammas, gammas)
+
+
+def test_trivial_factors_reduced_once_match_full_stacks():
+    """A product with trivial factors, over two chunks, against the same
+    measure computed on full stacks."""
+    spec = product_subgroup([
+        trivial_subgroup(2),
+        embedded_sl2(2),
+        trivial_subgroup(2),
+        one_param_unipotent(2, (0, 1)),
+    ])
+    g = np.stack([
+        [[np.exp(2.0), -0.5 * np.exp(-2.0)], [0.0, np.exp(-2.0)]],
+        np.diag([np.exp(1.5), np.exp(-1.5)]),
+        [[np.exp(-3.0), np.sqrt(2.0) * np.exp(3.0)], [0.0, np.exp(3.0)]],
+        np.diag([np.exp(-2.0), np.exp(2.0)]),
+    ])
+    count = CHUNK + 3
+    m = empirical_measure(spec, g, count, seed=40)
+    _assert_same_measure(m, _empirical_measure_full(spec, g, count, seed=40))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_single_trivial_factor_matches_full_stack(n):
+    g = np.diag(np.exp(np.linspace(2.0, -2.0, n)))
+    g[0, -1] = 0.75
+    spec = trivial_subgroup(n)
+    m = empirical_measure(spec, g, 500, seed=41)
+    _assert_same_measure(m, _empirical_measure_full(spec, g, 500, seed=41))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [embedded_sl2(3, 1), levi_semisimple_nc(4, 0), full_unipotent_radical(3, [1])],
+    ids=["embedded", "levi", "radical"],
+)
+def test_reduced_path_matches_the_iwasawa_split_of_the_reps(spec):
+    n = spec.n
+    g = np.diag(np.exp(4.0 * np.linspace(1.0, -1.0, n)))
+    m = empirical_measure(spec, g, 3000, seed=42)
+    _assert_same_measure(m, _empirical_measure_full(spec, g, 3000, seed=42))
+
+
+# ---------------------------------------------------------------------------
+# pinned product path
+
+# one factor per atom: (subgroup, direction, offset entry of the bounded part)
+_EMBEDDED = {"kind": "embedded_sl2", "n": 2}
+_HOROCYCLE = {"kind": "one_param_unipotent", "n": 2, "coordinate": [0, 1]}
+_TRIVIAL = {"kind": "trivial", "n": 2}
+PRODUCT_SCENARIOS = (
+    (  # embedded, expanding horocycle, escaping trivial factor
+        (_EMBEDDED, 2, "0"),
+        (_HOROCYCLE, 3, "1/2"),
+        (_TRIVIAL, 2, "tau"),
+    ),
+    (  # contracting horocycle, bounded and plunging trivial factors
+        (_HOROCYCLE, -2, "tau"),
+        (_TRIVIAL, 0, "1/2"),
+        (_TRIVIAL, -3, "0"),
+        (_EMBEDDED, 3, "1/2"),
+    ),
+)
+PRODUCT_DIGEST = "5b2d6bcfa229ab9913dec5b9a9bd01e099d678398a9d377b1ce50cdd14f9edf1"
+
+
+def _product_scenario(k, factors):
+    from escmass.cli import scenario_from_json
+
+    doc = {
+        "schema": "escape-scenario/1",
+        "name": f"product{k}",
+        "tau_law": ["0", "2"],
+        "sequence": {
+            "subgroup": {"kind": "product", "factors": [f for f, _, _ in factors]},
+            "direction": [str(x) for _, r, _ in factors for x in (r, -r)],
+            "bounded_part": [[["1", off], ["0", "1"]] for _, _, off in factors],
+            "indices": [1, 2, 4],
+        },
+        "sampling": {"count": 4096, "seed": 31 + k, "t_sweep": [100.0, 1000.0, 10000.0]},
+    }
+    return scenario_from_json(doc)
+
+
+def test_product_path_is_pinned():
+    """log_a, u_coords and histogram counts of products over every factor
+    atom (embedded, expanding and contracting horocycle, escaping, bounded
+    and plunging trivial factor; offsets 0, 1/2 and tau), bit for bit."""
+    from escmass.cli import run_scenario
+
+    h = hashlib.sha256()
+    for k, factors in enumerate(PRODUCT_SCENARIOS):
+        scn = _product_scenario(k, factors)
+        res = run_scenario(scn, jobs=1)
+        for idx in scn.sequence.indices:
+            m = res.measures[idx]
+            h.update(m.log_a.tobytes())
+            h.update(m.u_coords.tobytes())
+            for t in scn.t_sweep:
+                hist = res.histograms[idx][t]
+                counts = sorted(
+                    (sorted(lbl), round(mass * scn.count)) for lbl, mass in hist.mass.items()
+                )
+                h.update(repr(counts).encode())
+    assert h.hexdigest() == PRODUCT_DIGEST

@@ -20,6 +20,8 @@ from escmass.lingrp import (
     group_element,
     identity_element,
     iwasawa,
+    iwasawa_batched,
+    iwasawa_coordinates,
 )
 from escmass.measures import empirical_measure, sample_subgroup_array
 from escmass.reduction import (
@@ -139,6 +141,63 @@ def test_reduce_sl2_coords_matches_elementwise():
     assert np.all(rx * rx + ry * ry >= 1.0 - 1e-11)
 
 
+def _reduce_sl2_coords_full(x, y, max_iter=64):
+    """The full-array form of the half-plane walk, kept as an oracle: every
+    iteration translates and tests all points."""
+    x = np.array(x, dtype=float)
+    y = np.array(y, dtype=float)
+    for _ in range(max_iter):
+        x -= np.round(x)
+        norm2 = x * x + y * y
+        low = norm2 < reduction.DISC_BOUND
+        if not low.any():
+            break
+        x[low] = -x[low] / norm2[low]
+        y[low] = y[low] / norm2[low]
+    else:
+        warnings.warn("half-plane reduction hit the iteration cap")
+    x -= np.round(x)
+    return x, y
+
+
+def _same_bits(x, y):
+    return np.array_equal(x, y) and np.array_equal(np.signbit(x), np.signbit(y))
+
+
+def test_live_set_walk_matches_the_full_array_loop():
+    rng = np.random.default_rng(2718)
+    xs = [rng.uniform(-40.0, 40.0, size=5000)]
+    ys = [np.exp(rng.uniform(np.log(1e-12), 3.0, size=5000))]
+    # edge cases: Re z = +-1/2 (and its integer translates), |z| = 1 (and
+    # just inside the DISC_BOUND tolerance), signed zeros, tiny heights
+    theta = rng.uniform(0.0, np.pi, size=200)
+    edge_x = np.concatenate([
+        [0.5, -0.5, 1.5, -1.5, 0.0, -0.0, 0.0, -0.0, 0.5, -0.5, 3.0, -7.0],
+        np.cos(theta),
+        np.full(50, 0.5),
+        np.full(50, -0.5),
+        rng.uniform(-0.5, 0.5, size=50),
+    ])
+    edge_y = np.concatenate([
+        [0.8, 0.8, 0.5, 0.5, 1.0, 1.0, 1e-12, 1e-12, 1e-12, 1e-12, 1e-12, 1.0 - 1e-12],
+        np.sin(theta),
+        np.sqrt(0.75) * np.ones(50),
+        np.exp(rng.uniform(np.log(1e-12), 0.0, size=50)),
+        np.sqrt(1.0 - rng.uniform(-0.5, 0.5, size=50) ** 2),
+    ])
+    for x, y in zip(xs + [edge_x], ys + [edge_y]):
+        got = reduce_sl2_coords(x, y)
+        want = _reduce_sl2_coords_full(x, y)
+        assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1])
+    # the iteration cap still warns, with the capped walk's bits
+    x, y = np.array([0.25, 3.0, 0.1, 0.3]), np.array([1e-12, 2.0, 1e-6, 0.2])
+    with pytest.warns(UserWarning, match="iteration cap"):
+        got = reduce_sl2_coords(x, y, max_iter=2)
+    with pytest.warns(UserWarning, match="iteration cap"):
+        want = _reduce_sl2_coords_full(x, y, max_iter=2)
+    assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1])
+
+
 def test_reduce_siegel_identity_and_integer_cosets():
     pt = reduce_siegel(identity_element(3))
     assert np.allclose(pt.rep.mat @ pt.rep.mat.T, np.eye(3), atol=1e-12)
@@ -164,7 +223,7 @@ def test_reduce_siegel_membership_random():
 
 def test_reduce_siegel_batched_matches_single():
     mats = np.stack([random_sl(3, scale=3.0).mat for _ in range(32)])
-    gammas, reps = reduce_siegel_batched(mats)
+    gammas, reps, _ = reduce_siegel_batched(mats)
     for i in range(0, 32, 7):
         pt = reduce_siegel(group_element(mats[i]))
         assert np.array_equal(gammas[i], np.array(pt.gamma))
@@ -253,15 +312,74 @@ def levi_stack():
 
 def test_reduction_does_not_depend_on_the_stack(levi_stack):
     """Chunking must not change a single bit of any reducer or representative."""
-    gammas, reps = reduce_siegel_batched(levi_stack)
+    gammas, reps, _ = reduce_siegel_batched(levi_stack)
     for lo in range(0, len(levi_stack), 1000):
-        part_g, part_r = reduce_siegel_batched(levi_stack[lo : lo + 1000])
+        part_g, part_r, _ = reduce_siegel_batched(levi_stack[lo : lo + 1000])
         assert np.array_equal(part_g, gammas[lo : lo + 1000])
         assert np.array_equal(part_r, reps[lo : lo + 1000])
     for i in np.linspace(0, len(levi_stack) - 1, 50).astype(int):
-        one_g, one_r = reduce_siegel_batched(levi_stack[i : i + 1])
+        one_g, one_r, _ = reduce_siegel_batched(levi_stack[i : i + 1])
         assert np.array_equal(one_g[0], gammas[i])
         assert np.array_equal(one_r[0], reps[i])
+
+
+def test_reduced_factor_gives_the_split_of_the_reps(levi_stack):
+    """The factor the reducer returns is the one iwasawa_batched computes on
+    the reps, so the coordinates read from it match bit for bit."""
+    _, reps, low = reduce_siegel_batched(levi_stack)
+    nil, a, _ = iwasawa_batched(reps)
+    a_read, u_read = iwasawa_coordinates(low)
+    assert _same_bits(np.stack(a_read, axis=1), a)
+    for col, (i, j) in enumerate(((0, 1), (0, 2), (1, 2))):
+        assert _same_bits(u_read[col], nil[:, i, j])
+
+
+def test_recertified_matrices_are_factored_again(levi_stack, monkeypatch):
+    """A first reduction capped at one sweep per pass leaves matrices that
+    fail certification; they are reduced again, and the returned factor is
+    theirs, bit for bit."""
+    reduced = reduce_siegel_batched(levi_stack[:1000])[1]
+    mats = np.concatenate([levi_stack[:1000], reduced])
+    real = reduction._reduce_stack
+    sizes = []
+
+    def capped_first(mats):
+        sizes.append(len(mats))
+        monkeypatch.setattr(reduction, "MAX_SWEEPS", 1 if len(sizes) == 1 else 1000)
+        return real(mats)
+
+    monkeypatch.setattr(reduction, "_reduce_stack", capped_first)
+    with pytest.warns(UserWarning, match="1-sweep cap"):
+        gammas, reps, low = reduce_siegel_batched(mats)
+    assert len(sizes) >= 2 and 0 < sizes[1] <= 1000  # the reduced half passes
+    assert np.all(reduction._ratio_certified(low, siegel_default(3).ratio_min))
+    nil, a, _ = iwasawa_batched(reps)
+    a_read, u_read = iwasawa_coordinates(low)
+    assert _same_bits(np.stack(a_read, axis=1), a)
+    for col, (i, j) in enumerate(((0, 1), (0, 2), (1, 2))):
+        assert _same_bits(u_read[col], nil[:, i, j])
+
+
+def test_reducer_overflow_raises_instead_of_wrapping():
+    """At index 9 of sl3_levi_block the reducers reach 9e18; an int64 update
+    past 2^63 used to wrap silently and leave determinants other than one."""
+    scn = load_scenario("sl3_levi_block")
+    g = sequence_translate(scn.sequence, 9)
+    samples = sample_subgroup_array(scn.sequence.subgroup, 2048, 0, scn.y_cap)
+    with pytest.raises(OverflowError, match="int64 limit 2\\^63"):
+        reduce_siegel_batched(samples[:, 0] @ g[0])
+
+
+def test_reducer_composition_refuses_to_wrap():
+    """The recertification composes two int64 reducers; a product whose
+    entries could pass 2^62 raises instead of wrapping."""
+    small = np.array([random_gamma(3) for _ in range(4)])
+    assert np.array_equal(reduction._compose(small, small), small @ small)
+    extra, first = np.tile(np.eye(3, dtype=np.int64), (2, 2, 1, 1))
+    extra[1, 0, 1] = 2**32
+    first[1, 1, 2] = 2**31  # (extra @ first)[1, 0, 2] = 2^63 would wrap
+    with pytest.raises(OverflowError, match="int64 limit 2\\^63"):
+        reduction._compose(extra, first)
 
 
 def _component_major(mats):
