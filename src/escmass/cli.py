@@ -84,6 +84,7 @@ from .measures import (
     Y_CAP_DEFAULT,
     BoundaryHistogram,
     EmpiricalMeasure,
+    PrecisionBudgetError,
     SubgroupSpec,
     boundary_histogram,
     embedded_sl2,
@@ -460,7 +461,11 @@ def run_scenario(scn: Scenario, jobs: int = 1) -> RunResult:
             scn.sequence.subgroup, g, scn.count, scn.seed, y_cap=scn.y_cap
         )
         dt = time.monotonic() - t0
-        return idx, m, {t: boundary_histogram(m, t) for t in scn.t_sweep}, dt
+        hists = {t: boundary_histogram(m, t) for t in scn.t_sweep}
+        # the run keeps every index's measure for its outputs; a fresh handle
+        # on the same arrays leaves behind the root log-values the histograms
+        # cached, which the outputs do not read
+        return idx, replace(m), hists, dt
 
     indices = scn.sequence.indices
     if jobs > 1 and len(indices) > 1:
@@ -627,7 +632,7 @@ def cmd_run(args) -> int:
     except NotCoveredError as exc:
         print(f"{exc}", file=sys.stderr)
         return EXIT_NOT_COVERED
-    except OverflowError as exc:
+    except (OverflowError, PrecisionBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     if args.out:

@@ -35,6 +35,7 @@ __all__ = [
     "iwasawa_batched",
     "iwasawa_coordinates",
     "gram_schmidt_components",
+    "gram_schmidt_lower",
     "gram_schmidt_rows",
     "langlands",
     "root_values",
@@ -255,8 +256,23 @@ def gram_schmidt_components(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return low, q
 
 
+def gram_schmidt_lower(rows: np.ndarray, low: np.ndarray) -> None:
+    """The lower factor of :func:`gram_schmidt_components`, bit for bit,
+    written into the caller's (n, n, m) array ``low`` (a view of a longer
+    stack will do).  The directions only live in one ``GS_BLOCK``-sized
+    scratch, so factoring a stack allocates no array of its length."""
+    n, _, m = rows.shape
+    q = np.empty((n, n, min(m, GS_BLOCK)))
+    for start in range(0, m, GS_BLOCK):
+        cols = slice(start, start + GS_BLOCK)
+        block = low[:, :, cols]
+        block[...] = 0.0
+        _gram_schmidt_block(rows[:, :, cols], block, q[:, :, : block.shape[2]])
+
+
 def _gram_schmidt_block(rows: np.ndarray, low: np.ndarray, q: np.ndarray) -> None:
-    """The kernel on one column block, writing into views of low and q."""
+    """The kernel on one column block, accumulating into a zeroed view of
+    low and writing the directions into q."""
     n = rows.shape[0]
     for i in range(n):
         v = rows[i].copy()

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
@@ -27,7 +28,7 @@ from .lingrp import (
     GroupElement,
     LanglandsParts,
     ParabolicIndex,
-    gram_schmidt_components,
+    gram_schmidt_lower,
     iwasawa_batched,  # noqa: F401 - perfbench/tracing.py wraps this name here
     iwasawa_coordinates,
 )
@@ -74,6 +75,8 @@ __all__ = [
     "boundary_histogram",
     "window_mass",
     "truncation_bound",
+    "conjugator_bits",
+    "PrecisionBudgetError",
     "format_histogram",
     "Y_CAP_DEFAULT",
     "T_ESC_DEFAULT",
@@ -139,6 +142,46 @@ def _check_conjugator(conjugator, n) -> Optional[IntMatrix]:
     if int_det(rows) != 1:
         raise ValueError("conjugator must be integral of determinant one")
     return rows
+
+
+# A conjugated sample gamma @ h @ gamma^-1 is formed in float64, which
+# rounds each of its entries to about 2^-53 of max|gamma| * max|gamma^-1|
+# (times the size of h), however small the entry itself is.  The float64
+# budget lets a conjugator take at most MANTISSA_BITS - PRECISION_MARGIN_BITS
+# = 23 bits of that size, so the rounding stays below 2^-30, about the 1e-9
+# to which lingrp promises reconstruction.
+MANTISSA_BITS = 53
+PRECISION_MARGIN_BITS = 30
+
+
+class PrecisionBudgetError(ValueError):
+    """The float64 samples of a subgroup would carry too few reliable bits."""
+
+
+def conjugator_bits(spec: SubgroupSpec) -> float:
+    """log2 of max|gamma| * max|gamma^-1| over the conjugators gamma of the
+    sampled factors of spec; 0.0 when no factor is conjugated."""
+    bits = 0.0
+    for fac in spec.factors if spec.kind == "product" else (spec,):
+        if fac.conjugator is not None:
+            size = max(abs(v) for row in fac.conjugator for v in row)
+            size_inv = max(abs(v) for row in int_inverse(fac.conjugator) for v in row)
+            bits = max(bits, math.log2(size * size_inv))
+    return bits
+
+
+def _check_precision_budget(spec: SubgroupSpec) -> None:
+    """Raise PrecisionBudgetError when a conjugator of spec takes more than
+    the float64 budget."""
+    bits = conjugator_bits(spec)
+    budget = MANTISSA_BITS - PRECISION_MARGIN_BITS
+    if bits > budget:
+        raise PrecisionBudgetError(
+            f"the subgroup conjugator takes {bits:.1f} bits (log2 of max|gamma| * "
+            f"max|gamma^-1|), above the float64 budget of {budget} bits (the "
+            f"{MANTISSA_BITS}-bit mantissa less a {PRECISION_MARGIN_BITS}-bit margin): "
+            "float64 samples of the conjugated subgroup would be rounding noise"
+        )
 
 
 def full_unipotent_radical(n: int, I: Sequence[int], conjugator=None) -> SubgroupSpec:
@@ -406,9 +449,16 @@ class EmpiricalMeasure:
 
     def root_log_values(self) -> np.ndarray:
         """(count, total roots) log character values of the reduced diagonal,
-        factors concatenated."""
+        factors concatenated; a read-only view, computed once per measure."""
+        return self._root_logs.T
+
+    @cached_property
+    def _root_logs(self) -> np.ndarray:
+        # root-major, so each root's values over the samples are contiguous
         diffs = self.log_a[:, :, :-1] - self.log_a[:, :, 1:]
-        return diffs.reshape(self.sample_count, -1)
+        roots = np.ascontiguousarray(diffs.reshape(self.sample_count, -1).T)
+        roots.setflags(write=False)
+        return roots
 
     def iter_points(self) -> Iterator[ReducedPoint]:
         """Materialize per-point records (single-factor, tracked-reducer
@@ -477,7 +527,8 @@ def _reduce_into(
         for j, a_j in enumerate(a):
             log_a[:, j] = np.log(a_j)
     else:  # the half-plane point z = x + iy of the n-a-k split, reduced
-        low = gram_schmidt_components(pushed[:, ::-1, :].transpose(1, 2, 0))[0]
+        low = np.empty((n, n, len(pushed)))
+        gram_schmidt_lower(pushed[:, ::-1, :].transpose(1, 2, 0), low)
         a, u = iwasawa_coordinates(low)
         x, y = reduce_sl2_coords(u[0], a[0] / a[1])
         half = 0.5 * np.log(y)
@@ -505,7 +556,11 @@ def empirical_measure(
     one-matrix stack and the result is broadcast over the samples: the
     reduction of a matrix does not depend on the stack it comes in, so this
     changes no bit.
+
+    Raises PrecisionBudgetError, before sampling, when a conjugator of spec
+    takes more than the float64 budget (see conjugator_bits).
     """
+    _check_precision_budget(spec)
     r, n = spec.shape
     g_arr = _translate_array(g, r, n)
     factors = spec.factors if spec.kind == "product" else (spec,)
@@ -598,10 +653,13 @@ def boundary_histogram(m: EmpiricalMeasure, t_esc: float = T_ESC_DEFAULT) -> Bou
     """Empirical mass over component labels at escape threshold t_esc."""
     if t_esc <= 2.0 / np.sqrt(3.0):
         raise ValueError("threshold must sit above the reduced-domain floor")
-    logs = m.root_log_values()
-    rank = logs.shape[1]
-    bounded = logs <= np.log(t_esc)
-    codes = bounded @ (1 << np.arange(rank, dtype=np.int64))
+    roots = m.root_log_values().T
+    rank = len(roots)
+    log_t = np.log(t_esc)
+    # bit i of a sample's code is set when root i stayed at or below t_esc
+    codes = (roots[0] <= log_t).astype(np.intp)
+    for i in range(1, rank):
+        codes += (roots[i] <= log_t) << i
     counts = np.bincount(codes, minlength=1 << rank)
     mass: Dict[FrozenSet[int], float] = {}
     for code, c in enumerate(counts):

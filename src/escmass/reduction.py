@@ -21,7 +21,7 @@ import numpy as np
 from .lingrp import (
     GroupElement,
     LanglandsParts,
-    gram_schmidt_components,
+    gram_schmidt_lower,
     group_element,
     iwasawa,
 )
@@ -205,82 +205,132 @@ def _exact_row_bounds(u_i, u_j, q_abs) -> Tuple[float, float]:
     return float(np.max(top_i + step)), float(top_j.max())
 
 
-def _lll_rows(
-    b: np.ndarray,
-    u: np.ndarray,
-    odd: np.ndarray,
-    low: np.ndarray,
-    delta: float,
-    max_sweeps: int,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int, bool]:
-    """Sweep-based row LLL over a component-major stack.
+def _to_front(stack, moved: np.ndarray, live: int, scratch: np.ndarray) -> int:
+    """Reorder the first ``live`` columns of the stack (b, u, low, odd,
+    order) so that the columns flagged by ``moved`` come first, in order;
+    returns their count.  The factors of those columns are out of date, so
+    only the others' factors are moved.  Each stack-length row is gathered
+    with ``np.take`` into ``scratch``, a float64 vector of the stack's
+    length (mode="clip", a no-op on these valid indices, lets take write
+    there directly), and copied back."""
+    count = int(np.count_nonzero(moved))
+    if 0 < count < live:
+        perm = np.concatenate([np.flatnonzero(moved), np.flatnonzero(~moved)])
+        b, u, low, odd, order = stack
+        for arr, start in ((b, 0), (u, 0), (low, count), (odd, 0), (order, 0)):
+            tmp = scratch.view(arr.dtype)[start:live]
+            for row in arr.reshape(-1, arr.shape[-1]):
+                np.take(row[:live], perm[start:], out=tmp, mode="clip")
+                row[start:live] = tmp
+    return count
 
-    b (float) and u (int64) are (n, n, m) arrays, b[i, k] and u[i, k] holding
-    entry k of row i across the m matrices, so every row operation below is
-    an elementwise update of contiguous stack-length vectors.  low is the
-    (n, n, m) lower Gram-Schmidt factor of the incoming b (from
-    :func:`gram_schmidt_components`), which the first sweep uses; every later
-    sweep refactors b.  At n <= 4 a float64 Gram-Schmidt carries enough
-    precision for the size-reduction and swap decisions (the floating-point
-    LLL analysis of Nguyen and Stehle's L^2).
 
-    Returns (b', u', odd', sweeps, converged) with B' = U' @ B_input per
-    matrix (U' accumulated over u), odd' flagging the matrices whose swap
-    count (accumulated over odd) is odd, i.e. det U' = -1 (size reductions
-    have determinant one, each swap minus one), and converged telling
-    whether the last sweep was swap-free; it is False only when the pass
-    stopped at max_sweeps.  One swap per matrix per sweep keeps the batched
-    swaps independent.
+def _lll_rows(stack, stale: int, delta: float, max_sweeps: int) -> Tuple[int, bool, int]:
+    """One sweep-based row LLL pass over a component-major stack, in place.
+
+    stack is (b, u, low, odd, order): b (float) and u (int64) are (n, n, m)
+    arrays, b[i, k] and u[i, k] holding entry k of row i across the m
+    matrices, so every row operation below is an elementwise update of
+    contiguous stack-length vectors; low is the (n, n, m) lower Gram-Schmidt
+    factor of b (as :func:`gram_schmidt_lower` writes it); odd flags the
+    matrices whose swap count is odd, i.e. det U = -1 for the accumulated
+    transform U with B = U @ B_input (size reductions have determinant one,
+    each swap minus one); order carries each column's position in the input
+    stack.  The factors of the first ``stale`` columns are out of date and
+    are refactored before the first sweep; every other column's is fresh.
+    At n <= 4 a float64 Gram-Schmidt carries enough precision for the
+    size-reduction and swap decisions (the floating-point LLL analysis of
+    Nguyen and Stehle's L^2).  One swap per matrix per sweep keeps the
+    batched swaps independent.
+
+    Working set: a sweep in which a matrix meets no nonzero size-reduction
+    coefficient and no swap leaves its basis unchanged, so it would make the
+    same decisions in every later sweep of the pass.  Each sweep therefore
+    factors and sweeps only the matrices the previous sweep changed, kept as
+    a prefix of the stack: at the end of a sweep the changed matrices are
+    moved to the front (reordering every array of the stack) and the rest
+    leave the working set.  A matrix that leaves keeps the factor computed at
+    the start of that sweep, which is still fresh: updates by q = +-0 leave
+    low bit-identical, since no entry of a fresh factor is -0.0.  The first
+    sweep runs over the whole stack.
+
+    Returns (sweeps, converged, stale'): converged tells whether the last
+    sweep was swap-free (False only when the pass stopped at max_sweeps),
+    and the first stale' columns, the matrices the last sweep changed, hold
+    out-of-date factors.
 
     Raises OverflowError before an entry of u could wrap past the int64
-    range.  A per-row bound on max |u| over the stack, grown by each update,
-    screens the updates; only when it passes INT64_ROOM are the entries
-    themselves checked, and the bound is reset to their exact value.
+    range.  A per-row bound on max |u| over the working set, grown by each
+    update, screens the updates; only when it passes INT64_ROOM are the
+    entries themselves checked, and the bound is reset to their exact value.
+    A matrix outside the working set makes no update, so it cannot wrap.
     """
-    n = b.shape[0]
+    b, u, low, odd, _ = stack
+    n, _, live = b.shape
     bound = np.abs(u).max(axis=(1, 2)).astype(float)
+    # the sweep's stack-length temporaries go into these buffers, viewed over
+    # the working set: temporaries that shrank with the working set, sweep by
+    # sweep, fragmented the allocator's heap and raised the peak resident
+    # memory of a run although less memory was in use
+    vec = np.empty((4, live))
+    flags = np.empty((3, live), dtype=bool)
+    q_int = np.empty(live, dtype=np.int64)
+    rows_f = np.empty((n, live))
+    rows_i = np.empty((n, live), dtype=np.int64)
     sweeps = 0
     swapped = True
     for sweeps in range(1, max_sweeps + 1):
-        if sweeps > 1:
-            low = gram_schmidt_components(b)[0]
+        if stale:
+            gram_schmidt_lower(b[:, :, :stale], low[:, :, :stale])
+        bw, uw, lw = b[:, :, :live], u[:, :, :live], low[:, :, :live]
+        moved, pending, flag = flags[:, :live]
+        q, q_abs, _, _ = vec[:, :live]
+        qi, fw, iw = q_int[:live], rows_f[:, :live], rows_i[:, :live]
+        moved[...] = False
         # size-reduce row i against rows j < i, innermost first
         for i in range(1, n):
             for j in range(i - 1, -1, -1):
-                q = np.round(low[i, j] / low[j, j])
-                q_abs = np.abs(q)
-                q_max = float(q_abs.max())
+                np.round(np.divide(lw[i, j], lw[j, j], out=q), out=q)
+                q_max = float(np.abs(q, out=q_abs).max())
                 if q_max == 0.0:
                     continue
                 if q_max * bound[j] >= INT64_ROOM or bound[i] >= INT64_ROOM:
-                    bound[i], bound[j] = _exact_row_bounds(u[i], u[j], q_abs)
+                    bound[i], bound[j] = _exact_row_bounds(uw[i], uw[j], q_abs)
                 else:
                     bound[i] += q_max * bound[j]
-                b[i] -= q * b[j]
-                u[i] -= q.astype(np.int64) * u[j]
-                low[i, : j + 1] -= q * low[j, : j + 1]
-        # first violated swap position per matrix (Lovasz condition)
+                bw[i] -= np.multiply(q, bw[j], out=fw)
+                np.copyto(qi, q, casting="unsafe")
+                uw[i] -= np.multiply(qi, uw[j], out=iw)
+                lw[i, : j + 1] -= np.multiply(q, lw[j, : j + 1], out=fw[: j + 1])
+                moved |= np.not_equal(q, 0.0, out=flag)
+        # first violated swap position per matrix (Lovasz condition):
+        # |b*_k|^2 + mu_k^2 |b*_k-1|^2 < delta (1 - 1e-14) |b*_k-1|^2
         swapped = False
-        pending = np.ones(b.shape[2], dtype=bool)
+        pending[...] = True
+        mu, norm2_prev, lhs, rhs = vec[:, :live]
         for k in range(1, n):
-            mu_k = low[k, k - 1] / low[k - 1, k - 1]
-            norm2_prev = low[k - 1, k - 1] ** 2
-            bad = pending & (
-                low[k, k] ** 2 + mu_k**2 * norm2_prev
-                < delta * norm2_prev * (1.0 - 1e-14)
-            )
+            np.divide(lw[k, k - 1], lw[k - 1, k - 1], out=mu)
+            np.square(lw[k - 1, k - 1], out=norm2_prev)
+            np.square(lw[k, k], out=lhs)
+            lhs += np.multiply(np.square(mu, out=mu), norm2_prev, out=mu)
+            np.multiply(norm2_prev, delta, out=rhs)
+            rhs *= 1.0 - 1e-14
+            bad = np.less(lhs, rhs, out=flag)
+            bad &= pending
             if bad.any():
-                for rows in (b, u):
-                    prev = rows[k - 1].copy()
+                for rows, prev in ((bw, fw), (uw, iw)):
+                    np.copyto(prev, rows[k - 1])
                     np.copyto(rows[k - 1], rows[k], where=bad)
                     np.copyto(rows[k], prev, where=bad)
-                odd ^= bad
+                odd[:live] ^= bad
                 pending &= ~bad
                 swapped = True
                 bound[k - 1] = bound[k] = max(bound[k - 1], bound[k])
+        moved |= ~pending
+        live = stale = _to_front(stack, moved, live, rows_f[0])
         if not swapped:
             break
-    return b, u, odd, sweeps, not swapped
+    return sweeps, not swapped, stale
 
 
 def _reduce_stack(mats: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -289,31 +339,38 @@ def _reduce_stack(mats: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]
     (m, n, n), and the component-major (n, n, m) lower Gram-Schmidt factor
     of the row-reversed reps.
 
-    The working basis b and its integer transform u are kept component-major,
-    (n, n, m), through both passes and transposed back only to form gammas
-    and reps.  The Gram-Schmidt factor of the input, which sets the sweep
-    budget, is also the factor the first sweep of pass 1 starts from, so
-    each sweep factors b exactly once.  The final b is the row-reversed reps
-    in component-major layout, so its factor comes without a transpose.
+    The working basis b, its integer transform u and the factor low are kept
+    component-major, (n, n, m), through both passes, and each sweep of
+    :func:`_lll_rows` factors only the matrices the previous sweep changed,
+    reordering the stack to keep them in front; the arrays return to input
+    order only when gammas, reps and low are copied out.  The factor of the
+    input, which sets the sweep budget, is the one the first sweep of pass 1
+    reads; pass 2 starts from the factors pass 1 left, refactoring only the
+    matrices its last sweep changed, and so does the final factor, once the
+    odd-parity matrices have row n-1 negated.  The final b is the
+    row-reversed reps in component-major layout, so its factor comes without
+    a transpose.
     """
     m, n, _ = mats.shape
     b = np.ascontiguousarray(mats[:, ::-1, :].transpose(1, 2, 0))
-    u = np.repeat(np.eye(n, dtype=np.int64)[:, :, None], m, axis=2)
+    u = np.zeros((n, n, m), dtype=np.int64)
+    for i in range(n):
+        u[i, i] = 1
+    low = np.empty((n, n, m))
     odd = np.zeros(m, dtype=bool)
+    order = np.arange(m)
+    stack = (b, u, low, odd, order)
     # the sweep budget, past which a warning reports slow convergence, grows
     # with the input's log condition number.  The Gram-Schmidt diagonal holds
     # the eigenvalues of the triangular factor, so its spread max/min bounds
     # cond_2 from below: this budget never exceeds the one cond_2 would set
-    low = gram_schmidt_components(b)[0]
+    gram_schmidt_lower(b, low)
     diag = np.diagonal(low, axis1=0, axis2=1)
     spread = float(np.max(diag.max(axis=1) / diag.min(axis=1)))
     budget = int(8 * n * n * (1.0 + np.log10(max(spread, 1.0)))) + 16
     del diag
-    b, u, odd, s1, done1 = _lll_rows(b, u, odd, low, 0.75, MAX_SWEEPS)
-    del low  # each pass factors b afresh; holding an old factor only adds memory
-    b, u, odd, s2, done2 = _lll_rows(
-        b, u, odd, gram_schmidt_components(b)[0], 1.0 - 1e-9, MAX_SWEEPS
-    )
+    s1, done1, stale = _lll_rows(stack, 0, 0.75, MAX_SWEEPS)
+    s2, done2, stale = _lll_rows(stack, stale, 1.0 - 1e-9, MAX_SWEEPS)
     for label, done in (("first", done1), ("second", done2)):
         if not done:
             warnings.warn(
@@ -327,18 +384,27 @@ def _reduce_stack(mats: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]
         )
     # det gammas = det U' (the reversal conjugates it) = -1 after an odd
     # number of swaps; negating a row restores determinant one exactly, at
-    # any reducer size.  Row n-1 of the reversed basis is row 0 of reps
+    # any reducer size.  Row n-1 of the reversed basis is row 0 of reps.
+    # Negating a row negates its Gram-Schmidt coefficients exactly, and the
+    # kernel's sums 0.0 + c give +0.0 for either sign of a zero c, hence
+    # 0.0 - low rather than -low; the diagonal is a norm and stays
     np.negative(u[-1], out=u[-1], where=odd)
     np.negative(b[-1], out=b[-1], where=odd)
-    low = gram_schmidt_components(b)[0]
-    gammas = np.ascontiguousarray(u[::-1, ::-1].transpose(2, 0, 1))
+    np.subtract(0.0, low[-1, :-1], out=low[-1, :-1], where=odd)
+    gram_schmidt_lower(b[:, :, :stale], low[:, :, :stale])
+    gammas = np.empty((m, n, n), dtype=np.int64)
+    gammas[order] = u[::-1, ::-1].transpose(2, 0, 1)
     del u
     # keep the incrementally maintained basis as the representative: it
     # mirrors gammas @ mats exactly in exact arithmetic, but the one-shot
     # product would cancel catastrophically once the reducing coefficients
     # outgrow the small lattice scales
-    reps = np.ascontiguousarray(b[::-1].transpose(2, 0, 1))
-    return gammas, reps, low
+    reps = np.empty((m, n, n))
+    reps[order] = b[::-1].transpose(2, 0, 1)
+    del b, stack
+    inverse = np.empty(m, dtype=np.intp)
+    inverse[order] = np.arange(m)
+    return gammas, reps, np.take(low, inverse, axis=2)
 
 
 def _ratio_certified(low: np.ndarray, ratio_min: float) -> np.ndarray:

@@ -28,7 +28,7 @@ from escmass.cli import (
     summary_dict,
 )
 from escmass.limits import NotCoveredError, sequence_spec
-from escmass.measures import KINDS, one_param_unipotent
+from escmass.measures import KINDS, conjugator_bits, one_param_unipotent
 from escmass.qfield import QuadNum
 
 TAU = QuadNum.tau(0, 2)  # sqrt 2
@@ -437,6 +437,24 @@ def test_cli_conjugators_of_other_determinant_exit_4(tmp_path):
         r = _run_cli("run", str(p))
         assert r.returncode == EXIT_INPUT, name
         assert "determinant one" in r.stderr, name
+
+
+def test_conjugator_past_the_float64_budget_exits_4(tmp_path, capsys):
+    """gamma @ h @ gamma^-1 with the 1e8 conjugator cancels 1e16-sized terms
+    in float64; the run refuses it before sampling instead of crashing in
+    the reduced-bounds check."""
+    factor = {"kind": "one_param_unipotent", "n": 2, "coordinate": [0, 1]}
+    p = tmp_path / "big.json"
+    p.write_text(json.dumps(_product_doc({**factor, "conjugator": BIG_CONJUGATOR})))
+    assert main(["run", str(p), "--samples", "2000", "--jobs", "1"]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "float64 budget of 23 bits" in err and "53.2 bits" in err
+    # a small conjugator (2 bits) stays inside the budget and is sampled
+    p.write_text(json.dumps(_product_doc({**factor, "conjugator": [[2, 1], [1, 1]]})))
+    assert main(["run", str(p), "--samples", "2000", "--jobs", "1"]) in (EXIT_OK, EXIT_DISAGREE)
+    assert "budget" not in capsys.readouterr().err
+    for path in bundled_scenarios():
+        assert conjugator_bits(load_scenario(path.stem).sequence.subgroup) == 0.0
 
 
 def test_cli_list_catalog_is_stable_and_complete():

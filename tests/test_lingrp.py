@@ -17,6 +17,7 @@ from escmass.lingrp import (
     dalpha_product,
     d_function,
     gram_schmidt_components,
+    gram_schmidt_lower,
     gram_schmidt_rows,
     group_element,
     identity_element,
@@ -248,9 +249,41 @@ def test_gram_schmidt_blocks_change_no_bit(monkeypatch):
     )
     rows = mats[:, ::-1, :].transpose(1, 2, 0)
     low, q = gram_schmidt_components(rows)
+    # the lower factor alone, into a view of a longer array whose stale
+    # contents must not leak in
+    into = np.full(rows.shape[:2] + (len(mats) + 3,), np.nan)
+    gram_schmidt_lower(rows, into[:, :, 2:-1])
+    assert _same_bits(into[:, :, 2:-1], low)
+    assert np.isnan(into[:, :, :2]).all() and np.isnan(into[:, :, -1]).all()
     monkeypatch.setattr(lingrp, "GS_BLOCK", len(mats))
     whole_low, whole_q = gram_schmidt_components(rows)
     assert np.array_equal(low, whole_low) and np.array_equal(q, whole_q)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("kind", ["random", "cusp", "integer"])
+def test_negated_last_row_negates_its_coefficients(n, kind):
+    """Negating row n-1 of every matrix turns row n-1 of the lower factor
+    into 0.0 - low off the diagonal and changes no other bit; the reducer
+    uses this to fix the determinant sign without factoring again."""
+    rng = np.random.default_rng(17 * n + len(kind))
+    if kind == "random":
+        mats = _det_one_stack(n, 500, rng)
+    elif kind == "cusp":
+        mats, _ = _cusp_stack(n, 500, rng)
+    else:
+        mats = np.tile(np.eye(n), (5, 1, 1))
+        mats[1] = mats[1, ::-1]
+        mats[2, -1, 0] = -3.0
+        mats[3] = np.where(np.eye(n) > 0, 1.0, -0.0)
+        mats[4, 0, 1] = -0.0
+    rows = np.ascontiguousarray(mats.transpose(1, 2, 0))
+    low = gram_schmidt_components(rows)[0]
+    rows[-1] = -rows[-1]
+    flipped = gram_schmidt_components(rows)[0]
+    want = low.copy()
+    want[-1, :-1] = 0.0 - low[-1, :-1]
+    assert _same_bits(flipped, want)
 
 
 def _same_bits(x, y):

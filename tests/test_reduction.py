@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import escmass.reduction as reduction
-from escmass.cli import load_scenario
+from escmass.cli import bundled_scenarios, load_scenario, scenario_from_json
 from escmass.limits import sequence_translate
 from escmass.lingrp import (
     gram_schmidt_components,
@@ -311,16 +311,40 @@ def levi_stack():
 
 
 def test_reduction_does_not_depend_on_the_stack(levi_stack):
-    """Chunking must not change a single bit of any reducer or representative."""
-    gammas, reps, _ = reduce_siegel_batched(levi_stack)
+    """Chunking must not change a single bit of any reducer, representative
+    or factor, signs of zero included."""
+    whole = reduce_siegel_batched(levi_stack)
     for lo in range(0, len(levi_stack), 1000):
-        part_g, part_r, _ = reduce_siegel_batched(levi_stack[lo : lo + 1000])
-        assert np.array_equal(part_g, gammas[lo : lo + 1000])
-        assert np.array_equal(part_r, reps[lo : lo + 1000])
+        part = reduce_siegel_batched(levi_stack[lo : lo + 1000])
+        for x, y in zip(part, whole[:2]):
+            assert np.array_equal(_bits(x), _bits(y[lo : lo + 1000]))
+        assert np.array_equal(_bits(part[2]), _bits(whole[2][:, :, lo : lo + 1000]))
     for i in np.linspace(0, len(levi_stack) - 1, 50).astype(int):
-        one_g, one_r, _ = reduce_siegel_batched(levi_stack[i : i + 1])
-        assert np.array_equal(one_g[0], gammas[i])
-        assert np.array_equal(one_r[0], reps[i])
+        one = reduce_siegel_batched(levi_stack[i : i + 1])
+        for x, y in zip(one, whole[:2]):
+            assert np.array_equal(_bits(x[0]), _bits(y[i]))
+        assert np.array_equal(_bits(one[2][:, :, 0]), _bits(whole[2][:, :, i]))
+
+
+# Gram-Schmidt columns the full-array reducer factored for levi_stack:
+# the input once for the budget, 17 more sweeps of pass 1, 2 of pass 2 and
+# the final factor, 21 x 4,096
+FULL_ARRAY_COLUMNS = 86016
+
+
+def test_reducer_factors_only_the_matrices_that_moved(levi_stack, monkeypatch):
+    """Each sweep factors only the matrices the previous sweep changed."""
+    real = reduction.gram_schmidt_lower
+    columns = []
+
+    def counted(rows, low):
+        columns.append(rows.shape[2])
+        real(rows, low)
+
+    monkeypatch.setattr(reduction, "gram_schmidt_lower", counted)
+    reduction._reduce_stack(levi_stack)
+    assert sum(columns) == 50884
+    assert sum(columns) < FULL_ARRAY_COLUMNS
 
 
 def test_reduced_factor_gives_the_split_of_the_reps(levi_stack):
@@ -389,15 +413,195 @@ def _component_major(mats):
     return b, u, np.zeros(m, dtype=bool), gram_schmidt_components(b)[0]
 
 
+def _lll_pass(mats, max_sweeps):
+    b, u, odd, low = _component_major(mats)
+    stack = (b, u, low, odd, np.arange(len(mats)))
+    return reduction._lll_rows(stack, 0, 0.75, max_sweeps)
+
+
 def test_lll_pass_reports_whether_it_converged(levi_stack):
-    *_, sweeps, converged = reduction._lll_rows(
-        *_component_major(levi_stack), 0.75, max_sweeps=1
-    )
+    sweeps, converged, _ = _lll_pass(levi_stack, max_sweeps=1)
     assert sweeps == 1 and not converged
-    *_, sweeps, converged = reduction._lll_rows(
-        *_component_major(levi_stack), 0.75, max_sweeps=1000
-    )
+    sweeps, converged, _ = _lll_pass(levi_stack, max_sweeps=1000)
     assert 1 < sweeps < 1000 and converged
+
+
+# The full-array sweep loop, kept as an oracle for the working-set loop of
+# reduction._lll_rows: every sweep refactors and sweeps the whole stack.
+
+
+def _lll_rows_full(b, u, odd, low, delta, max_sweeps):
+    n = b.shape[0]
+    bound = np.abs(u).max(axis=(1, 2)).astype(float)
+    sweeps = 0
+    swapped = True
+    for sweeps in range(1, max_sweeps + 1):
+        if sweeps > 1:
+            low = gram_schmidt_components(b)[0]
+        for i in range(1, n):
+            for j in range(i - 1, -1, -1):
+                q = np.round(low[i, j] / low[j, j])
+                q_abs = np.abs(q)
+                q_max = float(q_abs.max())
+                if q_max == 0.0:
+                    continue
+                if q_max * bound[j] >= reduction.INT64_ROOM or bound[i] >= reduction.INT64_ROOM:
+                    bound[i], bound[j] = reduction._exact_row_bounds(u[i], u[j], q_abs)
+                else:
+                    bound[i] += q_max * bound[j]
+                b[i] -= q * b[j]
+                u[i] -= q.astype(np.int64) * u[j]
+                low[i, : j + 1] -= q * low[j, : j + 1]
+        swapped = False
+        pending = np.ones(b.shape[2], dtype=bool)
+        for k in range(1, n):
+            mu_k = low[k, k - 1] / low[k - 1, k - 1]
+            norm2_prev = low[k - 1, k - 1] ** 2
+            bad = pending & (
+                low[k, k] ** 2 + mu_k**2 * norm2_prev
+                < delta * norm2_prev * (1.0 - 1e-14)
+            )
+            if bad.any():
+                for rows in (b, u):
+                    prev = rows[k - 1].copy()
+                    np.copyto(rows[k - 1], rows[k], where=bad)
+                    np.copyto(rows[k], prev, where=bad)
+                odd ^= bad
+                pending &= ~bad
+                swapped = True
+                bound[k - 1] = bound[k] = max(bound[k - 1], bound[k])
+        if not swapped:
+            break
+    return b, u, odd, sweeps, not swapped
+
+
+def _reduce_stack_full(mats, passes):
+    """The two passes, the warnings and the final factor as the full-array
+    reducer ran them; appends each pass's (sweeps, converged) to passes."""
+    b, u, odd, low = _component_major(mats)
+    n = b.shape[0]
+    diag = np.diagonal(low, axis1=0, axis2=1)
+    spread = float(np.max(diag.max(axis=1) / diag.min(axis=1)))
+    budget = int(8 * n * n * (1.0 + np.log10(max(spread, 1.0)))) + 16
+    b, u, odd, s1, done1 = _lll_rows_full(b, u, odd, low, 0.75, reduction.MAX_SWEEPS)
+    b, u, odd, s2, done2 = _lll_rows_full(
+        b, u, odd, gram_schmidt_components(b)[0], 1.0 - 1e-9, reduction.MAX_SWEEPS
+    )
+    passes += [(s1, done1), (s2, done2)]
+    for label, done in (("first", done1), ("second", done2)):
+        if not done:
+            warnings.warn(
+                f"lattice reduction stopped its {label} pass at the "
+                f"{reduction.MAX_SWEEPS}-sweep cap with swaps still pending"
+            )
+    if s1 + s2 > budget:
+        warnings.warn(
+            f"lattice reduction used {s1 + s2} sweeps, above the "
+            f"conditioning-based budget {budget}"
+        )
+    np.negative(u[-1], out=u[-1], where=odd)
+    np.negative(b[-1], out=b[-1], where=odd)
+    low = gram_schmidt_components(b)[0]
+    gammas = np.ascontiguousarray(u[::-1, ::-1].transpose(2, 0, 1))
+    reps = np.ascontiguousarray(b[::-1].transpose(2, 0, 1))
+    return gammas, reps, low
+
+
+def _bits(x):
+    return x.view(np.uint64) if x.dtype == float else x
+
+
+def _reduce_both(mats, cap, monkeypatch):
+    """reduce_siegel_batched with the working-set reducer and with the
+    oracle, both under a sweep cap: each result, each pass's (sweeps,
+    converged) and the warnings."""
+    runs = []
+    real_lll, real_stack = reduction._lll_rows, reduction._reduce_stack
+    monkeypatch.setattr(reduction, "MAX_SWEEPS", cap)
+    for oracle in (False, True):
+        passes = []
+
+        def spy(*args):
+            out = real_lll(*args)
+            passes.append(out[:2])
+            return out
+
+        monkeypatch.setattr(reduction, "_lll_rows", spy)
+        monkeypatch.setattr(
+            reduction,
+            "_reduce_stack",
+            (lambda m: _reduce_stack_full(m, passes)) if oracle else real_stack,
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = reduce_siegel_batched(mats)
+        runs.append((out, passes, [str(w.message) for w in caught]))
+    monkeypatch.undo()
+    return runs
+
+
+def _zeros_stack(n):
+    """Exact zeros of both signs, permutations and diagonals, mixed with
+    random matrices that keep the stack moving after these have settled."""
+    mats = np.tile(np.eye(n), (12, 1, 1))
+    mats[1] = mats[1, ::-1]
+    mats[2, 0, -1] = -3.0
+    mats[3, -1, 0] = 2.0
+    mats[4] = np.diag(np.linspace(2.0, 0.5, n))
+    mats[5, 0, 1] = -0.0
+    mats[6] = np.where(np.eye(n) > 0, 1.0, -0.0)
+    mats[7] = -mats[6][::-1]
+    mats[8, :, 0] *= 1e6
+    mats[8, :, -1] /= 1e6
+    rng = np.random.default_rng(n)
+    for k in range(9, 12):
+        mats[k] = random_gamma(n, rng).astype(float) @ np.diag([7.0] + [1.0] * (n - 1))
+    return np.concatenate([mats, np.stack([random_sl(n, 4.0, rng).mat for _ in range(20)])])
+
+
+def _oracle_stacks(levi_stack):
+    yield "levi_stack", levi_stack
+    for path in bundled_scenarios():
+        if not path.stem.startswith("sl3_"):
+            continue
+        scn = load_scenario(path.stem)
+        g = sequence_translate(scn.sequence, max(scn.sequence.indices))
+        samples = sample_subgroup_array(scn.sequence.subgroup, 2048, scn.seed, scn.y_cap)
+        yield path.stem, samples[:, 0] @ g[0]
+    doc = {"schema": "escape-scenario/1", "name": "sl4",
+           "sequence": {"subgroup": {"kind": "embedded_sl2", "n": 4, "block": 1},
+                        "direction": ["3", "1", "-1", "-3"]}}
+    seq = scenario_from_json(doc).sequence
+    samples = sample_subgroup_array(seq.subgroup, 2048, 7, 1e6)
+    yield "sl4_embedded_sl2", samples[:, 0] @ sequence_translate(seq, 4)[0]
+    reduced = reduce_siegel_batched(levi_stack[:1000])[1]
+    yield "raw_and_reduced", np.concatenate([levi_stack[:1000], reduced])[::-1].copy()
+    yield "one_matrix", levi_stack[7:8]
+    yield "zeros_3", _zeros_stack(3)
+    yield "zeros_4", _zeros_stack(4)
+
+
+def test_working_set_matches_the_full_array_loop(levi_stack, monkeypatch):
+    """gammas, reps and low of the working-set reducer are the oracle's bit
+    for bit (signs of zero included), with the same sweeps per pass, the
+    same converged flags and the same warnings, also when the passes stop at
+    a one-sweep cap.  The oracle also refuses the index-9 stack that
+    test_reducer_overflow_raises_instead_of_wrapping gives the working-set
+    reducer."""
+    for name, mats in _oracle_stacks(levi_stack):
+        for cap in (reduction.MAX_SWEEPS, 1):
+            (got, got_passes, got_warn), (want, want_passes, want_warn) = _reduce_both(
+                mats, cap, monkeypatch
+            )
+            for x, y in zip(got, want):
+                assert np.array_equal(_bits(x), _bits(y)), (name, cap)
+            assert got_passes == want_passes and got_warn == want_warn, (name, cap)
+    scn = load_scenario("sl3_levi_block")
+    g = sequence_translate(scn.sequence, 9)
+    samples = sample_subgroup_array(scn.sequence.subgroup, 2048, 0, scn.y_cap)
+    monkeypatch.setattr(reduction, "_reduce_stack", lambda m: _reduce_stack_full(m, []))
+    with pytest.raises(OverflowError, match="int64 limit 2\\^63"):
+        reduce_siegel_batched(samples[:, 0] @ g[0])
 
 
 def test_sweep_cap_warns_naming_the_pass(levi_stack, monkeypatch):
