@@ -43,6 +43,7 @@ from .measures import (
     boundary_histogram,
     embedded_sl2,
     empirical_measure,
+    empirical_measures,
     format_histogram,
     full_unipotent_radical,
     levi_semisimple_nc,
@@ -71,6 +72,7 @@ __all__ = [
     "build_type_a",
     "embedded_sl2",
     "empirical_measure",
+    "empirical_measures",
     "format_histogram",
     "full_unipotent_radical",
     "group_element",

@@ -9,15 +9,13 @@ serial runs produce bit-identical results.
 
 Measures are stored column-wise (coordinate arrays, not object lists): at the
 sample counts the statistics need, per-point objects would cost gigabytes.
-``iter_points`` materializes classical per-point records on demand, with the
-orthogonal factor quotiented away (representatives are only ever defined up to
-right rotation).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
@@ -26,7 +24,6 @@ import numpy as np
 
 from .lingrp import (
     GroupElement,
-    LanglandsParts,
     ParabolicIndex,
     gram_schmidt_lower,
     iwasawa_batched,  # noqa: F401 - perfbench/tracing.py wraps this name here
@@ -34,7 +31,6 @@ from .lingrp import (
 )
 from .qfield import int_det, int_inverse, rat_mul
 from .reduction import (
-    ReducedPoint,
     reduce_siegel_batched,
     reduce_sl2_coords,
     siegel_default,
@@ -70,8 +66,9 @@ __all__ = [
     "sample_subgroup",
     "sample_subgroup_array",
     "pushforward",
-    "pushforward_array",
     "empirical_measure",
+    "empirical_measures",
+    "SamplingTimes",
     "boundary_histogram",
     "window_mass",
     "truncation_bound",
@@ -322,22 +319,43 @@ def _sample_modular_chunk(size: int, rng, y_cap: float) -> np.ndarray:
     return upper @ _rotation(rng.uniform(0.0, 2.0 * np.pi, size=size))
 
 
-def _sample_factor_chunk(spec: SubgroupSpec, size: int, rng, y_cap: float) -> np.ndarray:
-    n = spec.n
-    out = np.tile(np.eye(n), (size, 1, 1))
+def _uniform_coordinates(spec: SubgroupSpec) -> List[Tuple[int, int]]:
+    """The entries a unipotent kind samples uniformly, in stream order."""
+    if spec.kind == "one_param_unipotent":
+        return [spec.coordinate]
+    return list(ParabolicIndex(spec.n, spec.I).nilradical_coordinates())
+
+
+def _draw_factor_chunk(spec: SubgroupSpec, size: int, rng, y_cap: float) -> Optional[np.ndarray]:
+    """The random part of one chunk of a factor's samples, and the only step
+    that reads its RNG stream: (k, size) uniform columns for the k entries of
+    a unipotent kind, the (size, 2, 2) modular block of a 2x2-block kind, or
+    None for a trivial factor, which draws nothing."""
     if spec.kind == "trivial":
-        pass
-    elif spec.kind == "one_param_unipotent":
-        i, j = spec.coordinate
-        out[:, i, j] = rng.uniform(size=size)
-    elif spec.kind == "full_unipotent_radical":
-        for r, c in ParabolicIndex(n, spec.I).nilradical_coordinates():
-            out[:, r, c] = rng.uniform(size=size)
+        return None
+    if spec.kind in ("one_param_unipotent", "full_unipotent_radical"):
+        # one block draw reads the stream as one column after another would
+        return rng.uniform(size=(len(_uniform_coordinates(spec)), size))
+    if spec.kind in ("levi_semisimple_nc", "embedded_sl2"):
+        return _sample_modular_chunk(size, rng, y_cap)
+    raise ValueError(f"unknown kind {spec.kind}")  # pragma: no cover
+
+
+def _embed_factor_chunk(spec: SubgroupSpec, draw: Optional[np.ndarray], size: int) -> np.ndarray:
+    """The (size, n, n) samples a draw of spec stands for: the identity with
+    the drawn entries or block written in, conjugated if spec is.  A 2x2
+    block that fills an unconjugated n = 2 sample is returned as it is,
+    not copied; callers only read it."""
+    n = spec.n
+    if n == 2 and spec.kind == "embedded_sl2" and spec.conjugator is None:
+        return draw
+    out = np.tile(np.eye(n), (size, 1, 1))
+    if spec.kind in ("one_param_unipotent", "full_unipotent_radical"):
+        for (r, c), column in zip(_uniform_coordinates(spec), draw):
+            out[:, r, c] = column
     elif spec.kind in ("levi_semisimple_nc", "embedded_sl2"):
         b = spec.block
-        out[:, b : b + 2, b : b + 2] = _sample_modular_chunk(size, rng, y_cap)
-    else:  # pragma: no cover
-        raise ValueError(f"unknown kind {spec.kind}")
+        out[:, b : b + 2, b : b + 2] = draw
     if spec.conjugator is not None:
         gamma = np.array(spec.conjugator, dtype=float)
         out = gamma @ out @ np.array(int_inverse(spec.conjugator), dtype=float)
@@ -363,7 +381,8 @@ def sample_subgroup_array(
         lo = ci * CHUNK
         for f, fac in enumerate(factors):
             rng = np.random.default_rng([seed, ci, f])
-            out[lo : lo + size, f] = _sample_factor_chunk(fac, size, rng, y_cap)
+            draw = _draw_factor_chunk(fac, size, rng, y_cap)
+            out[lo : lo + size, f] = _embed_factor_chunk(fac, draw, size)
     return out
 
 
@@ -380,10 +399,6 @@ def sample_subgroup(
         tuple(GroupElement(arr[i, f], factor=f) for f in range(r))
         for i in range(len(arr))
     ]
-
-
-def pushforward_array(samples: np.ndarray, g: np.ndarray) -> np.ndarray:
-    return samples @ g
 
 
 def _translate_array(g, r: int, n: int) -> np.ndarray:
@@ -436,10 +451,6 @@ class EmpiricalMeasure:
     truncation: float
 
     @property
-    def weights(self) -> np.ndarray:
-        return np.full(self.sample_count, 1.0 / self.sample_count)
-
-    @property
     def factor_count(self) -> int:
         return self.log_a.shape[1]
 
@@ -459,24 +470,6 @@ class EmpiricalMeasure:
         roots = np.ascontiguousarray(diffs.reshape(self.sample_count, -1).T)
         roots.setflags(write=False)
         return roots
-
-    def iter_points(self) -> Iterator[ReducedPoint]:
-        """Materialize per-point records (single-factor, tracked-reducer
-        measures only).  The representative is the triangular part n @ a; the
-        rotation has been quotiented away, as the coset allows."""
-        if self.factor_count != 1 or self.gammas is None:
-            raise ValueError("per-point records need a single-factor tracked reduction")
-        n = self.n
-        iu = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        for idx in range(self.sample_count):
-            nil = np.eye(n)
-            for (i, j), v in zip(iu, self.u_coords[idx, 0]):
-                nil[i, j] = v
-            a = np.diag(np.exp(self.log_a[idx, 0]))
-            rep = GroupElement(nil @ a)
-            cache = LanglandsParts(nil, np.eye(n), a, np.eye(n))
-            gamma = tuple(tuple(int(v) for v in row) for row in self.gammas[idx, 0])
-            yield ReducedPoint(gamma, rep, cache)
 
 
 def truncation_bound(spec: SubgroupSpec, y_cap: float) -> float:
@@ -539,6 +532,122 @@ def _reduce_into(
         u_coords[:, col] = u_col
 
 
+@dataclass
+class SamplingTimes:
+    """Wall seconds of one :func:`empirical_measures` call: ``draw`` for the
+    draws all translates share, ``push_reduce[k]`` for embedding, pushing and
+    reducing translate k's samples."""
+
+    draw: float = 0.0
+    push_reduce: List[float] = field(default_factory=list)
+
+
+def empirical_measures(
+    spec: SubgroupSpec,
+    translates: Sequence,
+    count: int,
+    seed: int,
+    y_cap: float = Y_CAP_DEFAULT,
+    executor=None,
+    times: Optional[SamplingTimes] = None,
+) -> List[EmpiricalMeasure]:
+    """Sample the subgroup once, push the sample by every translate, reduce,
+    and keep each translate's coordinates.
+
+    The RNG streams are keyed by (seed, chunk, factor), never by translate,
+    so each chunk of each factor is drawn once and held while every
+    translate embeds it again, pushes it by flat gemms and reduces it
+    (lattice reduction for n = 3, 4, the half-plane walk for n = 2); the
+    coordinates are read from the Gram-Schmidt factor of the reduced stack,
+    and N and K of the split are never formed.  Only the draw is held across
+    translates, never the embedded n x n chunk, and it is dropped before the
+    last translate's reduction.  Every sample of a ``trivial`` factor is the
+    identity, so that factor is pushed and reduced as a one-matrix stack and
+    the result is broadcast over the samples: the reduction of a matrix does
+    not depend on the stack it comes in, so this changes no bit.
+
+    With an ``executor`` (a concurrent.futures.Executor) the translates of
+    each chunk are pushed and reduced as parallel tasks; every output bit is
+    the same.  ``times``, when given, receives the wall times.
+
+    Raises PrecisionBudgetError, before sampling, when a conjugator of spec
+    takes more than the float64 budget (see conjugator_bits).
+    """
+    _check_precision_budget(spec)
+    r, n = spec.shape
+    g_arrs = [_translate_array(g, r, n) for g in translates]
+    factors = spec.factors if spec.kind == "product" else (spec,)
+    last = len(g_arrs) - 1
+    times = SamplingTimes() if times is None else times
+    times.push_reduce = [0.0] * len(g_arrs)
+    # each translate's (log_a, u_coords, gammas), allocated before its first
+    # push rather than all up front
+    outs: List[Optional[tuple]] = [None] * len(g_arrs)
+
+    def views(k: int, rows: slice, f: int) -> list:
+        if outs[k] is None:
+            outs[k] = (
+                np.empty((count, r, n)),
+                np.empty((count, r, n * (n - 1) // 2)),
+                np.empty((count, r, n, n), dtype=np.int64) if n in (3, 4) else None,
+            )
+        return [None if a is None else a[rows, f] for a in outs[k]]
+
+    def push(k: int, f: int, fac: SubgroupSpec, draw, size: int) -> np.ndarray:
+        return _right_multiply(_embed_factor_chunk(fac, draw, size), g_arrs[k][f])
+
+    def push_reduce(k: int, f: int, rows: slice, fac: SubgroupSpec, draw, size: int) -> None:
+        t0 = time.monotonic()
+        out = views(k, rows, f)
+        _reduce_into(push(k, f, fac, draw, size), *out)
+        times.push_reduce[k] += time.monotonic() - t0
+
+    for ci, size in _chunk_plan(count):
+        rows = slice(ci * CHUNK, ci * CHUNK + size)
+        for f, fac in enumerate(factors):
+            if fac.kind == "trivial":
+                continue
+            t0 = time.monotonic()
+            draw = _draw_factor_chunk(fac, size, np.random.default_rng([seed, ci, f]), y_cap)
+            times.draw += time.monotonic() - t0
+            if executor is not None:
+                tasks = [
+                    executor.submit(push_reduce, k, f, rows, fac, draw, size)
+                    for k in range(len(g_arrs))
+                ]
+                for task in tasks:
+                    task.result()
+                continue
+            for k in range(len(g_arrs)):
+                t0 = time.monotonic()
+                out = views(k, rows, f)
+                pushed = push(k, f, fac, draw, size)
+                if k == last:  # a one-translate call holds nothing extra
+                    draw = None
+                _reduce_into(pushed, *out)
+                del pushed
+                times.push_reduce[k] += time.monotonic() - t0
+    # after the chunks, so that no translate's arrays exist before its first chunk
+    for f, fac in enumerate(factors):
+        if fac.kind == "trivial":  # draws nothing from its stream
+            for k in range(len(g_arrs)):
+                push_reduce(k, f, slice(None), fac, None, 1)
+    measures = []
+    for log_a, u_coords, gammas in outs:
+        _assert_reduced(log_a, u_coords, n)
+        measures.append(EmpiricalMeasure(
+            spec=spec,
+            log_a=log_a,
+            u_coords=u_coords,
+            gammas=gammas,
+            seed=seed,
+            sample_count=count,
+            y_cap=y_cap,
+            truncation=truncation_bound(spec, y_cap),
+        ))
+    return measures
+
+
 def empirical_measure(
     spec: SubgroupSpec,
     g,
@@ -546,54 +655,9 @@ def empirical_measure(
     seed: int,
     y_cap: float = Y_CAP_DEFAULT,
 ) -> EmpiricalMeasure:
-    """Sample the subgroup, push by g, reduce, and keep the coordinates.
-
-    Each factor's chunk is pushed by flat gemms, reduced (lattice
-    reduction for n = 3, 4, the half-plane walk for n = 2), and its
-    coordinates are read from the Gram-Schmidt factor of the reduced stack;
-    N and K of the split are never formed.  Every sample of a ``trivial``
-    factor is the identity, so that factor is pushed and reduced as a
-    one-matrix stack and the result is broadcast over the samples: the
-    reduction of a matrix does not depend on the stack it comes in, so this
-    changes no bit.
-
-    Raises PrecisionBudgetError, before sampling, when a conjugator of spec
-    takes more than the float64 budget (see conjugator_bits).
-    """
-    _check_precision_budget(spec)
-    r, n = spec.shape
-    g_arr = _translate_array(g, r, n)
-    factors = spec.factors if spec.kind == "product" else (spec,)
-    d_u = n * (n - 1) // 2
-    log_a = np.empty((count, r, n))
-    u_coords = np.empty((count, r, d_u))
-    gammas = np.empty((count, r, n, n), dtype=np.int64) if n in (3, 4) else None
-    for f, fac in enumerate(factors):
-        if fac.kind == "trivial":  # draws nothing from its stream
-            blocks = [(slice(None), 1, None)]
-        else:
-            blocks = [
-                (slice(ci * CHUNK, ci * CHUNK + size), size, np.random.default_rng([seed, ci, f]))
-                for ci, size in _chunk_plan(count)
-            ]
-        for rows, size, rng in blocks:
-            _reduce_into(
-                _right_multiply(_sample_factor_chunk(fac, size, rng, y_cap), g_arr[f]),
-                log_a[rows, f],
-                u_coords[rows, f],
-                None if gammas is None else gammas[rows, f],
-            )
-    _assert_reduced(log_a, u_coords, n)
-    return EmpiricalMeasure(
-        spec=spec,
-        log_a=log_a,
-        u_coords=u_coords,
-        gammas=gammas,
-        seed=seed,
-        sample_count=count,
-        y_cap=y_cap,
-        truncation=truncation_bound(spec, y_cap),
-    )
+    """Sample the subgroup, push by g, reduce, and keep the coordinates:
+    :func:`empirical_measures` for the one translate g."""
+    return empirical_measures(spec, [g], count, seed, y_cap)[0]
 
 
 # Above this diagonal ratio the u_ij entry of a reduced frame carries fewer

@@ -337,13 +337,14 @@ def _reduce_stack(mats: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]
     """Two LLL passes (delta = 3/4, then delta just below 1) over the
     row-reversed (m, n, n) stack; returns (gammas int64, reps float), both
     (m, n, n), and the component-major (n, n, m) lower Gram-Schmidt factor
-    of the row-reversed reps.
+    of the row-reversed reps.  reps is a view of the component-major final
+    basis, not a copy.
 
     The working basis b, its integer transform u and the factor low are kept
     component-major, (n, n, m), through both passes, and each sweep of
     :func:`_lll_rows` factors only the matrices the previous sweep changed,
     reordering the stack to keep them in front; the arrays return to input
-    order only when gammas, reps and low are copied out.  The factor of the
+    order only at the end, gammas by a copy and the basis and low in place.  The factor of the
     input, which sets the sweep budget, is the one the first sweep of pass 1
     reads; pass 2 starts from the factors pass 1 left, refactoring only the
     matrices its last sweep changed, and so does the final factor, once the
@@ -394,17 +395,22 @@ def _reduce_stack(mats: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]
     gram_schmidt_lower(b[:, :, :stale], low[:, :, :stale])
     gammas = np.empty((m, n, n), dtype=np.int64)
     gammas[order] = u[::-1, ::-1].transpose(2, 0, 1)
-    del u
+    del u, stack
+    # the basis and its factor return to input order in place, row by row
+    # through one stack-length vector, so no second full-size copy of either
+    # is made
+    inverse = np.empty(m, dtype=np.intp)
+    inverse[order] = np.arange(m)
+    scratch = np.empty(m)
+    for arr in (b, low):
+        for row in arr.reshape(-1, m):
+            np.take(row, inverse, out=scratch, mode="clip")
+            row[:] = scratch
     # keep the incrementally maintained basis as the representative: it
     # mirrors gammas @ mats exactly in exact arithmetic, but the one-shot
     # product would cancel catastrophically once the reducing coefficients
     # outgrow the small lattice scales
-    reps = np.empty((m, n, n))
-    reps[order] = b[::-1].transpose(2, 0, 1)
-    del b, stack
-    inverse = np.empty(m, dtype=np.intp)
-    inverse[order] = np.arange(m)
-    return gammas, reps, np.take(low, inverse, axis=2)
+    return gammas, b[::-1].transpose(2, 0, 1), low
 
 
 def _ratio_certified(low: np.ndarray, ratio_min: float) -> np.ndarray:

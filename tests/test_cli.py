@@ -215,6 +215,36 @@ def test_cli_run_ok_and_outputs_are_byte_identical(tmp_path):
         assert len(pts) == 513
         assert (tmp_path / "a" / f"histograms_{idx}.txt").exists()
     assert (tmp_path / "a" / "meta.txt").read_text().startswith("scenario sl2_cusp")
+    _assert_same_outputs(tmp_path / "a", tmp_path / "b")
+
+
+def _assert_same_outputs(a, b):
+    """Every output file but the timings in meta.txt, byte for byte."""
+    names = sorted(p.name for p in a.iterdir())
+    assert names == sorted(p.name for p in b.iterdir())
+    for name in names:
+        if name != "meta.txt":
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+def test_jobs_keep_sl3_outputs_over_several_chunks(tmp_path, monkeypatch):
+    """Translate indices pushed and reduced in parallel, chunk by chunk,
+    write the same files as a serial run."""
+    import escmass.measures
+
+    monkeypatch.setattr(escmass.measures, "CHUNK", 512)
+    for jobs in ("1", "3"):
+        argv = ["run", "sl3_levi_block", "--samples", "1300", "--jobs", jobs]
+        assert main([*argv, "--out", str(tmp_path / jobs)]) == EXIT_OK
+    _assert_same_outputs(tmp_path / "1", tmp_path / "3")
+    meta = (tmp_path / "3" / "meta.txt").read_text().splitlines()
+    assert meta[2].startswith("sample ") and meta[3].startswith("index 1: push+reduce ")
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_jobs_below_one_exit_4(jobs, capsys):
+    assert main(["run", "sl2_cusp", "--samples", "100", "--jobs", jobs]) == EXIT_INPUT
+    assert "--jobs must be positive" in capsys.readouterr().err
 
 
 # sha256 of summary.json for every bundled scenario at --samples 4096

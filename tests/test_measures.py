@@ -153,8 +153,8 @@ def test_empirical_measure_compact_orbit_interior():
     spec = full_unipotent_radical(3, [])
     m = empirical_measure(spec, identity_element(3), 2000, seed=6)
     assert m.sample_count == 2000
-    assert m.weights.sum() == pytest.approx(1.0)
     h = boundary_histogram(m, t_esc=50.0)
+    assert sum(h.mass.values()) == pytest.approx(1.0)
     assert h.fraction({0, 1}) == 1.0
     assert format_histogram(h).splitlines()[1].startswith("interior")
 
@@ -266,6 +266,26 @@ def test_flat_gemm_pushforward_matches_the_stacked_matmul(n, length):
     assert _same_bits(measures._right_multiply(stack, g), stack @ g)
 
 
+def _sample_factor_chunk(spec, size, rng, y_cap):
+    """The sampler before draws were shared across translates, kept as an
+    oracle: draw and embed one chunk of a factor in one step."""
+    n = spec.n
+    out = np.tile(np.eye(n), (size, 1, 1))
+    if spec.kind == "one_param_unipotent":
+        i, j = spec.coordinate
+        out[:, i, j] = rng.uniform(size=size)
+    elif spec.kind == "full_unipotent_radical":
+        for r, c in measures.ParabolicIndex(n, spec.I).nilradical_coordinates():
+            out[:, r, c] = rng.uniform(size=size)
+    elif spec.kind in ("levi_semisimple_nc", "embedded_sl2"):
+        b = spec.block
+        out[:, b : b + 2, b : b + 2] = measures._sample_modular_chunk(size, rng, y_cap)
+    if spec.conjugator is not None:
+        gamma = np.array(spec.conjugator, dtype=float)
+        out = gamma @ out @ np.array(measures.int_inverse(spec.conjugator), dtype=float)
+    return out
+
+
 def _empirical_measure_full(spec, g, count, seed, y_cap=measures.Y_CAP_DEFAULT):
     """The old form of empirical_measure, kept as an oracle: every factor,
     trivial ones too, is sampled as a full stack, pushed by the stacked
@@ -282,7 +302,7 @@ def _empirical_measure_full(spec, g, count, seed, y_cap=measures.Y_CAP_DEFAULT):
         lo = ci * CHUNK
         for f, fac in enumerate(factors):
             rng = np.random.default_rng([seed, ci, f])
-            pushed = measures._sample_factor_chunk(fac, size, rng, y_cap) @ g_arr[f]
+            pushed = _sample_factor_chunk(fac, size, rng, y_cap) @ g_arr[f]
             if n in (3, 4):
                 gams, reps, _ = measures.reduce_siegel_batched(pushed)
                 nil, a, _ = iwasawa_batched(reps)
@@ -301,14 +321,20 @@ def _empirical_measure_full(spec, g, count, seed, y_cap=measures.Y_CAP_DEFAULT):
     return log_a, u_coords, gammas
 
 
+def _bits(x):
+    return x.view(np.uint64) if x.dtype == np.float64 else x
+
+
 def _assert_same_measure(m, full):
+    """log_a and u_coords as uint64 bits (so signed zeros count), gammas as
+    int64."""
     log_a, u_coords, gammas = full
-    assert _same_bits(m.log_a, log_a)
-    assert _same_bits(m.u_coords, u_coords)
+    assert np.array_equal(_bits(m.log_a), _bits(log_a))
+    assert np.array_equal(_bits(m.u_coords), _bits(u_coords))
     if gammas is None:
         assert m.gammas is None
     else:
-        assert np.array_equal(m.gammas, gammas)
+        assert m.gammas.dtype == np.int64 and np.array_equal(m.gammas, gammas)
 
 
 def test_trivial_factors_reduced_once_match_full_stacks():
@@ -350,6 +376,138 @@ def test_reduced_path_matches_the_iwasawa_split_of_the_reps(spec):
     g = np.diag(np.exp(4.0 * np.linspace(1.0, -1.0, n)))
     m = empirical_measure(spec, g, 3000, seed=42)
     _assert_same_measure(m, _empirical_measure_full(spec, g, 3000, seed=42))
+
+
+# ---------------------------------------------------------------------------
+# draws shared across translates
+
+
+def _empirical_measure_per_index(spec, g, count, seed, y_cap=measures.Y_CAP_DEFAULT):
+    """empirical_measure before draws were shared, kept as an oracle: one
+    translate per call, each chunk drawn and embedded in one step."""
+    r, n = spec.shape
+    g_arr = measures._translate_array(g, r, n)
+    factors = spec.factors if spec.kind == "product" else (spec,)
+    log_a = np.empty((count, r, n))
+    u_coords = np.empty((count, r, n * (n - 1) // 2))
+    gammas = np.empty((count, r, n, n), dtype=np.int64) if n in (3, 4) else None
+    for f, fac in enumerate(factors):
+        if fac.kind == "trivial":
+            blocks = [(slice(None), 1, None)]
+        else:
+            blocks = [
+                (slice(ci * measures.CHUNK, ci * measures.CHUNK + size), size,
+                 np.random.default_rng([seed, ci, f]))
+                for ci, size in measures._chunk_plan(count)
+            ]
+        for rows, size, rng in blocks:
+            measures._reduce_into(
+                measures._right_multiply(_sample_factor_chunk(fac, size, rng, y_cap), g_arr[f]),
+                log_a[rows, f],
+                u_coords[rows, f],
+                None if gammas is None else gammas[rows, f],
+            )
+    return log_a, u_coords, gammas
+
+
+def _test_translates(n, indices):
+    """diag(e^(1.5 k v)) times a fixed unipotent with a rational and an
+    irrational entry, v running from 1 down to -1."""
+    bounded = np.eye(n)
+    bounded[0, -1] = 0.5
+    bounded[n - 2, n - 1] += math.sqrt(2.0)
+    return [np.diag(np.exp(1.5 * k * np.linspace(1.0, -1.0, n))) @ bounded for k in indices]
+
+
+def _scenario_case(name):
+    from escmass.cli import load_scenario, sequence_translate
+
+    seq = load_scenario(name).sequence
+    return seq.subgroup, lambda indices: [sequence_translate(seq, k) for k in indices]
+
+
+_GAMMA3 = ((1, 1, 0), (0, 1, 0), (0, 0, 1))
+SHARED_DRAW_CASES = {
+    "sl2_cusp": lambda: _scenario_case("sl2_cusp"),
+    "sl2_mixed": lambda: _scenario_case("sl2_mixed"),
+    "product_embedded_trivial": lambda: (
+        product_subgroup([trivial_subgroup(2), embedded_sl2(2), one_param_unipotent(2, (0, 1))]),
+        lambda indices: [np.stack([g] * 3) for g in _test_translates(2, indices)],
+    ),
+    "n3_radical": lambda: (full_unipotent_radical(3, []), lambda i: _test_translates(3, i)),
+    "n3_radical_wall": lambda: (full_unipotent_radical(3, [1]), lambda i: _test_translates(3, i)),
+    "n3_levi": lambda: (levi_semisimple_nc(3, 1), lambda i: _test_translates(3, i)),
+    "n3_embedded": lambda: (embedded_sl2(3, 0), lambda i: _test_translates(3, i)),
+    "n3_line": lambda: (one_param_unipotent(3, (0, 2)), lambda i: _test_translates(3, i)),
+    "n3_trivial": lambda: (trivial_subgroup(3), lambda i: _test_translates(3, i)),
+    "n4_levi": lambda: (levi_semisimple_nc(4, 1), lambda i: _test_translates(4, i)),
+    "n3_conjugated": lambda: (
+        embedded_sl2(3, 1, conjugator=_GAMMA3), lambda i: _test_translates(3, i)
+    ),
+    "product_conjugated": lambda: (
+        product_subgroup([embedded_sl2(2, conjugator=((2, 1), (1, 1))), embedded_sl2(2)]),
+        lambda indices: [np.stack([g] * 2) for g in _test_translates(2, indices)],
+    ),
+}
+
+
+@pytest.mark.parametrize("indices", [(2,), (1, 2, 4)], ids=["one", "three"])
+@pytest.mark.parametrize("case", sorted(SHARED_DRAW_CASES))
+def test_shared_draws_match_per_index_measures(case, indices, monkeypatch):
+    """One empirical_measures call gives, bit for bit, the measures of one
+    per-index call each; several chunks, the last one short."""
+    monkeypatch.setattr(measures, "CHUNK", 512)
+    spec, translates = SHARED_DRAW_CASES[case]()
+    gs = translates(indices)
+    count = 1027
+    got = measures.empirical_measures(spec, gs, count, seed=43)
+    assert len(got) == len(gs)
+    for m, g in zip(got, gs):
+        assert m.sample_count == count and m.spec == spec
+        _assert_same_measure(m, _empirical_measure_per_index(spec, g, count, seed=43))
+
+
+@pytest.mark.parametrize("parallel", [False, True], ids=["serial", "executor"])
+def test_each_chunk_is_drawn_once(parallel, monkeypatch):
+    """Three translates share one draw per (chunk, non-trivial factor); a
+    trivial factor draws nothing."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    monkeypatch.setattr(measures, "CHUNK", 512)
+    draws = []
+    draw = measures._draw_factor_chunk
+
+    def spy(spec, size, rng, y_cap):
+        draws.append(tuple(rng.bit_generator.seed_seq.entropy))
+        return draw(spec, size, rng, y_cap)
+
+    monkeypatch.setattr(measures, "_draw_factor_chunk", spy)
+    spec = product_subgroup([one_param_unipotent(2, (0, 1)), trivial_subgroup(2), embedded_sl2(2)])
+    gs = [np.stack([g] * 3) for g in _test_translates(2, (1, 2, 4))]
+    times = measures.SamplingTimes()
+    if parallel:
+        with ThreadPoolExecutor(3) as pool:
+            got = measures.empirical_measures(spec, gs, 1027, 44, executor=pool, times=times)
+    else:
+        got = measures.empirical_measures(spec, gs, 1027, 44, times=times)
+    assert sorted(draws) == [(44, ci, f) for ci in range(3) for f in (0, 2)]
+    assert len(times.push_reduce) == 3 and min(times.push_reduce) > 0.0
+    for m, g in zip(got, gs):
+        _assert_same_measure(m, _empirical_measure_per_index(spec, g, 1027, 44))
+
+
+@pytest.mark.parametrize("case", sorted(SHARED_DRAW_CASES))
+def test_sample_subgroup_array_matches_the_one_step_sampler(case, monkeypatch):
+    monkeypatch.setattr(measures, "CHUNK", 512)
+    spec, _ = SHARED_DRAW_CASES[case]()
+    r, n = spec.shape
+    factors = spec.factors if spec.kind == "product" else (spec,)
+    want = np.empty((1027, r, n, n))
+    for ci, size in measures._chunk_plan(1027):
+        for f, fac in enumerate(factors):
+            rng = np.random.default_rng([45, ci, f])
+            want[ci * 512 : ci * 512 + size, f] = _sample_factor_chunk(fac, size, rng, 1.0e4)
+    assert np.array_equal(_bits(sample_subgroup_array(spec, 1027, seed=45)), _bits(want))
 
 
 # ---------------------------------------------------------------------------
