@@ -559,7 +559,7 @@ def points_text(m: EmpiricalMeasure, cap: int = POINTS_CAP) -> str:
     k = min(cap, m.sample_count)
     factor = " ".join(["%+.9e"] * n) + "   " + " ".join(["%+.9e"] * d)
     line = "  |  ".join([factor] * r)
-    rows = np.concatenate([m.log_a[:k], m.u_coords[:k]], axis=2).reshape(k, -1)
+    rows = np.concatenate([m.log_a[:k], m.u_coords[:k]], axis=2).reshape(k, r * (n + d))
     lines = [
         f"# {k} of {m.sample_count} reduced points; per factor: "
         "log_a[0..n-1] then row-major strictly-upper u entries"

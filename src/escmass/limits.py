@@ -283,14 +283,6 @@ def _lie_fits(X: FracMatrix, P: ParabolicIndex) -> bool:
     )
 
 
-def _group_fits(m: QMatrix, P: ParabolicIndex) -> bool:
-    blk = _block_of(P)
-    n = P.n
-    return all(
-        m[r][c].is_zero() for r in range(n) for c in range(n) if blk[r] > blk[c]
-    )
-
-
 def _perm_sign(p: Sequence[int]) -> int:
     sign = 1
     for i in range(len(p)):

@@ -1,6 +1,6 @@
 """Catalog of arithmetically-clean subgroups, Haar samplers on their integer
-quotients, pushforward by a group translate, and empirical boundary statistics
-in reduced coordinates.
+quotients, the push of the samples by a group translate (right
+multiplication), and empirical boundary statistics in reduced coordinates.
 
 The sampler output and all reduced statistics are deterministic functions of
 (spec, count, seed, translate): sampling happens in fixed-size chunks, each
@@ -63,9 +63,7 @@ __all__ = [
     "trivial_subgroup",
     "product_subgroup",
     "lie_generators",
-    "sample_subgroup",
     "sample_subgroup_array",
-    "pushforward",
     "empirical_measure",
     "empirical_measures",
     "SamplingTimes",
@@ -386,21 +384,6 @@ def sample_subgroup_array(
     return out
 
 
-def sample_subgroup(
-    spec: SubgroupSpec, count: int, seed: int, y_cap: float = Y_CAP_DEFAULT
-) -> List:
-    """Object form of :func:`sample_subgroup_array`: a list of GroupElement
-    (or per-factor tuples of them, for products)."""
-    arr = sample_subgroup_array(spec, count, seed, y_cap)
-    r = arr.shape[1]
-    if r == 1:
-        return [GroupElement(arr[i, 0]) for i in range(len(arr))]
-    return [
-        tuple(GroupElement(arr[i, f], factor=f) for f in range(r))
-        for i in range(len(arr))
-    ]
-
-
 def _translate_array(g, r: int, n: int) -> np.ndarray:
     if g is None:
         return np.tile(np.eye(n), (r, 1, 1))
@@ -415,17 +398,6 @@ def _translate_array(g, r: int, n: int) -> np.ndarray:
     if arr.shape != (r, n, n):
         raise ValueError(f"translate shape {arr.shape} does not match ({r},{n},{n})")
     return arr
-
-
-def pushforward(samples: Sequence, g) -> List:
-    """Right-translate each sample by g (GroupElement, or per-factor tuple)."""
-    out = []
-    for h in samples:
-        if isinstance(h, GroupElement):
-            out.append(h @ (g if isinstance(g, GroupElement) else g[0]))
-        else:
-            out.append(tuple(hf @ gf for hf, gf in zip(h, g)))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -481,8 +453,8 @@ def truncation_bound(spec: SubgroupSpec, y_cap: float) -> float:
     return 0.0
 
 
-# Matrices per gemm of the pushforward.  Each block stays in cache, and at
-# most 4096 * 4^3 = 2^18 multiply-adds it stays within the size that
+# Matrices per gemm of the push by a translate.  Each block stays in cache,
+# and at most 4096 * 4^3 = 2^18 multiply-adds it stays within the size that
 # OpenBLAS runs on one thread; a threaded split of this thin product was
 # seen to stall for 75-85 ms on a loaded 2-CPU host, against 3 ms for one
 # thread.
@@ -748,9 +720,9 @@ class CoordinateWindow:
 
 def window_mass(m: EmpiricalMeasure, box: CoordinateWindow) -> float:
     """Fraction of the sample cloud inside the window."""
-    logs = m.root_log_values()
-    inside = np.all(np.exp(logs) <= box.alpha_max, axis=1)
-    inside &= np.all(np.exp(logs) >= box.alpha_min, axis=1)
+    alphas = np.exp(m.root_log_values())
+    inside = np.all(alphas <= box.alpha_max, axis=1)
+    inside &= np.all(alphas >= box.alpha_min, axis=1)
     flat_u = m.u_coords.reshape(m.sample_count, -1)
     inside &= np.all(np.abs(flat_u) <= box.u_max, axis=1)
     return float(np.count_nonzero(inside)) / m.sample_count

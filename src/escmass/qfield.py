@@ -390,6 +390,34 @@ def rat_mul(a, b):
     return tuple(out)
 
 
+def rat_inverse(m):
+    """Inverse of a square matrix of rationals, by Gauss-Jordan elimination
+    in Fractions; raises ValueError on a singular matrix.
+
+    >>> rat_inverse(((2, 1), (1, 1)))[1]
+    (Fraction(-1, 1), Fraction(2, 1))
+    >>> rat_inverse(((1, 2), (2, 4)))
+    Traceback (most recent call last):
+    ...
+    ValueError: singular matrix
+    """
+    n = len(m)
+    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(m)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if piv is None:
+            raise ValueError("singular matrix")
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = 1 / aug[col][col]
+        aug[col] = [x * inv for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
+    return tuple(tuple(row[n:]) for row in aug)
+
+
 def _cofactor_det(m: List[List[int]]) -> int:
     n = len(m)
     if n == 1:
@@ -490,6 +518,3 @@ def qmat_unipotent_inverse(x: QMatrix) -> QMatrix:
         return _transpose(_upper_unitriangular_inverse(_transpose(x)))
     raise ValueError("not a unitriangular matrix")
 
-
-def qmat_float(x: QMatrix) -> list:
-    return [[float(v) for v in row] for row in x]

@@ -1,30 +1,26 @@
-"""Reduction of points into Siegel coordinates for the integer quotients of
-SL_n (n = 2, 3, 4), with exact integer reducers, plus bounded enumeration of
-the integer group for truncated infima.
+"""Reduction of stacks of points into Siegel coordinates for the integer
+quotients of SL_n (n = 2, 3, 4), plus bounded enumeration of the integer
+group for truncated infima.
 
 Points of the quotient are left cosets of the integer subgroup, so reducers
 multiply on the left: ``rep = gamma @ original``.  For n = 2 the classical
-translate/invert walk on the upper half-plane is exact; for n = 3, 4 we run
-lattice basis reduction on the rows of the matrix, which meets the Siegel
-bounds only up to a controlled slack (the swap threshold cannot reach the
-exact chamber wall), hence the small tolerances carried by ``SiegelSet``.
+translate/invert walk on the upper half-plane runs on coordinates only
+(:func:`reduce_sl2_coords`, no reducers are tracked); for n = 3, 4
+:func:`reduce_siegel_batched` runs lattice basis reduction on the rows of
+each matrix, with int64 reducers of determinant exactly one.  It meets the
+Siegel bounds only up to a controlled slack (the swap threshold cannot reach
+the exact chamber wall), hence the small tolerances carried by ``SiegelSet``.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Tuple
+from typing import Iterator, Tuple
 
 import numpy as np
 
-from .lingrp import (
-    GroupElement,
-    LanglandsParts,
-    gram_schmidt_lower,
-    group_element,
-    iwasawa,
-)
+from .lingrp import gram_schmidt_lower
 
 RATIO_SLACK = 1e-6
 U_SLACK = 1e-9
@@ -32,15 +28,10 @@ DISC_BOUND = 1.0 - 1e-12  # lowest admissible |z| for reduced half-plane points
 
 __all__ = [
     "SiegelSet",
-    "ReducedPoint",
     "siegel_default",
-    "reduce_sl2",
     "reduce_sl2_coords",
-    "reduce_siegel",
     "reduce_siegel_batched",
-    "in_siegel",
     "enumerate_gamma",
-    "format_columnar",
 ]
 
 
@@ -73,76 +64,15 @@ def siegel_default(n: int) -> SiegelSet:
     return SiegelSet(n=n, t=2.0 / np.sqrt(3.0) + RATIO_SLACK, u_bound=0.5 + U_SLACK)
 
 
-@dataclass(frozen=True, eq=False)
-class ReducedPoint:
-    """A reduced coset representative: ``rep = gamma @ original`` with gamma
-    integral of determinant one, plus the cached triangular split of rep."""
-
-    gamma: Tuple[Tuple[int, ...], ...]
-    rep: GroupElement
-    iwasawa_cache: LanglandsParts
-
-    @property
-    def a_diag(self) -> np.ndarray:
-        return self.iwasawa_cache.a_diag
-
-    @property
-    def u_coords(self) -> np.ndarray:
-        n = self.rep.n
-        nil = self.iwasawa_cache.n_part
-        return np.array([nil[i, j] for i in range(n) for j in range(i + 1, n)])
-
-
-def _as_int_rows(mat: np.ndarray) -> Tuple[Tuple[int, ...], ...]:
-    return tuple(tuple(int(x) for x in row) for row in np.asarray(mat))
-
-
-def _make_point(gamma_rows, original: GroupElement) -> ReducedPoint:
-    gamma = _as_int_rows(gamma_rows)
-    rep_mat = np.array(gamma, dtype=float) @ original.mat
-    rep = GroupElement(np.ascontiguousarray(rep_mat), original.factor)
-    return ReducedPoint(gamma, rep, iwasawa(rep))
-
-
 # ---------------------------------------------------------------------------
-# n = 2: exact translate/invert walk
-
-
-def reduce_sl2(g: GroupElement) -> ReducedPoint:
-    """Move the half-plane point of g into |Re z| <= 1/2, |z| >= 1.
-
-    >>> import numpy as np
-    >>> pt = reduce_sl2(group_element([[1.0, 5.0], [0.0, 1.0]]))
-    >>> pt.gamma
-    ((1, -5), (0, 1))
-    """
-    if g.n != 2:
-        raise ValueError("reduce_sl2 needs a 2x2 element")
-    a, b, c, d = (float(v) for v in g.mat.ravel())
-    den = c * c + d * d
-    x, y = (a * c + b * d) / den, 1.0 / den
-    ga, gb, gc, gd = 1, 0, 0, 1  # integer reducer rows, exact
-    for _ in range(100000):
-        m = round(x)
-        if m != 0:
-            x -= m
-            ga, gb = ga - m * gc, gb - m * gd
-        norm2 = x * x + y * y
-        if norm2 < DISC_BOUND:
-            x, y = -x / norm2, y / norm2
-            ga, gb, gc, gd = -gc, -gd, ga, gb
-        else:
-            break
-    else:  # pragma: no cover - the walk strictly increases y
-        raise RuntimeError("half-plane reduction failed to terminate")
-    return _make_point(((ga, gb), (gc, gd)), g)
+# n = 2: translate/invert walk on half-plane coordinates
 
 
 def reduce_sl2_coords(
     x: np.ndarray, y: np.ndarray, max_iter: int = 64
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Vectorized coordinate-only form of :func:`reduce_sl2` for mass
-    statistics; no reducers are tracked.
+    """Move the half-plane points x + iy into |Re z| <= 1/2, |z| >= 1, for
+    mass statistics; no reducers are tracked.
 
     Each iteration translates into |Re z| <= 1/2 and inverts the points still
     inside the unit disc.  Only those points, the live set, are carried into
@@ -470,36 +400,6 @@ def reduce_siegel_batched(
     return gammas, reps, low
 
 
-def reduce_siegel(g: GroupElement) -> ReducedPoint:
-    """Reduce one element of SL_3 or SL_4 and verify the target bounds."""
-    if g.n not in (3, 4):
-        raise ValueError("reduce_siegel handles n in {3, 4}; use reduce_sl2 for n=2")
-    gammas = reduce_siegel_batched(g.mat[None])[0]
-    point = _make_point(gammas[0], g)
-    if not in_siegel(point.rep, siegel_default(g.n)):
-        raise RuntimeError("reduction finished outside the target bounds")
-    return point
-
-
-def in_siegel(g: GroupElement, s: SiegelSet) -> bool:
-    """Whether the triangular coordinates of g satisfy the stored bounds."""
-    if g.n != s.n:
-        raise ValueError(f"bounds are for n={s.n}, element has n={g.n}")
-    parts = iwasawa(g)
-    a = parts.a_diag
-    for i in range(g.n - 1):
-        ratio = a[i] / a[i + 1]
-        if ratio < s.ratio_min:
-            return False
-        assert 1.0 / ratio <= s.t  # the two stored conventions must agree
-    nil = parts.n_part
-    for i in range(g.n):
-        for j in range(i + 1, g.n):
-            if abs(nil[i, j]) > s.u_bound:
-                return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # bounded enumeration of the integer group
 
@@ -535,23 +435,3 @@ def enumerate_gamma(n: int, height: int) -> Iterator[np.ndarray]:
         dets = np.rint(np.linalg.det(mats.astype(float)))
         for mat in mats[dets == 1.0]:
             yield mat
-
-
-# ---------------------------------------------------------------------------
-# columnar serialization
-
-
-def format_columnar(points: Sequence[ReducedPoint]) -> str:
-    """One line per point: reducer entries, then off-diagonal coordinates,
-    then log-diagonal coordinates."""
-    if not points:
-        return "# empty batch\n"
-    n = points[0].rep.n
-    header = f"# n={n} columns: gamma[{n * n}] u[{n * (n - 1) // 2}] loga[{n}]"
-    lines = [header]
-    for pt in points:
-        gamma = " ".join(str(v) for row in pt.gamma for v in row)
-        u = " ".join(format(v, ".17g") for v in pt.u_coords)
-        loga = " ".join(format(v, ".17g") for v in np.log(pt.a_diag))
-        lines.append(f"{gamma} {u} {loga}")
-    return "\n".join(lines) + "\n"

@@ -23,6 +23,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Sequence, Tuple
 
+from .qfield import rat_inverse
+
 Vector = Tuple[Fraction, ...]
 Perm = Tuple[int, ...]  # one-line notation on {0..n-1}
 
@@ -275,33 +277,12 @@ def weyl_elements(rs: RootSystem) -> Iterator[WeylElement]:
 
 
 # ---------------------------------------------------------------------------
-# exact linear algebra (small, Fraction-based)
-
-
-def _invert_rational_matrix(m: Sequence[Sequence[Fraction]]) -> List[List[Fraction]]:
-    n = len(m)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(m)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+# weights
 
 
 @lru_cache(maxsize=None)
 def _inverse_cartan(rs: RootSystem) -> Tuple[Tuple[Fraction, ...], ...]:
-    m = [[Fraction(x) for x in row] for row in rs.cartan]
-    return tuple(tuple(row) for row in _invert_rational_matrix(m))
-
-
-# ---------------------------------------------------------------------------
-# weights
+    return rat_inverse(rs.cartan)
 
 
 def quasi_fundamental_weights(rs: RootSystem) -> List[WeightVector]:
@@ -340,7 +321,7 @@ def project_weight(rs: RootSystem, I: Iterable[int], w: WeightVector) -> WeightV
         return WeightVector(rs, tuple(Fraction(0) for _ in range(rs.rank)))
     c = rs.cartan
     gram = [[Fraction(c[a][b]) for b in idx] for a in idx]
-    ginv = _invert_rational_matrix(gram)
+    ginv = rat_inverse(gram)
     # pairing of w with each alpha_a, a in I: (C x)_a for Delta-coords x
     rhs = []
     for a in idx:

@@ -21,6 +21,7 @@ from escmass.cli import (
     load_scenario,
     main,
     parse_entry,
+    points_text,
     predicted_label,
     resolve_scenario_path,
     run_scenario,
@@ -28,7 +29,16 @@ from escmass.cli import (
     summary_dict,
 )
 from escmass.limits import NotCoveredError, sequence_spec
-from escmass.measures import KINDS, conjugator_bits, one_param_unipotent
+from escmass.measures import (
+    KINDS,
+    conjugator_bits,
+    embedded_sl2,
+    empirical_measure,
+    full_unipotent_radical,
+    one_param_unipotent,
+    product_subgroup,
+    trivial_subgroup,
+)
 from escmass.qfield import QuadNum
 
 TAU = QuadNum.tau(0, 2)  # sqrt 2
@@ -225,6 +235,42 @@ def _assert_same_outputs(a, b):
     for name in names:
         if name != "meta.txt":
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+@pytest.mark.parametrize(
+    "spec, count, cap",
+    [
+        (full_unipotent_radical(3, []), 9, 4),
+        (full_unipotent_radical(3, []), 3, 512),
+        (
+            product_subgroup(
+                [embedded_sl2(2), one_param_unipotent(2, (0, 1)), trivial_subgroup(2)]
+            ),
+            6,
+            6,
+        ),
+    ],
+)
+def test_points_text_layout(spec, count, cap):
+    """The header, min(cap, count) point lines, n + n(n-1)/2 fields per
+    factor with factors separated by '|', and the measure's values."""
+    m = empirical_measure(spec, None, count, seed=3)
+    r, n = spec.shape
+    lines = points_text(m, cap).splitlines()
+    k = min(cap, count)
+    assert lines[0] == (
+        f"# {k} of {count} reduced points; per factor: "
+        "log_a[0..n-1] then row-major strictly-upper u entries"
+    )
+    assert len(lines) == k + 1
+    for i, line in enumerate(lines[1:]):
+        factors = line.split("|")
+        assert len(factors) == r
+        for f, text in enumerate(factors):
+            fields = [float(v) for v in text.split()]
+            assert len(fields) == n + n * (n - 1) // 2
+            want = list(m.log_a[i, f]) + list(m.u_coords[i, f])
+            assert fields == pytest.approx(want, rel=1e-9)
 
 
 def test_jobs_keep_sl3_outputs_over_several_chunks(tmp_path, monkeypatch):

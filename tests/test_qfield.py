@@ -17,7 +17,10 @@ from escmass.qfield import (
     qmat_identity,
     qmat_mul,
     qmat_unipotent_inverse,
+    rat_inverse,
+    rat_mul,
 )
+from escmass.rootsys import build_product, build_type_a
 
 
 def test_doctests():
@@ -333,3 +336,16 @@ def test_int_inverse_is_the_inverse(n, ops):
     assert all(type(x) is int for row in inv for x in row)
     prod = [[sum(m[i][k] * inv[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
     assert prod == [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def test_rat_inverse_inverts_cartan_matrices_and_refuses_singular_ones():
+    systems = [build_type_a(n) for n in range(2, 5)] + [build_product([3, 2, 4])]
+    for rs in systems:
+        k = rs.rank
+        identity = tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
+        assert rat_mul(rs.cartan, rat_inverse(rs.cartan)) == identity
+    half = ((Fraction(1, 2), Fraction(1, 3)), (Fraction(1, 5), Fraction(1, 7)))
+    assert rat_mul(half, rat_inverse(half)) == ((1, 0), (0, 1))
+    for singular in (((1, 2), (2, 4)), ((0, 0), (0, 0)), ((1, 2, 3), (4, 5, 6), (7, 8, 9))):
+        with pytest.raises(ValueError, match="singular"):
+            rat_inverse(singular)

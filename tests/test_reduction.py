@@ -1,8 +1,11 @@
 """Reduction checks.
 
-The membership predicate is the oracle for the lattice-reduction path; the
-half-plane walk has frozen hand-computed examples.  The integer enumeration
-is compared against an independent brute-force filter written inline.
+The test-file predicate :func:`_in_siegel`, which reads the bounds off the
+object-level Iwasawa split, is the oracle for the lattice-reduction path;
+the exact translate/invert walk :func:`_reduce_sl2`, kept here with frozen
+hand-computed examples, is the oracle for the half-plane walk.  The integer
+enumeration is compared against an independent brute-force filter written
+inline.
 """
 
 import doctest
@@ -13,9 +16,10 @@ import numpy as np
 import pytest
 
 import escmass.reduction as reduction
-from escmass.cli import bundled_scenarios, load_scenario, scenario_from_json
+from escmass.cli import bundled_scenarios, load_scenario, points_text, scenario_from_json
 from escmass.limits import sequence_translate
 from escmass.lingrp import (
+    GroupElement,
     gram_schmidt_components,
     group_element,
     identity_element,
@@ -23,16 +27,16 @@ from escmass.lingrp import (
     iwasawa_batched,
     iwasawa_coordinates,
 )
-from escmass.measures import empirical_measure, sample_subgroup_array
+from escmass.measures import (
+    EmpiricalMeasure,
+    embedded_sl2,
+    empirical_measure,
+    sample_subgroup_array,
+)
 from escmass.reduction import (
-    ReducedPoint,
     SiegelSet,
     enumerate_gamma,
-    format_columnar,
-    in_siegel,
-    reduce_siegel,
     reduce_siegel_batched,
-    reduce_sl2,
     reduce_sl2_coords,
     siegel_default,
 )
@@ -56,10 +60,64 @@ def random_gamma(n, rng=RNG, steps=8):
     return g
 
 
-def half_plane_point(pt):
-    parts = pt.iwasawa_cache
-    y = parts.a_diag[0] / parts.a_diag[1]
-    return parts.n_part[0, 1], y
+def _reduce_sl2(g):
+    """The exact translate/invert walk on the half-plane point of one 2x2
+    element: returns the integer reducer rows and the representative
+    gamma @ g."""
+    a, b, c, d = (float(v) for v in g.mat.ravel())
+    den = c * c + d * d
+    x, y = (a * c + b * d) / den, 1.0 / den
+    ga, gb, gc, gd = 1, 0, 0, 1  # integer reducer rows, exact
+    while True:  # each inversion strictly increases y
+        m = round(x)
+        if m != 0:
+            x -= m
+            ga, gb = ga - m * gc, gb - m * gd
+        norm2 = x * x + y * y
+        if norm2 >= reduction.DISC_BOUND:
+            break
+        x, y = -x / norm2, y / norm2
+        ga, gb, gc, gd = -gc, -gd, ga, gb
+    gamma = ((ga, gb), (gc, gd))
+    return gamma, np.array(gamma, dtype=float) @ g.mat
+
+
+def _in_siegel(mat, s):
+    """Whether the triangular coordinates of one matrix satisfy the bounds."""
+    parts = iwasawa(GroupElement(np.asarray(mat, dtype=float)))
+    a = parts.a_diag
+    if np.any(a[:-1] / a[1:] < s.ratio_min):
+        return False
+    return bool(np.all(np.abs(parts.n_part[np.triu_indices(s.n, 1)]) <= s.u_bound))
+
+
+def half_plane_point(mats):
+    """x + iy of each 2x2 matrix of a stack: the upper entry of N and the
+    diagonal ratio of its Iwasawa split."""
+    nil, a, _ = iwasawa_batched(np.asarray(mats, dtype=float).reshape(-1, 2, 2))
+    return nil[:, 0, 1], a[:, 0] / a[:, 1]
+
+
+def _reduce_sl2_point(g):
+    """reduce_sl2_coords on the half-plane point of one element."""
+    x, y = reduce_sl2_coords(*half_plane_point(g.mat))
+    return x[0], y[0]
+
+
+def _reduced(mats):
+    """reduce_siegel_batched on a (m, n, n) stack, with the checks on every
+    matrix: gammas @ mats = reps, det gamma = 1 exactly and reps inside the
+    default Siegel set.  Returns gammas, reps, the diagonals a (m, n) and the
+    strictly upper entries u (m, n(n-1)/2) of the reduced split."""
+    mats = np.asarray(mats, dtype=float)
+    gammas, reps, low = reduce_siegel_batched(mats)
+    s = siegel_default(mats.shape[1])
+    assert np.allclose(gammas.astype(float) @ mats, reps, atol=1e-9)
+    for gamma, rep in zip(gammas, reps):
+        assert _exact_det(gamma.tolist()) == 1
+        assert _in_siegel(rep, s)
+    a, u = iwasawa_coordinates(low)
+    return gammas, reps, np.stack(a, axis=1), np.stack(u, axis=1)
 
 
 def test_doctests():
@@ -79,47 +137,46 @@ def test_siegel_set_conventions():
 
 
 def test_reduce_sl2_identity():
-    pt = reduce_sl2(identity_element(2))
-    assert pt.gamma == ((1, 0), (0, 1))
-    x, y = half_plane_point(pt)
+    g = identity_element(2)
+    assert _reduce_sl2(g)[0] == ((1, 0), (0, 1))
+    x, y = _reduce_sl2_point(g)
     assert abs(x) < 1e-12 and abs(y - 1.0) < 1e-12
 
 
 def test_reduce_sl2_translation():
-    pt = reduce_sl2(group_element([[1.0, 5.0], [0.0, 1.0]]))
-    assert pt.gamma == ((1, -5), (0, 1))
-    x, y = half_plane_point(pt)
+    g = group_element([[1.0, 5.0], [0.0, 1.0]])
+    assert _reduce_sl2(g)[0] == ((1, -5), (0, 1))
+    x, y = _reduce_sl2_point(g)
     assert abs(x) < 1e-12 and abs(y - 1.0) < 1e-12
 
 
 def test_reduce_sl2_inversion():
     s = np.sqrt(0.1)
-    pt = reduce_sl2(group_element([[s, 0.0], [0.0, 1.0 / s]]))
-    assert pt.gamma == ((0, -1), (1, 0))
-    x, y = half_plane_point(pt)
+    g = group_element([[s, 0.0], [0.0, 1.0 / s]])
+    assert _reduce_sl2(g)[0] == ((0, -1), (1, 0))
+    x, y = _reduce_sl2_point(g)
     assert abs(x) < 1e-12 and abs(y - 10.0) < 1e-9
 
 
 def test_reduce_sl2_membership_random():
-    for _ in range(200):
-        g = random_sl(2, scale=2.0)
-        pt = reduce_sl2(g)
-        x, y = half_plane_point(pt)
-        assert abs(x) <= 0.5 + 1e-12
-        assert x * x + y * y >= 1.0 - 1e-11
-        gamma = np.array(pt.gamma, dtype=float)
-        assert np.linalg.det(gamma) == pytest.approx(1.0)
-        assert np.allclose(gamma @ g.mat, pt.rep.mat)
+    gs = [random_sl(2, scale=2.0) for _ in range(200)]
+    x, y = reduce_sl2_coords(*half_plane_point(np.stack([g.mat for g in gs])))
+    assert np.all(np.abs(x) <= 0.5 + 1e-12)
+    assert np.all(x * x + y * y >= 1.0 - 1e-11)
+    for g, yi in zip(gs, y):
+        gamma, rep = _reduce_sl2(g)
+        assert _exact_det(gamma) == 1
+        assert np.allclose(np.array(gamma, dtype=float) @ g.mat, rep)
+        assert abs(half_plane_point(rep)[1][0] - yi) <= 1e-9 * yi
 
 
 def test_reduce_sl2_gamma_invariance():
+    pairs = []
     for _ in range(50):
         g = random_sl(2, scale=2.0)
-        gamma = random_gamma(2)
-        p1 = reduce_sl2(g)
-        p2 = reduce_sl2(group_element(gamma.astype(float) @ g.mat))
-        x1, y1 = half_plane_point(p1)
-        x2, y2 = half_plane_point(p2)
+        pairs += [g.mat, random_gamma(2).astype(float) @ g.mat]
+    x, y = reduce_sl2_coords(*half_plane_point(np.stack(pairs)))
+    for x1, y1, x2, y2 in zip(x[::2], y[::2], x[1::2], y[1::2]):
         # interior points reduce uniquely; boundary ties allowed to differ in x
         if y1 > 1.01 and abs(abs(x1) - 0.5) > 1e-3:
             assert abs(x1 - x2) < 1e-6 and abs(y1 - y2) < 1e-6
@@ -133,7 +190,7 @@ def test_reduce_sl2_coords_matches_elementwise():
     rx, ry = reduce_sl2_coords(xs, ys)
     for i in range(0, 300, 17):
         mat = [[np.sqrt(ys[i]), xs[i] / np.sqrt(ys[i])], [0.0, 1.0 / np.sqrt(ys[i])]]
-        x1, y1 = half_plane_point(reduce_sl2(group_element(mat)))
+        (x1,), (y1,) = half_plane_point(_reduce_sl2(group_element(mat))[1])
         assert abs(ry[i] - y1) < 1e-9
         if y1 > 1.01 and abs(abs(x1) - 0.5) > 1e-3:
             assert abs(rx[i] - x1) < 1e-9
@@ -199,72 +256,57 @@ def test_live_set_walk_matches_the_full_array_loop():
 
 
 def test_reduce_siegel_identity_and_integer_cosets():
-    pt = reduce_siegel(identity_element(3))
-    assert np.allclose(pt.rep.mat @ pt.rep.mat.T, np.eye(3), atol=1e-12)
-    assert np.allclose(pt.a_diag, 1.0, atol=1e-9)
+    _, reps, a, _ = _reduced(np.eye(3)[None])
+    assert np.allclose(reps[0] @ reps[0].T, np.eye(3), atol=1e-12)
+    assert np.allclose(a, 1.0, atol=1e-9)
     for n in (3, 4):
         gamma = random_gamma(n)
-        pt = reduce_siegel(group_element(gamma.astype(float)))
-        assert np.allclose(pt.a_diag, 1.0, atol=1e-9)
+        _, _, a, _ = _reduced(gamma.astype(float)[None])
+        assert np.allclose(a, 1.0, atol=1e-9)
 
 
 def test_reduce_siegel_membership_random():
-    s3, s4 = siegel_default(3), siegel_default(4)
-    for n, s in ((3, s3), (4, s4)):
+    for n in (3, 4):
         for scale in (1.0, 5.0):
-            for _ in range(40):
-                g = random_sl(n, scale=scale)
-                pt = reduce_siegel(g)
-                assert in_siegel(pt.rep, s)
-                gamma = np.array(pt.gamma, dtype=float)
-                assert np.linalg.det(gamma) == pytest.approx(1.0)
-                assert np.allclose(gamma @ g.mat, pt.rep.mat, atol=1e-9)
+            _reduced(np.stack([random_sl(n, scale=scale).mat for _ in range(40)]))
 
 
 def test_reduce_siegel_batched_matches_single():
     mats = np.stack([random_sl(3, scale=3.0).mat for _ in range(32)])
     gammas, reps, _ = reduce_siegel_batched(mats)
     for i in range(0, 32, 7):
-        pt = reduce_siegel(group_element(mats[i]))
-        assert np.array_equal(gammas[i], np.array(pt.gamma))
-        assert np.allclose(reps[i], pt.rep.mat)
+        gamma, rep, _, _ = _reduced(mats[i : i + 1])
+        assert np.array_equal(gammas[i], gamma[0])
+        assert np.allclose(reps[i], rep[0])
 
 
 def test_reduce_siegel_far_diagonal():
     g = group_element(np.diag([50.0, 1.0, 0.02]))
-    pt = reduce_siegel(g)
-    assert in_siegel(pt.rep, siegel_default(3))
+    _, reps, _, _ = _reduced(g.mat[None])
+    assert _in_siegel(reps[0], siegel_default(3))
+
+
+def _interior(a, u):
+    ratios = a[:, :-1] / a[:, 1:]
+    return np.all(ratios > np.sqrt(3) / 2 * 1.05, axis=1) & np.all(np.abs(u) < 0.45, axis=1)
 
 
 def test_reduce_siegel_idempotent_interior():
-    checked = 0
-    for _ in range(60):
-        g = random_sl(3, scale=2.0)
-        pt = reduce_siegel(g)
-        a = pt.a_diag
-        ratios = a[:-1] / a[1:]
-        interior = np.all(ratios > np.sqrt(3) / 2 * 1.05) and np.all(
-            np.abs(pt.u_coords) < 0.45
-        )
-        if interior:
-            again = reduce_siegel(pt.rep)
-            assert np.array_equal(np.array(again.gamma), np.eye(3, dtype=int))
-            checked += 1
-    assert checked >= 5
+    _, reps, a, u = _reduced(np.stack([random_sl(3, scale=2.0).mat for _ in range(60)]))
+    interior = _interior(a, u)
+    assert np.count_nonzero(interior) >= 5
+    again = _reduced(reps[interior])[0]
+    assert np.array_equal(again, np.tile(np.eye(3, dtype=np.int64), (len(again), 1, 1)))
 
 
 def test_reduce_siegel_gamma_invariance_of_a_part():
+    mats = []
     for _ in range(30):
         g = random_sl(3, scale=2.0)
-        p1 = reduce_siegel(g)
-        p2 = reduce_siegel(group_element(random_gamma(3).astype(float) @ g.mat))
-        a1, a2 = p1.a_diag, p2.a_diag
-        ratios = a1[:-1] / a1[1:]
-        interior = np.all(ratios > np.sqrt(3) / 2 * 1.05) and np.all(
-            np.abs(p1.u_coords) < 0.45
-        )
-        if interior:
-            assert np.allclose(a1, a2, atol=1e-6)
+        mats += [g.mat, random_gamma(3).astype(float) @ g.mat]
+    _, _, a, u = _reduced(np.stack(mats))
+    interior = _interior(a[::2], u[::2])
+    assert np.allclose(a[::2][interior], a[1::2][interior], atol=1e-6)
 
 
 def _exact_det(rows):
@@ -617,12 +659,12 @@ def test_sweep_cap_warns_naming_the_pass(levi_stack, monkeypatch):
 
 
 def test_in_siegel_examples():
-    assert in_siegel(identity_element(2), siegel_default(2))
+    assert _in_siegel(identity_element(2).mat, siegel_default(2))
     y = 0.01
     low = group_element([[np.sqrt(y), 0.0], [0.0, 1.0 / np.sqrt(y)]])
-    assert not in_siegel(low, siegel_default(2))
+    assert not _in_siegel(low.mat, siegel_default(2))
     shifted = group_element([[1.0, 0.8], [0.0, 1.0]])
-    assert not in_siegel(shifted, siegel_default(2))
+    assert not _in_siegel(shifted.mat, siegel_default(2))
 
 
 def brute_force_sl_count(n, height):
@@ -666,12 +708,15 @@ def test_enumerate_gamma_trivia():
 
 
 def test_format_columnar():
-    pts = [reduce_sl2(identity_element(2)), reduce_sl2(group_element([[1.0, 5.0], [0.0, 1.0]]))]
-    text = format_columnar(pts)
-    lines = text.strip().split("\n")
-    assert lines[0].startswith("# n=2")
+    """Reduced points are written in columns by cli.points_text."""
+    mats = np.stack([np.eye(2), [[1.0, 5.0], [0.0, 1.0]]])
+    x, y = reduce_sl2_coords(*half_plane_point(mats))
+    log_a = np.stack([0.5 * np.log(y), -0.5 * np.log(y)], axis=1)[:, None]
+    m = EmpiricalMeasure(embedded_sl2(2), log_a, x[:, None, None], None, 0, 2, 1e4, 0.0)
+    lines = points_text(m).strip().split("\n")
+    assert lines[0].startswith("# 2 of 2 reduced points")
     assert len(lines) == 3
-    first = lines[1].split()
-    assert first[:4] == ["1", "0", "0", "1"]
-    assert len(first) == 4 + 1 + 2
-    assert format_columnar([]).startswith("# empty")
+    first = [float(v) for v in lines[1].split()]
+    assert first == [0.0, 0.0, 0.0]
+    assert len(first) == 2 + 1
+    assert points_text(m, cap=0).startswith("# 0 of 2")
