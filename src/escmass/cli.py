@@ -88,7 +88,8 @@ from .measures import (
     PrecisionBudgetError,
     SamplingTimes,
     SubgroupSpec,
-    boundary_histogram,
+    boundary_histogram,  # noqa: F401 - perfbench/tracing.py wraps this name here
+    boundary_histograms,
     embedded_sl2,
     empirical_measure,  # noqa: F401 - perfbench/tracing.py wraps this name here
     empirical_measures,
@@ -451,7 +452,7 @@ def _histograms(m: EmpiricalMeasure, t_sweep) -> Dict[float, BoundaryHistogram]:
     # the histograms cache root log-values on a throwaway handle on the same
     # arrays, so the measure the run keeps for its outputs does not hold them
     view = replace(m)
-    return {t: boundary_histogram(view, t) for t in t_sweep}
+    return dict(zip(t_sweep, boundary_histograms(view, t_sweep)))
 
 
 def run_scenario(scn: Scenario, jobs: int = 1) -> RunResult:

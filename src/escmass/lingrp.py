@@ -220,13 +220,26 @@ class RootValueVector:
 GS_BLOCK = 8192
 
 
-def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Dot products of the columns of two (n, m) arrays, summed in a fixed
-    order (einsum's order, and so its rounding, varies with m)."""
-    acc = x[0] * y[0]
-    for k in range(1, len(x)):
-        acc += x[k] * y[k]
-    return acc
+def _dot(x: np.ndarray, y: np.ndarray, out: np.ndarray, prod: np.ndarray) -> np.ndarray:
+    """Dot products of the columns of two (n, m) arrays into ``out``, summed
+    in a fixed order (einsum's order, and so its rounding, varies with m);
+    ``prod`` is (n, m) scratch."""
+    np.multiply(x, y, out=prod)
+    if len(x) == 1:
+        np.copyto(out, prod[0])
+    else:
+        np.add(prod[0], prod[1], out=out)
+    for k in range(2, len(x)):
+        out += prod[k]
+    return out
+
+
+def _workspace(n: int, m: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Scratch for :func:`_gram_schmidt_block` on blocks of at most
+    ``GS_BLOCK`` of m matrices: the residual rows, the products and the dot
+    products, allocated once per factored stack."""
+    size = min(m, GS_BLOCK)
+    return np.empty((n, size)), np.empty((n, size)), np.empty(size)
 
 
 def gram_schmidt_components(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -248,11 +261,13 @@ def gram_schmidt_components(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     stack it came in, and the stack is processed in column blocks of
     ``GS_BLOCK`` matrices.
     """
-    low = np.zeros(rows.shape)
+    n, _, m = rows.shape
+    low = np.empty(rows.shape)
     q = np.empty(rows.shape)
-    for start in range(0, rows.shape[2], GS_BLOCK):
+    work = _workspace(n, m)
+    for start in range(0, m, GS_BLOCK):
         cols = slice(start, start + GS_BLOCK)
-        _gram_schmidt_block(rows[:, :, cols], low[:, :, cols], q[:, :, cols])
+        _gram_schmidt_block(rows[:, :, cols], low[:, :, cols], q[:, :, cols], work)
     return low, q
 
 
@@ -260,30 +275,40 @@ def gram_schmidt_lower(rows: np.ndarray, low: np.ndarray) -> None:
     """The lower factor of :func:`gram_schmidt_components`, bit for bit,
     written into the caller's (n, n, m) array ``low`` (a view of a longer
     stack will do).  The directions only live in one ``GS_BLOCK``-sized
-    scratch, so factoring a stack allocates no array of its length."""
+    scratch, without the last one, which the factor does not need, so
+    factoring a stack allocates no array of its length."""
     n, _, m = rows.shape
-    q = np.empty((n, n, min(m, GS_BLOCK)))
+    q = np.empty((n - 1, n, min(m, GS_BLOCK)))
+    work = _workspace(n, m)
     for start in range(0, m, GS_BLOCK):
         cols = slice(start, start + GS_BLOCK)
         block = low[:, :, cols]
-        block[...] = 0.0
-        _gram_schmidt_block(rows[:, :, cols], block, q[:, :, : block.shape[2]])
+        _gram_schmidt_block(rows[:, :, cols], block, q[:, :, : block.shape[2]], work)
 
 
-def _gram_schmidt_block(rows: np.ndarray, low: np.ndarray, q: np.ndarray) -> None:
-    """The kernel on one column block, accumulating into a zeroed view of
-    low and writing the directions into q."""
-    n = rows.shape[0]
+def _gram_schmidt_block(rows: np.ndarray, low: np.ndarray, q: np.ndarray, work) -> None:
+    """The kernel on one column block: writes every entry of low, zeros
+    above the diagonal included, and the first len(q) directions into q;
+    work is :func:`_workspace` scratch.  Each coefficient is summed as
+    (0.0 + c_1) + c_2 over the two projections, so a zero coefficient comes
+    out +0.0."""
+    n, _, m = rows.shape
+    v, prod, c = (w[..., :m] for w in work)
     for i in range(n):
-        v = rows[i].copy()
-        for _ in range(2):
+        low[i, i + 1 :] = 0.0
+        res = rows[i]  # the residual, in v from its first projection on
+        for sweep in range(2):
             for j in range(i):
-                c = _dot(q[j], v)
-                low[i, j] += c
-                v -= c * q[j]
-        norm = np.sqrt(_dot(v, v))
-        low[i, i] = norm
-        q[i] = v / norm
+                _dot(q[j], res, c, prod)
+                if sweep:
+                    low[i, j] += c
+                else:
+                    np.add(c, 0.0, out=low[i, j])
+                np.multiply(q[j], c, out=prod)
+                res = np.subtract(res, prod, out=v)
+        norm = np.sqrt(_dot(res, res, low[i, i], prod), out=low[i, i])
+        if i < len(q):
+            np.divide(res, norm, out=q[i])
 
 
 def gram_schmidt_rows(b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

@@ -68,6 +68,7 @@ __all__ = [
     "empirical_measures",
     "SamplingTimes",
     "boundary_histogram",
+    "boundary_histograms",
     "window_mass",
     "truncation_bound",
     "conjugator_bits",
@@ -496,9 +497,8 @@ def _reduce_into(
         gram_schmidt_lower(pushed[:, ::-1, :].transpose(1, 2, 0), low)
         a, u = iwasawa_coordinates(low)
         x, y = reduce_sl2_coords(u[0], a[0] / a[1])
-        half = 0.5 * np.log(y)
-        log_a[:, 0] = half
-        log_a[:, 1] = -half
+        half = np.multiply(np.log(y, out=y), 0.5, out=log_a[:, 0])
+        np.negative(half, out=log_a[:, 1])
         u = [x]
     for col, u_col in enumerate(u):
         u_coords[:, col] = u_col
@@ -685,27 +685,87 @@ class BoundaryHistogram:
         return max(sorted(self.mass, key=lambda s: tuple(sorted(s))), key=self.mass.get)
 
 
-def boundary_histogram(m: EmpiricalMeasure, t_esc: float = T_ESC_DEFAULT) -> BoundaryHistogram:
-    """Empirical mass over component labels at escape threshold t_esc."""
-    if t_esc <= 2.0 / np.sqrt(3.0):
-        raise ValueError("threshold must sit above the reduced-domain floor")
+# Largest count table one pass of boundary_histograms builds; a sweep whose
+# table would be larger is histogrammed a few thresholds at a time.
+HISTOGRAM_TABLE = 1 << 16
+
+
+def boundary_histograms(
+    m: EmpiricalMeasure, thresholds: Sequence[float]
+) -> List[BoundaryHistogram]:
+    """:func:`boundary_histogram` at each of the thresholds, in their order,
+    from one pass over the samples.
+
+    Each root's depth is the number of (distinct) thresholds it stays at or
+    below; root i belongs to the label of the k-th smallest threshold exactly
+    when its depth is at least T - k.  The depths pack into one small-integer
+    code per sample, digit i for root i in base T + 1, and one ``bincount``
+    of the codes gives the table from which every threshold's label counts
+    are summed.  The masses are those counts over the sample count, the
+    floats a one-threshold histogram gives.  When (T + 1)^rank would pass
+    ``HISTOGRAM_TABLE``, the thresholds are split into runs of consecutive
+    ones that fit (one threshold at a time always does).
+    """
+    for t in thresholds:
+        if not t > 2.0 / np.sqrt(3.0):
+            raise ValueError("threshold must sit above the reduced-domain floor")
     roots = m.root_log_values().T
     rank = len(roots)
-    log_t = np.log(t_esc)
-    # bit i of a sample's code is set when root i stayed at or below t_esc
-    codes = (roots[0] <= log_t).astype(np.intp)
-    for i in range(1, rank):
-        codes += (roots[i] <= log_t) << i
-    counts = np.bincount(codes, minlength=1 << rank)
-    mass: Dict[FrozenSet[int], float] = {}
-    for code, c in enumerate(counts):
-        if c:
+    log_ts = np.log(np.asarray(thresholds, dtype=float))
+    # sorted and distinct; np.unique was seen to raise the peak resident
+    # memory of a run by about half a megabyte
+    levels = np.array(sorted(set(log_ts.tolist())))
+    per_pass = 1
+    while per_pass < len(levels) and (per_pass + 2) ** rank <= max(HISTOGRAM_TABLE, 1 << rank):
+        per_pass += 1
+    masses: List[Dict[FrozenSet[int], float]] = []
+    for start in range(0, len(levels), per_pass):
+        masses += _label_masses(roots, levels[start : start + per_pass], m.sample_count)
+    return [
+        BoundaryHistogram(mass=dict(masses[k]), threshold=t, rank=rank)
+        for t, k in zip(thresholds, np.searchsorted(levels, log_ts))
+    ]
+
+
+def _label_masses(
+    roots: np.ndarray, levels: np.ndarray, count: int
+) -> List[Dict[FrozenSet[int], float]]:
+    """Label masses of the (rank, count) root log-values at each of the
+    sorted, distinct log thresholds ``levels``, from one table of depth
+    codes (see :func:`boundary_histograms`)."""
+    rank, base = len(roots), len(levels) + 1
+    size = base**rank
+    codes = np.zeros(count, dtype=np.uint8 if size <= 256 else np.intp)
+    stays = np.empty(count, dtype=bool)
+    for i in reversed(range(rank)):
+        codes *= base
+        for level in levels:
+            codes += np.less_equal(roots[i], level, out=stays)
+    table = np.bincount(codes, minlength=size)
+    seen = np.flatnonzero(table)
+    depths = seen // base ** np.arange(rank)[:, None] % base  # (rank, seen)
+    bits = 1 << np.arange(rank)[:, None]
+    out = []
+    for k in range(len(levels)):
+        # bit i of a label code is set when root i stayed at or below the
+        # threshold, as in a one-threshold histogram
+        label_codes = ((depths >= len(levels) - k) * bits).sum(axis=0)
+        by_label = np.zeros(1 << rank, dtype=np.int64)
+        np.add.at(by_label, label_codes, table[seen])
+        mass: Dict[FrozenSet[int], float] = {}
+        for code in np.flatnonzero(by_label):
             label = frozenset(i for i in range(rank) if code >> i & 1)
-            mass[label] = c / m.sample_count
-    total = sum(mass.values())
-    if abs(total - 1.0) > 1e-12:
-        raise AssertionError(f"histogram mass {total} != 1")
-    return BoundaryHistogram(mass=mass, threshold=t_esc, rank=rank)
+            mass[label] = by_label[code] / count
+        total = sum(mass.values())
+        if abs(total - 1.0) > 1e-12:
+            raise AssertionError(f"histogram mass {total} != 1")
+        out.append(mass)
+    return out
+
+
+def boundary_histogram(m: EmpiricalMeasure, t_esc: float = T_ESC_DEFAULT) -> BoundaryHistogram:
+    """Empirical mass over component labels at escape threshold t_esc."""
+    return boundary_histograms(m, [t_esc])[0]
 
 
 @dataclass(frozen=True)

@@ -37,35 +37,37 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SiegelSet:
-    """Coordinate bounds defining the reduction target.
-
-    Both forms of the diagonal bound are stored: ``t`` bounds the inverted
-    simple-root characters from above, ``ratio_min = 1/t`` bounds the
-    successive diagonal ratios a_i / a_{i+1} from below.  They must agree.
-    """
+    """Coordinate bounds defining the reduction target: ``ratio_min`` bounds
+    the successive diagonal ratios a_i / a_{i+1} from below, ``u_bound`` the
+    off-diagonal coordinates |u_ij| from above."""
 
     n: int
-    t: float
+    ratio_min: float
     u_bound: float
-    ratio_min: float = 0.0
 
     def __post_init__(self):
-        if self.ratio_min == 0.0:
-            object.__setattr__(self, "ratio_min", 1.0 / self.t)
-        if abs(self.t * self.ratio_min - 1.0) > 1e-12:
-            raise ValueError("the two diagonal-bound conventions disagree")
-        if self.t < 2.0 / np.sqrt(3.0) - 1e-12:
-            raise ValueError(f"diagonal bound t={self.t} below the reduction minimum")
+        # reduced points reach diagonal ratios down to sqrt(3)/2, so no
+        # larger floor can hold for all of them
+        if not 0.0 < self.ratio_min <= 1.0 / (2.0 / np.sqrt(3.0) - 1e-12):
+            raise ValueError(f"diagonal ratio bound {self.ratio_min} above the reduction minimum")
         if self.u_bound < 0.5:
             raise ValueError(f"off-diagonal bound {self.u_bound} below 1/2")
 
 
 def siegel_default(n: int) -> SiegelSet:
-    return SiegelSet(n=n, t=2.0 / np.sqrt(3.0) + RATIO_SLACK, u_bound=0.5 + U_SLACK)
+    return SiegelSet(
+        n=n, ratio_min=1.0 / (2.0 / np.sqrt(3.0) + RATIO_SLACK), u_bound=0.5 + U_SLACK
+    )
 
 
 # ---------------------------------------------------------------------------
 # n = 2: translate/invert walk on half-plane coordinates
+
+
+# Points per block of the half-plane walk: the block's coordinates and its
+# scratch vectors stay in cache through every iteration, and a block is long
+# enough that each iteration's dozen numpy calls cost little per point.
+WALK_BLOCK = 16384
 
 
 def reduce_sl2_coords(
@@ -75,33 +77,71 @@ def reduce_sl2_coords(
     mass statistics; no reducers are tracked.
 
     Each iteration translates into |Re z| <= 1/2 and inverts the points still
-    inside the unit disc.  Only those points, the live set, are carried into
-    the next iteration: a translated point outside the disc is a fixed point
-    of every later iteration, so dropping it changes no bit of the result.
+    inside the unit disc.  The points are walked in blocks of ``WALK_BLOCK``
+    (see :func:`_walk_block`); the walk of a point does not depend on the
+    others, so blocking changes no bit.  Warns once per call when some point
+    is still inside the disc after ``max_iter`` iterations.
     """
     x = np.array(x, dtype=float)
     y = np.array(y, dtype=float)
     flat_x, flat_y = x.reshape(-1), y.reshape(-1)
-    live = None  # indices of the points still inside the disc; None is all
-    xs, ys = flat_x, flat_y
-    for _ in range(max_iter):
-        xs -= np.round(xs)
-        norm2 = xs * xs + ys * ys
-        low = norm2 < DISC_BOUND
-        if live is not None:
-            flat_x[live] = xs
-        if not low.any():
-            break
-        live = np.flatnonzero(low) if live is None else live[low]
-        norm2 = norm2[low]
-        xs = -xs[low] / norm2
-        ys = ys[low] / norm2
-        flat_y[live] = ys
-    else:  # at the default cap, 64 doublings of y exceed the float range
+    size = min(len(flat_x), WALK_BLOCK)
+    scratch = (np.empty(size), np.empty(size), np.empty(size, dtype=bool))
+    capped = False
+    for start in range(0, len(flat_x), WALK_BLOCK):
+        block = slice(start, start + WALK_BLOCK)
+        capped |= _walk_block(flat_x[block], flat_y[block], max_iter, scratch)
+    if capped:  # at the default cap, 64 doublings of y exceed the float range
         warnings.warn("half-plane reduction hit the iteration cap")
-        xs -= np.round(xs)
-        flat_x[live] = xs
     return x, y
+
+
+def _walk_block(bx: np.ndarray, by: np.ndarray, max_iter: int, scratch) -> bool:
+    """The walk of one block, in place; returns whether it hit the cap.
+
+    The walk runs on a working set, at first the whole block.  A translated
+    point outside the disc is a fixed point of every later iteration:
+    x - round(x) is exact and never -0.0, so translating it again changes no
+    bit, and it stays outside.  Such points therefore stay in the working set
+    while at least half of it is still inside, and the iteration inverts the
+    whole set in place through a divisor that is -|z|^2 inside and 1 outside
+    (x / -|z|^2 is the bits of -x / |z|^2, and y is divided by its absolute
+    value), which leaves an outside point as it is.  Once fewer than half
+    are inside, the working set is written back to the block and only the
+    points inside are carried on.
+    """
+    xs, ys, live = bx, by, None  # live: block positions of xs; None is all
+    capped = False
+    for _ in range(max_iter):
+        size = len(xs)
+        step, norm2, low = (buf[:size] for buf in scratch)
+        xs -= np.round(xs, out=step)
+        np.multiply(xs, xs, out=norm2)
+        norm2 += np.multiply(ys, ys, out=step)
+        np.less(norm2, DISC_BOUND, out=low)
+        inside = int(np.count_nonzero(low))
+        if not inside:
+            break
+        if 2 * inside < size:
+            if live is not None:
+                bx[live], by[live] = xs, ys
+            keep = np.flatnonzero(low)
+            live = keep if live is None else live[keep]
+            norm2 = norm2[keep]
+            xs, ys = xs[keep], ys[keep]
+            np.negative(xs, out=xs)
+            xs /= norm2
+            ys /= norm2
+        else:
+            div = np.where(low, np.negative(norm2, out=norm2), 1.0)
+            xs /= div
+            ys /= np.abs(div, out=div)
+    else:
+        xs -= np.round(xs, out=scratch[0][: len(xs)])
+        capped = True
+    if live is not None:
+        bx[live], by[live] = xs, ys
+    return capped
 
 
 # ---------------------------------------------------------------------------

@@ -260,6 +260,91 @@ def test_gram_schmidt_blocks_change_no_bit(monkeypatch):
     assert np.array_equal(low, whole_low) and np.array_equal(q, whole_q)
 
 
+def _dot(x, y):
+    """The kernel's dot product before it wrote into workspace, kept as part
+    of the reference: one temporary per product, summed in row order."""
+    acc = x[0] * y[0]
+    for k in range(1, len(x)):
+        acc += x[k] * y[k]
+    return acc
+
+
+def _gram_schmidt_block(rows, low, q):
+    """The kernel on one column block before it wrote into workspace, kept
+    as the reference: accumulates into a zeroed view of low and writes every
+    direction into q."""
+    n = rows.shape[0]
+    for i in range(n):
+        v = rows[i].copy()
+        for _ in range(2):
+            for j in range(i):
+                c = _dot(q[j], v)
+                low[i, j] += c
+                v -= c * q[j]
+        norm = np.sqrt(_dot(v, v))
+        low[i, i] = norm
+        q[i] = v / norm
+
+
+def _gram_schmidt_reference(rows):
+    low = np.zeros(rows.shape)
+    q = np.empty(rows.shape)
+    for start in range(0, rows.shape[2], lingrp.GS_BLOCK):
+        cols = slice(start, start + lingrp.GS_BLOCK)
+        _gram_schmidt_block(rows[:, :, cols], low[:, :, cols], q[:, :, cols])
+    return low, q
+
+
+def _u64(x):
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+def _workspace_cases(n, rng):
+    """Component-major stacks for the workspace kernel: random, cusp-like,
+    rows scaled by 1e+-20, and integer matrices with signed zeros."""
+    count = lingrp.GS_BLOCK + 37
+    mats = _det_one_stack(n, count, rng)
+    mats[: count // 2] = _cusp_stack(n, count // 2, rng)[0]
+    scales = 10.0 ** rng.choice([-20.0, 0.0, 20.0], size=(count, n, 1))
+    zeros = np.tile(np.eye(n), (9, 1, 1))
+    zeros[1] = np.where(np.eye(n) > 0, 1.0, -0.0)
+    zeros[2, -1, 0] = -0.0
+    zeros[3] = zeros[3, ::-1]
+    zeros[4, :, 0] *= -1.0
+    zeros[5] = -zeros[1] + np.triu(np.ones((n, n)), 1)
+    zeros[6, 0] = -0.0
+    zeros[6, 0, 0] = 3.0
+    zeros[7] = np.where(np.tril(np.ones((n, n))) > 0, 1.0, -0.0)
+    zeros[8] = -np.eye(n) + 0.0  # both projections of row 1 on row 0 give -0.0
+    stacks = [mats, mats * scales, zeros]
+    return [(name, np.ascontiguousarray(m.transpose(1, 2, 0)))
+            for name, m in zip(("random", "scaled", "signed zeros"), stacks)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_workspace_kernel_matches_the_reference_bit_for_bit(n):
+    """gram_schmidt_components and gram_schmidt_lower give the uint64 bits of
+    the reference kernel, on stacks that are not a multiple of GS_BLOCK, on
+    strided row views, and with low a view into a longer stack."""
+    rng = np.random.default_rng(600 + n)
+    for name, rows in _workspace_cases(n, rng):
+        want_low, want_q = _gram_schmidt_reference(rows)
+        low, q = gram_schmidt_components(rows)
+        assert np.array_equal(_u64(low), _u64(want_low)), name
+        assert np.array_equal(_u64(q), _u64(want_q)), name
+        into = np.full(rows.shape[:2] + (rows.shape[2] + 5,), np.nan)
+        gram_schmidt_lower(rows, into[:, :, 3:-2])
+        assert np.array_equal(_u64(into[:, :, 3:-2]), _u64(want_low)), name
+        assert np.isnan(into[:, :, :3]).all() and np.isnan(into[:, :, -2:]).all()
+        # the row-reversed, strided view the n = 2 sampling path factors
+        mats = rows.transpose(2, 0, 1)
+        strided = mats[:, ::-1, :].transpose(1, 2, 0)
+        want_low, _ = _gram_schmidt_reference(strided)
+        low = np.empty(rows.shape)
+        gram_schmidt_lower(strided, low)
+        assert np.array_equal(_u64(low), _u64(want_low)), name
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize("kind", ["random", "cusp", "integer"])
 def test_negated_last_row_negates_its_coefficients(n, kind):

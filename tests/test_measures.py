@@ -18,7 +18,9 @@ from escmass.lingrp import GroupElement, group_element, identity_element, iwasaw
 from escmass.measures import (
     CHUNK,
     CoordinateWindow,
+    EmpiricalMeasure,
     boundary_histogram,
+    boundary_histograms,
     embedded_sl2,
     empirical_measure,
     format_histogram,
@@ -209,6 +211,135 @@ def test_product_measure_and_per_factor_roots():
     assert np.all(logs[:, 1] <= np.log(2 / np.sqrt(3)) + 1e-9)  # reduced identity
     h = boundary_histogram(m, 1.0e2)
     assert h.fraction({1}) == 1.0
+
+
+def _boundary_histogram_reference(m, t_esc):
+    """The one-threshold histogram before the sweep shared one pass, kept as
+    the reference for boundary_histograms."""
+    if t_esc <= 2.0 / np.sqrt(3.0):
+        raise ValueError("threshold must sit above the reduced-domain floor")
+    roots = m.root_log_values().T
+    rank = len(roots)
+    log_t = np.log(t_esc)
+    codes = (roots[0] <= log_t).astype(np.intp)
+    for i in range(1, rank):
+        codes += (roots[i] <= log_t) << i
+    counts = np.bincount(codes, minlength=1 << rank)
+    mass = {}
+    for code, c in enumerate(counts):
+        if c:
+            label = frozenset(i for i in range(rank) if code >> i & 1)
+            mass[label] = c / m.sample_count
+    total = sum(mass.values())
+    if abs(total - 1.0) > 1e-12:
+        raise AssertionError(f"histogram mass {total} != 1")
+    return measures.BoundaryHistogram(mass=mass, threshold=t_esc, rank=rank)
+
+
+SWEEPS = (
+    (1.0e2, 1.0e3, 1.0e4),
+    (1.0e4, 1.0e2, 1.0e3),  # unsorted
+    (1.0e3, 1.0e2, 1.0e3, 1.0e3),  # duplicates
+    (5.0,),
+    (1.0e4, 3.0, 40.0, 1.0e2, 7.0e2, 1.0e3),
+)
+
+
+def _synthetic_measure(n, factors, count, rng):
+    """A measure whose root log-values spread over the sweeps' thresholds,
+    with some exactly at a threshold's log and some one ulp to either side
+    (exactly so for n = 2, where a root is 2h - 0 = h - (-h))."""
+    rank = factors * (n - 1)
+    roots = rng.uniform(-0.5, 10.0, size=(count, rank))
+    ties = np.log(rng.choice([1.0e2, 1.0e3, 1.0e4, 3.0, 40.0], size=(count, rank)))
+    pick = rng.uniform(size=(count, rank))
+    roots = np.where(pick < 0.2, ties, roots)
+    roots = np.where((pick >= 0.2) & (pick < 0.3), np.nextafter(ties, np.inf), roots)
+    roots = np.where((pick >= 0.3) & (pick < 0.4), np.nextafter(ties, -np.inf), roots)
+    if n == 2:
+        h = roots.reshape(count, factors, 1) / 2.0
+        log_a = np.concatenate([h, -h], axis=2)
+        spec = product_subgroup([one_param_unipotent(2, (0, 1))] * factors)
+    else:
+        log_a = np.zeros((count, 1, n))
+        log_a[:, 0, 1:] = -np.cumsum(roots, axis=1)
+        spec = full_unipotent_radical(n, [])
+    return EmpiricalMeasure(
+        spec=spec, log_a=log_a, u_coords=np.zeros((count, factors, n * (n - 1) // 2)),
+        gammas=None, seed=0, sample_count=count, y_cap=1.0e4, truncation=0.0,
+    )
+
+
+@pytest.mark.parametrize("n, factors", [(2, 1), (3, 1), (4, 1), (2, 2), (2, 4), (2, 5)])
+def test_one_pass_histograms_match_the_one_threshold_reference(n, factors, monkeypatch):
+    """Ranks 1-5: every histogram of a sweep, sorted or not, with repeated
+    thresholds, has the labels, insertion order and mass bits of the
+    one-threshold reference; the 5-factor product's (T+1)^rank > 256 table
+    takes the wide code."""
+    m = _synthetic_measure(n, factors, 3001, np.random.default_rng(10 * n + factors))
+    rank = factors * (n - 1)
+    assert m.root_log_values().shape == (3001, rank)
+    real_bincount = np.bincount
+    for sweep in SWEEPS:
+        want = [_boundary_histogram_reference(m, t) for t in sweep]
+        code_types = []
+
+        def bincount(codes, *args, **kwargs):
+            code_types.append(codes.dtype)
+            return real_bincount(codes, *args, **kwargs)
+
+        monkeypatch.setattr(np, "bincount", bincount)
+        hists = boundary_histograms(m, sweep)
+        monkeypatch.setattr(np, "bincount", real_bincount)
+        wide = (len(set(sweep)) + 1) ** rank > 256
+        assert code_types == [np.dtype(np.intp) if wide else np.dtype(np.uint8)]
+        if sweep == SWEEPS[0]:  # the default sweep: 4^rank codes
+            assert wide == (rank == 5)
+        assert len(hists) == len(sweep)
+        for t, h, w in zip(sweep, hists, want):
+            assert h.threshold == t and h.rank == w.rank == rank
+            assert list(h.mass.items()) == list(w.mass.items())
+            assert sum(h.mass.values()) == pytest.approx(1.0, abs=1e-12)
+            assert list(boundary_histogram(m, t).mass.items()) == list(w.mass.items())
+
+
+def test_histogram_sweep_splits_a_table_that_would_be_too_large(monkeypatch):
+    """With a small table bound the sweep runs a few thresholds per pass,
+    with the same histograms."""
+    m = _synthetic_measure(2, 2, 2000, np.random.default_rng(3))
+    sweep = SWEEPS[-1]
+    want = [_boundary_histogram_reference(m, t) for t in sweep]
+    monkeypatch.setattr(measures, "HISTOGRAM_TABLE", 9)  # 3^2: two thresholds a pass
+    passes = []
+    real = measures._label_masses
+
+    def counted(roots, levels, count):
+        passes.append(len(levels))
+        return real(roots, levels, count)
+
+    monkeypatch.setattr(measures, "_label_masses", counted)
+    got = boundary_histograms(m, sweep)
+    assert passes == [2, 2, 2]
+    for h, w in zip(got, want):
+        assert list(h.mass.items()) == list(w.mass.items())
+
+
+class _Untouchable:
+    """Stands for a measure; reading its samples fails."""
+
+    sample_count = 10
+
+    def root_log_values(self):
+        raise AssertionError("samples read before the thresholds were checked")
+
+
+@pytest.mark.parametrize("bad", [1.0, 2.0 / np.sqrt(3.0), 0.5, float("nan")])
+def test_histogram_sweep_refuses_a_floor_threshold_first(bad):
+    for sweep in ([bad], [1.0e3, bad], [bad, 1.0e2, 1.0e4]):
+        with pytest.raises(ValueError, match="reduced-domain floor"):
+            boundary_histograms(_Untouchable(), sweep)
+    with pytest.raises(ValueError, match="reduced-domain floor"):
+        boundary_histogram(_Untouchable(), bad)
 
 
 def test_window_mass():

@@ -126,14 +126,13 @@ def test_doctests():
 
 def test_siegel_set_conventions():
     s = siegel_default(2)
-    assert s.t * s.ratio_min == pytest.approx(1.0)
-    assert s.t >= 2 / np.sqrt(3)
+    assert s.ratio_min == 1.0 / (2.0 / np.sqrt(3.0) + reduction.RATIO_SLACK)
+    assert s.ratio_min <= np.sqrt(3) / 2
+    assert s.u_bound == 0.5 + reduction.U_SLACK
     with pytest.raises(ValueError):
-        SiegelSet(n=2, t=1.0, u_bound=0.6)
+        SiegelSet(n=2, ratio_min=1.0, u_bound=0.6)
     with pytest.raises(ValueError):
-        SiegelSet(n=2, t=2.0, u_bound=0.3)
-    with pytest.raises(ValueError):
-        SiegelSet(n=2, t=2.0, u_bound=0.6, ratio_min=0.9)
+        SiegelSet(n=2, ratio_min=0.5, u_bound=0.3)
 
 
 def test_reduce_sl2_identity():
@@ -221,7 +220,31 @@ def _same_bits(x, y):
     return np.array_equal(x, y) and np.array_equal(np.signbit(x), np.signbit(y))
 
 
-def test_live_set_walk_matches_the_full_array_loop():
+def _assert_walk_matches(x, y, max_iter=64):
+    got = reduce_sl2_coords(x, y, max_iter=max_iter)
+    want = _reduce_sl2_coords_full(x, y, max_iter=max_iter)
+    assert got[0].shape == got[1].shape == np.shape(x)
+    assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1])
+
+
+def _mixed_depth_blocks(rng, block, shares):
+    """One block per share: that share of its points starts at heights near
+    1e-12, which take dozens of iterations, the rest at heights of 1e-3 to
+    1, which leave within a few; so the share of each block still inside
+    the disc falls below one half at a different iteration."""
+    xs, ys = [], []
+    for share in shares:
+        deep = rng.uniform(size=block) < share
+        xs.append(rng.uniform(-40.0, 40.0, size=block))
+        ys.append(np.where(
+            deep,
+            np.exp(rng.uniform(np.log(1e-13), np.log(1e-11), size=block)),
+            np.exp(rng.uniform(np.log(1e-3), 0.0, size=block)),
+        ))
+    return np.concatenate(xs), np.concatenate(ys)
+
+
+def test_live_set_walk_matches_the_full_array_loop(monkeypatch):
     rng = np.random.default_rng(2718)
     xs = [rng.uniform(-40.0, 40.0, size=5000)]
     ys = [np.exp(rng.uniform(np.log(1e-12), 3.0, size=5000))]
@@ -243,9 +266,20 @@ def test_live_set_walk_matches_the_full_array_loop():
         np.sqrt(1.0 - rng.uniform(-0.5, 0.5, size=50) ** 2),
     ])
     for x, y in zip(xs + [edge_x], ys + [edge_y]):
-        got = reduce_sl2_coords(x, y)
-        want = _reduce_sl2_coords_full(x, y)
-        assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1])
+        _assert_walk_matches(x, y)
+    # stacks of whole blocks and a remainder, at the shipped block length
+    block = reduction.WALK_BLOCK
+    x, y = _mixed_depth_blocks(rng, block, [0.9, 0.3])
+    _assert_walk_matches(np.append(x, edge_x), np.append(y, edge_y))
+    # a 2-D stack, a single point and a 0-d point
+    _assert_walk_matches(xs[0][:4800].reshape(48, 100), ys[0][:4800].reshape(48, 100))
+    _assert_walk_matches(np.array([0.3]), np.array([1e-9]))
+    _assert_walk_matches(np.float64(-7.25), np.float64(2e-5))
+    # short blocks whose live share falls below one half at different
+    # iterations (or never, or at once), and a short remainder block
+    monkeypatch.setattr(reduction, "WALK_BLOCK", 64)
+    x, y = _mixed_depth_blocks(rng, 64, [1.0, 0.9, 0.7, 0.55, 0.45, 0.2, 0.0, 0.6])
+    _assert_walk_matches(np.append(x, edge_x[:21]), np.append(y, edge_y[:21]))
     # the iteration cap still warns, with the capped walk's bits
     x, y = np.array([0.25, 3.0, 0.1, 0.3]), np.array([1e-12, 2.0, 1e-6, 0.2])
     with pytest.warns(UserWarning, match="iteration cap"):
@@ -253,6 +287,29 @@ def test_live_set_walk_matches_the_full_array_loop():
     with pytest.warns(UserWarning, match="iteration cap"):
         want = _reduce_sl2_coords_full(x, y, max_iter=2)
     assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1])
+
+
+@pytest.mark.parametrize("capped_blocks", [(0, 1, 2), (2,), (0,)])
+def test_walk_warns_once_per_call_at_the_cap(capped_blocks, monkeypatch):
+    """Blocks of four points, each capped block holding one point that needs
+    more than two iterations; the walk warns once per call however many
+    blocks hit the cap, and keeps the capped walk's bits."""
+    monkeypatch.setattr(reduction, "WALK_BLOCK", 4)
+    x = np.tile([0.25, 3.0, 0.1, 0.3], 3)
+    y = np.tile([1.0, 2.0, 1.5, 1.2], 3)
+    for b in capped_blocks:
+        y[4 * b] = 1e-12
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = reduce_sl2_coords(x, y, max_iter=2)
+    assert [str(w.message) for w in caught] == ["half-plane reduction hit the iteration cap"]
+    with pytest.warns(UserWarning, match="iteration cap"):
+        want = _reduce_sl2_coords_full(x, y, max_iter=2)
+    assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        reduce_sl2_coords(x, np.tile([1.0, 2.0, 1.5, 1.2], 3), max_iter=2)
+    assert not caught
 
 
 def test_reduce_siegel_identity_and_integer_cosets():
