@@ -73,6 +73,7 @@ __all__ = [
     "truncation_bound",
     "conjugator_bits",
     "PrecisionBudgetError",
+    "translate_log_stretch",
     "format_histogram",
     "Y_CAP_DEFAULT",
     "T_ESC_DEFAULT",
@@ -177,6 +178,54 @@ def _check_precision_budget(spec: SubgroupSpec) -> None:
             f"max|gamma^-1|), above the float64 budget of {budget} bits (the "
             f"{MANTISSA_BITS}-bit mantissa less a {PRECISION_MARGIN_BITS}-bit margin): "
             "float64 samples of the conjugated subgroup would be rounding noise"
+        )
+
+
+# A sample rounded to float64 is a rational point whose denominators reach
+# 2^MANTISSA_BITS.  Pushing by a translate stretches the sampled directions
+# by up to e^(r m), r the largest v_j - v_i over the sampled entries (i, j)
+# of the direction v and m the index, and such a rational point reaches the
+# cusp once r m > 2 * 53 ln 2 ~ 73.5: past that the samples' rounding, not
+# the measure, decides where the pushed points sit.  The budget keeps
+# TRANSLATE_MARGIN_BITS of the mantissa in reserve, 2 * 49 ln 2 ~ 67.9:
+# sl3_levi_block (r = 9) runs to index 7, where the mass on its predicted
+# label is still 0.99; at index 8 it is already down to 0.98.
+TRANSLATE_MARGIN_BITS = 4
+
+
+def translate_log_stretch(spec: SubgroupSpec, translates: Sequence) -> float:
+    """r * m of a run: the log of the largest factor by which conjugation by
+    a translate, X -> g^-1 X g, stretches a Lie generator of a sampled factor
+    (max |entry| after over max |entry| before), over the factors and the
+    translates.  For the diagonal translate exp(m v) of an unconjugated
+    catalog subgroup this is m times the largest v_j - v_i over the sampled
+    entries (i, j); 0.0 when nothing is stretched."""
+    r, n = spec.shape
+    factors = spec.factors if spec.kind == "product" else (spec,)
+    logs = [0.0]
+    with np.errstate(all="ignore"):
+        for g in translates:
+            for fac, g_f in zip(factors, _translate_array(g, r, n)):
+                gens = np.array(lie_generators(fac), dtype=float)
+                if gens.size:
+                    moved = np.linalg.inv(g_f) @ gens @ g_f
+                    stretch = np.abs(moved).max(axis=(1, 2)) / np.abs(gens).max(axis=(1, 2))
+                    logs.append(np.log(stretch).max())
+    return float(np.max(logs))
+
+
+def _check_translate_budget(spec: SubgroupSpec, translates: Sequence) -> None:
+    """Raise PrecisionBudgetError when a translate stretches the samples of
+    spec past the float64 budget."""
+    used = translate_log_stretch(spec, translates)
+    allowed = 2.0 * (MANTISSA_BITS - TRANSLATE_MARGIN_BITS) * math.log(2.0)
+    if not used <= allowed:
+        raise PrecisionBudgetError(
+            f"the translate budget is exceeded: r*m = {used:.1f} used, {allowed:.1f} "
+            f"allowed (r the largest v_j - v_i over the sampled entries, m the index; "
+            f"2*{MANTISSA_BITS}*ln 2 = {2.0 * MANTISSA_BITS * math.log(2.0):.1f} less a "
+            f"{TRANSLATE_MARGIN_BITS}-bit margin): float64 samples pushed this far reach "
+            "the cusp through their rounding alone"
         )
 
 
@@ -410,14 +459,14 @@ class EmpiricalMeasure:
     """Uniformly-weighted reduced sample cloud, stored column-wise.
 
     ``log_a`` has shape (count, factors, n); ``u_coords`` has shape
-    (count, factors, n(n-1)/2); ``gammas`` carries the integer reducers when
-    the reduction path tracks them (n = 3, 4), else None.
+    (count, factors, n(n-1)/2).  These are the coordinates of the reduced
+    representatives; the integer reducers that take each pushed sample to
+    its representative are not formed.
     """
 
     spec: SubgroupSpec
     log_a: np.ndarray
     u_coords: np.ndarray
-    gammas: Optional[np.ndarray]
     seed: int
     sample_count: int
     y_cap: float
@@ -475,20 +524,13 @@ def _right_multiply(stack: np.ndarray, g: np.ndarray) -> np.ndarray:
     return out.reshape(stack.shape)
 
 
-def _reduce_into(
-    pushed: np.ndarray,
-    log_a: np.ndarray,
-    u_coords: np.ndarray,
-    gammas: Optional[np.ndarray],
-) -> None:
+def _reduce_into(pushed: np.ndarray, log_a: np.ndarray, u_coords: np.ndarray) -> None:
     """Reduce an (m, n, n) pushed stack and write its coordinates into the
-    (rows, n) view log_a, the (rows, n(n-1)/2) view u_coords and, for
-    n = 3, 4, the (rows, n, n) view gammas; m is the row count, or 1 to
-    fill every row with one result."""
+    (rows, n) view log_a and the (rows, n(n-1)/2) view u_coords; m is the
+    row count, or 1 to fill every row with one result."""
     n = pushed.shape[-1]
     if n in (3, 4):
-        gams, _, low = reduce_siegel_batched(pushed)
-        gammas[:] = gams
+        _, low = reduce_siegel_batched(pushed)
         a, u = iwasawa_coordinates(low)
         for j, a_j in enumerate(a):
             log_a[:, j] = np.log(a_j)
@@ -543,27 +585,25 @@ def empirical_measures(
     the same.  ``times``, when given, receives the wall times.
 
     Raises PrecisionBudgetError, before sampling, when a conjugator of spec
-    takes more than the float64 budget (see conjugator_bits).
+    takes more than the float64 budget (see conjugator_bits) or a translate
+    stretches the samples past it (see translate_log_stretch).
     """
     _check_precision_budget(spec)
     r, n = spec.shape
     g_arrs = [_translate_array(g, r, n) for g in translates]
+    _check_translate_budget(spec, g_arrs)
     factors = spec.factors if spec.kind == "product" else (spec,)
     last = len(g_arrs) - 1
     times = SamplingTimes() if times is None else times
     times.push_reduce = [0.0] * len(g_arrs)
-    # each translate's (log_a, u_coords, gammas), allocated before its first
-    # push rather than all up front
+    # each translate's (log_a, u_coords), allocated before its first push
+    # rather than all up front
     outs: List[Optional[tuple]] = [None] * len(g_arrs)
 
     def views(k: int, rows: slice, f: int) -> list:
         if outs[k] is None:
-            outs[k] = (
-                np.empty((count, r, n)),
-                np.empty((count, r, n * (n - 1) // 2)),
-                np.empty((count, r, n, n), dtype=np.int64) if n in (3, 4) else None,
-            )
-        return [None if a is None else a[rows, f] for a in outs[k]]
+            outs[k] = (np.empty((count, r, n)), np.empty((count, r, n * (n - 1) // 2)))
+        return [a[rows, f] for a in outs[k]]
 
     def push(k: int, f: int, fac: SubgroupSpec, draw, size: int) -> np.ndarray:
         return _right_multiply(_embed_factor_chunk(fac, draw, size), g_arrs[k][f])
@@ -605,13 +645,12 @@ def empirical_measures(
             for k in range(len(g_arrs)):
                 push_reduce(k, f, slice(None), fac, None, 1)
     measures = []
-    for log_a, u_coords, gammas in outs:
+    for log_a, u_coords in outs:
         _assert_reduced(log_a, u_coords, n)
         measures.append(EmpiricalMeasure(
             spec=spec,
             log_a=log_a,
             u_coords=u_coords,
-            gammas=gammas,
             seed=seed,
             sample_count=count,
             y_cap=y_cap,
@@ -640,10 +679,23 @@ def empirical_measure(
 _LOG_RATIO_SEEN = 40.0 * math.log(2.0)
 
 
+def _log_floor(bound: float) -> float:
+    """One ulp above the least float t with exp(t) >= bound.  A log
+    difference d >= _log_floor(bound) has exp(d) >= bound, so comparing d
+    with it is at least as strict as comparing exp(d) with bound, and the
+    extra ulp spends any rounding slack of exp in the check's favour."""
+    t = math.log(bound)
+    while np.exp(t) < bound:
+        t = np.nextafter(t, np.inf)
+    while np.exp(np.nextafter(t, -np.inf)) >= bound:
+        t = np.nextafter(t, -np.inf)
+    return float(np.nextafter(t, np.inf))
+
+
 def _assert_reduced(log_a: np.ndarray, u_coords: np.ndarray, n: int) -> None:
     s = siegel_default(n)
-    ratios = np.exp(log_a[:, :, :-1] - log_a[:, :, 1:])
-    if not np.all(ratios >= s.ratio_min - 1e-9):
+    # the log diagonal ratios against a log floor: no exp over the samples
+    if not np.all(log_a[:, :, :-1] - log_a[:, :, 1:] >= _log_floor(s.ratio_min - 1e-9)):
         raise RuntimeError("reduced diagonal escaped the target bounds")
     if n == 2:
         if not np.all(np.abs(u_coords) <= 0.5 + 1e-9):

@@ -2,14 +2,16 @@
 quotients of SL_n (n = 2, 3, 4), plus bounded enumeration of the integer
 group for truncated infima.
 
-Points of the quotient are left cosets of the integer subgroup, so reducers
-multiply on the left: ``rep = gamma @ original``.  For n = 2 the classical
-translate/invert walk on the upper half-plane runs on coordinates only
-(:func:`reduce_sl2_coords`, no reducers are tracked); for n = 3, 4
-:func:`reduce_siegel_batched` runs lattice basis reduction on the rows of
-each matrix, with int64 reducers of determinant exactly one.  It meets the
-Siegel bounds only up to a controlled slack (the swap threshold cannot reach
-the exact chamber wall), hence the small tolerances carried by ``SiegelSet``.
+Points of the quotient are left cosets of the integer subgroup, so a
+reduced representative is ``rep = gamma @ original`` for an integer gamma of
+determinant one.  Neither path forms gamma: only the representatives'
+coordinates are read.  For n = 2 the classical translate/invert walk on the
+upper half-plane runs on coordinates only (:func:`reduce_sl2_coords`); for
+n = 3, 4 :func:`reduce_siegel_batched` runs float64 lattice basis reduction
+on the rows of each matrix, and the parity of its row swaps fixes the sign
+that keeps gamma's determinant one.  It meets the Siegel bounds only up to a
+controlled slack (the swap threshold cannot reach the exact chamber wall),
+hence the small tolerances carried by ``SiegelSet``.
 """
 
 from __future__ import annotations
@@ -149,45 +151,21 @@ def _walk_block(bx: np.ndarray, by: np.ndarray, max_iter: int, scratch) -> bool:
 
 
 MAX_SWEEPS = 1000  # per LLL pass; a pass that reaches it is reported
-# Reducer entries are int64.  Every integer update is u_i - q * u_j with
-# both |u_i| and |q| * |u_j| kept below INT64_ROOM, so no update can reach
-# 2^63 and wrap around.
-INT64_ROOM = float(2**62)
-
-
-def _int64_overflow() -> OverflowError:
-    return OverflowError(
-        "an integer reducer entry would pass 2^62, too close to the int64 "
-        "limit 2^63: the translated samples are too ill-conditioned for "
-        "float64 reduction"
-    )
-
-
-def _exact_row_bounds(u_i, u_j, q_abs) -> Tuple[float, float]:
-    """Check the update u_i - q * u_j matrix by matrix against INT64_ROOM;
-    returns bounds over the stack on max |u_i| after the update and on
-    max |u_j|, both taken from the entries themselves."""
-    top_i = np.abs(u_i).max(axis=0).astype(float)
-    top_j = np.abs(u_j).max(axis=0).astype(float)
-    step = q_abs * top_j
-    if np.any(step >= INT64_ROOM) or np.any(top_i >= INT64_ROOM):
-        raise _int64_overflow()
-    return float(np.max(top_i + step)), float(top_j.max())
 
 
 def _to_front(stack, moved: np.ndarray, live: int, scratch: np.ndarray) -> int:
-    """Reorder the first ``live`` columns of the stack (b, u, low, odd,
-    order) so that the columns flagged by ``moved`` come first, in order;
-    returns their count.  The factors of those columns are out of date, so
-    only the others' factors are moved.  Each stack-length row is gathered
-    with ``np.take`` into ``scratch``, a float64 vector of the stack's
-    length (mode="clip", a no-op on these valid indices, lets take write
-    there directly), and copied back."""
+    """Reorder the first ``live`` columns of the stack (b, low, odd, order)
+    so that the columns flagged by ``moved`` come first, in order; returns
+    their count.  The factors of those columns are out of date, so only the
+    others' factors are moved.  Each stack-length row is gathered with
+    ``np.take`` into ``scratch``, a float64 vector of the stack's length
+    (mode="clip", a no-op on these valid indices, lets take write there
+    directly), and copied back."""
     count = int(np.count_nonzero(moved))
     if 0 < count < live:
         perm = np.concatenate([np.flatnonzero(moved), np.flatnonzero(~moved)])
-        b, u, low, odd, order = stack
-        for arr, start in ((b, 0), (u, 0), (low, count), (odd, 0), (order, 0)):
+        b, low, odd, order = stack
+        for arr, start in ((b, 0), (low, count), (odd, 0), (order, 0)):
             tmp = scratch.view(arr.dtype)[start:live]
             for row in arr.reshape(-1, arr.shape[-1]):
                 np.take(row[:live], perm[start:], out=tmp, mode="clip")
@@ -198,20 +176,20 @@ def _to_front(stack, moved: np.ndarray, live: int, scratch: np.ndarray) -> int:
 def _lll_rows(stack, stale: int, delta: float, max_sweeps: int) -> Tuple[int, bool, int]:
     """One sweep-based row LLL pass over a component-major stack, in place.
 
-    stack is (b, u, low, odd, order): b (float) and u (int64) are (n, n, m)
-    arrays, b[i, k] and u[i, k] holding entry k of row i across the m
-    matrices, so every row operation below is an elementwise update of
-    contiguous stack-length vectors; low is the (n, n, m) lower Gram-Schmidt
-    factor of b (as :func:`gram_schmidt_lower` writes it); odd flags the
-    matrices whose swap count is odd, i.e. det U = -1 for the accumulated
-    transform U with B = U @ B_input (size reductions have determinant one,
-    each swap minus one); order carries each column's position in the input
-    stack.  The factors of the first ``stale`` columns are out of date and
-    are refactored before the first sweep; every other column's is fresh.
-    At n <= 4 a float64 Gram-Schmidt carries enough precision for the
-    size-reduction and swap decisions (the floating-point LLL analysis of
-    Nguyen and Stehle's L^2).  One swap per matrix per sweep keeps the
-    batched swaps independent.
+    stack is (b, low, odd, order): b is an (n, n, m) float array, b[i, k]
+    holding entry k of row i across the m matrices, so every row operation
+    below is an elementwise update of contiguous stack-length vectors; low
+    is the (n, n, m) lower Gram-Schmidt factor of b (as
+    :func:`gram_schmidt_lower` writes it); odd flags the matrices whose swap
+    count is odd, i.e. whose accumulated integer transform has determinant
+    -1 (size reductions have determinant one, each swap minus one); order
+    carries each column's position in the input stack.  The transform itself
+    is not formed: no update of b reads it.  The factors of the first
+    ``stale`` columns are out of date and are refactored before the first
+    sweep; every other column's is fresh.  At n <= 4 a float64 Gram-Schmidt
+    carries enough precision for the size-reduction and swap decisions (the
+    floating-point LLL analysis of Nguyen and Stehle's L^2).  One swap per
+    matrix per sweep keeps the batched swaps independent.
 
     Working set: a sweep in which a matrix meets no nonzero size-reduction
     coefficient and no swap leaves its basis unchanged, so it would make the
@@ -228,51 +206,35 @@ def _lll_rows(stack, stale: int, delta: float, max_sweeps: int) -> Tuple[int, bo
     sweep was swap-free (False only when the pass stopped at max_sweeps),
     and the first stale' columns, the matrices the last sweep changed, hold
     out-of-date factors.
-
-    Raises OverflowError before an entry of u could wrap past the int64
-    range.  A per-row bound on max |u| over the working set, grown by each
-    update, screens the updates; only when it passes INT64_ROOM are the
-    entries themselves checked, and the bound is reset to their exact value.
-    A matrix outside the working set makes no update, so it cannot wrap.
     """
-    b, u, low, odd, _ = stack
+    b, low, odd, _ = stack
     n, _, live = b.shape
-    bound = np.abs(u).max(axis=(1, 2)).astype(float)
     # the sweep's stack-length temporaries go into these buffers, viewed over
     # the working set: temporaries that shrank with the working set, sweep by
     # sweep, fragmented the allocator's heap and raised the peak resident
     # memory of a run although less memory was in use
     vec = np.empty((4, live))
     flags = np.empty((3, live), dtype=bool)
-    q_int = np.empty(live, dtype=np.int64)
     rows_f = np.empty((n, live))
-    rows_i = np.empty((n, live), dtype=np.int64)
     sweeps = 0
     swapped = True
     for sweeps in range(1, max_sweeps + 1):
         if stale:
             gram_schmidt_lower(b[:, :, :stale], low[:, :, :stale])
-        bw, uw, lw = b[:, :, :live], u[:, :, :live], low[:, :, :live]
+        bw, lw = b[:, :, :live], low[:, :, :live]
         moved, pending, flag = flags[:, :live]
-        q, q_abs, _, _ = vec[:, :live]
-        qi, fw, iw = q_int[:live], rows_f[:, :live], rows_i[:, :live]
+        q = vec[0, :live]
+        fw = rows_f[:, :live]
         moved[...] = False
         # size-reduce row i against rows j < i, innermost first
         for i in range(1, n):
             for j in range(i - 1, -1, -1):
                 np.round(np.divide(lw[i, j], lw[j, j], out=q), out=q)
-                q_max = float(np.abs(q, out=q_abs).max())
-                if q_max == 0.0:
+                if not np.any(np.not_equal(q, 0.0, out=flag)):
                     continue
-                if q_max * bound[j] >= INT64_ROOM or bound[i] >= INT64_ROOM:
-                    bound[i], bound[j] = _exact_row_bounds(uw[i], uw[j], q_abs)
-                else:
-                    bound[i] += q_max * bound[j]
                 bw[i] -= np.multiply(q, bw[j], out=fw)
-                np.copyto(qi, q, casting="unsafe")
-                uw[i] -= np.multiply(qi, uw[j], out=iw)
                 lw[i, : j + 1] -= np.multiply(q, lw[j, : j + 1], out=fw[: j + 1])
-                moved |= np.not_equal(q, 0.0, out=flag)
+                moved |= flag
         # first violated swap position per matrix (Lovasz condition):
         # |b*_k|^2 + mu_k^2 |b*_k-1|^2 < delta (1 - 1e-14) |b*_k-1|^2
         swapped = False
@@ -288,14 +250,12 @@ def _lll_rows(stack, stale: int, delta: float, max_sweeps: int) -> Tuple[int, bo
             bad = np.less(lhs, rhs, out=flag)
             bad &= pending
             if bad.any():
-                for rows, prev in ((bw, fw), (uw, iw)):
-                    np.copyto(prev, rows[k - 1])
-                    np.copyto(rows[k - 1], rows[k], where=bad)
-                    np.copyto(rows[k], prev, where=bad)
+                np.copyto(fw, bw[k - 1])
+                np.copyto(bw[k - 1], bw[k], where=bad)
+                np.copyto(bw[k], fw, where=bad)
                 odd[:live] ^= bad
                 pending &= ~bad
                 swapped = True
-                bound[k - 1] = bound[k] = max(bound[k - 1], bound[k])
         moved |= ~pending
         live = stale = _to_front(stack, moved, live, rows_f[0])
         if not swapped:
@@ -303,34 +263,29 @@ def _lll_rows(stack, stale: int, delta: float, max_sweeps: int) -> Tuple[int, bo
     return sweeps, not swapped, stale
 
 
-def _reduce_stack(mats: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _reduce_stack(mats: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Two LLL passes (delta = 3/4, then delta just below 1) over the
-    row-reversed (m, n, n) stack; returns (gammas int64, reps float), both
-    (m, n, n), and the component-major (n, n, m) lower Gram-Schmidt factor
-    of the row-reversed reps.  reps is a view of the component-major final
-    basis, not a copy.
+    row-reversed (m, n, n) stack; returns the (m, n, n) reps and the
+    component-major (n, n, m) lower Gram-Schmidt factor of the row-reversed
+    reps.  reps is a view of the component-major final basis, not a copy.
 
-    The working basis b, its integer transform u and the factor low are kept
-    component-major, (n, n, m), through both passes, and each sweep of
-    :func:`_lll_rows` factors only the matrices the previous sweep changed,
-    reordering the stack to keep them in front; the arrays return to input
-    order only at the end, gammas by a copy and the basis and low in place.  The factor of the
-    input, which sets the sweep budget, is the one the first sweep of pass 1
-    reads; pass 2 starts from the factors pass 1 left, refactoring only the
-    matrices its last sweep changed, and so does the final factor, once the
-    odd-parity matrices have row n-1 negated.  The final b is the
-    row-reversed reps in component-major layout, so its factor comes without
-    a transpose.
+    The working basis b and the factor low are kept component-major,
+    (n, n, m), through both passes, and each sweep of :func:`_lll_rows`
+    factors only the matrices the previous sweep changed, reordering the
+    stack to keep them in front; both return to input order in place at the
+    end.  The factor of the input, which sets the sweep budget, is the one
+    the first sweep of pass 1 reads; pass 2 starts from the factors pass 1
+    left, refactoring only the matrices its last sweep changed, and so does
+    the final factor, once the odd-parity matrices have row n-1 negated.
+    The final b is the row-reversed reps in component-major layout, so its
+    factor comes without a transpose.
     """
     m, n, _ = mats.shape
     b = np.ascontiguousarray(mats[:, ::-1, :].transpose(1, 2, 0))
-    u = np.zeros((n, n, m), dtype=np.int64)
-    for i in range(n):
-        u[i, i] = 1
     low = np.empty((n, n, m))
     odd = np.zeros(m, dtype=bool)
     order = np.arange(m)
-    stack = (b, u, low, odd, order)
+    stack = (b, low, odd, order)
     # the sweep budget, past which a warning reports slow convergence, grows
     # with the input's log condition number.  The Gram-Schmidt diagonal holds
     # the eigenvalues of the triangular factor, so its spread max/min bounds
@@ -353,19 +308,15 @@ def _reduce_stack(mats: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]
             f"lattice reduction used {s1 + s2} sweeps, above the "
             f"conditioning-based budget {budget}"
         )
-    # det gammas = det U' (the reversal conjugates it) = -1 after an odd
-    # number of swaps; negating a row restores determinant one exactly, at
-    # any reducer size.  Row n-1 of the reversed basis is row 0 of reps.
-    # Negating a row negates its Gram-Schmidt coefficients exactly, and the
-    # kernel's sums 0.0 + c give +0.0 for either sign of a zero c, hence
-    # 0.0 - low rather than -low; the diagonal is a norm and stays
-    np.negative(u[-1], out=u[-1], where=odd)
+    # after an odd number of swaps the (unformed) reducer has determinant
+    # -1; negating row n-1 of the reversed basis, row 0 of reps, keeps the
+    # reps in the coset of a determinant-one reducer.  Negating a row negates
+    # its Gram-Schmidt coefficients exactly, and the kernel's sums 0.0 + c
+    # give +0.0 for either sign of a zero c, hence 0.0 - low rather than
+    # -low; the diagonal is a norm and stays
     np.negative(b[-1], out=b[-1], where=odd)
     np.subtract(0.0, low[-1, :-1], out=low[-1, :-1], where=odd)
     gram_schmidt_lower(b[:, :, :stale], low[:, :, :stale])
-    gammas = np.empty((m, n, n), dtype=np.int64)
-    gammas[order] = u[::-1, ::-1].transpose(2, 0, 1)
-    del u, stack
     # the basis and its factor return to input order in place, row by row
     # through one stack-length vector, so no second full-size copy of either
     # is made
@@ -377,10 +328,10 @@ def _reduce_stack(mats: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]
             np.take(row, inverse, out=scratch, mode="clip")
             row[:] = scratch
     # keep the incrementally maintained basis as the representative: it
-    # mirrors gammas @ mats exactly in exact arithmetic, but the one-shot
-    # product would cancel catastrophically once the reducing coefficients
-    # outgrow the small lattice scales
-    return gammas, b[::-1].transpose(2, 0, 1), low
+    # equals gamma @ mats in exact arithmetic, but a one-shot product would
+    # cancel catastrophically once the reducing coefficients outgrow the
+    # small lattice scales
+    return b[::-1].transpose(2, 0, 1), low
 
 
 def _ratio_certified(low: np.ndarray, ratio_min: float) -> np.ndarray:
@@ -393,24 +344,15 @@ def _ratio_certified(low: np.ndarray, ratio_min: float) -> np.ndarray:
     return ok
 
 
-def _compose(extra: np.ndarray, gammas: np.ndarray) -> np.ndarray:
-    """extra @ gammas in int64, refused (OverflowError) unless every entry's
-    sum of absolute products stays below INT64_ROOM."""
-    room = np.abs(extra).astype(float) @ np.abs(gammas).astype(float)
-    if np.any(room >= INT64_ROOM):
-        raise _int64_overflow()
-    return extra @ gammas
+def reduce_siegel_batched(mats: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Reduce a (m, n, n) stack; returns (reps, low).
 
-
-def reduce_siegel_batched(
-    mats: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Reduce a (m, n, n) stack; returns (gammas int64, reps float, low).
-
-    low is the component-major (n, n, m) lower Gram-Schmidt factor of the
-    row-reversed reps, from which :func:`lingrp.iwasawa_coordinates` reads
-    the reduced coordinates; the certification below needs it anyway, so
-    the reduced stack is factored once.
+    Each rep is gamma @ mat for an integer gamma of determinant one, which
+    is not formed.  low is the component-major (n, n, m) lower Gram-Schmidt
+    factor of the row-reversed reps, from which
+    :func:`lingrp.iwasawa_coordinates` reads the reduced coordinates; the
+    certification below needs it anyway, so the reduced stack is factored
+    once.
 
     A basis whose rows live at wildly different scales can stall the float
     sweep: the Gram data of a row 1e16 times longer than a sibling drowns
@@ -418,26 +360,23 @@ def reduce_siegel_batched(
     comparable short rows is skipped.  The representative is still correct
     at the large scales, so stacks that miss the certified diagonal floor
     are simply reduced again -- the second pass sees the collapsed basis,
-    whose dynamic range is moderate -- with the integer transforms composed.
-    Only the matrices reduced again are certified again.
-
-    Raises OverflowError when a reducer would leave the int64 range.
+    whose dynamic range is moderate.  Only the matrices reduced again are
+    certified again.
     """
     mats = np.ascontiguousarray(mats, dtype=float)
     n = mats.shape[1]
-    gammas, reps, low = _reduce_stack(mats)
+    reps, low = _reduce_stack(mats)
     ratio_min = siegel_default(n).ratio_min
     bad = np.flatnonzero(~_ratio_certified(low, ratio_min))
     for attempt in range(2):
         if not bad.size:
             break
-        extra, fixed, fixed_low = _reduce_stack(reps[bad])
-        gammas[bad] = _compose(extra, gammas[bad])
+        fixed, fixed_low = _reduce_stack(reps[bad])
         reps[bad] = fixed
         low[:, :, bad] = fixed_low
         if attempt == 0:
             bad = bad[~_ratio_certified(fixed_low, ratio_min)]
-    return gammas, reps, low
+    return reps, low
 
 
 # ---------------------------------------------------------------------------

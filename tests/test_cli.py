@@ -7,6 +7,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from escmass.cli import (
@@ -28,15 +29,18 @@ from escmass.cli import (
     scenario_from_json,
     summary_dict,
 )
-from escmass.limits import NotCoveredError, sequence_spec
+import escmass.measures as measures
+from escmass.limits import NotCoveredError, sequence_spec, sequence_translate
 from escmass.measures import (
     KINDS,
+    PrecisionBudgetError,
     conjugator_bits,
     embedded_sl2,
     empirical_measure,
     full_unipotent_radical,
     one_param_unipotent,
     product_subgroup,
+    translate_log_stretch,
     trivial_subgroup,
 )
 from escmass.qfield import QuadNum
@@ -457,15 +461,46 @@ def test_cli_input_errors_exit_4(tmp_path):
     assert _run_cli("run", "sl2_cusp", "--samples", "0").returncode == EXIT_INPUT
 
 
-def test_reducer_overflow_exits_4(tmp_path, capsys):
-    """sl3_levi_block moved to index 9 needs reducers past the int64 range;
-    the run stops with exit 4 instead of wrapping them."""
+def test_translate_past_the_precision_budget_exits_4(tmp_path, capsys, monkeypatch):
+    """sl3_levi_block moved to index 9 stretches its samples by e^(9 * 9):
+    past the translate budget, where the samples' rounding alone takes them
+    to the cusp.  The run stops with exit 4 before drawing a sample."""
     doc = json.loads(resolve_scenario_path("sl3_levi_block").read_text())
     doc["sequence"]["indices"] = [9]
     p = tmp_path / "levi9.json"
     p.write_text(json.dumps(doc))
+
+    def no_draws(*args):
+        raise AssertionError("sampled past the translate budget")
+
+    monkeypatch.setattr(measures, "_draw_factor_chunk", no_draws)
     assert main(["run", str(p), "--jobs", "1"]) == EXIT_INPUT
-    assert "int64 limit 2^63" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "translate budget" in err and "81.0 used, 67.9 allowed" in err
+
+
+def test_translate_budget_holds_every_bundled_scenario():
+    """Every bundled scenario at its indices, and sl3_levi_block up to index
+    7, stays inside the translate budget; index 8 and beyond do not."""
+    for path in bundled_scenarios():
+        seq = load_scenario(path.stem).sequence
+        translates = [sequence_translate(seq, k) for k in seq.indices]
+        assert translate_log_stretch(seq.subgroup, translates) <= 36.0, path.stem
+        measures._check_translate_budget(seq.subgroup, translates)
+    # the horocycle u(t) stretches under diag(e^-5, e^5) (v_1 - v_0 = 2),
+    # not under diag(e^5, e^-5), which only contracts it
+    line = one_param_unipotent(2, (0, 1))
+    assert translate_log_stretch(line, [np.diag(np.exp([-5.0, 5.0]))]) == pytest.approx(10.0)
+    assert translate_log_stretch(line, [np.diag(np.exp([5.0, -5.0]))]) == 0.0
+    seq = load_scenario("sl3_levi_block").sequence
+    for k in (4, 5, 6, 7, 8, 9):
+        stretch = translate_log_stretch(seq.subgroup, [sequence_translate(seq, k)])
+        assert stretch == pytest.approx(9.0 * k, abs=1e-9)
+        if k <= 7:
+            measures._check_translate_budget(seq.subgroup, [sequence_translate(seq, k)])
+        else:
+            with pytest.raises(PrecisionBudgetError, match="translate budget"):
+                measures._check_translate_budget(seq.subgroup, [sequence_translate(seq, k)])
 
 
 # determinant one, but float64 rounds the determinant to 0

@@ -266,7 +266,7 @@ def _synthetic_measure(n, factors, count, rng):
         spec = full_unipotent_radical(n, [])
     return EmpiricalMeasure(
         spec=spec, log_a=log_a, u_coords=np.zeros((count, factors, n * (n - 1) // 2)),
-        gammas=None, seed=0, sample_count=count, y_cap=1.0e4, truncation=0.0,
+        seed=0, sample_count=count, y_cap=1.0e4, truncation=0.0,
     )
 
 
@@ -425,7 +425,6 @@ def _empirical_measure_full(spec, g, count, seed, y_cap=measures.Y_CAP_DEFAULT):
     d_u = n * (n - 1) // 2
     log_a = np.empty((count, r, n))
     u_coords = np.empty((count, r, d_u))
-    gammas = np.empty((count, r, n, n), dtype=np.int64) if n in (3, 4) else None
     iu = [(i, j) for i in range(n) for j in range(i + 1, n)]
     for ci, size in measures._chunk_plan(count):
         lo = ci * CHUNK
@@ -433,9 +432,8 @@ def _empirical_measure_full(spec, g, count, seed, y_cap=measures.Y_CAP_DEFAULT):
             rng = np.random.default_rng([seed, ci, f])
             pushed = _sample_factor_chunk(fac, size, rng, y_cap) @ g_arr[f]
             if n in (3, 4):
-                gams, reps, _ = measures.reduce_siegel_batched(pushed)
+                reps, _ = measures.reduce_siegel_batched(pushed)
                 nil, a, _ = iwasawa_batched(reps)
-                gammas[lo : lo + size, f] = gams
                 log_a[lo : lo + size, f] = np.log(a)
                 for col, (i, j) in enumerate(iu):
                     u_coords[lo : lo + size, f, col] = nil[:, i, j]
@@ -447,7 +445,7 @@ def _empirical_measure_full(spec, g, count, seed, y_cap=measures.Y_CAP_DEFAULT):
                 log_a[lo : lo + size, f, 0] = half
                 log_a[lo : lo + size, f, 1] = -half
                 u_coords[lo : lo + size, f, 0] = xr
-    return log_a, u_coords, gammas
+    return log_a, u_coords
 
 
 def _bits(x):
@@ -455,15 +453,10 @@ def _bits(x):
 
 
 def _assert_same_measure(m, full):
-    """log_a and u_coords as uint64 bits (so signed zeros count), gammas as
-    int64."""
-    log_a, u_coords, gammas = full
+    """log_a and u_coords as uint64 bits, so signed zeros count."""
+    log_a, u_coords = full
     assert np.array_equal(_bits(m.log_a), _bits(log_a))
     assert np.array_equal(_bits(m.u_coords), _bits(u_coords))
-    if gammas is None:
-        assert m.gammas is None
-    else:
-        assert m.gammas.dtype == np.int64 and np.array_equal(m.gammas, gammas)
 
 
 def test_trivial_factors_reduced_once_match_full_stacks():
@@ -507,6 +500,35 @@ def test_reduced_path_matches_the_iwasawa_split_of_the_reps(spec):
     _assert_same_measure(m, _empirical_measure_full(spec, g, 3000, seed=42))
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_diagonal_check_is_at_least_as_strict_as_the_exp_form(n):
+    """The reduced-bounds check compares log diagonal ratios with a log
+    floor instead of their exp with the ratio bound.  Within 64 ulps either
+    side of the floor, every log ratio it passes has exp at or above the
+    bound, and the floor gives away at most one ulp; log ratios one ulp
+    either side of the floor pass and fail the check itself."""
+    bound = measures.siegel_default(n).ratio_min - 1e-9
+    floor = measures._log_floor(bound)
+    ladder = [floor]
+    for _ in range(64):
+        ladder = [np.nextafter(ladder[0], -np.inf)] + ladder + [np.nextafter(ladder[-1], np.inf)]
+    d = np.array(ladder)
+    passes = d >= floor
+    assert np.all(np.exp(d[passes]) >= bound)
+    assert np.exp(np.nextafter(np.nextafter(floor, -np.inf), -np.inf)) < bound
+    u_coords = np.zeros((1, 1, n * (n - 1) // 2))
+    for step, ok in ((np.inf, True), (0.0, True), (-np.inf, False)):
+        ratio = np.nextafter(floor, step) if step else floor
+        # every adjacent difference is exactly ratio
+        log_a = (np.arange(n)[::-1] - (n - 1) // 2) * ratio
+        assert np.all(log_a[:-1] - log_a[1:] == ratio)
+        if ok:
+            measures._assert_reduced(log_a[None, None], u_coords, n)
+        else:
+            with pytest.raises(RuntimeError, match="reduced diagonal"):
+                measures._assert_reduced(log_a[None, None], u_coords, n)
+
+
 # ---------------------------------------------------------------------------
 # draws shared across translates
 
@@ -519,7 +541,6 @@ def _empirical_measure_per_index(spec, g, count, seed, y_cap=measures.Y_CAP_DEFA
     factors = spec.factors if spec.kind == "product" else (spec,)
     log_a = np.empty((count, r, n))
     u_coords = np.empty((count, r, n * (n - 1) // 2))
-    gammas = np.empty((count, r, n, n), dtype=np.int64) if n in (3, 4) else None
     for f, fac in enumerate(factors):
         if fac.kind == "trivial":
             blocks = [(slice(None), 1, None)]
@@ -534,9 +555,8 @@ def _empirical_measure_per_index(spec, g, count, seed, y_cap=measures.Y_CAP_DEFA
                 measures._right_multiply(_sample_factor_chunk(fac, size, rng, y_cap), g_arr[f]),
                 log_a[rows, f],
                 u_coords[rows, f],
-                None if gammas is None else gammas[rows, f],
             )
-    return log_a, u_coords, gammas
+    return log_a, u_coords
 
 
 def _test_translates(n, indices):

@@ -3,9 +3,12 @@
 The test-file predicate :func:`_in_siegel`, which reads the bounds off the
 object-level Iwasawa split, is the oracle for the lattice-reduction path;
 the exact translate/invert walk :func:`_reduce_sl2`, kept here with frozen
-hand-computed examples, is the oracle for the half-plane walk.  The integer
-enumeration is compared against an independent brute-force filter written
-inline.
+hand-computed examples, is the oracle for the half-plane walk.  The package
+reducer forms no integer reducers; the full-array reducer
+:func:`_reduce_siegel_full` kept here makes the same decisions bit for bit
+and also tracks them as int64 matrices, on which determinant one and
+gamma @ mats = reps are checked.  The integer enumeration is compared
+against an independent brute-force filter written inline.
 """
 
 import doctest
@@ -29,8 +32,8 @@ from escmass.lingrp import (
 )
 from escmass.measures import (
     EmpiricalMeasure,
+    _right_multiply,
     embedded_sl2,
-    empirical_measure,
     sample_subgroup_array,
 )
 from escmass.reduction import (
@@ -106,11 +109,15 @@ def _reduce_sl2_point(g):
 
 def _reduced(mats):
     """reduce_siegel_batched on a (m, n, n) stack, with the checks on every
-    matrix: gammas @ mats = reps, det gamma = 1 exactly and reps inside the
-    default Siegel set.  Returns gammas, reps, the diagonals a (m, n) and the
-    strictly upper entries u (m, n(n-1)/2) of the reduced split."""
+    matrix: reps and low are the oracle's bit for bit, and the oracle's
+    reducers have gammas @ mats = reps and det gamma = 1 exactly, with reps
+    inside the default Siegel set.  Returns the oracle's gammas, reps, the
+    diagonals a (m, n) and the strictly upper entries u (m, n(n-1)/2) of the
+    reduced split."""
     mats = np.asarray(mats, dtype=float)
-    gammas, reps, low = reduce_siegel_batched(mats)
+    reps, low = reduce_siegel_batched(mats)
+    gammas, want_reps, want_low = _reduce_siegel_full(mats)
+    assert _same_bits(reps, want_reps) and _same_bits(low, want_low)
     s = siegel_default(mats.shape[1])
     assert np.allclose(gammas.astype(float) @ mats, reps, atol=1e-9)
     for gamma, rep in zip(gammas, reps):
@@ -330,11 +337,12 @@ def test_reduce_siegel_membership_random():
 
 def test_reduce_siegel_batched_matches_single():
     mats = np.stack([random_sl(3, scale=3.0).mat for _ in range(32)])
-    gammas, reps, _ = reduce_siegel_batched(mats)
+    reps, low = reduce_siegel_batched(mats)
     for i in range(0, 32, 7):
-        gamma, rep, _, _ = _reduced(mats[i : i + 1])
-        assert np.array_equal(gammas[i], gamma[0])
-        assert np.allclose(reps[i], rep[0])
+        _, rep, _, _ = _reduced(mats[i : i + 1])
+        one_low = reduce_siegel_batched(mats[i : i + 1])[1]
+        assert _same_bits(reps[i], rep[0])
+        assert _same_bits(low[:, :, i], one_low[:, :, 0])
 
 
 def test_reduce_siegel_far_diagonal():
@@ -383,14 +391,16 @@ def test_exact_det():
 
 
 def test_largest_reducers_have_exact_determinant_one():
-    """At index 4 the reducers outgrow what a float64 determinant resolves;
-    their determinant is set from the swap parity and must be exactly 1."""
+    """At index 4 the reducers of the scenario's samples outgrow what a
+    float64 determinant resolves; the oracle sets their determinant from the
+    swap parity, as the package reducer signs its reps, and it must be
+    exactly 1."""
     largest = 0
     for name in ("sl3_case1", "sl3_levi_block"):
         scn = load_scenario(name)
         g = sequence_translate(scn.sequence, 4)
-        m = empirical_measure(scn.sequence.subgroup, g, scn.count, scn.seed, scn.y_cap)
-        gammas = m.gammas[:, 0]
+        samples = sample_subgroup_array(scn.sequence.subgroup, scn.count, scn.seed, scn.y_cap)
+        gammas = _reduce_siegel_full(_right_multiply(samples[:, 0], g[0]))[0]
         size = np.abs(gammas).max(axis=(1, 2))
         for idx in np.argsort(size)[-200:]:
             rows = [[int(v) for v in row] for row in gammas[idx]]
@@ -410,19 +420,17 @@ def levi_stack():
 
 
 def test_reduction_does_not_depend_on_the_stack(levi_stack):
-    """Chunking must not change a single bit of any reducer, representative
-    or factor, signs of zero included."""
-    whole = reduce_siegel_batched(levi_stack)
+    """Chunking must not change a single bit of any representative or
+    factor, signs of zero included."""
+    reps, low = reduce_siegel_batched(levi_stack)
     for lo in range(0, len(levi_stack), 1000):
         part = reduce_siegel_batched(levi_stack[lo : lo + 1000])
-        for x, y in zip(part, whole[:2]):
-            assert np.array_equal(_bits(x), _bits(y[lo : lo + 1000]))
-        assert np.array_equal(_bits(part[2]), _bits(whole[2][:, :, lo : lo + 1000]))
+        assert np.array_equal(_bits(part[0]), _bits(reps[lo : lo + 1000]))
+        assert np.array_equal(_bits(part[1]), _bits(low[:, :, lo : lo + 1000]))
     for i in np.linspace(0, len(levi_stack) - 1, 50).astype(int):
         one = reduce_siegel_batched(levi_stack[i : i + 1])
-        for x, y in zip(one, whole[:2]):
-            assert np.array_equal(_bits(x[0]), _bits(y[i]))
-        assert np.array_equal(_bits(one[2][:, :, 0]), _bits(whole[2][:, :, i]))
+        assert np.array_equal(_bits(one[0][0]), _bits(reps[i]))
+        assert np.array_equal(_bits(one[1][:, :, 0]), _bits(low[:, :, i]))
 
 
 # Gram-Schmidt columns the full-array reducer factored for levi_stack:
@@ -449,7 +457,7 @@ def test_reducer_factors_only_the_matrices_that_moved(levi_stack, monkeypatch):
 def test_reduced_factor_gives_the_split_of_the_reps(levi_stack):
     """The factor the reducer returns is the one iwasawa_batched computes on
     the reps, so the coordinates read from it match bit for bit."""
-    _, reps, low = reduce_siegel_batched(levi_stack)
+    reps, low = reduce_siegel_batched(levi_stack)
     nil, a, _ = iwasawa_batched(reps)
     a_read, u_read = iwasawa_coordinates(low)
     assert _same_bits(np.stack(a_read, axis=1), a)
@@ -461,7 +469,7 @@ def test_recertified_matrices_are_factored_again(levi_stack, monkeypatch):
     """A first reduction capped at one sweep per pass leaves matrices that
     fail certification; they are reduced again, and the returned factor is
     theirs, bit for bit."""
-    reduced = reduce_siegel_batched(levi_stack[:1000])[1]
+    reduced = reduce_siegel_batched(levi_stack[:1000])[0]
     mats = np.concatenate([levi_stack[:1000], reduced])
     real = reduction._reduce_stack
     sizes = []
@@ -473,7 +481,7 @@ def test_recertified_matrices_are_factored_again(levi_stack, monkeypatch):
 
     monkeypatch.setattr(reduction, "_reduce_stack", capped_first)
     with pytest.warns(UserWarning, match="1-sweep cap"):
-        gammas, reps, low = reduce_siegel_batched(mats)
+        reps, low = reduce_siegel_batched(mats)
     assert len(sizes) >= 2 and 0 < sizes[1] <= 1000  # the reduced half passes
     assert np.all(reduction._ratio_certified(low, siegel_default(3).ratio_min))
     nil, a, _ = iwasawa_batched(reps)
@@ -484,25 +492,27 @@ def test_recertified_matrices_are_factored_again(levi_stack, monkeypatch):
 
 
 def test_reducer_overflow_raises_instead_of_wrapping():
-    """At index 9 of sl3_levi_block the reducers reach 9e18; an int64 update
-    past 2^63 used to wrap silently and leave determinants other than one."""
+    """At index 9 of sl3_levi_block the oracle's reducers reach 9e18; an
+    int64 update past 2^63 would wrap silently and leave determinants other
+    than one, so the oracle raises.  The package reducer forms no reducers;
+    sampling refuses that index by the translate budget instead."""
     scn = load_scenario("sl3_levi_block")
     g = sequence_translate(scn.sequence, 9)
     samples = sample_subgroup_array(scn.sequence.subgroup, 2048, 0, scn.y_cap)
     with pytest.raises(OverflowError, match="int64 limit 2\\^63"):
-        reduce_siegel_batched(samples[:, 0] @ g[0])
+        _reduce_siegel_full(samples[:, 0] @ g[0])
 
 
 def test_reducer_composition_refuses_to_wrap():
-    """The recertification composes two int64 reducers; a product whose
-    entries could pass 2^62 raises instead of wrapping."""
+    """The oracle's recertification composes two int64 reducers; a product
+    whose entries could pass 2^62 raises instead of wrapping."""
     small = np.array([random_gamma(3) for _ in range(4)])
-    assert np.array_equal(reduction._compose(small, small), small @ small)
+    assert np.array_equal(_compose(small, small), small @ small)
     extra, first = np.tile(np.eye(3, dtype=np.int64), (2, 2, 1, 1))
     extra[1, 0, 1] = 2**32
     first[1, 1, 2] = 2**31  # (extra @ first)[1, 0, 2] = 2^63 would wrap
     with pytest.raises(OverflowError, match="int64 limit 2\\^63"):
-        reduction._compose(extra, first)
+        _compose(extra, first)
 
 
 def _component_major(mats):
@@ -513,9 +523,8 @@ def _component_major(mats):
 
 
 def _lll_pass(mats, max_sweeps):
-    b, u, odd, low = _component_major(mats)
-    stack = (b, u, low, odd, np.arange(len(mats)))
-    return reduction._lll_rows(stack, 0, 0.75, max_sweeps)
+    b, _, odd, low = _component_major(mats)
+    return reduction._lll_rows((b, low, odd, np.arange(len(mats))), 0, 0.75, max_sweeps)
 
 
 def test_lll_pass_reports_whether_it_converged(levi_stack):
@@ -525,8 +534,45 @@ def test_lll_pass_reports_whether_it_converged(levi_stack):
     assert 1 < sweeps < 1000 and converged
 
 
-# The full-array sweep loop, kept as an oracle for the working-set loop of
-# reduction._lll_rows: every sweep refactors and sweeps the whole stack.
+# The full-array reducer, kept as an oracle for reduction.reduce_siegel_batched:
+# every sweep refactors and sweeps the whole stack, and the int64 transform u
+# is carried along with the basis.  No basis update reads u, so the decisions
+# and the float bits are the package's; u gives the exact reducers.
+# Reducer entries are int64.  Every integer update is u_i - q * u_j with both
+# |u_i| and |q| * |u_j| kept below INT64_ROOM, so no update can reach 2^63
+# and wrap around: a per-row bound on max |u|, grown by each update, screens
+# the updates, and only when it passes INT64_ROOM are the entries themselves
+# checked and the bound reset to their exact value.
+INT64_ROOM = float(2**62)
+
+
+def _int64_overflow():
+    return OverflowError(
+        "an integer reducer entry would pass 2^62, too close to the int64 "
+        "limit 2^63: the translated samples are too ill-conditioned for "
+        "float64 reduction"
+    )
+
+
+def _exact_row_bounds(u_i, u_j, q_abs):
+    """Check the update u_i - q * u_j matrix by matrix against INT64_ROOM;
+    returns bounds over the stack on max |u_i| after the update and on
+    max |u_j|, both taken from the entries themselves."""
+    top_i = np.abs(u_i).max(axis=0).astype(float)
+    top_j = np.abs(u_j).max(axis=0).astype(float)
+    step = q_abs * top_j
+    if np.any(step >= INT64_ROOM) or np.any(top_i >= INT64_ROOM):
+        raise _int64_overflow()
+    return float(np.max(top_i + step)), float(top_j.max())
+
+
+def _compose(extra, gammas):
+    """extra @ gammas in int64, refused (OverflowError) unless every entry's
+    sum of absolute products stays below INT64_ROOM."""
+    room = np.abs(extra).astype(float) @ np.abs(gammas).astype(float)
+    if np.any(room >= INT64_ROOM):
+        raise _int64_overflow()
+    return extra @ gammas
 
 
 def _lll_rows_full(b, u, odd, low, delta, max_sweeps):
@@ -544,8 +590,8 @@ def _lll_rows_full(b, u, odd, low, delta, max_sweeps):
                 q_max = float(q_abs.max())
                 if q_max == 0.0:
                     continue
-                if q_max * bound[j] >= reduction.INT64_ROOM or bound[i] >= reduction.INT64_ROOM:
-                    bound[i], bound[j] = reduction._exact_row_bounds(u[i], u[j], q_abs)
+                if q_max * bound[j] >= INT64_ROOM or bound[i] >= INT64_ROOM:
+                    bound[i], bound[j] = _exact_row_bounds(u[i], u[j], q_abs)
                 else:
                     bound[i] += q_max * bound[j]
                 b[i] -= q * b[j]
@@ -606,16 +652,36 @@ def _reduce_stack_full(mats, passes):
     return gammas, reps, low
 
 
+def _reduce_siegel_full(mats, passes=None):
+    """reduce_siegel_batched as the full-array reducer runs it, with the
+    reducers: returns (gammas, reps, low), composing the recertification's
+    reducers in int64."""
+    passes = [] if passes is None else passes
+    mats = np.ascontiguousarray(mats, dtype=float)
+    gammas, reps, low = _reduce_stack_full(mats, passes)
+    ratio_min = siegel_default(mats.shape[1]).ratio_min
+    bad = np.flatnonzero(~reduction._ratio_certified(low, ratio_min))
+    for attempt in range(2):
+        if not bad.size:
+            break
+        extra, fixed, fixed_low = _reduce_stack_full(reps[bad], passes)
+        gammas[bad] = _compose(extra, gammas[bad])
+        reps[bad] = fixed
+        low[:, :, bad] = fixed_low
+        if attempt == 0:
+            bad = bad[~reduction._ratio_certified(fixed_low, ratio_min)]
+    return gammas, reps, low
+
+
 def _bits(x):
     return x.view(np.uint64) if x.dtype == float else x
 
 
 def _reduce_both(mats, cap, monkeypatch):
-    """reduce_siegel_batched with the working-set reducer and with the
-    oracle, both under a sweep cap: each result, each pass's (sweeps,
-    converged) and the warnings."""
+    """reduce_siegel_batched and the oracle, both under a sweep cap: each
+    one's reps and low, each pass's (sweeps, converged) and the warnings."""
     runs = []
-    real_lll, real_stack = reduction._lll_rows, reduction._reduce_stack
+    real_lll = reduction._lll_rows
     monkeypatch.setattr(reduction, "MAX_SWEEPS", cap)
     for oracle in (False, True):
         passes = []
@@ -626,14 +692,12 @@ def _reduce_both(mats, cap, monkeypatch):
             return out
 
         monkeypatch.setattr(reduction, "_lll_rows", spy)
-        monkeypatch.setattr(
-            reduction,
-            "_reduce_stack",
-            (lambda m: _reduce_stack_full(m, passes)) if oracle else real_stack,
-        )
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            out = reduce_siegel_batched(mats)
+            if oracle:
+                out = _reduce_siegel_full(mats, passes)[1:]
+            else:
+                out = reduce_siegel_batched(mats)
         runs.append((out, passes, [str(w.message) for w in caught]))
     monkeypatch.undo()
     return runs
@@ -673,7 +737,7 @@ def _oracle_stacks(levi_stack):
     seq = scenario_from_json(doc).sequence
     samples = sample_subgroup_array(seq.subgroup, 2048, 7, 1e6)
     yield "sl4_embedded_sl2", samples[:, 0] @ sequence_translate(seq, 4)[0]
-    reduced = reduce_siegel_batched(levi_stack[:1000])[1]
+    reduced = reduce_siegel_batched(levi_stack[:1000])[0]
     yield "raw_and_reduced", np.concatenate([levi_stack[:1000], reduced])[::-1].copy()
     yield "one_matrix", levi_stack[7:8]
     yield "zeros_3", _zeros_stack(3)
@@ -681,12 +745,10 @@ def _oracle_stacks(levi_stack):
 
 
 def test_working_set_matches_the_full_array_loop(levi_stack, monkeypatch):
-    """gammas, reps and low of the working-set reducer are the oracle's bit
-    for bit (signs of zero included), with the same sweeps per pass, the
-    same converged flags and the same warnings, also when the passes stop at
-    a one-sweep cap.  The oracle also refuses the index-9 stack that
-    test_reducer_overflow_raises_instead_of_wrapping gives the working-set
-    reducer."""
+    """reps and low of the working-set reducer, which carries no integer
+    transform, are the oracle's bit for bit (signs of zero included), with
+    the same sweeps per pass, the same converged flags and the same
+    warnings, also when the passes stop at a one-sweep cap."""
     for name, mats in _oracle_stacks(levi_stack):
         for cap in (reduction.MAX_SWEEPS, 1):
             (got, got_passes, got_warn), (want, want_passes, want_warn) = _reduce_both(
@@ -695,12 +757,6 @@ def test_working_set_matches_the_full_array_loop(levi_stack, monkeypatch):
             for x, y in zip(got, want):
                 assert np.array_equal(_bits(x), _bits(y)), (name, cap)
             assert got_passes == want_passes and got_warn == want_warn, (name, cap)
-    scn = load_scenario("sl3_levi_block")
-    g = sequence_translate(scn.sequence, 9)
-    samples = sample_subgroup_array(scn.sequence.subgroup, 2048, 0, scn.y_cap)
-    monkeypatch.setattr(reduction, "_reduce_stack", lambda m: _reduce_stack_full(m, []))
-    with pytest.raises(OverflowError, match="int64 limit 2\\^63"):
-        reduce_siegel_batched(samples[:, 0] @ g[0])
 
 
 def test_sweep_cap_warns_naming_the_pass(levi_stack, monkeypatch):
@@ -769,7 +825,7 @@ def test_format_columnar():
     mats = np.stack([np.eye(2), [[1.0, 5.0], [0.0, 1.0]]])
     x, y = reduce_sl2_coords(*half_plane_point(mats))
     log_a = np.stack([0.5 * np.log(y), -0.5 * np.log(y)], axis=1)[:, None]
-    m = EmpiricalMeasure(embedded_sl2(2), log_a, x[:, None, None], None, 0, 2, 1e4, 0.0)
+    m = EmpiricalMeasure(embedded_sl2(2), log_a, x[:, None, None], 0, 2, 1e4, 0.0)
     lines = points_text(m).strip().split("\n")
     assert lines[0].startswith("# 2 of 2 reduced points")
     assert len(lines) == 3
