@@ -50,7 +50,6 @@ from .measures import (
     one_param_unipotent,
     product_subgroup,
     trivial_subgroup,
-    window_mass,
 )
 from .qfield import QMatrix, QuadNum, qmat
 from .rootsys import build_type_a, locate_chamber, make_vector
@@ -96,5 +95,4 @@ __all__ = [
     "trivial_subgroup",
     "unip_limit_I",
     "verify_dalpha",
-    "window_mass",
 ]

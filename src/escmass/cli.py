@@ -51,7 +51,6 @@ import math
 import random
 import re
 import sys
-import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
@@ -80,7 +79,6 @@ from .lingrp import (
     verify_dalpha,
 )
 from .measures import (
-    KINDS,
     T_ESC_SWEEP,
     Y_CAP_DEFAULT,
     BoundaryHistogram,
@@ -176,6 +174,23 @@ def parse_entry(text, tau: Optional[QuadNum]) -> QuadNum:
     return QuadNum.rational(a) + QuadNum.rational(b) * tau
 
 
+def _finite(value, convert, field: str, text=None):
+    """convert(value), with convert float or int, refused with a
+    ScenarioError naming the field when it is not a number or does not fit
+    a finite float or int; ``text`` is the scenario's spelling of value."""
+    shown = value if text is None else text
+    try:
+        out = convert(value)
+        if convert is float and not math.isfinite(out):
+            raise OverflowError
+    except OverflowError as exc:
+        kind = "a finite float" if convert is float else "an int"
+        raise ScenarioError(f"{field} value {shown!r} does not fit {kind}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"bad {field} value {shown!r}: {exc}") from exc
+    return out
+
+
 def _parse_qmatrix(rows, n: int, tau: Optional[QuadNum]) -> QMatrix:
     if (
         not isinstance(rows, list)
@@ -183,7 +198,11 @@ def _parse_qmatrix(rows, n: int, tau: Optional[QuadNum]) -> QMatrix:
         or any(not isinstance(r, list) or len(r) != n for r in rows)
     ):
         raise ScenarioError(f"expected an {n}x{n} matrix (list of {n} rows)")
-    return qmat([[parse_entry(v, tau) for v in row] for row in rows])
+    entries = [[parse_entry(v, tau) for v in row] for row in rows]
+    for texts, row in zip(rows, entries):
+        for text, x in zip(texts, row):
+            _finite(x, float, "bounded_part", text)
+    return qmat(entries)
 
 
 def _int_rows(obj, what: str):
@@ -191,7 +210,7 @@ def _int_rows(obj, what: str):
         return None
     try:
         rows = tuple(tuple(int(v) for v in row) for row in obj)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ScenarioError(f"{what} must be an integer matrix") from exc
     return rows
 
@@ -317,16 +336,19 @@ def scenario_from_json(doc, fallback_name: str = "scenario") -> Scenario:
     indices = seq_doc.get("indices", [1, 2, 4])
     if not isinstance(indices, list) or not indices:
         raise ScenarioError("indices must be a non-empty list of integers")
+    exact_direction = [_fraction(x) for x in direction]
+    for text, x in zip(direction, exact_direction):
+        _finite(x, float, "direction", text)
     try:
         seq = sequence_spec(
             spec,
-            [_fraction(x) for x in direction],
+            exact_direction,
             bounded_part=_bounded_from_json(seq_doc.get("bounded_part"), spec, tau),
             conjugator_policy=seq_doc.get("conjugator_policy", "identity"),
             recorded_conjugator=_recorded_from_json(
                 seq_doc.get("recorded_conjugator"), spec
             ),
-            indices=tuple(int(i) for i in indices),
+            indices=tuple(_finite(i, int, "indices") for i in indices),
             stage=seq_doc.get("stage", "raw"),
         )
     except ScenarioError:
@@ -340,13 +362,13 @@ def scenario_from_json(doc, fallback_name: str = "scenario") -> Scenario:
     stray = set(samp) - _SAMPLING_KEYS
     if stray:
         raise ScenarioError(f"unknown sampling keys {sorted(stray)}")
-    try:
-        count = int(samp.get("count", 100000))
-        seed = int(samp.get("seed", 20240817))
-        y_cap = float(samp.get("y_cap", Y_CAP_DEFAULT))
-        t_sweep = tuple(float(t) for t in samp.get("t_sweep", list(T_ESC_SWEEP)))
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"bad sampling block: {exc}") from exc
+    count = _finite(samp.get("count", 100000), int, "count")
+    seed = _finite(samp.get("seed", 20240817), int, "seed")
+    y_cap = _finite(samp.get("y_cap", Y_CAP_DEFAULT), float, "y_cap")
+    sweep = samp.get("t_sweep", list(T_ESC_SWEEP))
+    if not isinstance(sweep, list):
+        raise ScenarioError("t_sweep must be a list of thresholds")
+    t_sweep = tuple(_finite(t, float, "t_sweep") for t in sweep)
     if count < 1:
         raise ScenarioError("sampling count must be positive")
     if not y_cap > 1.0:
@@ -448,13 +470,6 @@ class RunResult:
     sample_time: float
 
 
-def _histograms(m: EmpiricalMeasure, t_sweep) -> Dict[float, BoundaryHistogram]:
-    # the histograms cache root log-values on a throwaway handle on the same
-    # arrays, so the measure the run keeps for its outputs does not hold them
-    view = replace(m)
-    return dict(zip(t_sweep, boundary_histograms(view, t_sweep)))
-
-
 def run_scenario(scn: Scenario, jobs: int = 1) -> RunResult:
     """Classify, sample once, push the sample by every translate index, and
     compare at the last one.
@@ -478,7 +493,10 @@ def run_scenario(scn: Scenario, jobs: int = 1) -> RunResult:
             scn.sequence.subgroup, translates, scn.count, scn.seed,
             y_cap=scn.y_cap, executor=pool, times=times,
         )))
-    hists = {idx: _histograms(m, scn.t_sweep) for idx, m in measures.items()}
+    hists = {
+        idx: dict(zip(scn.t_sweep, boundary_histograms(m, scn.t_sweep)))
+        for idx, m in measures.items()
+    }
     timings = dict(zip(indices, times.push_reduce))
 
     last = max(indices)

@@ -83,7 +83,6 @@ __all__ = [
     "root_system_for",
     "sequence_translate",
     "delta_truncated",
-    "parabolics_containing",
     "unip_limit_I",
     "ma_split",
     "sl3_classify",
@@ -352,7 +351,7 @@ def delta_truncated(spec: SubgroupSpec, g: GroupElement, height: int) -> float:
     >>> round(delta_truncated(spec, GroupElement(np.eye(2)), 1), 12)
     1.0
     """
-    gens = [_int_of_rat(X) for X in lie_generators(spec)]
+    gens = lie_generators(spec)
     n = spec.n
     walls = [_wall_parabolic(n, a) for a in range(n - 1)]
     ginv = g.inv().mat
@@ -360,54 +359,12 @@ def delta_truncated(spec: SubgroupSpec, g: GroupElement, height: int) -> float:
     for gamma in enumerate_gamma(n, height):
         gam = gamma.tolist()
         gam_inv = int_inverse(gam)
-        conj = [_int_mul(gam_inv, _int_mul(X, gam)) for X in gens]
+        conj = [rat_mul(gam_inv, rat_mul(X, gam)) for X in gens]
         for P in walls:
             if all(_lie_fits(X, P) for X in conj):
                 val = d_function(P, GroupElement(ginv @ np.asarray(gamma, dtype=float)))
                 best = min(best, val)
     return best
-
-
-def _int_of_rat(X: FracMatrix) -> IntMatrix:
-    assert all(x.denominator == 1 for row in X for x in row), "catalog generators are integral"
-    return tuple(tuple(x.numerator for x in row) for row in X)
-
-
-def _int_mul(a, b) -> IntMatrix:
-    """Product of square integer matrices, row by row as combinations of
-    the rows of b; zero entries of a cost nothing."""
-    out = []
-    for row in a:
-        acc = [0] * len(b[0])
-        for x, b_row in zip(row, b):
-            if x:
-                for j, y in enumerate(b_row):
-                    acc[j] += x * y
-        out.append(tuple(acc))
-    return tuple(out)
-
-
-def parabolics_containing(spec: SubgroupSpec) -> List[ParabolicIndex]:
-    """Exact list of standard parabolics containing the described group,
-    decided on Lie generators; conjugated specs get the conjugator attached
-    to every returned flag (the containment then holds for the conjugate).
-    """
-    import itertools
-
-    plain = dataclasses.replace(spec, conjugator=None)
-    gens = lie_generators(plain)
-    n = spec.n
-    conj = None
-    if spec.conjugator is not None:
-        conj = GroupElement(np.asarray(spec.conjugator, dtype=float))
-    out = []
-    for r in range(n):
-        for I in itertools.combinations(range(n - 1), r):
-            P = ParabolicIndex(n, frozenset(I))
-            if all(_lie_fits(X, P) for X in gens):
-                out.append(ParabolicIndex(n, frozenset(I), conjugator=conj))
-    out.sort(key=lambda P: (len(P.I), tuple(sorted(P.I))))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
-
-from .rootsys import RootSystem, WeylElement
 
 RECONSTRUCTION_TOL = 1e-9
 ORTHOGONALITY_TOL = 1e-10
@@ -29,21 +26,16 @@ __all__ = [
     "LanglandsParts",
     "RootValueVector",
     "group_element",
-    "parse_matrix",
-    "identity_element",
     "iwasawa",
     "iwasawa_batched",
     "iwasawa_coordinates",
     "gram_schmidt_components",
     "gram_schmidt_lower",
-    "gram_schmidt_rows",
     "langlands",
-    "root_values",
     "parabolic_root_values",
     "dalpha_product",
     "d_function",
     "verify_dalpha",
-    "weyl_representative",
 ]
 
 
@@ -97,26 +89,6 @@ def group_element(entries, factor: int = 0) -> GroupElement:
     if abs(np.linalg.det(mat) - 1.0) > 1e-9:
         raise ValueError("determinant renormalization failed (input too skewed)")
     return GroupElement(_freeze(mat), factor)
-
-
-def identity_element(n: int, factor: int = 0) -> GroupElement:
-    return GroupElement(_freeze(np.eye(n)), factor)
-
-
-def parse_matrix(text: str, n: Optional[int] = None, factor: int = 0) -> GroupElement:
-    """Row-major matrix text: entries are decimals or exact rationals ("p/q"),
-    separated by whitespace, commas, or semicolons.
-
-    >>> float(parse_matrix("1 1/2; 0 1").mat[0, 1])
-    0.5
-    """
-    tokens = text.replace(",", " ").replace(";", " ").split()
-    values = [float(Fraction(tok)) for tok in tokens]
-    if n is None:
-        n = int(round(len(values) ** 0.5))
-    if n * n != len(values):
-        raise ValueError(f"{len(values)} entries do not fill an {n}x{n} matrix")
-    return group_element(np.array(values).reshape(n, n), factor)
 
 
 # ---------------------------------------------------------------------------
@@ -204,9 +176,6 @@ class RootValueVector:
     labels: Tuple[object, ...]
     values: Tuple[float, ...]
     multiplicities: Tuple[int, ...]
-
-    def as_dict(self) -> Dict[object, float]:
-        return dict(zip(self.labels, self.values))
 
 
 # ---------------------------------------------------------------------------
@@ -311,26 +280,6 @@ def _gram_schmidt_block(rows: np.ndarray, low: np.ndarray, q: np.ndarray, work) 
             np.divide(res, norm, out=q[i])
 
 
-def gram_schmidt_rows(b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Row Gram-Schmidt of a (..., n, n) stack: b = L @ Q, from
-    :func:`gram_schmidt_components` on the component-major view of the
-    stack.
-
-    >>> low, q = gram_schmidt_rows(np.array([[3.0, 4.0], [1.0, 0.0]]))
-    >>> low.tolist()
-    [[5.0, 0.0], [0.6, 0.8]]
-    """
-    b = np.asarray(b, dtype=float)
-    n = b.shape[-1]
-    rows = np.moveaxis(b, (-2, -1), (0, 1)).reshape(n, n, b.size // (n * n))
-    low, q = gram_schmidt_components(rows)
-    back = (n, n) + b.shape[:-2]
-    return (
-        np.moveaxis(low.reshape(back), (0, 1), (-2, -1)),
-        np.moveaxis(q.reshape(back), (0, 1), (-2, -1)),
-    )
-
-
 def iwasawa_coordinates(low: np.ndarray) -> Tuple[List[np.ndarray], List[np.ndarray]]:
     """The n-a-k coordinates of a stack, read from the component-major lower
     factor ``low`` of its row-reversed stack (as :func:`gram_schmidt_components`
@@ -354,12 +303,19 @@ def iwasawa_batched(mats: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarra
     Returns (N, a, K): N unit upper triangular, a positive diagonals as a
     (..., n) array, K special orthogonal, with mats = N @ diag(a) @ K.
 
-    Implementation: row Gram-Schmidt of the row-reversed stack, J @ mats =
-    L @ Q with J the reversal, gives mats = (J L J) @ (J Q); J L J is upper
-    triangular with the positive diagonal a, and J Q is orthogonal with
-    determinant det(mats) / prod(a) = +1.
+    Implementation: row Gram-Schmidt (:func:`gram_schmidt_components` on the
+    component-major view) of the row-reversed stack, J @ mats = L @ Q with J
+    the reversal, gives mats = (J L J) @ (J Q); J L J is upper triangular
+    with the positive diagonal a, and J Q is orthogonal with determinant
+    det(mats) / prod(a) = +1.
     """
-    low, q = gram_schmidt_rows(np.asarray(mats, dtype=float)[..., ::-1, :])
+    rev = np.asarray(mats, dtype=float)[..., ::-1, :]
+    n = rev.shape[-1]
+    rows = np.moveaxis(rev, (-2, -1), (0, 1)).reshape(n, n, rev.size // (n * n))
+    low, q = (
+        np.moveaxis(x.reshape((n, n) + rev.shape[:-2]), (0, 1), (-2, -1))
+        for x in gram_schmidt_components(rows)
+    )
     upper = low[..., ::-1, ::-1]
     a = np.ascontiguousarray(np.diagonal(upper, axis1=-2, axis2=-1))
     nil = upper / a[..., None, :]
@@ -408,24 +364,6 @@ def langlands(g: GroupElement, P: ParabolicIndex) -> LanglandsParts:
 
 # ---------------------------------------------------------------------------
 # characters
-
-
-def root_values(a: Sequence[float], rs: RootSystem) -> RootValueVector:
-    """Simple-root character values of a positive diagonal, per factor.
-
-    >>> from .rootsys import build_type_a
-    >>> root_values([2.0, 1.0, 0.5], build_type_a(3)).values
-    (2.0, 2.0)
-    """
-    a = np.asarray(a, dtype=float)
-    if a.shape != (rs.ambient_dim,) or np.any(a <= 0):
-        raise ValueError("expected a positive diagonal matching the ambient dimension")
-    labels = tuple(range(rs.rank))
-    values = []
-    for i in labels:
-        c, d = rs.root_coordinates(i)
-        values.append(float(a[c] / a[d]))
-    return RootValueVector(labels, tuple(values), (1,) * rs.rank)
 
 
 def parabolic_root_values(P: ParabolicIndex, a: Sequence[float]) -> RootValueVector:
@@ -499,28 +437,3 @@ def verify_dalpha(g: GroupElement, P: ParabolicIndex) -> float:
     d_val = d_function(P, g.inv())
     predicted = dalpha_product(P, langlands(g, P).a_diag, power=-1)
     return abs(d_val - predicted) / d_val
-
-
-# ---------------------------------------------------------------------------
-# Weyl representatives
-
-
-def weyl_representative(w: WeylElement) -> GroupElement:
-    """Signed permutation matrix in SO(n) inducing w on the diagonal torus
-    (single-factor systems only; products go factor by factor).
-
-    >>> from .rootsys import WeylElement, build_type_a
-    >>> rep = weyl_representative(WeylElement(build_type_a(3), ((0, 2, 1),)))
-    >>> rep.mat.astype(int).tolist()
-    [[1, 0, 0], [0, 0, -1], [0, 1, 0]]
-    """
-    if len(w.perms) != 1:
-        raise ValueError("one factor at a time; split product elements first")
-    perm = w.perms[0]
-    n = len(perm)
-    mat = np.zeros((n, n))
-    for i in range(n):
-        mat[perm[i], i] = 1.0
-    if np.linalg.det(mat) < 0:
-        mat[:, -1] = -mat[:, -1]
-    return GroupElement(_freeze(mat))

@@ -16,14 +16,12 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .lingrp import (
-    GroupElement,
     ParabolicIndex,
     gram_schmidt_lower,
     iwasawa_batched,  # noqa: F401 - perfbench/tracing.py wraps this name here
@@ -55,7 +53,6 @@ __all__ = [
     "SubgroupSpec",
     "EmpiricalMeasure",
     "BoundaryHistogram",
-    "CoordinateWindow",
     "full_unipotent_radical",
     "levi_semisimple_nc",
     "embedded_sl2",
@@ -63,13 +60,11 @@ __all__ = [
     "trivial_subgroup",
     "product_subgroup",
     "lie_generators",
-    "sample_subgroup_array",
     "empirical_measure",
     "empirical_measures",
     "SamplingTimes",
     "boundary_histogram",
     "boundary_histograms",
-    "window_mass",
     "truncation_bound",
     "conjugator_bits",
     "PrecisionBudgetError",
@@ -108,12 +103,6 @@ class SubgroupSpec:
         if self.kind == "product":
             return (len(self.factors), 2)
         return (1, self.n)
-
-    @property
-    def is_unipotent(self) -> bool:
-        if self.kind == "product":
-            return all(f.is_unipotent for f in self.factors)
-        return self.kind in ("full_unipotent_radical", "one_param_unipotent", "trivial")
 
     def describe(self) -> str:
         if self.kind == "product":
@@ -415,36 +404,12 @@ def _chunk_plan(count: int) -> Iterator[Tuple[int, int]]:
         yield ci, min(CHUNK, count - ci * CHUNK)
 
 
-def sample_subgroup_array(
-    spec: SubgroupSpec, count: int, seed: int, y_cap: float = Y_CAP_DEFAULT
-) -> np.ndarray:
-    """(count, factors, n, n) Haar samples of the integer quotient of the
-    described group; deterministic in (spec, count, seed)."""
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    r, n = spec.shape
-    factors = spec.factors if spec.kind == "product" else (spec,)
-    out = np.empty((count, r, n, n))
-    for ci, size in _chunk_plan(count):
-        lo = ci * CHUNK
-        for f, fac in enumerate(factors):
-            rng = np.random.default_rng([seed, ci, f])
-            draw = _draw_factor_chunk(fac, size, rng, y_cap)
-            out[lo : lo + size, f] = _embed_factor_chunk(fac, draw, size)
-    return out
-
-
 def _translate_array(g, r: int, n: int) -> np.ndarray:
-    if g is None:
-        return np.tile(np.eye(n), (r, 1, 1))
-    if isinstance(g, GroupElement):
-        g = (g,)
-    if isinstance(g, (list, tuple)) and g and isinstance(g[0], GroupElement):
-        arr = np.stack([e.mat for e in g])
-    else:
-        arr = np.asarray(g, dtype=float)
-        if arr.ndim == 2:
-            arr = arr[None]
+    """A translate as its (r, n, n) per-factor array; an (n, n) array stands
+    for the one factor of a non-product spec."""
+    arr = np.asarray(g, dtype=float)
+    if arr.ndim == 2:
+        arr = arr[None]
     if arr.shape != (r, n, n):
         raise ValueError(f"translate shape {arr.shape} does not match ({r},{n},{n})")
     return arr
@@ -467,31 +432,19 @@ class EmpiricalMeasure:
     spec: SubgroupSpec
     log_a: np.ndarray
     u_coords: np.ndarray
-    seed: int
-    sample_count: int
-    y_cap: float
-    truncation: float
 
     @property
-    def factor_count(self) -> int:
-        return self.log_a.shape[1]
-
-    @property
-    def n(self) -> int:
-        return self.log_a.shape[2]
+    def sample_count(self) -> int:
+        return self.log_a.shape[0]
 
     def root_log_values(self) -> np.ndarray:
         """(count, total roots) log character values of the reduced diagonal,
-        factors concatenated; a read-only view, computed once per measure."""
-        return self._root_logs.T
-
-    @cached_property
-    def _root_logs(self) -> np.ndarray:
-        # root-major, so each root's values over the samples are contiguous
+        factors concatenated: a fresh read-only array on each call, stored
+        root-major, so each root's values over the samples are contiguous."""
         diffs = self.log_a[:, :, :-1] - self.log_a[:, :, 1:]
         roots = np.ascontiguousarray(diffs.reshape(self.sample_count, -1).T)
         roots.setflags(write=False)
-        return roots
+        return roots.T
 
 
 def truncation_bound(spec: SubgroupSpec, y_cap: float) -> float:
@@ -647,15 +600,7 @@ def empirical_measures(
     measures = []
     for log_a, u_coords in outs:
         _assert_reduced(log_a, u_coords, n)
-        measures.append(EmpiricalMeasure(
-            spec=spec,
-            log_a=log_a,
-            u_coords=u_coords,
-            seed=seed,
-            sample_count=count,
-            y_cap=y_cap,
-            truncation=truncation_bound(spec, y_cap),
-        ))
+        measures.append(EmpiricalMeasure(spec=spec, log_a=log_a, u_coords=u_coords))
     return measures
 
 
@@ -818,26 +763,6 @@ def _label_masses(
 def boundary_histogram(m: EmpiricalMeasure, t_esc: float = T_ESC_DEFAULT) -> BoundaryHistogram:
     """Empirical mass over component labels at escape threshold t_esc."""
     return boundary_histograms(m, [t_esc])[0]
-
-
-@dataclass(frozen=True)
-class CoordinateWindow:
-    """A box in reduced coordinates: |u| <= u_max and character values in
-    [alpha_min, alpha_max] for every root."""
-
-    u_max: float
-    alpha_max: float
-    alpha_min: float = 0.0
-
-
-def window_mass(m: EmpiricalMeasure, box: CoordinateWindow) -> float:
-    """Fraction of the sample cloud inside the window."""
-    alphas = np.exp(m.root_log_values())
-    inside = np.all(alphas <= box.alpha_max, axis=1)
-    inside &= np.all(alphas >= box.alpha_min, axis=1)
-    flat_u = m.u_coords.reshape(m.sample_count, -1)
-    inside &= np.all(np.abs(flat_u) <= box.u_max, axis=1)
-    return float(np.count_nonzero(inside)) / m.sample_count
 
 
 def format_histogram(h: BoundaryHistogram) -> str:

@@ -265,10 +265,6 @@ def pairing(rs: RootSystem, u: Vector, v: Vector) -> Fraction:
     return sum((x * y for x, y in zip(u, v)), Fraction(0))
 
 
-def identity_weyl(rs: RootSystem) -> WeylElement:
-    return WeylElement(rs, tuple(tuple(range(n)) for n in rs.ns))
-
-
 def weyl_elements(rs: RootSystem) -> Iterator[WeylElement]:
     """All elements of the (product) Weyl group. |W| = prod n_i!."""
     pools = [list(itertools.permutations(range(n))) for n in rs.ns]

@@ -258,8 +258,8 @@ def _assert_same_outputs(a, b):
 def test_points_text_layout(spec, count, cap):
     """The header, min(cap, count) point lines, n + n(n-1)/2 fields per
     factor with factors separated by '|', and the measure's values."""
-    m = empirical_measure(spec, None, count, seed=3)
     r, n = spec.shape
+    m = empirical_measure(spec, np.tile(np.eye(n), (r, 1, 1)), count, seed=3)
     lines = points_text(m, cap).splitlines()
     k = min(cap, count)
     assert lines[0] == (
@@ -459,6 +459,25 @@ def test_cli_input_errors_exit_4(tmp_path):
     assert _run_cli("run", "no_such_scenario_anywhere").returncode == EXIT_INPUT
     assert _run_cli("run").returncode == EXIT_INPUT  # usage error, remapped from 2
     assert _run_cli("run", "sl2_cusp", "--samples", "0").returncode == EXIT_INPUT
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ('"direction": ["1", "0", "-1"]', '"direction": ["1e400", "1e400", "-2e400"]',
+         "direction value '1e400' does not fit a finite float"),
+        ('"count": 100', '"count": 1e999', "count value inf does not fit an int"),
+    ],
+    ids=["direction", "count"],
+)
+def test_out_of_range_scenario_numbers_exit_4_naming_the_field(old, new, message, tmp_path, capsys):
+    text = json.dumps(_doc()).replace(old, new)
+    with pytest.raises(ScenarioError, match=message):
+        scenario_from_json(json.loads(text))
+    p = tmp_path / "out_of_range.json"
+    p.write_text(text)
+    assert main(["run", str(p), "--jobs", "1"]) == EXIT_INPUT
+    assert f"error: {message}" in capsys.readouterr().err
 
 
 def test_translate_past_the_precision_budget_exits_4(tmp_path, capsys, monkeypatch):

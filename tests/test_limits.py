@@ -20,6 +20,7 @@ from escmass.limits import (
     LimitDescriptor,
     NotCoveredError,
     ProductParabolicIndex,
+    _lie_fits,
     _sl3_m_stage,
     _theta_lie,
     _theta_unipotent,
@@ -27,7 +28,6 @@ from escmass.limits import (
     delta_truncated,
     levi_translate_classify,
     ma_split,
-    parabolics_containing,
     sequence_spec,
     sequence_translate,
     sl2r_classify,
@@ -40,12 +40,14 @@ from escmass.measures import (
     embedded_sl2,
     full_unipotent_radical,
     levi_semisimple_nc,
+    lie_generators,
     one_param_unipotent,
     product_subgroup,
     trivial_subgroup,
 )
 from escmass.qfield import QuadNum, qmat, qmat_mul, qmat_unipotent_inverse, rat_mul
 from escmass.rootsys import (
+    WeylElement,
     _coordinate_blocks,
     build_product,
     build_type_a,
@@ -164,8 +166,17 @@ def test_delta_trivial_spec_finite():
 
 
 def test_parabolics_containing_catalog():
+    """The standard parabolics whose Lie algebra holds every generator of a
+    catalog subgroup, smallest first."""
+
     def eyes(spec):
-        return [tuple(sorted(P.I)) for P in parabolics_containing(spec)]
+        n = spec.n
+        return [
+            I
+            for r in range(n)
+            for I in itertools.combinations(range(n - 1), r)
+            if all(_lie_fits(X, ParabolicIndex(n, frozenset(I))) for X in lie_generators(spec))
+        ]
 
     assert eyes(full_unipotent_radical(3, [])) == [(), (0,), (1,), (0, 1)]
     assert eyes(trivial_subgroup(3)) == [(), (0,), (1,), (0, 1)]
@@ -176,13 +187,6 @@ def test_parabolics_containing_catalog():
     assert eyes(full_unipotent_radical(4, [1])) == [
         (), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2),
     ]
-
-
-def test_parabolics_containing_carries_conjugator():
-    spec = one_param_unipotent(3, (0, 1), conjugator=((1, 2, 0), (0, 1, 0), (0, 0, 1)))
-    ps = parabolics_containing(spec)
-    assert [tuple(sorted(P.I)) for P in ps] == [(), (0,), (1,), (0, 1)]
-    assert all(P.conjugator is not None for P in ps)
 
 
 # ---------------------------------------------------------------------------
@@ -458,6 +462,31 @@ def test_sl3_twist_representatives_exact():
         p = w.one_line()
         conj = R.T @ np.diag(v) @ R
         assert np.allclose(np.diag(conj), v[list(p)])
+
+
+def test_weyl_representative_identity_and_eta():
+    rs = build_type_a(3)
+    assert _weyl_rep_exact(WeylElement(rs, ((0, 1, 2),))) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    eta = _weyl_rep_exact(WeylElement(rs, ((0, 2, 1),)))
+    assert eta == ((1, 0, 0), (0, 0, -1), (0, 1, 0))
+
+
+def test_weyl_representative_all_w_realize_torus_action():
+    for n in (2, 3, 4):
+        rs = build_type_a(n)
+        t = np.exp(np.linspace(0.1, 0.4, n))
+        t /= np.prod(t) ** (1.0 / n)
+        for w in weyl_elements(rs):
+            rep = np.array(_weyl_rep_exact(w), dtype=float)
+            assert abs(np.linalg.det(rep) - 1.0) < 1e-12
+            assert np.allclose(rep @ rep.T, np.eye(n), atol=1e-12)
+            moved = rep @ np.diag(t) @ rep.T
+            perm = w.one_line()
+            expect = np.empty(n)
+            for i in range(n):
+                expect[perm[i]] = t[i]
+            assert np.allclose(np.diagonal(moved), expect)
+            assert np.allclose(moved, np.diag(expect))
 
 
 # ---------------------------------------------------------------------------

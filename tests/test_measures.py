@@ -14,10 +14,9 @@ import pytest
 from scipy import integrate
 
 import escmass.measures as measures
-from escmass.lingrp import GroupElement, group_element, identity_element, iwasawa_batched
+from escmass.lingrp import group_element, iwasawa_batched
 from escmass.measures import (
     CHUNK,
-    CoordinateWindow,
     EmpiricalMeasure,
     boundary_histogram,
     boundary_histograms,
@@ -29,13 +28,27 @@ from escmass.measures import (
     lie_generators,
     one_param_unipotent,
     product_subgroup,
-    sample_subgroup_array,
     trivial_subgroup,
     truncation_bound,
-    window_mass,
 )
 
 Y0 = math.sqrt(3.0) / 2.0
+
+
+def _samples(spec, count, seed, y_cap=measures.Y_CAP_DEFAULT):
+    """(count, factors, n, n) raw Haar samples: each chunk of each factor
+    drawn from its (seed, chunk, factor) stream and embedded, as the
+    sampling path does before it pushes."""
+    r, n = spec.shape
+    factors = spec.factors if spec.kind == "product" else (spec,)
+    out = np.empty((count, r, n, n))
+    for ci, size in measures._chunk_plan(count):
+        rows = slice(ci * measures.CHUNK, ci * measures.CHUNK + size)
+        for f, fac in enumerate(factors):
+            rng = np.random.default_rng([seed, ci, f])
+            draw = measures._draw_factor_chunk(fac, size, rng, y_cap)
+            out[rows, f] = measures._embed_factor_chunk(fac, draw, size)
+    return out
 
 
 def test_catalog_validation():
@@ -78,10 +91,10 @@ def test_lie_generators():
 
 def test_trivial_and_line_samplers():
     spec = trivial_subgroup(3)
-    for h in sample_subgroup_array(spec, 5, seed=1)[:, 0]:
+    for h in _samples(spec, 5, seed=1)[:, 0]:
         assert np.array_equal(h, np.eye(3))
     line = one_param_unipotent(3, (0, 2))
-    arr = sample_subgroup_array(line, 200, seed=2)
+    arr = _samples(line, 200, seed=2)
     assert arr.shape == (200, 1, 3, 3)
     coords = arr[:, 0, 0, 2]
     assert np.all((coords >= 0.0) & (coords < 1.0))
@@ -91,7 +104,7 @@ def test_trivial_and_line_samplers():
 
 
 def test_full_radical_sampler_box():
-    arr = sample_subgroup_array(full_unipotent_radical(3, []), 500, seed=3)
+    arr = _samples(full_unipotent_radical(3, []), 500, seed=3)
     for i, j in ((0, 1), (0, 2), (1, 2)):
         v = arr[:, 0, i, j]
         assert np.all((v >= 0.0) & (v < 1.0))
@@ -101,7 +114,7 @@ def test_full_radical_sampler_box():
 def test_modular_sampler_density():
     spec = embedded_sl2(2)
     y_cap = 1.0e4
-    arr = sample_subgroup_array(spec, 100_000, seed=4, y_cap=y_cap)
+    arr = _samples(spec, 100_000, seed=4, y_cap=y_cap)
     mats = arr[:, 0]
     dets = np.linalg.det(mats)
     assert np.allclose(dets, 1.0, atol=1e-10)
@@ -129,29 +142,29 @@ def test_modular_sampler_density():
 
 def test_sampler_determinism():
     spec = product_subgroup([embedded_sl2(2), one_param_unipotent(2, (0, 1))])
-    a = sample_subgroup_array(spec, 300, seed=77)
-    b = sample_subgroup_array(spec, 300, seed=77)
+    a = _samples(spec, 300, seed=77)
+    b = _samples(spec, 300, seed=77)
     assert np.array_equal(a, b)
-    c = sample_subgroup_array(spec, 300, seed=78)
+    c = _samples(spec, 300, seed=78)
     assert not np.array_equal(a, c)
 
 
 def test_pushforward():
     spec = one_param_unipotent(2, (0, 1))
-    samples = sample_subgroup_array(spec, 20, seed=5)[:, 0]
+    samples = _samples(spec, 20, seed=5)[:, 0]
     g = group_element([[2.0, 0.0], [0.0, 0.5]])
     pushed = measures._right_multiply(samples, g.mat)
     for h, hg in zip(samples, pushed):
         assert np.allclose(hg, h @ g.mat)
         assert abs(np.linalg.det(hg) - 1.0) < 1e-12
-    same = measures._right_multiply(samples, identity_element(2).mat)
+    same = measures._right_multiply(samples, np.eye(2))
     for h, hs in zip(samples, same):
         assert np.allclose(h, hs)
 
 
 def test_empirical_measure_compact_orbit_interior():
     spec = full_unipotent_radical(3, [])
-    m = empirical_measure(spec, identity_element(3), 2000, seed=6)
+    m = empirical_measure(spec, np.eye(3), 2000, seed=6)
     assert m.sample_count == 2000
     h = boundary_histogram(m, t_esc=50.0)
     assert sum(h.mass.values()) == pytest.approx(1.0)
@@ -162,8 +175,7 @@ def test_empirical_measure_compact_orbit_interior():
 def test_pushed_horocycle_exact_height():
     # unipotent line pushed by diag(e^5, e^-5): reduced height e^10 exactly
     spec = one_param_unipotent(2, (0, 1))
-    g = group_element(np.diag([np.exp(5.0), np.exp(-5.0)]))
-    m = empirical_measure(spec, g, 4000, seed=7)
+    m = empirical_measure(spec, np.diag([np.exp(5.0), np.exp(-5.0)]), 4000, seed=7)
     assert np.allclose(np.exp(m.root_log_values()), np.exp(10.0), rtol=1e-9)
     h = boundary_histogram(m, t_esc=1.0e3)
     assert h.fraction(frozenset()) == 1.0
@@ -172,7 +184,7 @@ def test_pushed_horocycle_exact_height():
 
 def test_histogram_threshold_monotone():
     spec = embedded_sl2(2)
-    m = empirical_measure(spec, identity_element(2), 20000, seed=8)
+    m = empirical_measure(spec, np.eye(2), 20000, seed=8)
     interior = [
         boundary_histogram(m, t).fraction({0}) for t in (1.0e4, 1.0e3, 1.0e2, 2.0)
     ]
@@ -185,8 +197,8 @@ def test_gamma_invariance_of_histograms():
     gamma = ((1, 1, 0), (0, 1, 0), (0, 0, 1))
     spec = full_unipotent_radical(3, [1])
     conj = full_unipotent_radical(3, [1], conjugator=gamma)
-    g = group_element(np.diag([np.exp(2.0), 1.0, np.exp(-2.0)]))
-    gamma_g = group_element(np.array(gamma, dtype=float) @ g.mat)
+    g = np.diag([np.exp(2.0), 1.0, np.exp(-2.0)])
+    gamma_g = np.array(gamma, dtype=float) @ g
     count = 8000
     m1 = empirical_measure(spec, g, count, seed=9)
     m2 = empirical_measure(conj, gamma_g, count, seed=9)
@@ -200,10 +212,7 @@ def test_gamma_invariance_of_histograms():
 
 def test_product_measure_and_per_factor_roots():
     spec = product_subgroup([one_param_unipotent(2, (0, 1)), trivial_subgroup(2)])
-    g = (
-        group_element(np.diag([np.exp(3.0), np.exp(-3.0)])),
-        identity_element(2),
-    )
+    g = np.stack([np.diag([np.exp(3.0), np.exp(-3.0)]), np.eye(2)])
     m = empirical_measure(spec, g, 3000, seed=10)
     logs = m.root_log_values()
     assert logs.shape == (3000, 2)
@@ -265,8 +274,7 @@ def _synthetic_measure(n, factors, count, rng):
         log_a[:, 0, 1:] = -np.cumsum(roots, axis=1)
         spec = full_unipotent_radical(n, [])
     return EmpiricalMeasure(
-        spec=spec, log_a=log_a, u_coords=np.zeros((count, factors, n * (n - 1) // 2)),
-        seed=0, sample_count=count, y_cap=1.0e4, truncation=0.0,
+        spec=spec, log_a=log_a, u_coords=np.zeros((count, factors, n * (n - 1) // 2))
     )
 
 
@@ -342,18 +350,6 @@ def test_histogram_sweep_refuses_a_floor_threshold_first(bad):
         boundary_histogram(_Untouchable(), bad)
 
 
-def test_window_mass():
-    spec = one_param_unipotent(2, (0, 1))
-    m = empirical_measure(spec, identity_element(2), 1000, seed=11)
-    everything = CoordinateWindow(u_max=np.inf, alpha_max=np.inf)
-    nothing = CoordinateWindow(u_max=-1.0, alpha_max=np.inf)
-    assert window_mass(m, everything) == 1.0
-    assert window_mass(m, nothing) == 0.0
-    # orbit of the identity coset: the whole cloud is one reduced point set
-    domain = CoordinateWindow(u_max=0.5 + 1e-9, alpha_max=np.inf)
-    assert window_mass(m, domain) == 1.0
-
-
 def test_truncation_bound():
     assert truncation_bound(one_param_unipotent(2, (0, 1)), 1e4) == 0.0
     assert truncation_bound(embedded_sl2(2), 1e4) == pytest.approx(3 / (np.pi * 1e4))
@@ -364,8 +360,8 @@ def test_truncation_bound():
 def test_truncation_insensitivity():
     spec = embedded_sl2(2)
     count = 20000
-    m1 = empirical_measure(spec, identity_element(2), count, seed=12, y_cap=1.0e4)
-    m2 = empirical_measure(spec, identity_element(2), count, seed=12, y_cap=2.0e4)
+    m1 = empirical_measure(spec, np.eye(2), count, seed=12, y_cap=1.0e4)
+    m2 = empirical_measure(spec, np.eye(2), count, seed=12, y_cap=2.0e4)
     for t in (1.0e2, 1.0e3):
         h1, h2 = boundary_histogram(m1, t), boundary_histogram(m2, t)
         for label in set(h1.mass) | set(h2.mass):
@@ -647,6 +643,8 @@ def test_each_chunk_is_drawn_once(parallel, monkeypatch):
 
 @pytest.mark.parametrize("case", sorted(SHARED_DRAW_CASES))
 def test_sample_subgroup_array_matches_the_one_step_sampler(case, monkeypatch):
+    """The raw samples of the split draw and embed steps are, bit for bit,
+    those of the sampler that drew and embedded in one step."""
     monkeypatch.setattr(measures, "CHUNK", 512)
     spec, _ = SHARED_DRAW_CASES[case]()
     r, n = spec.shape
@@ -656,7 +654,7 @@ def test_sample_subgroup_array_matches_the_one_step_sampler(case, monkeypatch):
         for f, fac in enumerate(factors):
             rng = np.random.default_rng([45, ci, f])
             want[ci * 512 : ci * 512 + size, f] = _sample_factor_chunk(fac, size, rng, 1.0e4)
-    assert np.array_equal(_bits(sample_subgroup_array(spec, 1027, seed=45)), _bits(want))
+    assert np.array_equal(_bits(_samples(spec, 1027, seed=45)), _bits(want))
 
 
 # ---------------------------------------------------------------------------

@@ -25,16 +25,18 @@ from escmass.lingrp import (
     GroupElement,
     gram_schmidt_components,
     group_element,
-    identity_element,
     iwasawa,
     iwasawa_batched,
     iwasawa_coordinates,
 )
 from escmass.measures import (
+    CHUNK,
     EmpiricalMeasure,
+    _chunk_plan,
+    _draw_factor_chunk,
+    _embed_factor_chunk,
     _right_multiply,
     embedded_sl2,
-    sample_subgroup_array,
 )
 from escmass.reduction import (
     SiegelSet,
@@ -45,6 +47,17 @@ from escmass.reduction import (
 )
 
 RNG = np.random.default_rng(90125)
+
+
+def _samples(spec, count, seed, y_cap):
+    """(count, n, n) raw Haar samples of a one-factor spec, drawn and
+    embedded chunk by chunk from the sampling path's (seed, chunk, 0)
+    streams."""
+    out = np.empty((count, spec.n, spec.n))
+    for ci, size in _chunk_plan(count):
+        draw = _draw_factor_chunk(spec, size, np.random.default_rng([seed, ci, 0]), y_cap)
+        out[ci * CHUNK : ci * CHUNK + size] = _embed_factor_chunk(spec, draw, size)
+    return out
 
 
 def random_sl(n, scale=1.0, rng=RNG):
@@ -143,7 +156,7 @@ def test_siegel_set_conventions():
 
 
 def test_reduce_sl2_identity():
-    g = identity_element(2)
+    g = GroupElement(np.eye(2))
     assert _reduce_sl2(g)[0] == ((1, 0), (0, 1))
     x, y = _reduce_sl2_point(g)
     assert abs(x) < 1e-12 and abs(y - 1.0) < 1e-12
@@ -399,8 +412,8 @@ def test_largest_reducers_have_exact_determinant_one():
     for name in ("sl3_case1", "sl3_levi_block"):
         scn = load_scenario(name)
         g = sequence_translate(scn.sequence, 4)
-        samples = sample_subgroup_array(scn.sequence.subgroup, scn.count, scn.seed, scn.y_cap)
-        gammas = _reduce_siegel_full(_right_multiply(samples[:, 0], g[0]))[0]
+        samples = _samples(scn.sequence.subgroup, scn.count, scn.seed, scn.y_cap)
+        gammas = _reduce_siegel_full(_right_multiply(samples, g[0]))[0]
         size = np.abs(gammas).max(axis=(1, 2))
         for idx in np.argsort(size)[-200:]:
             rows = [[int(v) for v in row] for row in gammas[idx]]
@@ -415,8 +428,7 @@ def levi_stack():
     takes the most LLL sweeps among the bundled scenarios."""
     scn = load_scenario("sl3_levi_block")
     g = sequence_translate(scn.sequence, 4)
-    samples = sample_subgroup_array(scn.sequence.subgroup, 4096, scn.seed, scn.y_cap)
-    return samples[:, 0] @ g[0]
+    return _samples(scn.sequence.subgroup, 4096, scn.seed, scn.y_cap) @ g[0]
 
 
 def test_reduction_does_not_depend_on_the_stack(levi_stack):
@@ -498,9 +510,9 @@ def test_reducer_overflow_raises_instead_of_wrapping():
     sampling refuses that index by the translate budget instead."""
     scn = load_scenario("sl3_levi_block")
     g = sequence_translate(scn.sequence, 9)
-    samples = sample_subgroup_array(scn.sequence.subgroup, 2048, 0, scn.y_cap)
+    samples = _samples(scn.sequence.subgroup, 2048, 0, scn.y_cap)
     with pytest.raises(OverflowError, match="int64 limit 2\\^63"):
-        _reduce_siegel_full(samples[:, 0] @ g[0])
+        _reduce_siegel_full(samples @ g[0])
 
 
 def test_reducer_composition_refuses_to_wrap():
@@ -729,14 +741,13 @@ def _oracle_stacks(levi_stack):
             continue
         scn = load_scenario(path.stem)
         g = sequence_translate(scn.sequence, max(scn.sequence.indices))
-        samples = sample_subgroup_array(scn.sequence.subgroup, 2048, scn.seed, scn.y_cap)
-        yield path.stem, samples[:, 0] @ g[0]
+        yield path.stem, _samples(scn.sequence.subgroup, 2048, scn.seed, scn.y_cap) @ g[0]
     doc = {"schema": "escape-scenario/1", "name": "sl4",
            "sequence": {"subgroup": {"kind": "embedded_sl2", "n": 4, "block": 1},
                         "direction": ["3", "1", "-1", "-3"]}}
     seq = scenario_from_json(doc).sequence
-    samples = sample_subgroup_array(seq.subgroup, 2048, 7, 1e6)
-    yield "sl4_embedded_sl2", samples[:, 0] @ sequence_translate(seq, 4)[0]
+    samples = _samples(seq.subgroup, 2048, 7, 1e6)
+    yield "sl4_embedded_sl2", samples @ sequence_translate(seq, 4)[0]
     reduced = reduce_siegel_batched(levi_stack[:1000])[0]
     yield "raw_and_reduced", np.concatenate([levi_stack[:1000], reduced])[::-1].copy()
     yield "one_matrix", levi_stack[7:8]
@@ -772,7 +783,7 @@ def test_sweep_cap_warns_naming_the_pass(levi_stack, monkeypatch):
 
 
 def test_in_siegel_examples():
-    assert _in_siegel(identity_element(2).mat, siegel_default(2))
+    assert _in_siegel(np.eye(2), siegel_default(2))
     y = 0.01
     low = group_element([[np.sqrt(y), 0.0], [0.0, 1.0 / np.sqrt(y)]])
     assert not _in_siegel(low.mat, siegel_default(2))
@@ -825,7 +836,7 @@ def test_format_columnar():
     mats = np.stack([np.eye(2), [[1.0, 5.0], [0.0, 1.0]]])
     x, y = reduce_sl2_coords(*half_plane_point(mats))
     log_a = np.stack([0.5 * np.log(y), -0.5 * np.log(y)], axis=1)[:, None]
-    m = EmpiricalMeasure(embedded_sl2(2), log_a, x[:, None, None], 0, 2, 1e4, 0.0)
+    m = EmpiricalMeasure(embedded_sl2(2), log_a, x[:, None, None])
     lines = points_text(m).strip().split("\n")
     assert lines[0].startswith("# 2 of 2 reduced points")
     assert len(lines) == 3

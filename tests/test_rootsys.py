@@ -25,7 +25,6 @@ from escmass.rootsys import (
     build_product,
     build_type_a,
     canonical_face,
-    identity_weyl,
     levi_sphere,
     locate_chamber,
     make_vector,
