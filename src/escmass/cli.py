@@ -191,6 +191,22 @@ def _finite(value, convert, field: str, text=None):
     return out
 
 
+def _check_count(count: int, spec, field: str) -> None:
+    """Refuse a sample count below one, or one whose coordinate arrays, a
+    float64 row of ``count`` per coordinate and factor, numpy cannot shape
+    (their byte size would pass the largest array index)."""
+    if count < 1:
+        raise ScenarioError(f"{field} must be positive")
+    r, n = spec.shape
+    if count * r * max(n, n * (n - 1) // 2) * 8 > np.iinfo(np.intp).max:
+        raise ScenarioError(f"{field} {count} is too large for the coordinate arrays")
+
+
+def _check_seed(seed: int, field: str) -> None:
+    if seed < 0:
+        raise ScenarioError(f"{field} must be non-negative")
+
+
 def _parse_qmatrix(rows, n: int, tau: Optional[QuadNum]) -> QMatrix:
     if (
         not isinstance(rows, list)
@@ -369,8 +385,8 @@ def scenario_from_json(doc, fallback_name: str = "scenario") -> Scenario:
     if not isinstance(sweep, list):
         raise ScenarioError("t_sweep must be a list of thresholds")
     t_sweep = tuple(_finite(t, float, "t_sweep") for t in sweep)
-    if count < 1:
-        raise ScenarioError("sampling count must be positive")
+    _check_count(count, seq.subgroup, "sampling count")
+    _check_seed(seed, "sampling seed")
     if not y_cap > 1.0:
         raise ScenarioError("y_cap must exceed 1")
     if not t_sweep:
@@ -644,10 +660,10 @@ def cmd_run(args) -> int:
             raise ScenarioError("--jobs must be positive")
         scn = load_scenario(args.scenario)
         if args.samples is not None:
-            if args.samples < 1:
-                raise ScenarioError("--samples must be positive")
+            _check_count(args.samples, scn.sequence.subgroup, "--samples")
             scn = replace(scn, count=args.samples)
         if args.seed is not None:
+            _check_seed(args.seed, "--seed")
             scn = replace(scn, seed=args.seed)
         res = run_scenario(scn, jobs=args.jobs)
     except ScenarioError as exc:

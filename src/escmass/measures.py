@@ -188,16 +188,23 @@ def translate_log_stretch(spec: SubgroupSpec, translates: Sequence) -> float:
     (max |entry| after over max |entry| before), over the factors and the
     translates.  For the diagonal translate exp(m v) of an unconjugated
     catalog subgroup this is m times the largest v_j - v_i over the sampled
-    entries (i, j); 0.0 when nothing is stretched."""
+    entries (i, j); 0.0 when nothing is stretched.  A translate that
+    overflowed float64 (an inf or nan entry, or a determinant-one matrix
+    that no longer inverts) stretches without bound: inf."""
     r, n = spec.shape
     factors = spec.factors if spec.kind == "product" else (spec,)
     logs = [0.0]
     with np.errstate(all="ignore"):
         for g in translates:
             for fac, g_f in zip(factors, _translate_array(g, r, n)):
+                if not np.all(np.isfinite(g_f)):
+                    return math.inf
                 gens = np.array(lie_generators(fac), dtype=float)
                 if gens.size:
-                    moved = np.linalg.inv(g_f) @ gens @ g_f
+                    try:
+                        moved = np.linalg.inv(g_f) @ gens @ g_f
+                    except np.linalg.LinAlgError:
+                        return math.inf
                     stretch = np.abs(moved).max(axis=(1, 2)) / np.abs(gens).max(axis=(1, 2))
                     logs.append(np.log(stretch).max())
     return float(np.max(logs))
@@ -379,23 +386,32 @@ def _draw_factor_chunk(spec: SubgroupSpec, size: int, rng, y_cap: float) -> Opti
 
 
 def _embed_factor_chunk(spec: SubgroupSpec, draw: Optional[np.ndarray], size: int) -> np.ndarray:
-    """The (size, n, n) samples a draw of spec stands for: the identity with
-    the drawn entries or block written in, conjugated if spec is.  A 2x2
-    block that fills an unconjugated n = 2 sample is returned as it is,
+    """The samples a draw of spec stands for, component-major: an (n, n,
+    size) array whose [i, k] row holds entry (i, k) of every sample.  Each
+    sample is the identity with the drawn entries or block written in,
+    conjugated if spec is.  A 2x2 block that fills an unconjugated n = 2
+    sample is returned as a component-major view of the row-major draw,
     not copied; callers only read it."""
     n = spec.n
     if n == 2 and spec.kind == "embedded_sl2" and spec.conjugator is None:
-        return draw
-    out = np.tile(np.eye(n), (size, 1, 1))
+        return draw.transpose(1, 2, 0)
+    # a conjugated sample is formed row-major, where the stacked products
+    # run, and transposed once; any other is written component-major
+    conj = spec.conjugator is not None
+    stack = np.zeros((size, n, n)) if conj else None
+    out = stack.transpose(1, 2, 0) if conj else np.zeros((n, n, size))
+    for i in range(n):
+        out[i, i] = 1.0
     if spec.kind in ("one_param_unipotent", "full_unipotent_radical"):
         for (r, c), column in zip(_uniform_coordinates(spec), draw):
-            out[:, r, c] = column
+            out[r, c] = column
     elif spec.kind in ("levi_semisimple_nc", "embedded_sl2"):
         b = spec.block
-        out[:, b : b + 2, b : b + 2] = draw
-    if spec.conjugator is not None:
+        out[b : b + 2, b : b + 2] = draw.transpose(1, 2, 0)
+    if conj:
         gamma = np.array(spec.conjugator, dtype=float)
-        out = gamma @ out @ np.array(int_inverse(spec.conjugator), dtype=float)
+        stack = gamma @ stack @ np.array(int_inverse(spec.conjugator), dtype=float)
+        out = np.ascontiguousarray(stack.transpose(1, 2, 0))
     return out
 
 
@@ -426,7 +442,10 @@ class EmpiricalMeasure:
     ``log_a`` has shape (count, factors, n); ``u_coords`` has shape
     (count, factors, n(n-1)/2).  These are the coordinates of the reduced
     representatives; the integer reducers that take each pushed sample to
-    its representative are not formed.
+    its representative are not formed.  :func:`empirical_measures` stores
+    them factor-major: both are transposed views of (factors, n, count) and
+    (factors, n(n-1)/2, count) buffers, so each coordinate's values over the
+    samples are contiguous.
     """
 
     spec: SubgroupSpec
@@ -440,9 +459,12 @@ class EmpiricalMeasure:
     def root_log_values(self) -> np.ndarray:
         """(count, total roots) log character values of the reduced diagonal,
         factors concatenated: a fresh read-only array on each call, stored
-        root-major, so each root's values over the samples are contiguous."""
-        diffs = self.log_a[:, :, :-1] - self.log_a[:, :, 1:]
-        roots = np.ascontiguousarray(diffs.reshape(self.sample_count, -1).T)
+        root-major, so each root's values over the samples are contiguous.
+        The differences of adjacent rows of a factor-major ``log_a`` come
+        out root-major as they are."""
+        rows = self.log_a.transpose(1, 2, 0)
+        diffs = rows[:, :-1] - rows[:, 1:]
+        roots = np.ascontiguousarray(diffs.reshape(-1, self.sample_count))
         roots.setflags(write=False)
         return roots.T
 
@@ -457,46 +479,68 @@ def truncation_bound(spec: SubgroupSpec, y_cap: float) -> float:
 
 
 # Matrices per gemm of the push by a translate.  Each block stays in cache,
-# and at most 4096 * 4^3 = 2^18 multiply-adds it stays within the size that
-# OpenBLAS runs on one thread; a threaded split of this thin product was
+# and at most 4096 * 4^2 = 2^16 multiply-adds a gemm stays within the size
+# that OpenBLAS runs on one thread; a threaded split of this thin product was
 # seen to stall for 75-85 ms on a loaded 2-CPU host, against 3 ms for one
 # thread.
 PUSH_BLOCK = 4096
 
 
-def _right_multiply(stack: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """stack @ g for an (m, n, n) stack and one (n, n) matrix, as flat gemms
-    over blocks of n * PUSH_BLOCK rows: the same bits as the stacked matmul,
-    which runs one tiny product per matrix."""
-    n = g.shape[0]
-    flat = np.ascontiguousarray(stack).reshape(-1, n)
-    out = np.empty_like(flat)
-    step = n * PUSH_BLOCK
-    for start in range(0, len(flat), step):
-        np.matmul(flat[start : start + step], g, out=out[start : start + step])
-    return out.reshape(stack.shape)
+def _right_multiply(rows: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The push h @ g of a component-major (n, n, m) stack by one (n, n)
+    matrix g, written as the row-reversed component-major stack the
+    reduction reads: out[n-1-i] = g.T @ rows[i], row i of every pushed
+    sample, as one gemm per row over each block of ``PUSH_BLOCK`` columns.
+    rows may be a transposed view of a row-major stack: BLAS reads its rows
+    with a stride.
+
+    These are the bits of the flat product of the row-major stack, its
+    (n m, n) rows times g, which it replaced: each entry sums the same n
+    products in the same order.  A one-column block would run as a
+    matrix-vector product, whose kernel rounds differently at n = 4, so it
+    runs as that flat product of its one matrix."""
+    n, _, m = rows.shape
+    out = np.empty((n, n, m))
+    for start in range(0, m, PUSH_BLOCK):
+        stop = min(start + PUSH_BLOCK, m)
+        if stop - start == 1:
+            out[::-1, :, start] = np.ascontiguousarray(rows[:, :, start]) @ g
+            continue
+        for i in range(n):
+            np.matmul(g.T, rows[i, :, start:stop], out=out[n - 1 - i, :, start:stop])
+    return out
 
 
-def _reduce_into(pushed: np.ndarray, log_a: np.ndarray, u_coords: np.ndarray) -> None:
-    """Reduce an (m, n, n) pushed stack and write its coordinates into the
-    (rows, n) view log_a and the (rows, n(n-1)/2) view u_coords; m is the
-    row count, or 1 to fill every row with one result."""
-    n = pushed.shape[-1]
+def _reduce_into(rev: np.ndarray, log_a: np.ndarray, u_coords: np.ndarray) -> None:
+    """Reduce the row-reversed component-major (n, n, m) pushed stack and
+    write its coordinates into the rows of the (n, rows) array log_a and the
+    (n(n-1)/2, rows) array u_coords; m is the row length, or 1 to fill every
+    row with one result."""
+    n, _, m = rev.shape
+    if log_a.shape[-1] != m:  # reduce the one matrix once, then broadcast
+        one = np.empty((n, 1)), np.empty((len(u_coords), 1))
+        _reduce_into(rev, *one)
+        log_a[...], u_coords[...] = one
+        return
     if n in (3, 4):
-        _, low = reduce_siegel_batched(pushed)
+        # the reducer reads the (m, n, n) view and copies it once
+        _, low = reduce_siegel_batched(rev[::-1].transpose(2, 0, 1))
         a, u = iwasawa_coordinates(low)
         for j, a_j in enumerate(a):
-            log_a[:, j] = np.log(a_j)
-    else:  # the half-plane point z = x + iy of the n-a-k split, reduced
-        low = np.empty((n, n, len(pushed)))
-        gram_schmidt_lower(pushed[:, ::-1, :].transpose(1, 2, 0), low)
-        a, u = iwasawa_coordinates(low)
-        x, y = reduce_sl2_coords(u[0], a[0] / a[1])
-        half = np.multiply(np.log(y, out=y), 0.5, out=log_a[:, 0])
-        np.negative(half, out=log_a[:, 1])
-        u = [x]
-    for col, u_col in enumerate(u):
-        u_coords[:, col] = u_col
+            np.log(a_j, out=log_a[j])
+        for col, u_col in enumerate(u):
+            u_coords[col] = u_col
+        return
+    # the half-plane point z = x + iy of the n-a-k split, computed into the
+    # output rows, x = u_01 and y = a_0 / a_1 (see iwasawa_coordinates), and
+    # reduced there
+    low = np.empty((n, n, m))
+    gram_schmidt_lower(rev, low)
+    x = np.divide(low[1, 0], low[0, 0], out=u_coords[0])
+    y = np.divide(low[1, 1], low[0, 0], out=log_a[0])
+    reduce_sl2_coords(x, y)
+    half = np.multiply(np.log(y, out=y), 0.5, out=y)
+    np.negative(half, out=log_a[1])
 
 
 @dataclass
@@ -554,9 +598,9 @@ def empirical_measures(
     outs: List[Optional[tuple]] = [None] * len(g_arrs)
 
     def views(k: int, rows: slice, f: int) -> list:
-        if outs[k] is None:
-            outs[k] = (np.empty((count, r, n)), np.empty((count, r, n * (n - 1) // 2)))
-        return [a[rows, f] for a in outs[k]]
+        if outs[k] is None:  # factor-major, see EmpiricalMeasure
+            outs[k] = (np.empty((r, n, count)), np.empty((r, n * (n - 1) // 2, count)))
+        return [a[f, :, rows] for a in outs[k]]
 
     def push(k: int, f: int, fac: SubgroupSpec, draw, size: int) -> np.ndarray:
         return _right_multiply(_embed_factor_chunk(fac, draw, size), g_arrs[k][f])
@@ -599,6 +643,7 @@ def empirical_measures(
                 push_reduce(k, f, slice(None), fac, None, 1)
     measures = []
     for log_a, u_coords in outs:
+        log_a, u_coords = log_a.transpose(2, 0, 1), u_coords.transpose(2, 0, 1)
         _assert_reduced(log_a, u_coords, n)
         measures.append(EmpiricalMeasure(spec=spec, log_a=log_a, u_coords=u_coords))
     return measures
@@ -638,9 +683,12 @@ def _log_floor(bound: float) -> float:
 
 
 def _assert_reduced(log_a: np.ndarray, u_coords: np.ndarray, n: int) -> None:
+    """Check the (count, factors, ...) coordinates against the Siegel bounds,
+    on the factor-major rows they view (see EmpiricalMeasure)."""
     s = siegel_default(n)
+    log_a, u_coords = log_a.transpose(1, 2, 0), u_coords.transpose(1, 2, 0)
     # the log diagonal ratios against a log floor: no exp over the samples
-    if not np.all(log_a[:, :, :-1] - log_a[:, :, 1:] >= _log_floor(s.ratio_min - 1e-9)):
+    if not np.all(log_a[:, :-1] - log_a[:, 1:] >= _log_floor(s.ratio_min - 1e-9)):
         raise RuntimeError("reduced diagonal escaped the target bounds")
     if n == 2:
         if not np.all(np.abs(u_coords) <= 0.5 + 1e-9):
@@ -649,11 +697,11 @@ def _assert_reduced(log_a: np.ndarray, u_coords: np.ndarray, n: int) -> None:
     iu = [(i, j) for i in range(n) for j in range(i + 1, n)]
     eps = float(np.finfo(float).eps)
     for col, (i, j) in enumerate(iu):
-        log_ratio = log_a[:, :, i] - log_a[:, :, j]
+        log_ratio = log_a[:, i] - log_a[:, j]
         seen = log_ratio <= _LOG_RATIO_SEEN
         # float size reduction guarantees |u| <= 1/2 only up to O(eps * ratio)
         slack = 1e-9 + 8.0 * eps * np.exp(np.minimum(log_ratio, _LOG_RATIO_SEEN))
-        if not np.all(np.abs(u_coords[:, :, col][seen]) <= s.u_bound + slack[seen]):
+        if not np.all(np.abs(u_coords[:, col][seen]) <= s.u_bound + slack[seen]):
             raise RuntimeError("reduced off-diagonals escaped the target bounds")
 
 

@@ -78,14 +78,17 @@ def reduce_sl2_coords(
     """Move the half-plane points x + iy into |Re z| <= 1/2, |z| >= 1, for
     mass statistics; no reducers are tracked.
 
-    Each iteration translates into |Re z| <= 1/2 and inverts the points still
+    The walk owns its inputs: float64 arrays that are C-contiguous and
+    writeable are walked in place and returned, so a caller that reads x or
+    y again passes copies; any other input is converted first.  Each
+    iteration translates into |Re z| <= 1/2 and inverts the points still
     inside the unit disc.  The points are walked in blocks of ``WALK_BLOCK``
     (see :func:`_walk_block`); the walk of a point does not depend on the
     others, so blocking changes no bit.  Warns once per call when some point
     is still inside the disc after ``max_iter`` iterations.
     """
-    x = np.array(x, dtype=float)
-    y = np.array(y, dtype=float)
+    x = np.require(x, dtype=float, requirements="CW")
+    y = np.require(y, dtype=float, requirements="CW")
     flat_x, flat_y = x.reshape(-1), y.reshape(-1)
     size = min(len(flat_x), WALK_BLOCK)
     scratch = (np.empty(size), np.empty(size), np.empty(size, dtype=bool))
@@ -265,9 +268,12 @@ def _lll_rows(stack, stale: int, delta: float, max_sweeps: int) -> Tuple[int, bo
 
 def _reduce_stack(mats: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Two LLL passes (delta = 3/4, then delta just below 1) over the
-    row-reversed (m, n, n) stack; returns the (m, n, n) reps and the
+    row-reversed (m, n, n) float64 stack; returns the (m, n, n) reps and the
     component-major (n, n, m) lower Gram-Schmidt factor of the row-reversed
     reps.  reps is a view of the component-major final basis, not a copy.
+    The input is copied once into that basis and never written: a view of a
+    row-reversed component-major stack, as the sampling path passes, copies
+    as contiguous rows, and a row-major stack by one transposing copy.
 
     The working basis b and the factor low are kept component-major,
     (n, n, m), through both passes, and each sweep of :func:`_lll_rows`
@@ -281,7 +287,7 @@ def _reduce_stack(mats: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     factor comes without a transpose.
     """
     m, n, _ = mats.shape
-    b = np.ascontiguousarray(mats[:, ::-1, :].transpose(1, 2, 0))
+    b = mats[:, ::-1, :].transpose(1, 2, 0).copy()
     low = np.empty((n, n, m))
     odd = np.zeros(m, dtype=bool)
     order = np.arange(m)
@@ -345,7 +351,7 @@ def _ratio_certified(low: np.ndarray, ratio_min: float) -> np.ndarray:
 
 
 def reduce_siegel_batched(mats: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Reduce a (m, n, n) stack; returns (reps, low).
+    """Reduce a (m, n, n) stack, which is not written; returns (reps, low).
 
     Each rep is gamma @ mat for an integer gamma of determinant one, which
     is not formed.  low is the component-major (n, n, m) lower Gram-Schmidt
@@ -363,7 +369,7 @@ def reduce_siegel_batched(mats: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     whose dynamic range is moderate.  Only the matrices reduced again are
     certified again.
     """
-    mats = np.ascontiguousarray(mats, dtype=float)
+    mats = np.asarray(mats, dtype=float)
     n = mats.shape[1]
     reps, low = _reduce_stack(mats)
     ratio_min = siegel_default(n).ratio_min

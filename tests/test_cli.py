@@ -4,6 +4,7 @@ import hashlib
 import json
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -520,6 +521,76 @@ def test_translate_budget_holds_every_bundled_scenario():
         else:
             with pytest.raises(PrecisionBudgetError, match="translate budget"):
                 measures._check_translate_budget(seq.subgroup, [sequence_translate(seq, k)])
+
+
+def test_overflowing_translate_exits_4(tmp_path, capsys):
+    """exp(1e3) overflows float64, so the index-1 translate holds inf and 0
+    entries and does not invert; the budget reads that as unbounded stretch
+    and the run stops with exit 4, not a LinAlgError traceback."""
+    doc = _doc()
+    doc["sequence"]["direction"] = ["1e3", "0", "-1e3"]
+    doc["sequence"]["indices"] = [1]
+    p = tmp_path / "overflow.json"
+    p.write_text(json.dumps(doc))
+    with np.errstate(all="ignore"):
+        assert main(["run", str(p), "--jobs", "1"]) == EXIT_INPUT
+    assert "translate budget is exceeded: r*m = inf used" in capsys.readouterr().err
+
+
+def _run_sampling_input(tmp_path, sampling, argv):
+    doc = _doc()
+    doc["sampling"].update(sampling)
+    p = tmp_path / "sampling.json"
+    p.write_text(json.dumps(doc))
+    return main(["run", str(p), "--jobs", "1", *argv])
+
+
+@pytest.mark.parametrize(
+    "sampling, argv, message",
+    [
+        ({"seed": -1}, [], "sampling seed must be non-negative"),
+        ({}, ["--seed", "-1"], "--seed must be non-negative"),
+        ({"count": 10**30}, [], f"sampling count {10**30} is too large"),
+        ({}, ["--samples", str(10**30)], f"--samples {10**30} is too large"),
+    ],
+    ids=["seed", "--seed", "count", "--samples"],
+)
+def test_negative_seed_and_oversized_count_exit_4_naming_the_field(
+    sampling, argv, message, tmp_path, capsys
+):
+    """Refused before any sampling: a negative seed cannot key an RNG
+    stream, and numpy cannot shape coordinate arrays of 1e30 samples."""
+    assert _run_sampling_input(tmp_path, sampling, argv) == EXIT_INPUT
+    assert f"error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["sl3_case1", "sl2_mixed"])
+def test_sampling_path_reaches_the_traced_reducers(name, monkeypatch):
+    """The benchmark's tracer records its reduction spans by wrapping
+    measures.reduce_siegel_batched and measures.reduce_sl2_coords; a run of
+    a bundled scenario must still call them through those names, the first
+    with an (m, n, n) stack, or a layout change would drop those spans
+    without an error."""
+    calls = {"reduce_siegel_batched": [], "reduce_sl2_coords": []}
+    for attr, seen in calls.items():
+        real = getattr(measures, attr)
+
+        def spy(*args, _real=real, _seen=seen, **kwargs):
+            _seen.append(args)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(measures, attr, spy)
+    scn = replace(load_scenario(name), count=600)
+    run_scenario(scn, jobs=1)
+    n = scn.sequence.subgroup.shape[1]
+    if n == 2:
+        assert calls["reduce_sl2_coords"] and not calls["reduce_siegel_batched"]
+        for x, y in calls["reduce_sl2_coords"]:
+            assert x.shape == y.shape and x.ndim == 1
+    else:
+        assert calls["reduce_siegel_batched"] and not calls["reduce_sl2_coords"]
+        for (mats,) in calls["reduce_siegel_batched"]:
+            assert mats.ndim == 3 and mats.shape[1:] == (n, n) and len(mats) >= 1
 
 
 # determinant one, but float64 rounds the determinant to 0

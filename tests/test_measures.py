@@ -38,7 +38,8 @@ Y0 = math.sqrt(3.0) / 2.0
 def _samples(spec, count, seed, y_cap=measures.Y_CAP_DEFAULT):
     """(count, factors, n, n) raw Haar samples: each chunk of each factor
     drawn from its (seed, chunk, factor) stream and embedded, as the
-    sampling path does before it pushes."""
+    sampling path does before it pushes (component-major, read back here
+    row-major)."""
     r, n = spec.shape
     factors = spec.factors if spec.kind == "product" else (spec,)
     out = np.empty((count, r, n, n))
@@ -47,8 +48,15 @@ def _samples(spec, count, seed, y_cap=measures.Y_CAP_DEFAULT):
         for f, fac in enumerate(factors):
             rng = np.random.default_rng([seed, ci, f])
             draw = measures._draw_factor_chunk(fac, size, rng, y_cap)
-            out[rows, f] = measures._embed_factor_chunk(fac, draw, size)
+            out[rows, f] = measures._embed_factor_chunk(fac, draw, size).transpose(2, 0, 1)
     return out
+
+
+def _push(stack, g):
+    """stack @ g through the sampling path's push, for a row-major (m, n, n)
+    stack: the push reads its component-major view and writes the
+    row-reversed component-major stack, read back here row-major."""
+    return measures._right_multiply(stack.transpose(1, 2, 0), g)[::-1].transpose(2, 0, 1)
 
 
 def test_catalog_validation():
@@ -153,11 +161,11 @@ def test_pushforward():
     spec = one_param_unipotent(2, (0, 1))
     samples = _samples(spec, 20, seed=5)[:, 0]
     g = group_element([[2.0, 0.0], [0.0, 0.5]])
-    pushed = measures._right_multiply(samples, g.mat)
+    pushed = _push(samples, g.mat)
     for h, hg in zip(samples, pushed):
         assert np.allclose(hg, h @ g.mat)
         assert abs(np.linalg.det(hg) - 1.0) < 1e-12
-    same = measures._right_multiply(samples, np.eye(2))
+    same = _push(samples, np.eye(2))
     for h, hs in zip(samples, same):
         assert np.allclose(h, hs)
 
@@ -388,7 +396,71 @@ def test_flat_gemm_pushforward_matches_the_stacked_matmul(n, length):
     g = rng.normal(size=(n, n))
     g[0, -1] = 0.0
     g[-1] = -np.abs(g[-1])  # negative entries meet the zeros: signed zeros
-    assert _same_bits(measures._right_multiply(stack, g), stack @ g)
+    assert _same_bits(_push(stack, g), stack @ g)
+
+
+def _flat_gemm_push(stack, g):
+    """The push before it wrote the component-major stack, kept as an
+    oracle: the row-major stack's (m n, n) rows times g, as flat gemms over
+    blocks of n * PUSH_BLOCK rows."""
+    n = g.shape[0]
+    flat = np.ascontiguousarray(stack).reshape(-1, n)
+    out = np.empty_like(flat)
+    step = n * measures.PUSH_BLOCK
+    for start in range(0, len(flat), step):
+        np.matmul(flat[start : start + step], g, out=out[start : start + step])
+    return out.reshape(stack.shape)
+
+
+@pytest.mark.parametrize("contiguous", [True, False], ids=["contiguous", "view"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("length", [1, 2, 5, 4097, 3 * 4096 + 1, 8190, 34464 + 3])
+def test_component_major_push_matches_the_flat_gemm(n, length, contiguous):
+    """The row-reversed component-major push, signed zeros included, is the
+    flat gemm's stack, for stacks that end in a block of one column (a
+    matrix-vector product would round differently at n = 4), of a few and
+    of most of PUSH_BLOCK columns; the component-major input is an array,
+    as the embed writes it, or a view of the row-major stack, as the n = 2
+    modular draw is pushed."""
+    assert measures.PUSH_BLOCK == 4096
+    rng = np.random.default_rng(100 * n + length % 89)
+    stack = rng.normal(size=(length, n, n))  # a random last matrix
+    stack[1::4] = np.eye(n)
+    stack[2::4, -1, :] = 0.0
+    g = rng.normal(size=(n, n))
+    g[-1, 0] = 0.0
+    g[0] = -np.abs(g[0])
+    rows = stack.transpose(1, 2, 0)
+    rev = measures._right_multiply(np.ascontiguousarray(rows) if contiguous else rows, g)
+    assert rev.flags.c_contiguous and rev.shape == (n, n, length)
+    assert _same_bits(rev[::-1].transpose(2, 0, 1), _flat_gemm_push(stack, g))
+
+
+@pytest.mark.parametrize(
+    "spec, g",
+    [
+        (product_subgroup([embedded_sl2(2), trivial_subgroup(2), one_param_unipotent(2, (0, 1))]),
+         np.stack([np.diag([np.exp(2.0), np.exp(-2.0)])] * 3)),
+        (levi_semisimple_nc(4, 1), np.diag(np.exp([3.0, 1.0, -1.0, -3.0]))),
+    ],
+    ids=["product", "levi4"],
+)
+def test_measures_are_stored_factor_major(spec, g):
+    """log_a and u_coords keep their (count, factors, ...) shapes as views of
+    factor-major buffers, and the root log-values read off those rows are
+    the old formula's, which transposed a row-major log_a."""
+    m = empirical_measure(spec, g, 1500, seed=46)
+    r, n = spec.shape
+    assert m.log_a.shape == (1500, r, n)
+    assert m.u_coords.shape == (1500, r, n * (n - 1) // 2)
+    assert m.log_a.transpose(1, 2, 0).flags.c_contiguous
+    assert m.u_coords.transpose(1, 2, 0).flags.c_contiguous
+    log_a = np.ascontiguousarray(m.log_a)
+    diffs = log_a[:, :, :-1] - log_a[:, :, 1:]
+    want = np.ascontiguousarray(diffs.reshape(1500, -1).T).T
+    roots = m.root_log_values()
+    assert _same_bits(roots, want)
+    assert roots.T.flags.c_contiguous and not roots.flags.writeable
 
 
 def _sample_factor_chunk(spec, size, rng, y_cap):
@@ -547,11 +619,11 @@ def _empirical_measure_per_index(spec, g, count, seed, y_cap=measures.Y_CAP_DEFA
                 for ci, size in measures._chunk_plan(count)
             ]
         for rows, size, rng in blocks:
-            measures._reduce_into(
-                measures._right_multiply(_sample_factor_chunk(fac, size, rng, y_cap), g_arr[f]),
-                log_a[rows, f],
-                u_coords[rows, f],
-            )
+            sample = _sample_factor_chunk(fac, size, rng, y_cap).transpose(1, 2, 0)
+            pushed = measures._right_multiply(sample, g_arr[f])
+            la, uc = np.empty(log_a[rows, f].T.shape), np.empty(u_coords[rows, f].T.shape)
+            measures._reduce_into(pushed, la, uc)
+            log_a[rows, f], u_coords[rows, f] = la.T, uc.T
     return log_a, u_coords
 
 

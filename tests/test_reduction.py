@@ -56,7 +56,7 @@ def _samples(spec, count, seed, y_cap):
     out = np.empty((count, spec.n, spec.n))
     for ci, size in _chunk_plan(count):
         draw = _draw_factor_chunk(spec, size, np.random.default_rng([seed, ci, 0]), y_cap)
-        out[ci * CHUNK : ci * CHUNK + size] = _embed_factor_chunk(spec, draw, size)
+        out[ci * CHUNK : ci * CHUNK + size] = _embed_factor_chunk(spec, draw, size).transpose(2, 0, 1)
     return out
 
 
@@ -206,7 +206,7 @@ def test_reduce_sl2_gamma_invariance():
 def test_reduce_sl2_coords_matches_elementwise():
     xs = RNG.uniform(-40, 40, size=300)
     ys = np.exp(RNG.uniform(np.log(1e-4), 2, size=300))
-    rx, ry = reduce_sl2_coords(xs, ys)
+    rx, ry = reduce_sl2_coords(xs.copy(), ys.copy())  # the walk owns its inputs
     for i in range(0, 300, 17):
         mat = [[np.sqrt(ys[i]), xs[i] / np.sqrt(ys[i])], [0.0, 1.0 / np.sqrt(ys[i])]]
         (x1,), (y1,) = half_plane_point(_reduce_sl2(group_element(mat))[1])
@@ -215,6 +215,26 @@ def test_reduce_sl2_coords_matches_elementwise():
             assert abs(rx[i] - x1) < 1e-9
     assert np.all(np.abs(rx) <= 0.5 + 1e-12)
     assert np.all(rx * rx + ry * ry >= 1.0 - 1e-11)
+
+
+def test_walk_owns_its_float64_inputs():
+    """Contiguous float64 inputs are walked in place and returned; other
+    inputs (a strided view, a list, integers) are converted and left as
+    they were."""
+    xs = RNG.uniform(-40, 40, size=300)
+    ys = np.exp(RNG.uniform(np.log(1e-4), 2, size=300))
+    want = _reduce_sl2_coords_full(xs, ys)
+    x, y = xs.copy(), ys.copy()
+    got = reduce_sl2_coords(x, y)
+    assert got[0] is x and got[1] is y
+    assert _same_bits(x, want[0]) and _same_bits(y, want[1])
+    pairs = np.stack([xs, ys], axis=1)
+    strided = pairs.copy()
+    got = reduce_sl2_coords(strided[:, 0], strided[:, 1])
+    assert np.array_equal(strided, pairs)
+    assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1])
+    got = reduce_sl2_coords([3, 0], [1, 2])
+    assert got[0].dtype == np.float64 and _same_bits(got[1], np.array([1.0, 2.0]))
 
 
 def _reduce_sl2_coords_full(x, y, max_iter=64):
@@ -241,7 +261,7 @@ def _same_bits(x, y):
 
 
 def _assert_walk_matches(x, y, max_iter=64):
-    got = reduce_sl2_coords(x, y, max_iter=max_iter)
+    got = reduce_sl2_coords(np.copy(x), np.copy(y), max_iter=max_iter)
     want = _reduce_sl2_coords_full(x, y, max_iter=max_iter)
     assert got[0].shape == got[1].shape == np.shape(x)
     assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1])
@@ -303,7 +323,7 @@ def test_live_set_walk_matches_the_full_array_loop(monkeypatch):
     # the iteration cap still warns, with the capped walk's bits
     x, y = np.array([0.25, 3.0, 0.1, 0.3]), np.array([1e-12, 2.0, 1e-6, 0.2])
     with pytest.warns(UserWarning, match="iteration cap"):
-        got = reduce_sl2_coords(x, y, max_iter=2)
+        got = reduce_sl2_coords(x.copy(), y.copy(), max_iter=2)
     with pytest.warns(UserWarning, match="iteration cap"):
         want = _reduce_sl2_coords_full(x, y, max_iter=2)
     assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1])
@@ -321,7 +341,7 @@ def test_walk_warns_once_per_call_at_the_cap(capped_blocks, monkeypatch):
         y[4 * b] = 1e-12
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        got = reduce_sl2_coords(x, y, max_iter=2)
+        got = reduce_sl2_coords(x.copy(), y.copy(), max_iter=2)
     assert [str(w.message) for w in caught] == ["half-plane reduction hit the iteration cap"]
     with pytest.warns(UserWarning, match="iteration cap"):
         want = _reduce_sl2_coords_full(x, y, max_iter=2)
@@ -413,7 +433,8 @@ def test_largest_reducers_have_exact_determinant_one():
         scn = load_scenario(name)
         g = sequence_translate(scn.sequence, 4)
         samples = _samples(scn.sequence.subgroup, scn.count, scn.seed, scn.y_cap)
-        gammas = _reduce_siegel_full(_right_multiply(samples, g[0]))[0]
+        pushed = _right_multiply(samples.transpose(1, 2, 0), g[0])
+        gammas = _reduce_siegel_full(pushed[::-1].transpose(2, 0, 1))[0]
         size = np.abs(gammas).max(axis=(1, 2))
         for idx in np.argsort(size)[-200:]:
             rows = [[int(v) for v in row] for row in gammas[idx]]
