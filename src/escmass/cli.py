@@ -456,8 +456,7 @@ def classify_scenario(seq: SequenceSpec) -> LimitDescriptor:
 
 
 def _rank(spec: SubgroupSpec) -> int:
-    r, n = spec.shape
-    return r if spec.kind == "product" else n - 1
+    return sum(f.n - 1 for f in spec.parts)
 
 
 def predicted_label(desc: LimitDescriptor, rank: int) -> FrozenSet[int]:
@@ -674,6 +673,9 @@ def cmd_run(args) -> int:
         return EXIT_NOT_COVERED
     except (OverflowError, PrecisionBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError as exc:
+        print(f"error: the sample arrays do not fit in memory: {exc}", file=sys.stderr)
         return EXIT_INPUT
     if args.out:
         write_outputs(res, Path(args.out))

@@ -92,7 +92,6 @@ __all__ = [
 
 SUPPORT_KINDS = ("interior", "boundary_homogeneous", "dirac_point")
 
-FracMatrix = Tuple[Tuple[Fraction, ...], ...]
 IntMatrix = Tuple[Tuple[int, ...], ...]
 
 
@@ -113,9 +112,7 @@ def _not_covered(msg: str) -> "NotCoveredError":
 
 
 def root_system_for(spec: SubgroupSpec) -> RootSystem:
-    if spec.kind == "product":
-        return build_product([2] * len(spec.factors))
-    return build_type_a(spec.n)
+    return build_product([f.n for f in spec.parts])
 
 
 @dataclass(frozen=True)
@@ -124,22 +121,25 @@ class SequenceSpec:
 
     ``direction`` is an ambient exponent vector (summing to zero on each
     factor), so the torus part at evaluation index n is ``exp(n*direction)``.
-    ``bounded_part`` is a fixed offset with entries in Q(tau) (None means the
-    identity; the string ``"bounded"`` records an offset known only to be
-    bounded -- branches that must read its entries then refuse).
-    ``conjugator_policy`` is ``"identity"`` or ``"recorded"``; a recorded
-    integer left factor is struck out during ingestion, which is what makes
-    classification insensitive to it.  ``stage`` selects the entry point of
-    the SL3 walk: ``"raw"`` for ordinary data, ``"block_reduced"`` for data
-    already pushed through the block-reduction steps (the only way to reach
-    the deepest branches, whose preconditions raw data cannot meet).
+    ``bounded_part`` is a fixed offset with entries in Q(tau), stored as one
+    QMatrix per factor (None means the identity; the string ``"bounded"``
+    records an offset known only to be bounded -- branches that must read
+    its entries then refuse).  ``conjugator_policy`` is ``"identity"`` or
+    ``"recorded"``; a recorded integer left factor, stored as one integer
+    matrix per factor, is struck out during ingestion, which is what makes
+    classification insensitive to it.  A single-factor spec may be given
+    its one offset or left factor bare; it is stored as a 1-tuple.
+    ``stage`` selects the entry point of the SL3 walk: ``"raw"`` for
+    ordinary data, ``"block_reduced"`` for data already pushed through the
+    block-reduction steps (the only way to reach the deepest branches, whose
+    preconditions raw data cannot meet).
     """
 
     subgroup: SubgroupSpec
     direction: Tuple[Fraction, ...]
-    bounded_part: Union[None, str, QMatrix, Tuple[QMatrix, ...]] = None
+    bounded_part: Union[None, str, Tuple[QMatrix, ...]] = None
     conjugator_policy: str = "identity"
-    recorded_conjugator: Union[None, IntMatrix, Tuple[IntMatrix, ...]] = None
+    recorded_conjugator: Union[None, Tuple[IntMatrix, ...]] = None
     indices: Tuple[int, ...] = (1, 2, 4)
     stage: str = "raw"
 
@@ -155,67 +155,50 @@ class SequenceSpec:
         if (self.recorded_conjugator is not None) != (self.conjugator_policy == "recorded"):
             raise ValueError("recorded policy needs a recorded conjugator, and only then")
         if self.recorded_conjugator is not None:
-            _check_recorded(self.subgroup, self.recorded_conjugator)
+            rec = _check_recorded(self.subgroup, self.recorded_conjugator)
+            object.__setattr__(self, "recorded_conjugator", rec)
         if self.stage not in ("raw", "block_reduced"):
             raise ValueError(f"unknown stage {self.stage!r}")
-        object.__setattr__(self, "bounded_part", _coerce_bounded(self.subgroup, self.bounded_part))
+        if self.bounded_part is not None and self.bounded_part != "bounded":
+            bounded = _coerce_bounded(self.subgroup, self.bounded_part)
+            object.__setattr__(self, "bounded_part", bounded)
 
     @property
     def rs(self) -> RootSystem:
         return root_system_for(self.subgroup)
 
 
-def _check_recorded(spec: SubgroupSpec, recorded) -> None:
-    """A recorded left factor is an integer n x n matrix of determinant one
-    (one per factor for products); the determinant is exact."""
+def _per_factor(spec: SubgroupSpec, mats) -> tuple:
+    """mats as one matrix per factor of spec.  The one factor of a
+    single-factor spec may come as a bare n x n matrix: n >= 2 rows, where
+    its per-factor tuple has one entry."""
+    mats = tuple(mats)
+    return (mats,) if len(spec.parts) == 1 and len(mats) != 1 else mats
+
+
+def _check_recorded(spec: SubgroupSpec, recorded) -> Tuple[IntMatrix, ...]:
+    """The recorded left factors as integer matrices: one n x n matrix of
+    determinant one per factor; the determinant is exact."""
     r, n = spec.shape
-    mats = recorded if spec.kind == "product" else (recorded,)
+    mats = tuple(tuple(tuple(map(int, row)) for row in m) for m in _per_factor(spec, recorded))
     if len(mats) != r or any(len(m) != n or any(len(row) != n for row in m) for m in mats):
         raise ValueError(f"recorded conjugator must be {r} integer {n}x{n} matrices")
     if any(int_det(m) != 1 for m in mats):
         raise ValueError("recorded conjugator must be integral of determinant one")
+    return mats
 
 
-def _coerce_bounded(spec: SubgroupSpec, bounded):
-    if bounded is None or bounded == "bounded":
-        return bounded
+def _coerce_bounded(spec: SubgroupSpec, bounded) -> Tuple[QMatrix, ...]:
+    """The offsets as Q(tau) matrices, one n x n matrix per factor."""
     r, n = spec.shape
-    if spec.kind == "product":
-        mats = tuple(qmat(b) for b in bounded)
-        if len(mats) != r or any(len(m) != 2 or len(m[0]) != 2 for m in mats):
-            raise ValueError(f"need {r} bounded 2x2 factors")
-        return mats
-    m = qmat(bounded)
-    if len(m) != n or any(len(row) != n for row in m):
-        raise ValueError(f"bounded part must be {n}x{n}")
-    return m
+    mats = tuple(qmat(b) for b in _per_factor(spec, bounded))
+    if len(mats) != r or any(len(m) != n or any(len(row) != n for row in m) for m in mats):
+        raise ValueError(f"bounded part must be {r} {n}x{n} matrices")
+    return mats
 
 
-def sequence_spec(
-    subgroup: SubgroupSpec,
-    direction: Sequence,
-    bounded_part=None,
-    conjugator_policy: str = "identity",
-    recorded_conjugator=None,
-    indices: Sequence[int] = (1, 2, 4),
-    stage: str = "raw",
-) -> SequenceSpec:
-    """Convenience constructor with plain-Python arguments."""
-    rec = recorded_conjugator
-    if rec is not None:
-        if subgroup.kind == "product":
-            rec = tuple(tuple(tuple(int(v) for v in row) for row in g) for g in rec)
-        else:
-            rec = tuple(tuple(int(v) for v in row) for row in rec)
-    return SequenceSpec(
-        subgroup=subgroup,
-        direction=tuple(Fraction(x) for x in direction),
-        bounded_part=bounded_part,
-        conjugator_policy=conjugator_policy,
-        recorded_conjugator=rec,
-        indices=tuple(indices),
-        stage=stage,
-    )
+# SequenceSpec coerces plain-Python arguments itself
+sequence_spec = SequenceSpec
 
 
 @dataclass(frozen=True)
@@ -274,7 +257,7 @@ def _block_of(P: ParabolicIndex) -> List[int]:
     return out
 
 
-def _lie_fits(X: FracMatrix, P: ParabolicIndex) -> bool:
+def _lie_fits(X: IntMatrix, P: ParabolicIndex) -> bool:
     blk = _block_of(P)
     n = P.n
     return all(
@@ -471,26 +454,23 @@ def ma_split(v: Sequence, I: Sequence[int], rs: RootSystem):
 # ingestion shared by the big classifiers
 
 
-def _strip_conjugation(seq: SequenceSpec):
-    """Normalize (conjugated subgroup, recorded left factor, offset) to the
-    catalog position: the orbit identity
+def _strip_conjugation(seq: SequenceSpec, f: int = 0):
+    """Normalize (conjugated subgroup, recorded left factor, offset) of
+    factor f to the catalog position: the orbit identity
     ``mu_{gHg^-1, x} = mu_{H, g^-1 x}`` for integer g absorbs the subgroup
     conjugator, and a recorded left factor cancels against the integer
-    lattice.  Returns (plain subgroup spec, effective offset QMatrix | None
-    | "bounded", ingestion notes)."""
-    spec = seq.subgroup
+    lattice.  Returns (plain factor spec, effective offset QMatrix |
+    "bounded", ingestion notes)."""
+    spec = seq.subgroup.parts[f]
     notes: List[str] = []
-    if spec.kind == "product":
-        raise ValueError("per-factor ingestion handles products")
-    n = spec.n
     h = seq.bounded_part
     if h == "bounded":
         if spec.conjugator is not None or seq.conjugator_policy == "recorded":
             raise _not_covered("a bounded-only offset cannot absorb conjugators")
         return spec, "bounded", notes
-    h_eff: QMatrix = qmat_identity(n) if h is None else h
+    h_eff: QMatrix = qmat_identity(spec.n) if h is None else h[f]
     if seq.conjugator_policy == "recorded":
-        h_eff = qmat_mul(qmat(seq.recorded_conjugator), h_eff)
+        h_eff = qmat_mul(qmat(seq.recorded_conjugator[f]), h_eff)
         notes.append("ingest:recorded_left_factor")
     if spec.conjugator is not None:
         h_eff = qmat_mul(qmat(int_inverse(spec.conjugator)), h_eff)
@@ -501,23 +481,20 @@ def _strip_conjugation(seq: SequenceSpec):
 
 def sequence_translate(seq: SequenceSpec, index: int) -> np.ndarray:
     """Float translate g_index = (recorded factor) * offset * exp(index*v),
-    shaped (factors, n, n); this is what the Monte Carlo side pushes by."""
-    spec = seq.subgroup
-    r, n = spec.shape
+    shaped (factors, n, n); this is what the Monte Carlo side pushes by.
+    A direction large enough to overflow exp gives inf and nan entries
+    without a warning; the translate budget of empirical_measures refuses
+    them."""
+    r, n = seq.subgroup.shape
     out = np.empty((r, n, n))
     for f in range(r):
-        off = seq.direction[f * n : (f + 1) * n] if spec.kind == "product" else seq.direction
-        torus = np.diag(np.exp([index * float(x) for x in off]))
-        if seq.bounded_part is None or seq.bounded_part == "bounded":
-            h = np.eye(n)
-        elif spec.kind == "product":
+        h = np.eye(n)
+        if seq.bounded_part is not None and seq.bounded_part != "bounded":
             h = np.array([[float(x) for x in row] for row in seq.bounded_part[f]])
-        else:
-            h = np.array([[float(x) for x in row] for row in seq.bounded_part])
-        g = h @ torus
-        if seq.conjugator_policy == "recorded":
-            rec = seq.recorded_conjugator[f] if spec.kind == "product" else seq.recorded_conjugator
-            g = np.asarray(rec, dtype=float) @ g
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = h @ np.diag(np.exp([index * float(x) for x in seq.direction[f * n : (f + 1) * n]]))
+            if seq.conjugator_policy == "recorded":
+                g = np.asarray(seq.recorded_conjugator[f], dtype=float) @ g
         out[f] = g
     return out
 
@@ -526,7 +503,7 @@ def sequence_translate(seq: SequenceSpec, index: int) -> np.ndarray:
 # the SL3 walk
 
 
-def _theta_lie(X: FracMatrix) -> FracMatrix:
+def _theta_lie(X: IntMatrix) -> IntMatrix:
     """Outer automorphism on the Lie algebra: X -> -J X^T J, with J the
     reversal, so entry (i, j) is -X[2-j][2-i]."""
     return tuple(tuple(-X[2 - j][2 - i] for j in range(3)) for i in range(3))
@@ -544,7 +521,7 @@ def _swap_walls(I: FrozenSet[int]) -> FrozenSet[int]:
 
 
 @lru_cache(maxsize=None)
-def _plain_generators(spec: SubgroupSpec) -> Tuple[FracMatrix, ...]:
+def _plain_generators(spec: SubgroupSpec) -> Tuple[IntMatrix, ...]:
     """Lie generators of a catalog subgroup without conjugator, once per
     subgroup."""
     return tuple(lie_generators(spec))
@@ -613,20 +590,20 @@ def _scan_witness(spec: SubgroupSpec, h_eff, v, notes):
     return wall, gens_c, tuple(v[i] for i in p), _weyl_conjugate(h_eff, w)
 
 
-def _m_block_projection(gens) -> Tuple[str, List[FracMatrix]]:
+def _m_block_projection(gens) -> Tuple[str, List[IntMatrix]]:
     """Classify the projection of the group to the upper-left 2x2 block."""
     vecs = [(X[0][0], X[0][1], X[1][0], X[1][1]) for X in gens]
     vecs = [u for u in vecs if any(x != 0 for x in u)]
     if not vecs:
         return "trivial", gens
     # exact rank over Q
-    basis: List[Tuple[Fraction, ...]] = []
+    basis: List[tuple] = []
     for u in vecs:
         u = list(u)
         for b in basis:
             lead = next(i for i, x in enumerate(b) if x != 0)
             if u[lead] != 0:
-                f = u[lead] / b[lead]
+                f = Fraction(u[lead], b[lead])
                 u = [x - f * y for x, y in zip(u, b)]
         if any(x != 0 for x in u):
             basis.append(tuple(u))
@@ -840,7 +817,7 @@ def sl3_classify(seq: SequenceSpec) -> LimitDescriptor:
     Inputs outside the encoded tree raise :class:`NotCoveredError`.
     """
     spec = seq.subgroup
-    if spec.kind == "product" or spec.n != 3:
+    if spec.n != 3:
         raise ValueError("the SL3 walk classifies single-factor 3x3 specs")
     if seq.stage == "block_reduced":
         return _sl3_direct(seq)
@@ -882,7 +859,7 @@ def sl2r_classify(seq: SequenceSpec) -> LimitDescriptor:
     all_bounded_trivial = True
     for f, fac in enumerate(spec.factors):
         rate = v[2 * f] - v[2 * f + 1]
-        offset = _factor_offset(seq, f)
+        _, offset, _ = _strip_conjugation(seq, f)
         tag = f"factor{f}:{fac.kind}"
         if fac.kind == "embedded_sl2":
             bounded_factors.append(f)
@@ -923,22 +900,6 @@ def sl2r_classify(seq: SequenceSpec) -> LimitDescriptor:
         return LimitDescriptor(P, "interior", tuple(notes))
     kind = "dirac_point" if all_bounded_trivial else "boundary_homogeneous"
     return LimitDescriptor(P, kind, tuple(notes))
-
-
-def _factor_offset(seq: SequenceSpec, f: int):
-    """Effective bounded offset of one product factor, conjugators absorbed."""
-    spec = seq.subgroup.factors[f]
-    h = seq.bounded_part
-    if h == "bounded":
-        if spec.conjugator is not None or seq.conjugator_policy == "recorded":
-            raise _not_covered("a bounded-only offset cannot absorb conjugators")
-        return "bounded"
-    m = qmat_identity(2) if h is None else h[f]
-    if seq.conjugator_policy == "recorded":
-        m = qmat_mul(qmat(seq.recorded_conjugator[f]), m)
-    if spec.conjugator is not None:
-        m = qmat_mul(qmat(int_inverse(spec.conjugator)), m)
-    return m
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -98,11 +97,15 @@ class SubgroupSpec:
     conjugator: Optional[IntMatrix] = None
 
     @property
+    def parts(self) -> Tuple["SubgroupSpec", ...]:
+        """The factors of a product; a single-factor spec is a product of
+        one factor, itself."""
+        return self.factors or (self,)
+
+    @property
     def shape(self) -> Tuple[int, int]:
         """(factor count, per-factor matrix size)."""
-        if self.kind == "product":
-            return (len(self.factors), 2)
-        return (1, self.n)
+        return (len(self.parts), self.n)
 
     def describe(self) -> str:
         if self.kind == "product":
@@ -148,7 +151,7 @@ def conjugator_bits(spec: SubgroupSpec) -> float:
     """log2 of max|gamma| * max|gamma^-1| over the conjugators gamma of the
     sampled factors of spec; 0.0 when no factor is conjugated."""
     bits = 0.0
-    for fac in spec.factors if spec.kind == "product" else (spec,):
+    for fac in spec.parts:
         if fac.conjugator is not None:
             size = max(abs(v) for row in fac.conjugator for v in row)
             size_inv = max(abs(v) for row in int_inverse(fac.conjugator) for v in row)
@@ -192,11 +195,10 @@ def translate_log_stretch(spec: SubgroupSpec, translates: Sequence) -> float:
     overflowed float64 (an inf or nan entry, or a determinant-one matrix
     that no longer inverts) stretches without bound: inf."""
     r, n = spec.shape
-    factors = spec.factors if spec.kind == "product" else (spec,)
     logs = [0.0]
     with np.errstate(all="ignore"):
         for g in translates:
-            for fac, g_f in zip(factors, _translate_array(g, r, n)):
+            for fac, g_f in zip(spec.parts, _translate_array(g, r, n)):
                 if not np.all(np.isfinite(g_f)):
                     return math.inf
                 gens = np.array(lie_generators(fac), dtype=float)
@@ -288,16 +290,18 @@ def product_subgroup(factors: Sequence[SubgroupSpec]) -> SubgroupSpec:
 # exact generators (for containment tests downstream)
 
 
-def _basis_matrix(n: int, entries) -> Tuple[Tuple[Fraction, ...], ...]:
-    rows = [[Fraction(0)] * n for _ in range(n)]
+def _basis_matrix(n: int, entries) -> IntMatrix:
+    rows = [[0] * n for _ in range(n)]
     for (r, c), v in entries:
-        rows[r][c] = Fraction(v)
+        rows[r][c] = v
     return tuple(tuple(row) for row in rows)
 
 
-def lie_generators(spec: SubgroupSpec) -> List[Tuple[Tuple[Fraction, ...], ...]]:
-    """Exact rational basis of the Lie algebra of the described group,
-    conjugated if the spec is.  Product specs go factor by factor."""
+def lie_generators(spec: SubgroupSpec) -> List[IntMatrix]:
+    """Exact integer basis of the Lie algebra of the described group,
+    conjugated if the spec is: the catalog entries are 0 and +-1, and a
+    conjugator is an integer matrix of determinant one, so every entry is
+    an int.  Product specs go factor by factor."""
     if spec.kind == "product":
         raise ValueError("take generators per factor for product specs")
     n = spec.n
@@ -318,9 +322,8 @@ def lie_generators(spec: SubgroupSpec) -> List[Tuple[Tuple[Fraction, ...], ...]]
     else:  # pragma: no cover - factories gate the kinds
         raise ValueError(f"unknown kind {spec.kind}")
     if spec.conjugator is not None and gens:
-        gamma = tuple(tuple(Fraction(v) for v in row) for row in spec.conjugator)
         inv = int_inverse(spec.conjugator)
-        gens = [rat_mul(rat_mul(gamma, x), inv) for x in gens]
+        gens = [rat_mul(rat_mul(spec.conjugator, x), inv) for x in gens]
     return gens
 
 
@@ -470,12 +473,12 @@ class EmpiricalMeasure:
 
 
 def truncation_bound(spec: SubgroupSpec, y_cap: float) -> float:
-    """Relative Haar mass lost to the sampler's height truncation."""
-    if spec.kind == "product":
-        return max(truncation_bound(f, y_cap) for f in spec.factors)
-    if spec.kind in ("levi_semisimple_nc", "embedded_sl2"):
-        return 3.0 / (np.pi * y_cap)
-    return 0.0
+    """Relative Haar mass lost to the sampler's height truncation: the
+    largest over the factors, 3 / (pi y_cap) for a 2x2-block factor."""
+    return max(
+        3.0 / (np.pi * y_cap) if f.kind in ("levi_semisimple_nc", "embedded_sl2") else 0.0
+        for f in spec.parts
+    )
 
 
 # Matrices per gemm of the push by a translate.  Each block stays in cache,
@@ -589,7 +592,6 @@ def empirical_measures(
     r, n = spec.shape
     g_arrs = [_translate_array(g, r, n) for g in translates]
     _check_translate_budget(spec, g_arrs)
-    factors = spec.factors if spec.kind == "product" else (spec,)
     last = len(g_arrs) - 1
     times = SamplingTimes() if times is None else times
     times.push_reduce = [0.0] * len(g_arrs)
@@ -613,7 +615,7 @@ def empirical_measures(
 
     for ci, size in _chunk_plan(count):
         rows = slice(ci * CHUNK, ci * CHUNK + size)
-        for f, fac in enumerate(factors):
+        for f, fac in enumerate(spec.parts):
             if fac.kind == "trivial":
                 continue
             t0 = time.monotonic()
@@ -637,7 +639,7 @@ def empirical_measures(
                 del pushed
                 times.push_reduce[k] += time.monotonic() - t0
     # after the chunks, so that no translate's arrays exist before its first chunk
-    for f, fac in enumerate(factors):
+    for f, fac in enumerate(spec.parts):
         if fac.kind == "trivial":  # draws nothing from its stream
             for k in range(len(g_arrs)):
                 push_reduce(k, f, slice(None), fac, None, 1)

@@ -367,12 +367,14 @@ def qmat_mul(x: QMatrix, y: QMatrix) -> QMatrix:
 
 
 def rat_mul(a, b):
-    """Product of two square matrices of rationals (tuples of Fractions);
-    zero terms are skipped, and an entry with no nonzero term is
-    Fraction(0).
+    """Product of two square matrices of rationals (ints or Fractions);
+    zero terms are skipped, and an entry with no nonzero term is the int 0,
+    so integer matrices multiply to integer matrices.
 
     >>> rat_mul(((1, 2), (0, 1)), ((1, Fraction(1, 2)), (0, 1)))[0][1]
     Fraction(5, 2)
+    >>> rat_mul(((1, 2), (0, 1)), ((0, -1), (1, 0)))
+    ((2, -1), (1, 0))
     """
     n = len(a)
     out = []
@@ -380,7 +382,7 @@ def rat_mul(a, b):
         terms = [(x, b[k]) for k, x in enumerate(row) if x]
         out_row = []
         for j in range(n):
-            acc = _ZERO
+            acc = 0
             for x, bk in terms:
                 y = bk[j]
                 if y:

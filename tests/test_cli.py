@@ -30,6 +30,7 @@ from escmass.cli import (
     scenario_from_json,
     summary_dict,
 )
+import escmass.cli as cli
 import escmass.measures as measures
 from escmass.limits import NotCoveredError, sequence_spec, sequence_translate
 from escmass.measures import (
@@ -535,6 +536,39 @@ def test_overflowing_translate_exits_4(tmp_path, capsys):
     with np.errstate(all="ignore"):
         assert main(["run", str(p), "--jobs", "1"]) == EXIT_INPUT
     assert "translate budget is exceeded: r*m = inf used" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("recorded", [False, True], ids=["plain", "recorded"])
+def test_overflowing_translate_exits_4_without_numpy_warnings(recorded, tmp_path):
+    """Forming the index-1 translate of direction (1e3, 0, -1e3) overflows
+    exp and multiplies inf by 0; the run prints only the budget message,
+    no RuntimeWarning from numpy."""
+    doc = _doc()
+    doc["sequence"]["direction"] = ["1e3", "0", "-1e3"]
+    doc["sequence"]["indices"] = [1]
+    if recorded:
+        doc["sequence"]["conjugator_policy"] = "recorded"
+        doc["sequence"]["recorded_conjugator"] = [[1, 0, 0], [0, 1, 1], [0, 0, 1]]
+    p = tmp_path / "overflow.json"
+    p.write_text(json.dumps(doc))
+    proc = _run_cli("run", str(p))
+    assert proc.returncode == EXIT_INPUT
+    assert "error: the translate budget is exceeded: r*m = inf used" in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+
+
+def test_unallocatable_sample_count_exits_4(monkeypatch, capsys):
+    """A count numpy can shape but not allocate ends in exit 4, not a
+    MemoryError traceback.  The stand-in raises where the allocation would
+    fail, so nothing is allocated."""
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 21.8 TiB for an array")
+
+    monkeypatch.setattr(cli, "empirical_measures", out_of_memory)
+    assert main(["run", "sl3_case1", "--samples", str(10**12)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "error: the sample arrays do not fit in memory: Unable to allocate" in err
 
 
 def _run_sampling_input(tmp_path, sampling, argv):

@@ -2,6 +2,7 @@
 brute-force oracles for the hull and chamber splitters, and the exactness
 invariants (conjugation insensitivity, twist bookkeeping, refusal paths)."""
 
+import dataclasses
 import doctest
 import hashlib
 import itertools
@@ -20,8 +21,10 @@ from escmass.limits import (
     LimitDescriptor,
     NotCoveredError,
     ProductParabolicIndex,
+    SequenceSpec,
     _lie_fits,
     _sl3_m_stage,
+    _strip_conjugation,
     _theta_lie,
     _theta_unipotent,
     _weyl_conjugate,
@@ -121,6 +124,59 @@ def test_sequence_translate_shapes():
     gp = sequence_translate(prod, 1)
     assert gp.shape == (2, 2, 2)
     assert np.isclose(gp[0][0, 1], (1 / 3) * np.exp(-1))
+
+
+@pytest.mark.parametrize(
+    "factor",
+    [
+        trivial_subgroup(2),
+        one_param_unipotent(2, (0, 1), conjugator=((1, 0), (1, 1))),
+        embedded_sl2(2, conjugator=((2, 1), (1, 1))),
+    ],
+)
+def test_single_factor_is_a_product_of_one_factor(factor):
+    """The bare single-factor spec and the one-factor product with the same
+    2x2 data translate to the same bits and ingest to the same offset."""
+    offset, recorded = upper2(QuadNum.tau(0, 2)), ((1, 1), (0, 1))
+    bare = sequence_spec(
+        factor, [3, -3], bounded_part=offset,
+        conjugator_policy="recorded", recorded_conjugator=recorded,
+    )
+    one = sequence_spec(
+        product_subgroup([factor]), [3, -3], bounded_part=[offset],
+        conjugator_policy="recorded", recorded_conjugator=[recorded],
+    )
+    assert bare.bounded_part == one.bounded_part
+    assert bare.recorded_conjugator == one.recorded_conjugator
+    for index in (1, 2, 4):
+        g_bare, g_one = sequence_translate(bare, index), sequence_translate(one, index)
+        assert g_bare.shape == g_one.shape == (1, 2, 2)
+        assert g_bare.tobytes() == g_one.tobytes()
+    spec_bare, h_bare, _ = _strip_conjugation(bare, 0)
+    spec_one, h_one, _ = _strip_conjugation(one, 0)
+    assert h_bare == h_one
+    assert spec_bare == spec_one == dataclasses.replace(factor, conjugator=None)
+
+
+def test_sequence_spec_stores_one_matrix_per_factor():
+    line = one_param_unipotent(3, (0, 1))
+    offset = upper3(u12="1/2")
+    seq = SequenceSpec(
+        line, [1, 0, -1], bounded_part=offset,
+        conjugator_policy="recorded", recorded_conjugator=[[1, 0, 0], [0, 1, 1], [0, 0, 1]],
+    )
+    assert seq.bounded_part == (qmat(offset),)
+    assert seq.recorded_conjugator == (((1, 0, 0), (0, 1, 1), (0, 0, 1)),)
+    assert all(type(v) is int for row in seq.recorded_conjugator[0] for v in row)
+    # normalising is idempotent, and the public name is the constructor
+    assert dataclasses.replace(seq) == seq
+    assert sequence_spec is SequenceSpec
+    assert SequenceSpec(line, [1, 0, -1], bounded_part="bounded").bounded_part == "bounded"
+    with pytest.raises(ValueError, match="determinant one"):
+        SequenceSpec(
+            line, [1, 0, -1], conjugator_policy="recorded",
+            recorded_conjugator=((2, 0, 0), (0, 1, 0), (0, 0, 1)),
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -95,6 +95,10 @@ def test_lie_generators():
     gamma = ((1, 1, 0), (0, 1, 0), (0, 0, 1))
     conj = lie_generators(one_param_unipotent(3, (1, 2), conjugator=gamma))
     assert conj[0][0][2] == 1 and conj[0][1][2] == 1
+    # every entry is an int: catalog entries are 0 and +-1, conjugators are
+    # integer of determinant one
+    for gens in (gens, line, levi, conj):
+        assert all(type(v) is int for X in gens for row in X for v in row)
 
 
 def test_trivial_and_line_samplers():
