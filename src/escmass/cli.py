@@ -41,6 +41,15 @@ for 2x2 Levi/embedded blocks, ``factors`` for products, and an optional
 integer ``conjugator``.  Matrix entries admit the exact grammar ``"p/q"``,
 ``"tau"``, ``"-tau"``, ``"b*tau"`` and ``"a+b*tau"`` against the declared
 law, so irrational offsets stay symbolic all the way into the classifier.
+
+The integer fields are ``n``, ``coordinate``, ``I``, ``block``, the
+entries of ``conjugator`` and ``recorded_conjugator``, ``indices``,
+``count`` and ``seed``; ``coordinate``, ``I`` and ``indices`` are lists.
+Each takes an int, an integral float such as ``2.0`` or an integer string
+such as ``"2"``.  A value with a fraction, such as ``0.5``, or a bool exits
+4 with a message naming its field; it is never truncated.  A single
+subgroup, or a product of one factor, may give its one ``bounded_part`` or
+``recorded_conjugator`` matrix bare instead of in a one-item list.
 """
 
 from __future__ import annotations
@@ -93,13 +102,15 @@ from .measures import (
     empirical_measures,
     format_histogram,
     full_unipotent_radical,
+    interior_label,
+    label_text,
     levi_semisimple_nc,
     one_param_unipotent,
     product_subgroup,
     trivial_subgroup,
     truncation_bound,
 )
-from .qfield import QMatrix, QuadNum, qmat
+from .qfield import QuadNum, as_int
 from .rootsys import build_type_a, locate_chamber, make_vector
 
 EXIT_OK = 0
@@ -175,9 +186,10 @@ def parse_entry(text, tau: Optional[QuadNum]) -> QuadNum:
 
 
 def _finite(value, convert, field: str, text=None):
-    """convert(value), with convert float or int, refused with a
-    ScenarioError naming the field when it is not a number or does not fit
-    a finite float or int; ``text`` is the scenario's spelling of value."""
+    """convert(value), with convert float or as_int, refused with a
+    ScenarioError naming the field when it is not a number, is not an
+    integer (as_int) or does not fit a finite float or an int; ``text`` is
+    the scenario's spelling of value."""
     shown = value if text is None else text
     try:
         out = convert(value)
@@ -207,28 +219,23 @@ def _check_seed(seed: int, field: str) -> None:
         raise ScenarioError(f"{field} must be non-negative")
 
 
-def _parse_qmatrix(rows, n: int, tau: Optional[QuadNum]) -> QMatrix:
-    if (
-        not isinstance(rows, list)
-        or len(rows) != n
-        or any(not isinstance(r, list) or len(r) != n for r in rows)
-    ):
-        raise ScenarioError(f"expected an {n}x{n} matrix (list of {n} rows)")
-    entries = [[parse_entry(v, tau) for v in row] for row in rows]
-    for texts, row in zip(rows, entries):
-        for text, x in zip(texts, row):
-            _finite(x, float, "bounded_part", text)
-    return qmat(entries)
-
-
-def _int_rows(obj, what: str):
-    if obj is None:
-        return None
+def _parse_entries(obj, tau: Optional[QuadNum]):
+    """The exact entries of a bounded_part value, nested as in the scenario,
+    each a finite float; its shape is SequenceSpec's to check."""
+    if isinstance(obj, list):
+        return [_parse_entries(x, tau) for x in obj]
     try:
-        rows = tuple(tuple(int(v) for v in row) for row in obj)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ScenarioError(f"{what} must be an integer matrix") from exc
-    return rows
+        x = parse_entry(obj, tau)
+    except ScenarioError as exc:
+        raise ScenarioError(f"bad bounded_part entry: {exc}") from exc
+    _finite(x, float, "bounded_part", obj)
+    return x
+
+
+def _ints(values, field: str) -> List[int]:
+    if not isinstance(values, list):
+        raise ScenarioError(f"{field} must be a list of integers, got {values!r}")
+    return [_finite(v, as_int, field) for v in values]
 
 
 # ---------------------------------------------------------------------------
@@ -265,56 +272,33 @@ def _subgroup_from_json(obj) -> SubgroupSpec:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ScenarioError("subgroup must be an object with a 'kind'")
     kind = obj["kind"]
-    conj = _int_rows(obj.get("conjugator"), "conjugator")
+    conj = obj.get("conjugator")
+    if kind in ("product", "trivial") and conj is not None:
+        raise ScenarioError(f"{kind} subgroups take no conjugator")
     try:
         if kind == "product":
             factors = obj.get("factors")
             if not isinstance(factors, list):
                 raise ScenarioError("product subgroups need a 'factors' list")
             return product_subgroup([_subgroup_from_json(f) for f in factors])
-        n = int(obj["n"])
+        n = _finite(obj["n"], as_int, "n")
         if kind == "one_param_unipotent":
-            i, j = (int(v) for v in obj["coordinate"])
+            i, j = _ints(obj["coordinate"], "coordinate")
             return one_param_unipotent(n, (i, j), conjugator=conj)
         if kind == "full_unipotent_radical":
-            return full_unipotent_radical(
-                n, [int(v) for v in obj.get("I", [])], conjugator=conj
-            )
+            return full_unipotent_radical(n, _ints(obj.get("I", []), "I"), conjugator=conj)
         if kind == "levi_semisimple_nc":
-            return levi_semisimple_nc(n, int(obj["block"]), conjugator=conj)
+            return levi_semisimple_nc(n, _finite(obj["block"], as_int, "block"), conjugator=conj)
         if kind == "embedded_sl2":
-            return embedded_sl2(n, int(obj.get("block", 0)), conjugator=conj)
+            block = _finite(obj.get("block", 0), as_int, "block")
+            return embedded_sl2(n, block, conjugator=conj)
         if kind == "trivial":
-            if conj is not None:
-                raise ScenarioError("trivial factors take no conjugator")
             return trivial_subgroup(n)
     except ScenarioError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioError(f"bad subgroup description: {exc}") from exc
     raise ScenarioError(f"unknown subgroup kind {kind!r}")
-
-
-def _bounded_from_json(obj, spec: SubgroupSpec, tau: Optional[QuadNum]):
-    if obj is None or obj == "bounded":
-        return obj
-    if spec.kind == "product":
-        if not isinstance(obj, list) or len(obj) != len(spec.factors):
-            raise ScenarioError("product bounded_part must list one 2x2 matrix per factor")
-        return tuple(_parse_qmatrix(m, 2, tau) for m in obj)
-    return _parse_qmatrix(obj, spec.n, tau)
-
-
-def _recorded_from_json(obj, spec: SubgroupSpec):
-    if obj is None:
-        return None
-    if spec.kind == "product":
-        if not isinstance(obj, list) or len(obj) != len(spec.factors):
-            raise ScenarioError(
-                "product recorded_conjugator must list one integer 2x2 matrix per factor"
-            )
-        return tuple(_int_rows(m, "recorded_conjugator") for m in obj)
-    return _int_rows(obj, "recorded_conjugator")
 
 
 def scenario_from_json(doc, fallback_name: str = "scenario") -> Scenario:
@@ -355,16 +339,17 @@ def scenario_from_json(doc, fallback_name: str = "scenario") -> Scenario:
     exact_direction = [_fraction(x) for x in direction]
     for text, x in zip(direction, exact_direction):
         _finite(x, float, "direction", text)
+    bounded = seq_doc.get("bounded_part")
+    if bounded is not None and bounded != "bounded":
+        bounded = _parse_entries(bounded, tau)
     try:
         seq = sequence_spec(
             spec,
             exact_direction,
-            bounded_part=_bounded_from_json(seq_doc.get("bounded_part"), spec, tau),
+            bounded_part=bounded,
             conjugator_policy=seq_doc.get("conjugator_policy", "identity"),
-            recorded_conjugator=_recorded_from_json(
-                seq_doc.get("recorded_conjugator"), spec
-            ),
-            indices=tuple(_finite(i, int, "indices") for i in indices),
+            recorded_conjugator=seq_doc.get("recorded_conjugator"),
+            indices=_ints(indices, "indices"),
             stage=seq_doc.get("stage", "raw"),
         )
     except ScenarioError:
@@ -378,8 +363,8 @@ def scenario_from_json(doc, fallback_name: str = "scenario") -> Scenario:
     stray = set(samp) - _SAMPLING_KEYS
     if stray:
         raise ScenarioError(f"unknown sampling keys {sorted(stray)}")
-    count = _finite(samp.get("count", 100000), int, "count")
-    seed = _finite(samp.get("seed", 20240817), int, "seed")
+    count = _finite(samp.get("count", 100000), as_int, "count")
+    seed = _finite(samp.get("seed", 20240817), as_int, "seed")
     y_cap = _finite(samp.get("y_cap", Y_CAP_DEFAULT), float, "y_cap")
     sweep = samp.get("t_sweep", list(T_ESC_SWEEP))
     if not isinstance(sweep, list):
@@ -462,14 +447,8 @@ def _rank(spec: SubgroupSpec) -> int:
 def predicted_label(desc: LimitDescriptor, rank: int) -> FrozenSet[int]:
     """Histogram label the classification predicts for the late translates."""
     if desc.support_kind == "interior":
-        return frozenset(range(rank))
+        return interior_label(rank)
     return frozenset(desc.P.I)
-
-
-def _label_text(label: FrozenSet[int], rank: int) -> str:
-    if label == frozenset(range(rank)):
-        return "interior"
-    return "(" + ",".join(str(i) for i in sorted(label)) + ")"
 
 
 @dataclass
@@ -522,7 +501,7 @@ def run_scenario(scn: Scenario, jobs: int = 1) -> RunResult:
         top = h.argmax()
         mass = float(h.fraction(top))
         match = top == pred and mass >= AGREEMENT_MIN_MASS
-        agreement[t] = {"argmax": _label_text(top, rank), "mass": mass, "match": match}
+        agreement[t] = {"argmax": label_text(top, rank), "mass": mass, "match": match}
         ok = ok and match
     return RunResult(scn, desc, pred, hists, measures, timings, agreement, ok, times.draw)
 
@@ -539,17 +518,13 @@ def summary_dict(res: RunResult) -> dict:
     hist_block = {
         str(idx): {
             f"{t:g}": {
-                _label_text(lbl, rank): float(mass)
+                label_text(lbl, rank): float(mass)
                 for lbl, mass in res.histograms[idx][t].mass.items()
             }
             for t in scn.t_sweep
         }
         for idx in seq.indices
     }
-    if res.descriptor.support_kind == "interior":
-        component = "interior"
-    else:
-        component = _label_text(frozenset(res.descriptor.P.I), rank)
     return {
         "schema": "escape-run-summary/1",
         "scenario": scn.name,
@@ -567,8 +542,8 @@ def summary_dict(res: RunResult) -> dict:
         "truncation_bound": float(truncation_bound(seq.subgroup, scn.y_cap)),
         "classifier": {
             "support": res.descriptor.support_kind,
-            "component": component,
-            "predicted_label": _label_text(res.predicted, rank),
+            "component": label_text(res.predicted, rank),
+            "predicted_label": label_text(res.predicted, rank),
             "notes": list(res.descriptor.notes),
         },
         "checked_index": int(max(seq.indices)),
@@ -635,7 +610,7 @@ def print_report(res: RunResult) -> None:
     d = res.descriptor
     print(
         f"classifier: support={d.support_kind}  "
-        f"predicted label {_label_text(res.predicted, rank)}"
+        f"predicted label {label_text(res.predicted, rank)}"
     )
     for note in d.notes:
         print(f"  note {note}")

@@ -50,7 +50,7 @@ from .measures import SubgroupSpec, lie_generators, one_param_unipotent
 from .qfield import (
     QMatrix,
     QuadNum,
-    int_det,
+    as_int,
     int_inverse,
     qmat,
     qmat_identity,
@@ -58,6 +58,8 @@ from .qfield import (
     qmat_mul,
     qmat_unipotent_inverse,
     rat_mul,
+    square_rows,
+    unimodular,
 )
 from .reduction import enumerate_gamma
 from .rootsys import (
@@ -128,7 +130,9 @@ class SequenceSpec:
     ``"recorded"``; a recorded integer left factor, stored as one integer
     matrix per factor, is struck out during ingestion, which is what makes
     classification insensitive to it.  A single-factor spec may be given
-    its one offset or left factor bare; it is stored as a 1-tuple.
+    its one offset or left factor bare; it is stored as a 1-tuple.  The
+    left factors and the indices are read by :func:`qfield.as_int`, so an
+    entry such as 0.5 is refused, not truncated.
     ``stage`` selects the entry point of the SL3 walk: ``"raw"`` for
     ordinary data, ``"block_reduced"`` for data already pushed through the
     block-reduction steps (the only way to reach the deepest branches, whose
@@ -146,7 +150,7 @@ class SequenceSpec:
     def __post_init__(self) -> None:
         rs = root_system_for(self.subgroup)
         object.__setattr__(self, "direction", make_vector(rs, self.direction))
-        idx = tuple(int(i) for i in self.indices)
+        idx = tuple(as_int(i) for i in self.indices)
         if not idx or any(b <= a for a, b in zip(idx, idx[1:])) or idx[0] < 1:
             raise ValueError("indices must be strictly increasing positive integers")
         object.__setattr__(self, "indices", idx)
@@ -155,12 +159,14 @@ class SequenceSpec:
         if (self.recorded_conjugator is not None) != (self.conjugator_policy == "recorded"):
             raise ValueError("recorded policy needs a recorded conjugator, and only then")
         if self.recorded_conjugator is not None:
-            rec = _check_recorded(self.subgroup, self.recorded_conjugator)
+            rec = _per_factor(self.subgroup, self.recorded_conjugator, "recorded conjugator",
+                              unimodular)
             object.__setattr__(self, "recorded_conjugator", rec)
         if self.stage not in ("raw", "block_reduced"):
             raise ValueError(f"unknown stage {self.stage!r}")
         if self.bounded_part is not None and self.bounded_part != "bounded":
-            bounded = _coerce_bounded(self.subgroup, self.bounded_part)
+            bounded = _per_factor(self.subgroup, self.bounded_part, "bounded part",
+                                  lambda m, n, what: qmat(square_rows(m, n, what)))
             object.__setattr__(self, "bounded_part", bounded)
 
     @property
@@ -168,33 +174,18 @@ class SequenceSpec:
         return root_system_for(self.subgroup)
 
 
-def _per_factor(spec: SubgroupSpec, mats) -> tuple:
-    """mats as one matrix per factor of spec.  The one factor of a
-    single-factor spec may come as a bare n x n matrix: n >= 2 rows, where
-    its per-factor tuple has one entry."""
-    mats = tuple(mats)
-    return (mats,) if len(spec.parts) == 1 and len(mats) != 1 else mats
-
-
-def _check_recorded(spec: SubgroupSpec, recorded) -> Tuple[IntMatrix, ...]:
-    """The recorded left factors as integer matrices: one n x n matrix of
-    determinant one per factor; the determinant is exact."""
+def _per_factor(spec: SubgroupSpec, mats, what: str, read) -> tuple:
+    """read(m, n, what) of each n x n matrix m of mats, a list or tuple of
+    one matrix per factor of spec; ValueError naming what for any other
+    length.  The one factor of a single-factor spec may come as a bare
+    matrix: n >= 2 rows, where its per-factor list has one entry."""
     r, n = spec.shape
-    mats = tuple(tuple(tuple(map(int, row)) for row in m) for m in _per_factor(spec, recorded))
-    if len(mats) != r or any(len(m) != n or any(len(row) != n for row in m) for m in mats):
-        raise ValueError(f"recorded conjugator must be {r} integer {n}x{n} matrices")
-    if any(int_det(m) != 1 for m in mats):
-        raise ValueError("recorded conjugator must be integral of determinant one")
-    return mats
-
-
-def _coerce_bounded(spec: SubgroupSpec, bounded) -> Tuple[QMatrix, ...]:
-    """The offsets as Q(tau) matrices, one n x n matrix per factor."""
-    r, n = spec.shape
-    mats = tuple(qmat(b) for b in _per_factor(spec, bounded))
-    if len(mats) != r or any(len(m) != n or any(len(row) != n for row in m) for m in mats):
-        raise ValueError(f"bounded part must be {r} {n}x{n} matrices")
-    return mats
+    listed = isinstance(mats, (list, tuple))
+    if r == 1 and not (listed and len(mats) == 1):
+        mats, listed = (mats,), True
+    if not listed or len(mats) != r:
+        raise ValueError(f"{what} must list one {n}x{n} matrix per factor, {r} in all")
+    return tuple(read(m, n, what) for m in mats)
 
 
 # SequenceSpec coerces plain-Python arguments itself

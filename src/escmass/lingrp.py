@@ -41,29 +41,26 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class GroupElement:
-    """A determinant-one real matrix, with a factor tag for product groups.
+    """A determinant-one real matrix.
 
     Construct through :func:`group_element`, which renormalizes the
     determinant; the raw constructor trusts its input.
     """
 
     mat: np.ndarray
-    factor: int = 0
 
     @property
     def n(self) -> int:
         return self.mat.shape[0]
 
     def inv(self) -> "GroupElement":
-        return GroupElement(_freeze(np.linalg.inv(self.mat)), self.factor)
+        return GroupElement(_freeze(np.linalg.inv(self.mat)))
 
     def __matmul__(self, other: "GroupElement") -> "GroupElement":
-        if self.factor != other.factor:
-            raise ValueError("cannot multiply across factors")
-        return GroupElement(_freeze(self.mat @ other.mat), self.factor)
+        return GroupElement(_freeze(self.mat @ other.mat))
 
     def __repr__(self) -> str:
-        return f"GroupElement(n={self.n}, factor={self.factor})"
+        return f"GroupElement(n={self.n})"
 
 
 def _freeze(mat: np.ndarray) -> np.ndarray:
@@ -72,7 +69,7 @@ def _freeze(mat: np.ndarray) -> np.ndarray:
     return out
 
 
-def group_element(entries, factor: int = 0) -> GroupElement:
+def group_element(entries) -> GroupElement:
     """Ingest a square matrix, renormalizing by det^(1/n).
 
     >>> float(group_element([[2.0, 0.0], [0.0, 2.0]]).mat[0, 0])
@@ -88,7 +85,7 @@ def group_element(entries, factor: int = 0) -> GroupElement:
     mat = mat / det ** (1.0 / n)
     if abs(np.linalg.det(mat) - 1.0) > 1e-9:
         raise ValueError("determinant renormalization failed (input too skewed)")
-    return GroupElement(_freeze(mat), factor)
+    return GroupElement(_freeze(mat))
 
 
 # ---------------------------------------------------------------------------

@@ -26,11 +26,12 @@ from .lingrp import (
     iwasawa_batched,  # noqa: F401 - perfbench/tracing.py wraps this name here
     iwasawa_coordinates,
 )
-from .qfield import int_det, int_inverse, rat_mul
+from .qfield import int_inverse, rat_mul, unimodular
 from .reduction import (
+    RATIO_MIN,
+    U_BOUND,
     reduce_siegel_batched,
     reduce_sl2_coords,
-    siegel_default,
 )
 
 CHUNK = 1 << 16
@@ -123,14 +124,7 @@ class SubgroupSpec:
 
 
 def _check_conjugator(conjugator, n) -> Optional[IntMatrix]:
-    if conjugator is None:
-        return None
-    rows = tuple(tuple(int(v) for v in row) for row in conjugator)
-    if len(rows) != n or any(len(r) != n for r in rows):
-        raise ValueError(f"conjugator must be {n}x{n}")
-    if int_det(rows) != 1:
-        raise ValueError("conjugator must be integral of determinant one")
-    return rows
+    return None if conjugator is None else unimodular(conjugator, n, "conjugator")
 
 
 # A conjugated sample gamma @ h @ gamma^-1 is formed in float64, which
@@ -687,13 +681,12 @@ def _log_floor(bound: float) -> float:
 def _assert_reduced(log_a: np.ndarray, u_coords: np.ndarray, n: int) -> None:
     """Check the (count, factors, ...) coordinates against the Siegel bounds,
     on the factor-major rows they view (see EmpiricalMeasure)."""
-    s = siegel_default(n)
     log_a, u_coords = log_a.transpose(1, 2, 0), u_coords.transpose(1, 2, 0)
     # the log diagonal ratios against a log floor: no exp over the samples
-    if not np.all(log_a[:, :-1] - log_a[:, 1:] >= _log_floor(s.ratio_min - 1e-9)):
+    if not np.all(log_a[:, :-1] - log_a[:, 1:] >= _log_floor(RATIO_MIN - 1e-9)):
         raise RuntimeError("reduced diagonal escaped the target bounds")
     if n == 2:
-        if not np.all(np.abs(u_coords) <= 0.5 + 1e-9):
+        if not np.all(np.abs(u_coords) <= U_BOUND):
             raise RuntimeError("reduced off-diagonals escaped the target bounds")
         return
     iu = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -703,7 +696,7 @@ def _assert_reduced(log_a: np.ndarray, u_coords: np.ndarray, n: int) -> None:
         seen = log_ratio <= _LOG_RATIO_SEEN
         # float size reduction guarantees |u| <= 1/2 only up to O(eps * ratio)
         slack = 1e-9 + 8.0 * eps * np.exp(np.minimum(log_ratio, _LOG_RATIO_SEEN))
-        if not np.all(np.abs(u_coords[:, col][seen]) <= s.u_bound + slack[seen]):
+        if not np.all(np.abs(u_coords[:, col][seen]) <= U_BOUND + slack[seen]):
             raise RuntimeError("reduced off-diagonals escaped the target bounds")
 
 
@@ -720,10 +713,6 @@ class BoundaryHistogram:
     mass: Dict[FrozenSet[int], float]
     threshold: float
     rank: int
-
-    @property
-    def interior_label(self) -> FrozenSet[int]:
-        return frozenset(range(self.rank))
 
     def fraction(self, label) -> float:
         return self.mass.get(frozenset(label), 0.0)
@@ -815,12 +804,22 @@ def boundary_histogram(m: EmpiricalMeasure, t_esc: float = T_ESC_DEFAULT) -> Bou
     return boundary_histograms(m, [t_esc])[0]
 
 
+def interior_label(rank: int) -> FrozenSet[int]:
+    """The label of the interior: every simple root stayed."""
+    return frozenset(range(rank))
+
+
+def label_text(label: FrozenSet[int], rank: int) -> str:
+    """A label as the outputs spell it: ``interior``, or its sorted simple
+    roots, as ``(0,2)``."""
+    if label == interior_label(rank):
+        return "interior"
+    return "(" + ",".join(str(i) for i in sorted(label)) + ")"
+
+
 def format_histogram(h: BoundaryHistogram) -> str:
     """Structured text record: one 'label mass' line per observed label."""
     lines = [f"# threshold={h.threshold:g} rank={h.rank}"]
     for label in sorted(h.mass, key=lambda s: (len(s), tuple(sorted(s)))):
-        name = "interior" if label == h.interior_label else (
-            "(" + ",".join(str(i) for i in sorted(label)) + ")"
-        )
-        lines.append(f"{name} {h.mass[label]:.6f}")
+        lines.append(f"{label_text(label, h.rank)} {h.mass[label]:.6f}")
     return "\n".join(lines) + "\n"

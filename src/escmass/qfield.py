@@ -24,6 +24,9 @@ nonzero terms directly, and :func:`qmat_unipotent_inverse` back-substitutes.
 Two irrational numbers of different fields still refuse to meet, in any of
 these.  The integer helpers :func:`int_det` and :func:`int_inverse` give
 exact determinants and determinant-one inverses of small integer matrices.
+Integers from outside the program are read by :func:`as_int`, which
+refuses what ``int()`` would truncate, and integer matrices of determinant
+one by :func:`unimodular`.
 
 >>> golden = QuadNum.tau(1, 1)            # tau**2 = tau + 1
 >>> (golden * golden - golden).as_fraction()
@@ -41,6 +44,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Sized
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -471,6 +475,61 @@ def int_inverse(m) -> Tuple[Tuple[int, ...], ...]:
         return (-1) ** (i + j) * _cofactor_det(minor)
 
     return tuple(tuple(cofactor(i, j) for j in range(n)) for i in range(n))
+
+
+def as_int(value) -> int:
+    """The int that value spells exactly: an int, a numpy int, an integral
+    float such as ``2.0`` or an integer string such as ``"2"``.  A value
+    that ``int()`` would truncate (0.5, ``Fraction(1, 2)``) or a bool raises
+    ValueError naming it; an infinite float raises OverflowError.
+
+    >>> as_int(2.0), as_int("2")
+    (2, 2)
+    >>> as_int(2.7)
+    Traceback (most recent call last):
+    ...
+    ValueError: 2.7 is not an integer
+    """
+    if isinstance(value, bool):
+        raise ValueError(f"{value!r} is not an integer")
+    out = int(value)
+    if not isinstance(value, str) and out != value:
+        raise ValueError(f"{value!r} is not an integer")
+    return out
+
+
+def _is_rows(x, n: int) -> bool:
+    """Whether x is a sequence of n items; a string is not one."""
+    return isinstance(x, Sized) and not isinstance(x, str) and len(x) == n
+
+
+def square_rows(m, n: int, what: str) -> Tuple[tuple, ...]:
+    """The rows of m, an n x n matrix given as n sequences of n entries,
+    as tuples; ValueError naming what for any other shape."""
+    if not (_is_rows(m, n) and all(_is_rows(row, n) for row in m)):
+        raise ValueError(f"{what} must be a {n}x{n} matrix")
+    return tuple(tuple(row) for row in m)
+
+
+def unimodular(m, n: int, what: str) -> Tuple[Tuple[int, ...], ...]:
+    """m as an n x n integer matrix of determinant exactly one, its entries
+    read by :func:`as_int`; ValueError naming what otherwise.
+
+    >>> unimodular([[2, 1.0], ["1", 1]], 2, "conjugator")
+    ((2, 1), (1, 1))
+    >>> unimodular([[1, 0.5], [0, 1]], 2, "conjugator")
+    Traceback (most recent call last):
+    ...
+    ValueError: conjugator must have integer entries: 0.5 is not an integer
+    """
+    rows = square_rows(m, n, what)
+    try:
+        rows = tuple(tuple(as_int(v) for v in row) for row in rows)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{what} must have integer entries: {exc}") from exc
+    if int_det(rows) != 1:
+        raise ValueError(f"{what} must be integral of determinant one")
+    return rows
 
 
 def qmat_is_upper_unitriangular(x: QMatrix) -> bool:

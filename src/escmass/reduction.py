@@ -11,13 +11,12 @@ n = 3, 4 :func:`reduce_siegel_batched` runs float64 lattice basis reduction
 on the rows of each matrix, and the parity of its row swaps fixes the sign
 that keeps gamma's determinant one.  It meets the Siegel bounds only up to a
 controlled slack (the swap threshold cannot reach the exact chamber wall),
-hence the small tolerances carried by ``SiegelSet``.
+hence the small slacks in ``RATIO_MIN`` and ``U_BOUND``.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from typing import Iterator, Tuple
 
 import numpy as np
@@ -26,40 +25,19 @@ from .lingrp import gram_schmidt_lower
 
 RATIO_SLACK = 1e-6
 U_SLACK = 1e-9
+# the reduction target: successive diagonal ratios a_i / a_{i+1} are at
+# least RATIO_MIN, and off-diagonal coordinates |u_ij| at most U_BOUND
+RATIO_MIN = 1.0 / (2.0 / np.sqrt(3.0) + RATIO_SLACK)
+U_BOUND = 0.5 + U_SLACK
 DISC_BOUND = 1.0 - 1e-12  # lowest admissible |z| for reduced half-plane points
 
 __all__ = [
-    "SiegelSet",
-    "siegel_default",
+    "RATIO_MIN",
+    "U_BOUND",
     "reduce_sl2_coords",
     "reduce_siegel_batched",
     "enumerate_gamma",
 ]
-
-
-@dataclass(frozen=True)
-class SiegelSet:
-    """Coordinate bounds defining the reduction target: ``ratio_min`` bounds
-    the successive diagonal ratios a_i / a_{i+1} from below, ``u_bound`` the
-    off-diagonal coordinates |u_ij| from above."""
-
-    n: int
-    ratio_min: float
-    u_bound: float
-
-    def __post_init__(self):
-        # reduced points reach diagonal ratios down to sqrt(3)/2, so no
-        # larger floor can hold for all of them
-        if not 0.0 < self.ratio_min <= 1.0 / (2.0 / np.sqrt(3.0) - 1e-12):
-            raise ValueError(f"diagonal ratio bound {self.ratio_min} above the reduction minimum")
-        if self.u_bound < 0.5:
-            raise ValueError(f"off-diagonal bound {self.u_bound} below 1/2")
-
-
-def siegel_default(n: int) -> SiegelSet:
-    return SiegelSet(
-        n=n, ratio_min=1.0 / (2.0 / np.sqrt(3.0) + RATIO_SLACK), u_bound=0.5 + U_SLACK
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -340,13 +318,13 @@ def _reduce_stack(mats: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return b[::-1].transpose(2, 0, 1), low
 
 
-def _ratio_certified(low: np.ndarray, ratio_min: float) -> np.ndarray:
+def _ratio_certified(low: np.ndarray) -> np.ndarray:
     # the triangular profile reads off bottom-up (n a k order), which is
     # Gram-Schmidt over the reversed rows: a_j = low[n-1-j, n-1-j]
     n = low.shape[0]
     ok = np.ones(low.shape[2], dtype=bool)
     for j in range(n - 1):
-        ok &= low[n - 1 - j, n - 1 - j] / low[n - 2 - j, n - 2 - j] >= ratio_min - 1e-9
+        ok &= low[n - 1 - j, n - 1 - j] / low[n - 2 - j, n - 2 - j] >= RATIO_MIN - 1e-9
     return ok
 
 
@@ -370,10 +348,8 @@ def reduce_siegel_batched(mats: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     certified again.
     """
     mats = np.asarray(mats, dtype=float)
-    n = mats.shape[1]
     reps, low = _reduce_stack(mats)
-    ratio_min = siegel_default(n).ratio_min
-    bad = np.flatnonzero(~_ratio_certified(low, ratio_min))
+    bad = np.flatnonzero(~_ratio_certified(low))
     for attempt in range(2):
         if not bad.size:
             break
@@ -381,7 +357,7 @@ def reduce_siegel_batched(mats: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         reps[bad] = fixed
         low[:, :, bad] = fixed_low
         if attempt == 0:
-            bad = bad[~_ratio_certified(fixed_low, ratio_min)]
+            bad = bad[~_ratio_certified(fixed_low)]
     return reps, low
 
 

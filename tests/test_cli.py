@@ -463,14 +463,35 @@ def test_cli_input_errors_exit_4(tmp_path):
     assert _run_cli("run", "sl2_cusp", "--samples", "0").returncode == EXIT_INPUT
 
 
+_DIRECTION = '"direction": ["1", "0", "-1"]'
+_COORDINATE = '"coordinate": [0, 1]'
+_HALF_ENTRY = "[[1, 0.5, 0], [0, 1, 0], [0, 0, 1]]"
+
+
 @pytest.mark.parametrize(
     "old, new, message",
     [
-        ('"direction": ["1", "0", "-1"]', '"direction": ["1e400", "1e400", "-2e400"]',
+        (_DIRECTION, '"direction": ["1e400", "1e400", "-2e400"]',
          "direction value '1e400' does not fit a finite float"),
         ('"count": 100', '"count": 1e999', "count value inf does not fit an int"),
+        ('"count": 100', '"count": 100.5', "bad count value 100.5: 100.5 is not an integer"),
+        ('"seed": 1', '"seed": 1.5', "bad seed value 1.5: 1.5 is not an integer"),
+        (_DIRECTION, _DIRECTION + ', "indices": [1.5]', "bad indices value 1.5: 1.5 is not"),
+        (_DIRECTION, _DIRECTION + ', "indices": [true]', "bad indices value True: True is not"),
+        ('"n": 3', '"n": 3.9', "bad n value 3.9: 3.9 is not an integer"),
+        (_COORDINATE, '"coordinate": [0, 1.5]', "bad coordinate value 1.5: 1.5 is not"),
+        (_COORDINATE, '"coordinate": "12"', "coordinate must be a list of integers, got '12'"),
+        ('"kind": "one_param_unipotent", "n": 3, ' + _COORDINATE,
+         '"kind": "embedded_sl2", "n": 3, "block": 0.5', "bad block value 0.5: 0.5 is not"),
+        (_COORDINATE, _COORDINATE + ', "conjugator": ' + _HALF_ENTRY,
+         "bad subgroup description: conjugator must have integer entries: 0.5 is not"),
+        (_DIRECTION,
+         _DIRECTION + ', "conjugator_policy": "recorded", "recorded_conjugator": ' + _HALF_ENTRY,
+         "bad sequence: recorded conjugator must have integer entries: 0.5 is not"),
     ],
-    ids=["direction", "count"],
+    ids=["direction", "count", "count-fraction", "seed-fraction", "indices-fraction",
+         "indices-bool", "n-fraction", "coordinate-fraction", "coordinate-string",
+         "block-fraction", "conjugator-fraction", "recorded-conjugator-fraction"],
 )
 def test_out_of_range_scenario_numbers_exit_4_naming_the_field(old, new, message, tmp_path, capsys):
     text = json.dumps(_doc()).replace(old, new)
@@ -480,6 +501,57 @@ def test_out_of_range_scenario_numbers_exit_4_naming_the_field(old, new, message
     p.write_text(text)
     assert main(["run", str(p), "--jobs", "1"]) == EXIT_INPUT
     assert f"error: {message}" in capsys.readouterr().err
+
+
+def test_misshapen_matrices_and_index_lists_exit_4_naming_the_field(tmp_path, capsys):
+    """A matrix or an index list given as a number or a string is refused
+    with its field's name, not read digit by digit or as a bare error; so
+    is a conjugator on a product, which would otherwise be dropped."""
+    product = {"kind": "product", "factors": [{"kind": "trivial", "n": 2}] * 2}
+    cases = [
+        ({"subgroup": {**product, "conjugator": [[1, 1], [0, 1]]}},
+         "product subgroups take no conjugator"),
+        ({"subgroup": {**_doc()["sequence"]["subgroup"], "conjugator": 5}},
+         "bad subgroup description: conjugator must be a 3x3 matrix"),
+        ({"subgroup": {"kind": "full_unipotent_radical", "n": 3, "I": "1"}},
+         "I must be a list of integers, got '1'"),
+        ({"bounded_part": 5}, "bad sequence: bounded part must be a 3x3 matrix"),
+        ({"conjugator_policy": "recorded", "recorded_conjugator": 5},
+         "bad sequence: recorded conjugator must be a 3x3 matrix"),
+        ({"subgroup": product, "direction": ["1", "-1", "0", "0"], "bounded_part": 5},
+         "bad sequence: bounded part must list one 2x2 matrix per factor, 2 in all"),
+        ({"subgroup": product, "direction": ["1", "-1", "0", "0"],
+          "conjugator_policy": "recorded", "recorded_conjugator": [[[1, 0], [0, 1]], 5]},
+         "bad sequence: recorded conjugator must be a 2x2 matrix"),
+    ]
+    for sequence, message in cases:
+        doc = _doc()
+        doc["sequence"].update(sequence)
+        p = tmp_path / "misshapen.json"
+        p.write_text(json.dumps(doc))
+        assert main(["run", str(p), "--jobs", "1"]) == EXIT_INPUT, message
+        assert f"error: {message}" in capsys.readouterr().err
+
+
+def test_integral_floats_and_integer_strings_still_load():
+    """Integers written as integral floats or as integer strings read as the
+    integers they spell, down to the same sequence."""
+    doc = _doc()
+    doc["sampling"] = {"count": 100.0, "seed": "2"}
+    doc["sequence"]["subgroup"] = {
+        "kind": "embedded_sl2", "n": "3", "block": 1.0,
+        "conjugator": [["1", 0, 0], [0, 1.0, 0], [0, 0, 1]],
+    }
+    doc["sequence"]["indices"] = ["1", 2.0, 4]
+    doc["sequence"]["conjugator_policy"] = "recorded"
+    doc["sequence"]["recorded_conjugator"] = [[1, "1", 0], [0, 1, 0], [0, 0, 1.0]]
+    scn = scenario_from_json(doc)
+    assert (scn.count, scn.seed) == (100, 2)
+    assert scn.sequence.indices == (1, 2, 4)
+    assert scn.sequence.subgroup == embedded_sl2(3, 1, conjugator=np.eye(3, dtype=int))
+    assert scn.sequence.recorded_conjugator == (((1, 1, 0), (0, 1, 0), (0, 0, 1)),)
+    for value in (scn.count, scn.seed, *scn.sequence.indices, scn.sequence.subgroup.n):
+        assert type(value) is int
 
 
 def test_translate_past_the_precision_budget_exits_4(tmp_path, capsys, monkeypatch):

@@ -179,6 +179,21 @@ def test_sequence_spec_stores_one_matrix_per_factor():
         )
 
 
+def test_non_integral_conjugators_are_refused_not_truncated():
+    """A conjugator entry of 0.5 would truncate to 0 under int(), silently
+    moving the subgroup or the recorded left factor; both refuse it."""
+    half = [[1, 0.5, 0], [0, 1, 0], [0, 0, 1]]
+    with pytest.raises(ValueError, match="conjugator must have integer entries"):
+        one_param_unipotent(3, (1, 2), conjugator=half)
+    line = one_param_unipotent(3, (1, 2))
+    with pytest.raises(ValueError, match="recorded conjugator must have integer entries"):
+        SequenceSpec(line, [9, -6, -3], conjugator_policy="recorded", recorded_conjugator=half)
+    with pytest.raises(ValueError, match="1.5 is not an integer"):
+        SequenceSpec(line, [9, -6, -3], indices=(1, 1.5))
+    with pytest.raises(ValueError, match="bounded part must list one 2x2 matrix per factor"):
+        SequenceSpec(product_subgroup([trivial_subgroup(2)] * 2), [1, -1, 0, 0], bounded_part=5)
+
+
 # ---------------------------------------------------------------------------
 # truncated escape infimum
 

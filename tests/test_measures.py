@@ -579,7 +579,7 @@ def test_diagonal_check_is_at_least_as_strict_as_the_exp_form(n):
     side of the floor, every log ratio it passes has exp at or above the
     bound, and the floor gives away at most one ulp; log ratios one ulp
     either side of the floor pass and fail the check itself."""
-    bound = measures.siegel_default(n).ratio_min - 1e-9
+    bound = measures.RATIO_MIN - 1e-9
     floor = measures._log_floor(bound)
     ladder = [floor]
     for _ in range(64):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import escmass.qfield as qfield
 from escmass.qfield import (
+    as_int,
     QuadNum,
     int_det,
     int_inverse,
@@ -19,6 +20,7 @@ from escmass.qfield import (
     qmat_unipotent_inverse,
     rat_inverse,
     rat_mul,
+    unimodular,
 )
 from escmass.rootsys import build_product, build_type_a
 
@@ -301,6 +303,36 @@ def test_unipotent_inverse_refuses_other_matrices():
 @given(st.integers(1, 4).flatmap(lambda n: _matrix(st.integers(-9, 9), n, n)))
 def test_int_det_matches_float_det_on_small_entries(m):
     assert int_det(m) == round(np.linalg.det(np.array(m, dtype=float)))
+
+
+def test_as_int_reads_exact_integers_only():
+    for value, want in ((7, 7), (np.int64(-3), -3), (2.0, 2), (np.float64(5.0), 5),
+                        ("2", 2), (" -4 ", -4), (Fraction(6, 3), 2), (10**30, 10**30)):
+        assert as_int(value) == want and type(as_int(value)) is int
+    for value in (0.5, 2.7, -1.5, np.float64(3.25), Fraction(1, 2), True, False, "2.0",
+                  "x", math.nan):
+        with pytest.raises(ValueError):
+            as_int(value)
+    with pytest.raises(OverflowError):
+        as_int(math.inf)
+    with pytest.raises(TypeError):
+        as_int([1])
+
+
+def test_unimodular_names_what_it_refuses():
+    assert unimodular(np.eye(2, dtype=np.int64), 2, "g") == ((1, 0), (0, 1))
+    assert unimodular([["1", 1.0], [0, 1]], 2, "g") == ((1, 1), (0, 1))
+    for m, message in (
+        ([[1, 0.5], [0, 1]], "g must have integer entries: 0.5 is not an integer"),
+        ([[1, math.inf], [0, 1]], "g must have integer entries"),
+        ([[2, 0], [0, 1]], "g must be integral of determinant one"),
+        ([[1, 0], [0, 1], [0, 0]], "g must be a 2x2 matrix"),
+        ([[1, 0, 0], [0, 1]], "g must be a 2x2 matrix"),
+        (["10", "01"], "g must be a 2x2 matrix"),
+        (5, "g must be a 2x2 matrix"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            unimodular(m, 2, "g")
 
 
 def test_int_det_is_exact_where_float_rounds():

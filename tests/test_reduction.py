@@ -39,11 +39,11 @@ from escmass.measures import (
     embedded_sl2,
 )
 from escmass.reduction import (
-    SiegelSet,
+    RATIO_MIN,
+    U_BOUND,
     enumerate_gamma,
     reduce_siegel_batched,
     reduce_sl2_coords,
-    siegel_default,
 )
 
 RNG = np.random.default_rng(90125)
@@ -98,13 +98,13 @@ def _reduce_sl2(g):
     return gamma, np.array(gamma, dtype=float) @ g.mat
 
 
-def _in_siegel(mat, s):
+def _in_siegel(mat):
     """Whether the triangular coordinates of one matrix satisfy the bounds."""
     parts = iwasawa(GroupElement(np.asarray(mat, dtype=float)))
     a = parts.a_diag
-    if np.any(a[:-1] / a[1:] < s.ratio_min):
+    if np.any(a[:-1] / a[1:] < RATIO_MIN):
         return False
-    return bool(np.all(np.abs(parts.n_part[np.triu_indices(s.n, 1)]) <= s.u_bound))
+    return bool(np.all(np.abs(parts.n_part[np.triu_indices(len(a), 1)]) <= U_BOUND))
 
 
 def half_plane_point(mats):
@@ -131,11 +131,10 @@ def _reduced(mats):
     reps, low = reduce_siegel_batched(mats)
     gammas, want_reps, want_low = _reduce_siegel_full(mats)
     assert _same_bits(reps, want_reps) and _same_bits(low, want_low)
-    s = siegel_default(mats.shape[1])
     assert np.allclose(gammas.astype(float) @ mats, reps, atol=1e-9)
     for gamma, rep in zip(gammas, reps):
         assert _exact_det(gamma.tolist()) == 1
-        assert _in_siegel(rep, s)
+        assert _in_siegel(rep)
     a, u = iwasawa_coordinates(low)
     return gammas, reps, np.stack(a, axis=1), np.stack(u, axis=1)
 
@@ -145,14 +144,9 @@ def test_doctests():
 
 
 def test_siegel_set_conventions():
-    s = siegel_default(2)
-    assert s.ratio_min == 1.0 / (2.0 / np.sqrt(3.0) + reduction.RATIO_SLACK)
-    assert s.ratio_min <= np.sqrt(3) / 2
-    assert s.u_bound == 0.5 + reduction.U_SLACK
-    with pytest.raises(ValueError):
-        SiegelSet(n=2, ratio_min=1.0, u_bound=0.6)
-    with pytest.raises(ValueError):
-        SiegelSet(n=2, ratio_min=0.5, u_bound=0.3)
+    assert RATIO_MIN == 1.0 / (2.0 / np.sqrt(3.0) + reduction.RATIO_SLACK)
+    assert RATIO_MIN <= np.sqrt(3) / 2
+    assert U_BOUND == 0.5 + reduction.U_SLACK
 
 
 def test_reduce_sl2_identity():
@@ -381,7 +375,7 @@ def test_reduce_siegel_batched_matches_single():
 def test_reduce_siegel_far_diagonal():
     g = group_element(np.diag([50.0, 1.0, 0.02]))
     _, reps, _, _ = _reduced(g.mat[None])
-    assert _in_siegel(reps[0], siegel_default(3))
+    assert _in_siegel(reps[0])
 
 
 def _interior(a, u):
@@ -516,7 +510,7 @@ def test_recertified_matrices_are_factored_again(levi_stack, monkeypatch):
     with pytest.warns(UserWarning, match="1-sweep cap"):
         reps, low = reduce_siegel_batched(mats)
     assert len(sizes) >= 2 and 0 < sizes[1] <= 1000  # the reduced half passes
-    assert np.all(reduction._ratio_certified(low, siegel_default(3).ratio_min))
+    assert np.all(reduction._ratio_certified(low))
     nil, a, _ = iwasawa_batched(reps)
     a_read, u_read = iwasawa_coordinates(low)
     assert _same_bits(np.stack(a_read, axis=1), a)
@@ -692,8 +686,7 @@ def _reduce_siegel_full(mats, passes=None):
     passes = [] if passes is None else passes
     mats = np.ascontiguousarray(mats, dtype=float)
     gammas, reps, low = _reduce_stack_full(mats, passes)
-    ratio_min = siegel_default(mats.shape[1]).ratio_min
-    bad = np.flatnonzero(~reduction._ratio_certified(low, ratio_min))
+    bad = np.flatnonzero(~reduction._ratio_certified(low))
     for attempt in range(2):
         if not bad.size:
             break
@@ -702,7 +695,7 @@ def _reduce_siegel_full(mats, passes=None):
         reps[bad] = fixed
         low[:, :, bad] = fixed_low
         if attempt == 0:
-            bad = bad[~reduction._ratio_certified(fixed_low, ratio_min)]
+            bad = bad[~reduction._ratio_certified(fixed_low)]
     return gammas, reps, low
 
 
@@ -804,12 +797,12 @@ def test_sweep_cap_warns_naming_the_pass(levi_stack, monkeypatch):
 
 
 def test_in_siegel_examples():
-    assert _in_siegel(np.eye(2), siegel_default(2))
+    assert _in_siegel(np.eye(2))
     y = 0.01
     low = group_element([[np.sqrt(y), 0.0], [0.0, 1.0 / np.sqrt(y)]])
-    assert not _in_siegel(low.mat, siegel_default(2))
+    assert not _in_siegel(low.mat)
     shifted = group_element([[1.0, 0.8], [0.0, 1.0]])
-    assert not _in_siegel(shifted.mat, siegel_default(2))
+    assert not _in_siegel(shifted.mat)
 
 
 def brute_force_sl_count(n, height):
