@@ -157,8 +157,10 @@ def _fraction(text) -> Fraction:
 
 
 def parse_entry(text, tau: Optional[QuadNum]) -> QuadNum:
-    """Exact scalar: ``p/q``, ``tau``, ``-tau``, ``b*tau`` or ``a+b*tau``."""
-    if isinstance(text, int):
+    """Exact scalar: ``p/q``, ``tau``, ``-tau``, ``b*tau`` or ``a+b*tau``,
+    or an int; a bool (JSON ``true``, ``false``) is refused, not read as 1
+    or 0."""
+    if isinstance(text, int) and not isinstance(text, bool):
         return QuadNum.rational(Fraction(text))
     if not isinstance(text, str):
         raise ScenarioError(f"matrix entries must be strings or ints, got {text!r}")

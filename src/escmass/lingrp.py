@@ -11,6 +11,8 @@ ill-conditioned to honour that promise.
 from __future__ import annotations
 
 import itertools
+import math
+import threading
 from dataclasses import dataclass
 from typing import FrozenSet, List, Optional, Sequence, Tuple
 
@@ -31,6 +33,7 @@ __all__ = [
     "iwasawa_coordinates",
     "gram_schmidt_components",
     "gram_schmidt_lower",
+    "workspace",
     "langlands",
     "parabolic_root_values",
     "dalpha_product",
@@ -200,12 +203,54 @@ def _dot(x: np.ndarray, y: np.ndarray, out: np.ndarray, prod: np.ndarray) -> np.
     return out
 
 
-def _workspace(n: int, m: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+_THREAD = threading.local()
+
+
+def workspace(slot: str, shape, dtype=float) -> np.ndarray:
+    """An uninitialised C-contiguous array of ``shape`` and ``dtype`` in the
+    calling thread's buffer ``slot``.
+
+    Each thread owns its slots, and each slot only grows: it is reallocated
+    when a request does not fit, at the requested size, and is otherwise
+    reused, so a slot is as large as the largest request its thread has made,
+    and is freed with the thread.  A returned array is valid until the next
+    request for the same slot from the same thread; the caller must not keep
+    it, or return it to its own caller, past that point.  Arrays the same
+    slot is requested for again are not zeroed: a caller that needs zeros
+    writes them.  Fresh arrays for the stacks of the sampling path,
+    allocated and dropped stack after stack, were returned to the operating
+    system by the allocator and faulted in again for the next stack.
+
+    The slots, and who holds each:
+
+    - ``"gram_schmidt"``: the kernel's scratch, inside one factorization;
+    - ``"stack"``: a chunk's embedded samples (measures) until they are
+      pushed, then the reducer's working basis until the reduction returns;
+    - ``"push"``: the pushed stack until the reducer has copied it, then
+      the reduced factor over it, until its coordinates are read;
+    - ``"lll"``, ``"lll_flags"``: the sweep buffers of one LLL pass;
+    - ``"parity"``, ``"order"``, ``"inverse"``, ``"restore"``: the
+      reducer's swap parity, working order, its inverse and the reordering
+      scratch, inside one reduction.
+    """
+    dtype = np.dtype(dtype)
+    nbytes = math.prod(shape) * dtype.itemsize
+    buf = _THREAD.__dict__.get(slot)
+    if buf is None or buf.size < nbytes:
+        buf = _THREAD.__dict__[slot] = np.empty(nbytes, dtype=np.uint8)
+    return buf[:nbytes].view(dtype).reshape(shape)
+
+
+def _kernel_scratch(n: int, m: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Scratch for :func:`_gram_schmidt_block` on blocks of at most
-    ``GS_BLOCK`` of m matrices: the residual rows, the products and the dot
-    products, allocated once per factored stack."""
+    ``GS_BLOCK`` of m matrices, in the calling thread's ``"gram_schmidt"``
+    workspace slot: the first n - 1 directions, the residual rows, the
+    products and the dot products."""
     size = min(m, GS_BLOCK)
-    return np.empty((n, size)), np.empty((n, size)), np.empty(size)
+    buf = workspace("gram_schmidt", ((n - 1) * n + 2 * n + 1, size))
+    q = buf[: (n - 1) * n].reshape(n - 1, n, size)
+    v, prod = buf[(n - 1) * n : (n + 1) * n].reshape(2, n, size)
+    return q, v, prod, buf[-1]
 
 
 def gram_schmidt_components(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -230,7 +275,7 @@ def gram_schmidt_components(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     n, _, m = rows.shape
     low = np.empty(rows.shape)
     q = np.empty(rows.shape)
-    work = _workspace(n, m)
+    work = _kernel_scratch(n, m)[1:]
     for start in range(0, m, GS_BLOCK):
         cols = slice(start, start + GS_BLOCK)
         _gram_schmidt_block(rows[:, :, cols], low[:, :, cols], q[:, :, cols], work)
@@ -240,12 +285,13 @@ def gram_schmidt_components(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 def gram_schmidt_lower(rows: np.ndarray, low: np.ndarray) -> None:
     """The lower factor of :func:`gram_schmidt_components`, bit for bit,
     written into the caller's (n, n, m) array ``low`` (a view of a longer
-    stack will do).  The directions only live in one ``GS_BLOCK``-sized
-    scratch, without the last one, which the factor does not need, so
-    factoring a stack allocates no array of its length."""
+    stack will do).  The directions only live in the ``GS_BLOCK``-sized
+    kernel scratch of the calling thread's workspace (see :func:`workspace`),
+    without the last one, which the factor does not need, so a factorization
+    allocates no array at all once its thread has factored a block as
+    large."""
     n, _, m = rows.shape
-    q = np.empty((n - 1, n, min(m, GS_BLOCK)))
-    work = _workspace(n, m)
+    q, *work = _kernel_scratch(n, m)
     for start in range(0, m, GS_BLOCK):
         cols = slice(start, start + GS_BLOCK)
         block = low[:, :, cols]
@@ -255,9 +301,9 @@ def gram_schmidt_lower(rows: np.ndarray, low: np.ndarray) -> None:
 def _gram_schmidt_block(rows: np.ndarray, low: np.ndarray, q: np.ndarray, work) -> None:
     """The kernel on one column block: writes every entry of low, zeros
     above the diagonal included, and the first len(q) directions into q;
-    work is :func:`_workspace` scratch.  Each coefficient is summed as
-    (0.0 + c_1) + c_2 over the two projections, so a zero coefficient comes
-    out +0.0."""
+    work is the residual rows, products and dot products of
+    :func:`_kernel_scratch`.  Each coefficient is summed as (0.0 + c_1) + c_2
+    over the two projections, so a zero coefficient comes out +0.0."""
     n, _, m = rows.shape
     v, prod, c = (w[..., :m] for w in work)
     for i in range(n):

@@ -24,7 +24,7 @@ from .lingrp import (
     ParabolicIndex,
     gram_schmidt_lower,
     iwasawa_batched,  # noqa: F401 - perfbench/tracing.py wraps this name here
-    iwasawa_coordinates,
+    workspace,
 )
 from .qfield import int_inverse, rat_mul, unimodular
 from .reduction import (
@@ -388,15 +388,23 @@ def _embed_factor_chunk(spec: SubgroupSpec, draw: Optional[np.ndarray], size: in
     sample is the identity with the drawn entries or block written in,
     conjugated if spec is.  A 2x2 block that fills an unconjugated n = 2
     sample is returned as a component-major view of the row-major draw,
-    not copied; callers only read it."""
+    not copied; callers only read it.  For n = 3, 4 an unconjugated chunk is
+    written into the calling thread's ``"stack"`` workspace slot (see
+    :func:`lingrp.workspace`), valid until the chunk is reduced."""
     n = spec.n
     if n == 2 and spec.kind == "embedded_sl2" and spec.conjugator is None:
         return draw.transpose(1, 2, 0)
     # a conjugated sample is formed row-major, where the stacked products
     # run, and transposed once; any other is written component-major
     conj = spec.conjugator is not None
-    stack = np.zeros((size, n, n)) if conj else None
-    out = stack.transpose(1, 2, 0) if conj else np.zeros((n, n, size))
+    if conj:
+        stack = np.zeros((size, n, n))
+        out = stack.transpose(1, 2, 0)
+    elif n == 2:
+        out = np.zeros((n, n, size))
+    else:
+        out = workspace("stack", (n, n, size))
+        out[...] = 0.0
     for i in range(n):
         out[i, i] = 1.0
     if spec.kind in ("one_param_unipotent", "full_unipotent_radical"):
@@ -495,9 +503,11 @@ def _right_multiply(rows: np.ndarray, g: np.ndarray) -> np.ndarray:
     (n m, n) rows times g, which it replaced: each entry sums the same n
     products in the same order.  A one-column block would run as a
     matrix-vector product, whose kernel rounds differently at n = 4, so it
-    runs as that flat product of its one matrix."""
+    runs as that flat product of its one matrix.  For n = 3, 4 the push is
+    written into the calling thread's ``"push"`` workspace slot (see
+    :func:`lingrp.workspace`), valid until the next push."""
     n, _, m = rows.shape
-    out = np.empty((n, n, m))
+    out = workspace("push", (n, n, m)) if n > 2 else np.empty((n, n, m))
     for start in range(0, m, PUSH_BLOCK):
         stop = min(start + PUSH_BLOCK, m)
         if stop - start == 1:
@@ -512,7 +522,9 @@ def _reduce_into(rev: np.ndarray, log_a: np.ndarray, u_coords: np.ndarray) -> No
     """Reduce the row-reversed component-major (n, n, m) pushed stack and
     write its coordinates into the rows of the (n, rows) array log_a and the
     (n(n-1)/2, rows) array u_coords; m is the row length, or 1 to fill every
-    row with one result."""
+    row with one result.  For n = 3, 4 the stack is consumed: the reducer
+    copies it into its working basis and then writes the reduced factor
+    into its memory."""
     n, _, m = rev.shape
     if log_a.shape[-1] != m:  # reduce the one matrix once, then broadcast
         one = np.empty((n, 1)), np.empty((len(u_coords), 1))
@@ -520,13 +532,16 @@ def _reduce_into(rev: np.ndarray, log_a: np.ndarray, u_coords: np.ndarray) -> No
         log_a[...], u_coords[...] = one
         return
     if n in (3, 4):
-        # the reducer reads the (m, n, n) view and copies it once
-        _, low = reduce_siegel_batched(rev[::-1].transpose(2, 0, 1))
-        a, u = iwasawa_coordinates(low)
-        for j, a_j in enumerate(a):
-            np.log(a_j, out=log_a[j])
-        for col, u_col in enumerate(u):
-            u_coords[col] = u_col
+        # the reducer reads the (m, n, n) view, copies it once and writes the
+        # factor of the reduced stack over it; the coordinates are the
+        # divisions of lingrp.iwasawa_coordinates, computed into the output
+        # rows
+        _, low = reduce_siegel_batched(rev[::-1].transpose(2, 0, 1), out=rev)
+        for j in range(n):
+            np.log(low[n - 1 - j, n - 1 - j], out=log_a[j])
+        upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        for col, (i, j) in enumerate(upper):
+            np.divide(low[n - 1 - i, n - 1 - j], low[n - 1 - j, n - 1 - j], out=u_coords[col])
         return
     # the half-plane point z = x + iy of the n-a-k split, computed into the
     # output rows, x = u_01 and y = a_0 / a_1 (see iwasawa_coordinates), and
@@ -574,9 +589,15 @@ def empirical_measures(
     the result is broadcast over the samples: the reduction of a matrix does
     not depend on the stack it comes in, so this changes no bit.
 
+    For n = 3, 4 the embedded chunk, the pushed stack, its reduced factor
+    and the reducer's buffers live in the calling thread's workspace (see
+    :func:`lingrp.workspace`), which grows to the largest chunk the thread
+    has reduced and lives as long as the thread; a warm call allocates only
+    its output arrays and its draws.  No result is a view of it.
+
     With an ``executor`` (a concurrent.futures.Executor) the translates of
-    each chunk are pushed and reduced as parallel tasks; every output bit is
-    the same.  ``times``, when given, receives the wall times.
+    each chunk are pushed and reduced as parallel tasks, each in its worker
+    thread's workspace; every output bit is the same.  ``times``, when given, receives the wall times.
 
     Raises PrecisionBudgetError, before sampling, when a conjugator of spec
     takes more than the float64 budget (see conjugator_bits) or a translate
@@ -696,7 +717,8 @@ def _assert_reduced(log_a: np.ndarray, u_coords: np.ndarray, n: int) -> None:
         seen = log_ratio <= _LOG_RATIO_SEEN
         # float size reduction guarantees |u| <= 1/2 only up to O(eps * ratio)
         slack = 1e-9 + 8.0 * eps * np.exp(np.minimum(log_ratio, _LOG_RATIO_SEEN))
-        if not np.all(np.abs(u_coords[:, col][seen]) <= U_BOUND + slack[seen]):
+        # unseen samples pass; a NaN fails wherever it is seen
+        if not np.all((np.abs(u_coords[:, col]) <= U_BOUND + slack) | ~seen):
             raise RuntimeError("reduced off-diagonals escaped the target bounds")
 
 

@@ -17,11 +17,11 @@ hence the small slacks in ``RATIO_MIN`` and ``U_BOUND``.
 from __future__ import annotations
 
 import warnings
-from typing import Iterator, Tuple
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
-from .lingrp import gram_schmidt_lower
+from .lingrp import gram_schmidt_lower, workspace
 
 RATIO_SLACK = 1e-6
 U_SLACK = 1e-9
@@ -134,23 +134,33 @@ def _walk_block(bx: np.ndarray, by: np.ndarray, max_iter: int, scratch) -> bool:
 MAX_SWEEPS = 1000  # per LLL pass; a pass that reaches it is reported
 
 
+def _factor_rows(low: np.ndarray) -> Iterator[np.ndarray]:
+    """The stack-length rows low[i, j], j <= i, of a component-major lower
+    factor: the n(n+1)/2 rows that can hold anything but +0.0."""
+    for i in range(len(low)):
+        yield from low[i, : i + 1]
+
+
 def _to_front(stack, moved: np.ndarray, live: int, scratch: np.ndarray) -> int:
     """Reorder the first ``live`` columns of the stack (b, low, odd, order)
     so that the columns flagged by ``moved`` come first, in order; returns
     their count.  The factors of those columns are out of date, so only the
-    others' factors are moved.  Each stack-length row is gathered with
-    ``np.take`` into ``scratch``, a float64 vector of the stack's length
-    (mode="clip", a no-op on these valid indices, lets take write there
-    directly), and copied back."""
+    others' factors are moved, and of those only the lower rows: the rows
+    above the diagonal are +0.0 in every column (see :func:`_lll_rows`).
+    Each stack-length row is gathered with ``np.take`` into ``scratch``, a
+    float64 vector of the stack's length (mode="clip", a no-op on these
+    valid indices, lets take write there directly), and copied back."""
     count = int(np.count_nonzero(moved))
     if 0 < count < live:
         perm = np.concatenate([np.flatnonzero(moved), np.flatnonzero(~moved)])
         b, low, odd, order = stack
-        for arr, start in ((b, 0), (low, count), (odd, 0), (order, 0)):
-            tmp = scratch.view(arr.dtype)[start:live]
-            for row in arr.reshape(-1, arr.shape[-1]):
-                np.take(row[:live], perm[start:], out=tmp, mode="clip")
-                row[start:live] = tmp
+        rows = [(r, 0) for r in b.reshape(-1, b.shape[-1])]
+        rows += [(r, count) for r in _factor_rows(low)]
+        rows += [(odd, 0), (order, 0)]
+        for row, start in rows:
+            tmp = scratch.view(row.dtype)[start:live]
+            np.take(row[:live], perm[start:], out=tmp, mode="clip")
+            row[start:live] = tmp
     return count
 
 
@@ -165,7 +175,9 @@ def _lll_rows(stack, stale: int, delta: float, max_sweeps: int) -> Tuple[int, bo
     count is odd, i.e. whose accumulated integer transform has determinant
     -1 (size reductions have determinant one, each swap minus one); order
     carries each column's position in the input stack.  The transform itself
-    is not formed: no update of b reads it.  The factors of the first
+    is not formed: no update of b reads it.  Above the diagonal low is +0.0
+    in every column: the kernel writes those zeros, and no update here
+    touches them.  The factors of the first
     ``stale`` columns are out of date and are refactored before the first
     sweep; every other column's is fresh.  At n <= 4 a float64 Gram-Schmidt
     carries enough precision for the size-reduction and swap decisions (the
@@ -190,13 +202,13 @@ def _lll_rows(stack, stale: int, delta: float, max_sweeps: int) -> Tuple[int, bo
     """
     b, low, odd, _ = stack
     n, _, live = b.shape
-    # the sweep's stack-length temporaries go into these buffers, viewed over
-    # the working set: temporaries that shrank with the working set, sweep by
-    # sweep, fragmented the allocator's heap and raised the peak resident
-    # memory of a run although less memory was in use
-    vec = np.empty((4, live))
-    flags = np.empty((3, live), dtype=bool)
-    rows_f = np.empty((n, live))
+    # the sweep's stack-length temporaries go into these workspace buffers,
+    # viewed over the working set: temporaries that shrank with the working
+    # set, sweep by sweep, fragmented the allocator's heap and raised the
+    # peak resident memory of a run although less memory was in use
+    lll = workspace("lll", (4 + n, live))
+    vec, rows_f = lll[:4], lll[4:]
+    flags = workspace("lll_flags", (3, live), dtype=bool)
     sweeps = 0
     swapped = True
     for sweeps in range(1, max_sweeps + 1):
@@ -244,31 +256,47 @@ def _lll_rows(stack, stale: int, delta: float, max_sweeps: int) -> Tuple[int, bo
     return sweeps, not swapped, stale
 
 
-def _reduce_stack(mats: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+def _reduce_stack(
+    mats: np.ndarray, out: Optional[np.ndarray] = None
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Two LLL passes (delta = 3/4, then delta just below 1) over the
-    row-reversed (m, n, n) float64 stack; returns the (m, n, n) reps and the
-    component-major (n, n, m) lower Gram-Schmidt factor of the row-reversed
-    reps.  reps is a view of the component-major final basis, not a copy.
-    The input is copied once into that basis and never written: a view of a
+    row-reversed (m, n, n) float64 stack mats, which is not written; returns
+    (b, low, inverse).  b is the final basis, the row-reversed reps in
+    component-major (n, n, m) layout, in the reducer's working order:
+    column inverse[k] of b reduces matrix k (see :func:`_input_order`).  low
+    is the lower Gram-Schmidt factor of b, already back in input order.
+
+    Without ``out``, b and low are fresh arrays.  With it, low is ``out`` and
+    b is the calling thread's ``"stack"`` workspace slot.  The parity, the
+    working order, inverse and the reordering scratch are workspace slots in
+    either case (see :func:`lingrp.workspace`), valid until the thread's
+    next reduction.  The input is copied once into b: a view of a
     row-reversed component-major stack, as the sampling path passes, copies
     as contiguous rows, and a row-major stack by one transposing copy.
 
     The working basis b and the factor low are kept component-major,
     (n, n, m), through both passes, and each sweep of :func:`_lll_rows`
     factors only the matrices the previous sweep changed, reordering the
-    stack to keep them in front; both return to input order in place at the
-    end.  The factor of the input, which sets the sweep budget, is the one
-    the first sweep of pass 1 reads; pass 2 starts from the factors pass 1
-    left, refactoring only the matrices its last sweep changed, and so does
-    the final factor, once the odd-parity matrices have row n-1 negated.
-    The final b is the row-reversed reps in component-major layout, so its
-    factor comes without a transpose.
+    stack to keep them in front; the factor's lower rows return to input
+    order in place at the end.  The factor of the input, which sets the
+    sweep budget, is the one the first sweep of pass 1 reads; pass 2 starts
+    from the factors pass 1 left, refactoring only the matrices its last
+    sweep changed, and so does the final factor, once the odd-parity
+    matrices have row n-1 negated.  The final b is the row-reversed reps in
+    component-major layout, so its factor comes without a transpose.
     """
     m, n, _ = mats.shape
-    b = mats[:, ::-1, :].transpose(1, 2, 0).copy()
-    low = np.empty((n, n, m))
-    odd = np.zeros(m, dtype=bool)
-    order = np.arange(m)
+    if out is None:
+        b = mats[:, ::-1, :].transpose(1, 2, 0).copy()
+        low = np.empty((n, n, m))
+    else:
+        b = workspace("stack", (n, n, m))
+        np.copyto(b, mats[:, ::-1, :].transpose(1, 2, 0))
+        low = out
+    odd = workspace("parity", (m,), dtype=bool)
+    odd[...] = False
+    order = workspace("order", (m,), dtype=np.intp)
+    order[...] = np.arange(m)
     stack = (b, low, odd, order)
     # the sweep budget, past which a warning reports slow convergence, grows
     # with the input's log condition number.  The Gram-Schmidt diagonal holds
@@ -301,21 +329,20 @@ def _reduce_stack(mats: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     np.negative(b[-1], out=b[-1], where=odd)
     np.subtract(0.0, low[-1, :-1], out=low[-1, :-1], where=odd)
     gram_schmidt_lower(b[:, :, :stale], low[:, :, :stale])
-    # the basis and its factor return to input order in place, row by row
-    # through one stack-length vector, so no second full-size copy of either
-    # is made
-    inverse = np.empty(m, dtype=np.intp)
+    inverse = workspace("inverse", (m,), dtype=np.intp)
     inverse[order] = np.arange(m)
-    scratch = np.empty(m)
-    for arr in (b, low):
-        for row in arr.reshape(-1, m):
-            np.take(row, inverse, out=scratch, mode="clip")
-            row[:] = scratch
-    # keep the incrementally maintained basis as the representative: it
-    # equals gamma @ mats in exact arithmetic, but a one-shot product would
-    # cancel catastrophically once the reducing coefficients outgrow the
-    # small lattice scales
-    return b[::-1].transpose(2, 0, 1), low
+    _input_order(_factor_rows(low), inverse)
+    return b, low, inverse
+
+
+def _input_order(rows: Iterator[np.ndarray], inverse: np.ndarray) -> None:
+    """Put stack-length rows in working order back in input order, in
+    place: entry k moves from inverse[k] to k.  Each row goes through one
+    stack-length scratch vector, so no second full-size copy is made."""
+    scratch = workspace("restore", inverse.shape)
+    for row in rows:
+        np.take(row, inverse, out=scratch, mode="clip")
+        row[:] = scratch
 
 
 def _ratio_certified(low: np.ndarray) -> np.ndarray:
@@ -328,7 +355,9 @@ def _ratio_certified(low: np.ndarray) -> np.ndarray:
     return ok
 
 
-def reduce_siegel_batched(mats: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+def reduce_siegel_batched(
+    mats: np.ndarray, out: Optional[np.ndarray] = None
+) -> Tuple[np.ndarray, np.ndarray]:
     """Reduce a (m, n, n) stack, which is not written; returns (reps, low).
 
     Each rep is gamma @ mat for an integer gamma of determinant one, which
@@ -336,7 +365,16 @@ def reduce_siegel_batched(mats: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     factor of the row-reversed reps, from which
     :func:`lingrp.iwasawa_coordinates` reads the reduced coordinates; the
     certification below needs it anyway, so the reduced stack is factored
-    once.
+    once.  Without ``out`` both are fresh arrays the caller owns.
+
+    ``out``, an (n, n, m) float64 array, receives the factor, in numpy's
+    ``out=`` idiom, and is returned as low; the reps are then not kept: the
+    working basis lives in the calling thread's workspace (see
+    :func:`lingrp.workspace`), is not put back in input order, and reps is
+    returned empty, (0, n, n).  ``out`` may share memory with mats, which is
+    read once, into the working basis, before anything is written to
+    ``out``.  This is the sampling path's call: it reads only the factor,
+    and lets it overwrite the pushed stack.
 
     A basis whose rows live at wildly different scales can stall the float
     sweep: the Gram data of a row 1e16 times longer than a sibling drowns
@@ -348,17 +386,27 @@ def reduce_siegel_batched(mats: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     certified again.
     """
     mats = np.asarray(mats, dtype=float)
-    reps, low = _reduce_stack(mats)
+    m, n, _ = mats.shape
+    if out is not None and (out.shape != (n, n, m) or out.dtype != float):
+        raise ValueError(f"out must be a float64 array of shape {(n, n, m)}")
+    b, low, inverse = _reduce_stack(mats) if out is None else _reduce_stack(mats, out)
     bad = np.flatnonzero(~_ratio_certified(low))
+    if out is None or bad.size:  # before another reduction takes the workspace
+        _input_order(b.reshape(-1, m), inverse)
+    reps = b[::-1].transpose(2, 0, 1)
     for attempt in range(2):
         if not bad.size:
             break
-        fixed, fixed_low = _reduce_stack(reps[bad])
-        reps[bad] = fixed
+        fixed, fixed_low, fixed_inverse = _reduce_stack(reps[bad])
+        reps[bad] = fixed[::-1].transpose(2, 0, 1)[fixed_inverse]
         low[:, :, bad] = fixed_low
         if attempt == 0:
             bad = bad[~_ratio_certified(fixed_low)]
-    return reps, low
+    # keep the incrementally maintained basis as the representative: it
+    # equals gamma @ mats in exact arithmetic, but a one-shot product would
+    # cancel catastrophically once the reducing coefficients outgrow the
+    # small lattice scales
+    return (reps if out is None else reps[:0]), low
 
 
 # ---------------------------------------------------------------------------

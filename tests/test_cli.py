@@ -466,6 +466,7 @@ def test_cli_input_errors_exit_4(tmp_path):
 _DIRECTION = '"direction": ["1", "0", "-1"]'
 _COORDINATE = '"coordinate": [0, 1]'
 _HALF_ENTRY = "[[1, 0.5, 0], [0, 1, 0], [0, 0, 1]]"
+_BOOL_IDENTITY = "[[true, false, false], [false, true, false], [false, false, true]]"
 
 
 @pytest.mark.parametrize(
@@ -488,10 +489,13 @@ _HALF_ENTRY = "[[1, 0.5, 0], [0, 1, 0], [0, 0, 1]]"
         (_DIRECTION,
          _DIRECTION + ', "conjugator_policy": "recorded", "recorded_conjugator": ' + _HALF_ENTRY,
          "bad sequence: recorded conjugator must have integer entries: 0.5 is not"),
+        (_DIRECTION, _DIRECTION + ', "bounded_part": ' + _BOOL_IDENTITY,
+         "bad bounded_part entry: matrix entries must be strings or ints, got True"),
     ],
     ids=["direction", "count", "count-fraction", "seed-fraction", "indices-fraction",
          "indices-bool", "n-fraction", "coordinate-fraction", "coordinate-string",
-         "block-fraction", "conjugator-fraction", "recorded-conjugator-fraction"],
+         "block-fraction", "conjugator-fraction", "recorded-conjugator-fraction",
+         "bounded-part-bool"],
 )
 def test_out_of_range_scenario_numbers_exit_4_naming_the_field(old, new, message, tmp_path, capsys):
     text = json.dumps(_doc()).replace(old, new)

@@ -264,6 +264,23 @@ def test_gram_schmidt_blocks_change_no_bit(monkeypatch):
     assert np.array_equal(low, whole_low) and np.array_equal(q, whole_q)
 
 
+def test_workspace_slots_only_grow_and_belong_to_their_thread():
+    """A slot hands out the same memory while a request fits, whatever its
+    dtype, moves to a new buffer for a larger request, and is another
+    buffer in another thread."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    first = lingrp.workspace("test_slot", (3, 4))
+    flags = lingrp.workspace("test_slot", (5,), dtype=bool)
+    assert flags.shape == (5,) and flags.dtype == bool and np.shares_memory(first, flags)
+    grown = lingrp.workspace("test_slot", (5, 4))
+    assert grown.flags.c_contiguous and not np.shares_memory(first, grown)
+    assert np.shares_memory(lingrp.workspace("test_slot", (2,)), grown)
+    with ThreadPoolExecutor(1) as pool:
+        other = pool.submit(lingrp.workspace, "test_slot", (2,)).result()
+    assert not np.shares_memory(other, grown)
+
+
 def _dot(x, y):
     """The kernel's dot product before it wrote into workspace, kept as part
     of the reference: one temporary per product, summed in row order."""

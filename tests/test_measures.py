@@ -734,6 +734,76 @@ def test_sample_subgroup_array_matches_the_one_step_sampler(case, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the per-thread workspace of the n = 3, 4 path
+
+
+def test_a_warm_measure_allocates_only_its_outputs_and_its_draw():
+    """numpy reports its buffers to tracemalloc.  Once its thread has
+    sampled a measure, an identical one allocates its outputs, its draw and
+    less than one (n, GS_BLOCK) row block of kernel scratch besides: no
+    (n, n, m) stack, which takes n times that."""
+    import tracemalloc
+
+    from escmass.lingrp import GS_BLOCK
+
+    spec = full_unipotent_radical(4, [1])
+    count, (r, n) = 8192, spec.shape
+    g = _test_translates(4, (2,))[0]
+    draw = len(measures._uniform_coordinates(spec)) * count * 8
+    outputs = r * (n + n * (n - 1) // 2) * count * 8
+    scratch = n * GS_BLOCK * 8
+    empirical_measure(spec, g, count, seed=3)  # the workspace grows here
+    tracemalloc.start()
+    try:
+        empirical_measure(spec, g, count, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < outputs + draw + scratch, (peak, outputs, draw)
+
+
+def test_results_own_their_arrays():
+    """The workspace never leaks into a result: a measure and a public
+    reduction keep their bits through a later measure on the same thread,
+    and no two of their arrays share memory."""
+    spec = levi_semisimple_nc(4, 1)
+    g1, g2 = _test_translates(4, (1, 2))
+    first = empirical_measure(spec, g1, 1500, seed=5)
+    mats = _push(_samples(spec, 300, seed=6)[:, 0], g2).copy()
+    reduced = measures.reduce_siegel_batched(mats)
+    kept = [x.copy() for x in (first.log_a, first.u_coords, *reduced)]
+    second = empirical_measure(spec, g2, 1500, seed=7)
+    earlier = (first.log_a, first.u_coords, *reduced)
+    for x, y in zip(earlier, kept):
+        assert np.array_equal(_bits(x), _bits(y))
+    for x in earlier:
+        for y in (second.log_a, second.u_coords):
+            assert not np.shares_memory(x, y)
+
+
+def test_pool_threads_give_the_serial_bits(monkeypatch):
+    """Each pool thread embeds, pushes and reduces in its own workspace: an
+    n = 4 run over two chunks gives the serial bits with three threads,
+    switching between them every microsecond."""
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    monkeypatch.setattr(measures, "CHUNK", 1024)
+    spec = levi_semisimple_nc(4, 1)
+    gs = _test_translates(4, (1, 2, 4))
+    serial = measures.empirical_measures(spec, gs, 2000, seed=8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(3) as pool:
+            parallel = measures.empirical_measures(spec, gs, 2000, seed=8, executor=pool)
+    finally:
+        sys.setswitchinterval(interval)
+    for m, want in zip(parallel, serial):
+        _assert_same_measure(m, (want.log_a, want.u_coords))
+
+
+# ---------------------------------------------------------------------------
 # pinned product path
 
 # one factor per atom: (subgroup, direction, offset entry of the bounded part)

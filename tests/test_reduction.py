@@ -518,6 +518,50 @@ def test_recertified_matrices_are_factored_again(levi_stack, monkeypatch):
         assert _same_bits(u_read[col], nil[:, i, j])
 
 
+def test_reduction_into_out_gives_the_factor_and_keeps_no_reps(levi_stack):
+    """With out, the reducer writes the factor of the call without out into
+    it and returns no reps.  It leaves its input as it was, and out may be
+    the input's memory, as the sampling path passes it."""
+    _, low = reduce_siegel_batched(levi_stack)
+    before = levi_stack.copy()
+    out = np.full(low.shape, np.nan)
+    reps, got = reduce_siegel_batched(levi_stack, out=out)
+    assert got is out and reps.shape == (0, 3, 3)
+    assert np.array_equal(_bits(out), _bits(low))
+    assert np.array_equal(_bits(levi_stack), _bits(before))
+    rev = np.ascontiguousarray(levi_stack[:, ::-1, :].transpose(1, 2, 0))
+    reduce_siegel_batched(rev[::-1].transpose(2, 0, 1), out=rev)
+    assert np.array_equal(_bits(rev), _bits(low))
+    with pytest.raises(ValueError, match="out must be a float64 array of shape"):
+        reduce_siegel_batched(levi_stack, out=np.empty((3, 3, 5)))
+
+
+def test_recertification_inside_a_reduction_into_out(levi_stack, monkeypatch):
+    """The recertification pass of a reduction into out, whose working basis
+    and order live in the workspace, reduces the matrices that failed and
+    gives the factor of the call without out.  The reduced half comes
+    first, so the working set moves the other half to the front."""
+    reduced = reduce_siegel_batched(levi_stack[1000:2000])[0]
+    mats = np.concatenate([reduced, levi_stack[:1000]])
+    real = reduction._reduce_stack
+    calls = []
+
+    def capped_first(mats, *out):
+        calls.append(len(out))
+        monkeypatch.setattr(reduction, "MAX_SWEEPS", 1 if len(calls) == 1 else 1000)
+        return real(mats, *out)
+
+    monkeypatch.setattr(reduction, "_reduce_stack", capped_first)
+    with pytest.warns(UserWarning, match="1-sweep cap"):
+        want = reduce_siegel_batched(mats)[1]
+    calls.clear()
+    out = np.empty(want.shape)
+    with pytest.warns(UserWarning, match="1-sweep cap"):
+        reduce_siegel_batched(mats, out=out)
+    assert calls[0] == 1 and len(calls) >= 2 and not any(calls[1:])
+    assert np.array_equal(_bits(out), _bits(want))
+
+
 def test_reducer_overflow_raises_instead_of_wrapping():
     """At index 9 of sl3_levi_block the oracle's reducers reach 9e18; an
     int64 update past 2^63 would wrap silently and leave determinants other
