@@ -65,7 +65,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -92,14 +92,13 @@ from .measures import (
     Y_CAP_DEFAULT,
     BoundaryHistogram,
     EmpiricalMeasure,
+    MeasureHead,
     PrecisionBudgetError,
     SamplingTimes,
     SubgroupSpec,
     boundary_histogram,  # noqa: F401 - perfbench/tracing.py wraps this name here
-    boundary_histograms,
     embedded_sl2,
     empirical_measure,  # noqa: F401 - perfbench/tracing.py wraps this name here
-    empirical_measures,
     format_histogram,
     full_unipotent_radical,
     interior_label,
@@ -107,6 +106,7 @@ from .measures import (
     levi_semisimple_nc,
     one_param_unipotent,
     product_subgroup,
+    stream_measures,
     trivial_subgroup,
     truncation_bound,
 )
@@ -208,7 +208,10 @@ def _finite(value, convert, field: str, text=None):
 def _check_count(count: int, spec, field: str) -> None:
     """Refuse a sample count below one, or one whose coordinate arrays, a
     float64 row of ``count`` per coordinate and factor, numpy cannot shape
-    (their byte size would pass the largest array index)."""
+    (their byte size would pass the largest array index).  ``escmass run``
+    streams its samples and forms no such arrays; the bound stays, so that
+    any count a scenario states can also be sampled whole by
+    ``measures.empirical_measures``."""
     if count < 1:
         raise ScenarioError(f"{field} must be positive")
     r, n = spec.shape
@@ -459,7 +462,7 @@ class RunResult:
     descriptor: LimitDescriptor
     predicted: FrozenSet[int]
     histograms: Dict[int, Dict[float, BoundaryHistogram]]
-    measures: Dict[int, EmpiricalMeasure]
+    points: Dict[int, MeasureHead]
     timings: Dict[int, float]
     agreement: Dict[float, dict]
     ok: bool
@@ -469,6 +472,12 @@ class RunResult:
 def run_scenario(scn: Scenario, jobs: int = 1) -> RunResult:
     """Classify, sample once, push the sample by every translate index, and
     compare at the last one.
+
+    The samples are streamed (see ``measures.stream_measures``): each chunk
+    is reduced, checked and folded into each index's histogram counts, and
+    only the first ``POINTS_CAP`` reduced points of each index are kept, so
+    memory does not grow with the sample count.  ``RunResult.points`` holds
+    those points, not the whole measure.
 
     Agreement means: at the largest index, for every threshold in the sweep,
     the heaviest histogram label equals the predicted one and carries at
@@ -485,14 +494,12 @@ def run_scenario(scn: Scenario, jobs: int = 1) -> RunResult:
     times = SamplingTimes()
     parallel = jobs > 1 and len(indices) > 1
     with ThreadPoolExecutor(min(jobs, len(indices))) if parallel else nullcontext() as pool:
-        measures = dict(zip(indices, empirical_measures(
-            scn.sequence.subgroup, translates, scn.count, scn.seed,
-            y_cap=scn.y_cap, executor=pool, times=times,
-        )))
-    hists = {
-        idx: dict(zip(scn.t_sweep, boundary_histograms(m, scn.t_sweep)))
-        for idx, m in measures.items()
-    }
+        streamed = stream_measures(
+            scn.sequence.subgroup, translates, scn.count, scn.seed, scn.t_sweep,
+            keep=POINTS_CAP, y_cap=scn.y_cap, executor=pool, times=times,
+        )
+    hists = {idx: dict(zip(scn.t_sweep, h)) for idx, (h, _) in zip(indices, streamed)}
+    points = {idx: head for idx, (_, head) in zip(indices, streamed)}
     timings = dict(zip(indices, times.push_reduce))
 
     last = max(indices)
@@ -505,7 +512,7 @@ def run_scenario(scn: Scenario, jobs: int = 1) -> RunResult:
         match = top == pred and mass >= AGREEMENT_MIN_MASS
         agreement[t] = {"argmax": label_text(top, rank), "mass": mass, "match": match}
         ok = ok and match
-    return RunResult(scn, desc, pred, hists, measures, timings, agreement, ok, times.draw)
+    return RunResult(scn, desc, pred, hists, points, timings, agreement, ok, times.draw)
 
 
 # ---------------------------------------------------------------------------
@@ -562,12 +569,14 @@ def summary_dict(res: RunResult) -> dict:
     }
 
 
-def points_text(m: EmpiricalMeasure, cap: int = POINTS_CAP) -> str:
+def points_text(m: Union[EmpiricalMeasure, MeasureHead], cap: int = POINTS_CAP) -> str:
     """Columnar dump of the first reduced sample points (factors separated
-    by '|'): the log diagonal, then the strictly-upper frame entries."""
+    by '|'): the log diagonal, then the strictly-upper frame entries.  The
+    header counts every sample of the measure, also when m holds only its
+    first rows."""
     _, r, n = m.log_a.shape
     d = m.u_coords.shape[2]
-    k = min(cap, m.sample_count)
+    k = min(cap, len(m.log_a))
     factor = " ".join(["%+.9e"] * n) + "   " + " ".join(["%+.9e"] * d)
     line = "  |  ".join([factor] * r)
     rows = np.concatenate([m.log_a[:k], m.u_coords[:k]], axis=2).reshape(k, r * (n + d))
@@ -595,7 +604,7 @@ def write_outputs(res: RunResult, out: Path) -> None:
     meta.append(f"total {res.sample_time + sum(res.timings.values()):.3f}s")
     (out / "meta.txt").write_text("\n".join(meta) + "\n")
     for idx in scn.sequence.indices:
-        (out / f"points_{idx}.txt").write_text(points_text(res.measures[idx]))
+        (out / f"points_{idx}.txt").write_text(points_text(res.points[idx]))
         block = "".join(
             format_histogram(res.histograms[idx][t]) for t in scn.t_sweep
         )

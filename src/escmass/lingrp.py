@@ -228,6 +228,8 @@ def workspace(slot: str, shape, dtype=float) -> np.ndarray:
       pushed, then the reducer's working basis until the reduction returns;
     - ``"push"``: the pushed stack until the reducer has copied it, then
       the reduced factor over it, until its coordinates are read;
+    - ``"coords"``: a streamed chunk's reduced coordinates (measures), from
+      its reduction until it is folded into the run's counts;
     - ``"lll"``, ``"lll_flags"``: the sweep buffers of one LLL pass;
     - ``"parity"``, ``"order"``, ``"inverse"``, ``"restore"``: the
       reducer's swap parity, working order, its inverse and the reordering

@@ -9,6 +9,10 @@ serial runs produce bit-identical results.
 
 Measures are stored column-wise (coordinate arrays, not object lists): at the
 sample counts the statistics need, per-point objects would cost gigabytes.
+One loop samples, pushes and reduces chunk by chunk; ``empirical_measures``
+keeps every row it reduces, ``stream_measures`` folds each chunk into
+histogram counts and the first rows, so its memory does not grow with the
+sample count.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -62,6 +66,8 @@ __all__ = [
     "lie_generators",
     "empirical_measure",
     "empirical_measures",
+    "stream_measures",
+    "MeasureHead",
     "SamplingTimes",
     "boundary_histogram",
     "boundary_histograms",
@@ -450,7 +456,9 @@ class EmpiricalMeasure:
     its representative are not formed.  :func:`empirical_measures` stores
     them factor-major: both are transposed views of (factors, n, count) and
     (factors, n(n-1)/2, count) buffers, so each coordinate's values over the
-    samples are contiguous.
+    samples are contiguous.  Every row is held, so the arrays grow with the
+    sample count; ``escmass run`` holds none of them, only what
+    :func:`stream_measures` keeps (see :class:`MeasureHead`).
     """
 
     spec: SubgroupSpec
@@ -520,17 +528,11 @@ def _right_multiply(rows: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 def _reduce_into(rev: np.ndarray, log_a: np.ndarray, u_coords: np.ndarray) -> None:
     """Reduce the row-reversed component-major (n, n, m) pushed stack and
-    write its coordinates into the rows of the (n, rows) array log_a and the
-    (n(n-1)/2, rows) array u_coords; m is the row length, or 1 to fill every
-    row with one result.  For n = 3, 4 the stack is consumed: the reducer
-    copies it into its working basis and then writes the reduced factor
-    into its memory."""
+    write its coordinates into the rows of the (n, m) array log_a and the
+    (n(n-1)/2, m) array u_coords.  For n = 3, 4 the stack is consumed: the
+    reducer copies it into its working basis and then writes the reduced
+    factor into its memory."""
     n, _, m = rev.shape
-    if log_a.shape[-1] != m:  # reduce the one matrix once, then broadcast
-        one = np.empty((n, 1)), np.empty((len(u_coords), 1))
-        _reduce_into(rev, *one)
-        log_a[...], u_coords[...] = one
-        return
     if n in (3, 4):
         # the reducer reads the (m, n, n) view, copies it once and writes the
         # factor of the reduced stack over it; the coordinates are the
@@ -557,12 +559,106 @@ def _reduce_into(rev: np.ndarray, log_a: np.ndarray, u_coords: np.ndarray) -> No
 
 @dataclass
 class SamplingTimes:
-    """Wall seconds of one :func:`empirical_measures` call: ``draw`` for the
-    draws all translates share, ``push_reduce[k]`` for embedding, pushing and
+    """Wall seconds of one sampling pass: ``draw`` for the draws all
+    translates share, ``push_reduce[k]`` for embedding, pushing and
     reducing translate k's samples."""
 
     draw: float = 0.0
     push_reduce: List[float] = field(default_factory=list)
+
+
+# where the loop reduces a chunk of translate k: (k, first row, rows) ->
+# factor-major (factors, n, rows) log_a and (factors, n(n-1)/2, rows) u_coords
+ChunkTarget = Callable[[int, int, int], Tuple[np.ndarray, np.ndarray]]
+# what the loop hands a reduced chunk to: (k, first row, log_a, u_coords)
+ChunkFold = Callable[[int, int, np.ndarray, np.ndarray], None]
+
+
+def _sample_chunks(
+    spec: SubgroupSpec,
+    translates: Sequence,
+    count: int,
+    seed: int,
+    y_cap: float,
+    executor,
+    times: Optional[SamplingTimes],
+    target: ChunkTarget,
+    fold: Optional[ChunkFold] = None,
+) -> None:
+    """The sampling loop of :func:`empirical_measures` and
+    :func:`stream_measures`: sample the subgroup once, push each chunk by
+    every translate, reduce it into the arrays ``target`` gives, check it
+    against the Siegel bounds and hand it to ``fold``.
+
+    For each chunk every factor is drawn from its (seed, chunk, factor)
+    stream; then, for each translate, every factor is embedded, pushed and
+    reduced into the chunk's rows.  A ``trivial`` factor draws nothing: its
+    one matrix is pushed and reduced once per translate, before the first
+    chunk, and broadcast into each chunk's rows (the reduction of a matrix
+    does not depend on the stack it comes in, so this changes no bit).
+    Without an executor the draws are dropped, factor by factor, before the
+    last translate's reductions; with one, each chunk runs one task per
+    translate, and the chunk's draws are held until every task is done.
+    """
+    _check_precision_budget(spec)
+    r, n = spec.shape
+    g_arrs = [_translate_array(g, r, n) for g in translates]
+    _check_translate_budget(spec, g_arrs)
+    last = len(g_arrs) - 1
+    times = SamplingTimes() if times is None else times
+    times.push_reduce = [0.0] * len(g_arrs)
+
+    def push(k: int, f: int, fac: SubgroupSpec, draw, size: int) -> np.ndarray:
+        return _right_multiply(_embed_factor_chunk(fac, draw, size), g_arrs[k][f])
+
+    # each translate's reduced identity, per trivial factor: (n, 1) and
+    # (n(n-1)/2, 1) columns
+    trivial: List[Dict[int, tuple]] = []
+    for k in range(len(g_arrs)):
+        t0 = time.monotonic()
+        trivial.append({})
+        for f, fac in enumerate(spec.parts):
+            if fac.kind == "trivial":
+                one = np.empty((n, 1)), np.empty((n * (n - 1) // 2, 1))
+                _reduce_into(push(k, f, fac, None, 1), *one)
+                trivial[k][f] = one
+        times.push_reduce[k] += time.monotonic() - t0
+
+    def push_reduce(k: int, start: int, size: int, draws: list, drop: bool) -> None:
+        t0 = time.monotonic()
+        log_a, u_coords = target(k, start, size)
+        for f, fac in enumerate(spec.parts):
+            if f in trivial[k]:
+                log_a[f], u_coords[f] = trivial[k][f]
+                continue
+            pushed = push(k, f, fac, draws[f], size)
+            if drop:  # a one-translate call holds nothing extra
+                draws[f] = None
+            _reduce_into(pushed, log_a[f], u_coords[f])
+            del pushed
+        times.push_reduce[k] += time.monotonic() - t0
+        _assert_reduced(log_a.transpose(2, 0, 1), u_coords.transpose(2, 0, 1), n)
+        if fold is not None:
+            fold(k, start, log_a, u_coords)
+
+    for ci, size in _chunk_plan(count):
+        t0 = time.monotonic()
+        draws = [
+            None if fac.kind == "trivial"
+            else _draw_factor_chunk(fac, size, np.random.default_rng([seed, ci, f]), y_cap)
+            for f, fac in enumerate(spec.parts)
+        ]
+        times.draw += time.monotonic() - t0
+        if executor is not None:
+            tasks = [
+                executor.submit(push_reduce, k, ci * CHUNK, size, draws, False)
+                for k in range(len(g_arrs))
+            ]
+            for task in tasks:
+                task.result()
+            continue
+        for k in range(len(g_arrs)):
+            push_reduce(k, ci * CHUNK, size, draws, k == last)
 
 
 def empirical_measures(
@@ -575,19 +671,20 @@ def empirical_measures(
     times: Optional[SamplingTimes] = None,
 ) -> List[EmpiricalMeasure]:
     """Sample the subgroup once, push the sample by every translate, reduce,
-    and keep each translate's coordinates.
+    and keep each translate's coordinates: every row of them, in arrays of
+    the sample count.  :func:`stream_measures` runs the same loop and keeps
+    only what ``escmass run`` writes.
 
     The RNG streams are keyed by (seed, chunk, factor), never by translate,
     so each chunk of each factor is drawn once and held while every
     translate embeds it again, pushes it by flat gemms and reduces it
     (lattice reduction for n = 3, 4, the half-plane walk for n = 2); the
     coordinates are read from the Gram-Schmidt factor of the reduced stack,
-    and N and K of the split are never formed.  Only the draw is held across
-    translates, never the embedded n x n chunk, and it is dropped before the
-    last translate's reduction.  Every sample of a ``trivial`` factor is the
-    identity, so that factor is pushed and reduced as a one-matrix stack and
-    the result is broadcast over the samples: the reduction of a matrix does
-    not depend on the stack it comes in, so this changes no bit.
+    and N and K of the split are never formed.  Only the draws are held
+    across translates, never an embedded n x n chunk.  Each chunk is
+    reduced straight into its rows of the output arrays, which are
+    allocated before the translate's first push, and checked against the
+    Siegel bounds there.
 
     For n = 3, 4 the embedded chunk, the pushed stack, its reduced factor
     and the reducer's buffers live in the calling thread's workspace (see
@@ -597,73 +694,27 @@ def empirical_measures(
 
     With an ``executor`` (a concurrent.futures.Executor) the translates of
     each chunk are pushed and reduced as parallel tasks, each in its worker
-    thread's workspace; every output bit is the same.  ``times``, when given, receives the wall times.
+    thread's workspace; every output bit is the same.  ``times``, when
+    given, receives the wall times.
 
     Raises PrecisionBudgetError, before sampling, when a conjugator of spec
     takes more than the float64 budget (see conjugator_bits) or a translate
     stretches the samples past it (see translate_log_stretch).
     """
-    _check_precision_budget(spec)
     r, n = spec.shape
-    g_arrs = [_translate_array(g, r, n) for g in translates]
-    _check_translate_budget(spec, g_arrs)
-    last = len(g_arrs) - 1
-    times = SamplingTimes() if times is None else times
-    times.push_reduce = [0.0] * len(g_arrs)
-    # each translate's (log_a, u_coords), allocated before its first push
-    # rather than all up front
-    outs: List[Optional[tuple]] = [None] * len(g_arrs)
+    # each translate's factor-major (log_a, u_coords), see EmpiricalMeasure
+    outs: List[Optional[tuple]] = [None] * len(translates)
 
-    def views(k: int, rows: slice, f: int) -> list:
-        if outs[k] is None:  # factor-major, see EmpiricalMeasure
+    def rows(k: int, start: int, size: int) -> tuple:
+        if outs[k] is None:
             outs[k] = (np.empty((r, n, count)), np.empty((r, n * (n - 1) // 2, count)))
-        return [a[f, :, rows] for a in outs[k]]
+        return tuple(a[:, :, start : start + size] for a in outs[k])
 
-    def push(k: int, f: int, fac: SubgroupSpec, draw, size: int) -> np.ndarray:
-        return _right_multiply(_embed_factor_chunk(fac, draw, size), g_arrs[k][f])
-
-    def push_reduce(k: int, f: int, rows: slice, fac: SubgroupSpec, draw, size: int) -> None:
-        t0 = time.monotonic()
-        out = views(k, rows, f)
-        _reduce_into(push(k, f, fac, draw, size), *out)
-        times.push_reduce[k] += time.monotonic() - t0
-
-    for ci, size in _chunk_plan(count):
-        rows = slice(ci * CHUNK, ci * CHUNK + size)
-        for f, fac in enumerate(spec.parts):
-            if fac.kind == "trivial":
-                continue
-            t0 = time.monotonic()
-            draw = _draw_factor_chunk(fac, size, np.random.default_rng([seed, ci, f]), y_cap)
-            times.draw += time.monotonic() - t0
-            if executor is not None:
-                tasks = [
-                    executor.submit(push_reduce, k, f, rows, fac, draw, size)
-                    for k in range(len(g_arrs))
-                ]
-                for task in tasks:
-                    task.result()
-                continue
-            for k in range(len(g_arrs)):
-                t0 = time.monotonic()
-                out = views(k, rows, f)
-                pushed = push(k, f, fac, draw, size)
-                if k == last:  # a one-translate call holds nothing extra
-                    draw = None
-                _reduce_into(pushed, *out)
-                del pushed
-                times.push_reduce[k] += time.monotonic() - t0
-    # after the chunks, so that no translate's arrays exist before its first chunk
-    for f, fac in enumerate(spec.parts):
-        if fac.kind == "trivial":  # draws nothing from its stream
-            for k in range(len(g_arrs)):
-                push_reduce(k, f, slice(None), fac, None, 1)
-    measures = []
-    for log_a, u_coords in outs:
-        log_a, u_coords = log_a.transpose(2, 0, 1), u_coords.transpose(2, 0, 1)
-        _assert_reduced(log_a, u_coords, n)
-        measures.append(EmpiricalMeasure(spec=spec, log_a=log_a, u_coords=u_coords))
-    return measures
+    _sample_chunks(spec, translates, count, seed, y_cap, executor, times, rows)
+    return [
+        EmpiricalMeasure(spec, log_a.transpose(2, 0, 1), u_coords.transpose(2, 0, 1))
+        for log_a, u_coords in outs
+    ]
 
 
 def empirical_measure(
@@ -676,6 +727,72 @@ def empirical_measure(
     """Sample the subgroup, push by g, reduce, and keep the coordinates:
     :func:`empirical_measures` for the one translate g."""
     return empirical_measures(spec, [g], count, seed, y_cap)[0]
+
+
+@dataclass(frozen=True, eq=False)
+class MeasureHead:
+    """The first rows of a reduced measure, laid out as in EmpiricalMeasure:
+    ``log_a`` (rows, factors, n) and ``u_coords`` (rows, factors,
+    n(n-1)/2); ``sample_count`` counts every row of the measure."""
+
+    log_a: np.ndarray
+    u_coords: np.ndarray
+    sample_count: int
+
+
+def stream_measures(
+    spec: SubgroupSpec,
+    translates: Sequence,
+    count: int,
+    seed: int,
+    thresholds: Sequence[float],
+    keep: int,
+    y_cap: float = Y_CAP_DEFAULT,
+    executor=None,
+    times: Optional[SamplingTimes] = None,
+) -> List[Tuple[List[BoundaryHistogram], MeasureHead]]:
+    """The measures of :func:`empirical_measures`, folded chunk by chunk
+    into what ``escmass run`` writes: for each translate, the boundary
+    histograms at each of the thresholds, in their order, and the first
+    ``keep`` rows.  Memory does not grow with the sample count.
+
+    Each chunk is reduced into one (factors, n + n(n-1)/2, rows) buffer in
+    the reducing thread's ``"coords"`` workspace slot (see
+    :func:`lingrp.workspace`), checked against the Siegel bounds, and
+    folded: its depth-code tables (see :func:`boundary_histograms`) are
+    added to the translate's, and its rows below ``keep`` are copied.  The
+    tables hold integer counts, so the histograms are those of
+    :func:`boundary_histograms` on the whole measure, bit for bit, and the
+    kept rows are those of the measure; with an ``executor`` each task
+    folds only its own translate's chunk.
+
+    Raises ValueError, before sampling, on a threshold at or below the
+    reduced-domain floor, and PrecisionBudgetError as
+    :func:`empirical_measures` does.
+    """
+    _check_thresholds(thresholds)
+    r, n = spec.shape
+    d = n * (n - 1) // 2
+    kept = min(keep, count)
+    sweeps = [_SweepTables(thresholds, r * (n - 1)) for _ in translates]
+    heads = [(np.empty((kept, r, n)), np.empty((kept, r, d))) for _ in translates]
+
+    def rows(k: int, start: int, size: int) -> tuple:
+        buf = workspace("coords", (r, n + d, size))
+        return buf[:, :n], buf[:, n:]
+
+    def fold(k: int, start: int, log_a: np.ndarray, u_coords: np.ndarray) -> None:
+        sweeps[k].add(log_a)
+        stop = min(start + log_a.shape[-1], kept)
+        if start < stop:  # the kept rows may span several chunks
+            for head, chunk in zip(heads[k], (log_a, u_coords)):
+                head[start:stop] = chunk[:, :, : stop - start].transpose(2, 0, 1)
+
+    _sample_chunks(spec, translates, count, seed, y_cap, executor, times, rows, fold)
+    return [
+        (sweep.histograms(), MeasureHead(*head, sample_count=count))
+        for sweep, head in zip(sweeps, heads)
+    ]
 
 
 # Above this diagonal ratio the u_ij entry of a reduced frame carries fewer
@@ -699,12 +816,16 @@ def _log_floor(bound: float) -> float:
     return float(np.nextafter(t, np.inf))
 
 
+# the log floor of the reduced diagonal ratios, see _assert_reduced
+_LOG_RATIO_FLOOR = _log_floor(RATIO_MIN - 1e-9)
+
+
 def _assert_reduced(log_a: np.ndarray, u_coords: np.ndarray, n: int) -> None:
     """Check the (count, factors, ...) coordinates against the Siegel bounds,
     on the factor-major rows they view (see EmpiricalMeasure)."""
     log_a, u_coords = log_a.transpose(1, 2, 0), u_coords.transpose(1, 2, 0)
     # the log diagonal ratios against a log floor: no exp over the samples
-    if not np.all(log_a[:, :-1] - log_a[:, 1:] >= _log_floor(RATIO_MIN - 1e-9)):
+    if not np.all(log_a[:, :-1] - log_a[:, 1:] >= _LOG_RATIO_FLOOR):
         raise RuntimeError("reduced diagonal escaped the target bounds")
     if n == 2:
         if not np.all(np.abs(u_coords) <= U_BOUND):
@@ -748,6 +869,49 @@ class BoundaryHistogram:
 HISTOGRAM_TABLE = 1 << 16
 
 
+def _check_thresholds(thresholds: Sequence[float]) -> None:
+    for t in thresholds:
+        if not t > 2.0 / np.sqrt(3.0):
+            raise ValueError("threshold must sit above the reduced-domain floor")
+
+
+class _SweepTables:
+    """The depth-code tables of a threshold sweep (see
+    :func:`boundary_histograms`), summed over the parts of a measure they
+    are added from: the counts are integers, so their order of addition
+    does not matter."""
+
+    def __init__(self, thresholds: Sequence[float], rank: int):
+        self.thresholds = tuple(thresholds)
+        self.rank = rank
+        log_ts = np.log(np.asarray(self.thresholds, dtype=float))
+        # sorted and distinct; np.unique was seen to raise the peak resident
+        # memory of a run by about half a megabyte
+        levels = np.array(sorted(set(log_ts.tolist())))
+        self.at = np.searchsorted(levels, log_ts)
+        per_pass = 1
+        while per_pass < len(levels) and (per_pass + 2) ** rank <= max(HISTOGRAM_TABLE, 1 << rank):
+            per_pass += 1
+        self.passes = [levels[s : s + per_pass] for s in range(0, len(levels), per_pass)]
+        self.tables = [np.zeros((len(lv) + 1) ** rank, dtype=np.intp) for lv in self.passes]
+        self.count = 0
+
+    def add(self, log_a: np.ndarray) -> None:
+        """Add the codes of the factor-major (factors, n, m) log_a."""
+        for table, levels in zip(self.tables, self.passes):
+            table += _depth_table(log_a, levels)
+        self.count += log_a.shape[-1]
+
+    def histograms(self) -> List[BoundaryHistogram]:
+        masses: List[Dict[FrozenSet[int], float]] = []
+        for table, levels in zip(self.tables, self.passes):
+            masses += _label_masses(table, len(levels), self.rank, self.count)
+        return [
+            BoundaryHistogram(mass=dict(masses[k]), threshold=t, rank=self.rank)
+            for t, k in zip(self.thresholds, self.at)
+        ]
+
+
 def boundary_histograms(
     m: EmpiricalMeasure, thresholds: Sequence[float]
 ) -> List[BoundaryHistogram]:
@@ -762,52 +926,52 @@ def boundary_histograms(
     are summed.  The masses are those counts over the sample count, the
     floats a one-threshold histogram gives.  When (T + 1)^rank would pass
     ``HISTOGRAM_TABLE``, the thresholds are split into runs of consecutive
-    ones that fit (one threshold at a time always does).
+    ones that fit (one threshold at a time always does).  The whole measure
+    makes one table per run here; :func:`stream_measures` adds up the
+    tables of its chunks.
     """
-    for t in thresholds:
-        if not t > 2.0 / np.sqrt(3.0):
-            raise ValueError("threshold must sit above the reduced-domain floor")
-    roots = m.root_log_values().T
-    rank = len(roots)
-    log_ts = np.log(np.asarray(thresholds, dtype=float))
-    # sorted and distinct; np.unique was seen to raise the peak resident
-    # memory of a run by about half a megabyte
-    levels = np.array(sorted(set(log_ts.tolist())))
-    per_pass = 1
-    while per_pass < len(levels) and (per_pass + 2) ** rank <= max(HISTOGRAM_TABLE, 1 << rank):
-        per_pass += 1
-    masses: List[Dict[FrozenSet[int], float]] = []
-    for start in range(0, len(levels), per_pass):
-        masses += _label_masses(roots, levels[start : start + per_pass], m.sample_count)
-    return [
-        BoundaryHistogram(mass=dict(masses[k]), threshold=t, rank=rank)
-        for t, k in zip(thresholds, np.searchsorted(levels, log_ts))
-    ]
+    _check_thresholds(thresholds)
+    log_a = m.log_a.transpose(1, 2, 0)
+    sweep = _SweepTables(thresholds, log_a.shape[0] * (log_a.shape[1] - 1))
+    sweep.add(log_a)
+    return sweep.histograms()
 
 
-def _label_masses(
-    roots: np.ndarray, levels: np.ndarray, count: int
-) -> List[Dict[FrozenSet[int], float]]:
-    """Label masses of the (rank, count) root log-values at each of the
-    sorted, distinct log thresholds ``levels``, from one table of depth
-    codes (see :func:`boundary_histograms`)."""
-    rank, base = len(roots), len(levels) + 1
+def _depth_table(log_a: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """The table of depth codes (see :func:`boundary_histograms`) of the
+    factor-major (factors, n, m) log_a at the sorted, distinct log
+    thresholds ``levels``: (len(levels) + 1)^rank counts.  Root i is the
+    difference of rows j and j + 1 of factor f, i = f (n - 1) + j, the
+    root-major order of EmpiricalMeasure.root_log_values."""
+    r, n, count = log_a.shape
+    rank, base = r * (n - 1), len(levels) + 1
     size = base**rank
     codes = np.zeros(count, dtype=np.uint8 if size <= 256 else np.intp)
     stays = np.empty(count, dtype=bool)
+    root = np.empty(count)
     for i in reversed(range(rank)):
+        f, j = divmod(i, n - 1)
+        np.subtract(log_a[f, j], log_a[f, j + 1], out=root)
         codes *= base
         for level in levels:
-            codes += np.less_equal(roots[i], level, out=stays)
-    table = np.bincount(codes, minlength=size)
+            codes += np.less_equal(root, level, out=stays)
+    return np.bincount(codes, minlength=size)
+
+
+def _label_masses(
+    table: np.ndarray, n_levels: int, rank: int, count: int
+) -> List[Dict[FrozenSet[int], float]]:
+    """Label masses at each of ``n_levels`` sorted thresholds, from the depth
+    codes' table of ``count`` samples (see :func:`_depth_table`)."""
+    base = n_levels + 1
     seen = np.flatnonzero(table)
     depths = seen // base ** np.arange(rank)[:, None] % base  # (rank, seen)
     bits = 1 << np.arange(rank)[:, None]
     out = []
-    for k in range(len(levels)):
+    for k in range(n_levels):
         # bit i of a label code is set when root i stayed at or below the
         # threshold, as in a one-threshold histogram
-        label_codes = ((depths >= len(levels) - k) * bits).sum(axis=0)
+        label_codes = ((depths >= n_levels - k) * bits).sum(axis=0)
         by_label = np.zeros(1 << rank, dtype=np.int64)
         np.add.at(by_label, label_codes, table[seen])
         mass: Dict[FrozenSet[int], float] = {}

@@ -635,13 +635,14 @@ def test_overflowing_translate_exits_4_without_numpy_warnings(recorded, tmp_path
 
 def test_unallocatable_sample_count_exits_4(monkeypatch, capsys):
     """A count numpy can shape but not allocate ends in exit 4, not a
-    MemoryError traceback.  The stand-in raises where the allocation would
-    fail, so nothing is allocated."""
+    MemoryError traceback.  The stand-in replaces the sampling pass that
+    run_scenario calls and raises where an allocation would fail, so
+    nothing is sampled or allocated."""
 
     def out_of_memory(*args, **kwargs):
         raise MemoryError("Unable to allocate 21.8 TiB for an array")
 
-    monkeypatch.setattr(cli, "empirical_measures", out_of_memory)
+    monkeypatch.setattr(cli, "stream_measures", out_of_memory)
     assert main(["run", "sl3_case1", "--samples", str(10**12)]) == EXIT_INPUT
     err = capsys.readouterr().err
     assert "error: the sample arrays do not fit in memory: Unable to allocate" in err

@@ -331,13 +331,13 @@ def test_histogram_sweep_splits_a_table_that_would_be_too_large(monkeypatch):
     want = [_boundary_histogram_reference(m, t) for t in sweep]
     monkeypatch.setattr(measures, "HISTOGRAM_TABLE", 9)  # 3^2: two thresholds a pass
     passes = []
-    real = measures._label_masses
+    real = measures._depth_table
 
-    def counted(roots, levels, count):
+    def counted(log_a, levels):
         passes.append(len(levels))
-        return real(roots, levels, count)
+        return real(log_a, levels)
 
-    monkeypatch.setattr(measures, "_label_masses", counted)
+    monkeypatch.setattr(measures, "_depth_table", counted)
     got = boundary_histograms(m, sweep)
     assert passes == [2, 2, 2]
     for h, w in zip(got, want):
@@ -625,9 +625,9 @@ def _empirical_measure_per_index(spec, g, count, seed, y_cap=measures.Y_CAP_DEFA
         for rows, size, rng in blocks:
             sample = _sample_factor_chunk(fac, size, rng, y_cap).transpose(1, 2, 0)
             pushed = measures._right_multiply(sample, g_arr[f])
-            la, uc = np.empty(log_a[rows, f].T.shape), np.empty(u_coords[rows, f].T.shape)
+            la, uc = np.empty((n, size)), np.empty((u_coords.shape[2], size))
             measures._reduce_into(pushed, la, uc)
-            log_a[rows, f], u_coords[rows, f] = la.T, uc.T
+            log_a[rows, f], u_coords[rows, f] = la.T, uc.T  # a trivial factor broadcasts
     return log_a, u_coords
 
 
@@ -847,15 +847,23 @@ def _product_scenario(k, factors):
 def test_product_path_is_pinned():
     """log_a, u_coords and histogram counts of products over every factor
     atom (embedded, expanding and contracting horocycle, escaping, bounded
-    and plunging trivial factor; offsets 0, 1/2 and tau), bit for bit."""
-    from escmass.cli import run_scenario
+    and plunging trivial factor; offsets 0, 1/2 and tau), bit for bit.  The
+    arrays come from empirical_measures, the counts from run_scenario,
+    which runs the same loop and keeps the arrays' first rows."""
+    from escmass.cli import POINTS_CAP, run_scenario, sequence_translate
 
     h = hashlib.sha256()
     for k, factors in enumerate(PRODUCT_SCENARIOS):
         scn = _product_scenario(k, factors)
+        seq = scn.sequence
         res = run_scenario(scn, jobs=1)
-        for idx in scn.sequence.indices:
-            m = res.measures[idx]
+        translates = [sequence_translate(seq, idx) for idx in seq.indices]
+        full = measures.empirical_measures(seq.subgroup, translates, scn.count, scn.seed)
+        for idx, m in zip(seq.indices, full):
+            head = res.points[idx]
+            assert head.sample_count == scn.count and len(head.log_a) == POINTS_CAP
+            for kept, whole in ((head.log_a, m.log_a), (head.u_coords, m.u_coords)):
+                assert np.array_equal(_bits(kept), _bits(whole[:POINTS_CAP]))
             h.update(m.log_a.tobytes())
             h.update(m.u_coords.tobytes())
             for t in scn.t_sweep:
@@ -865,3 +873,82 @@ def test_product_path_is_pinned():
                 )
                 h.update(repr(counts).encode())
     assert h.hexdigest() == PRODUCT_DIGEST
+
+
+# ---------------------------------------------------------------------------
+# the streamed run
+
+
+def _run_case(case, count):
+    from dataclasses import replace
+
+    from escmass.cli import load_scenario
+
+    if case == "product":  # n = 2, with an escaping trivial factor
+        scn = _product_scenario(0, PRODUCT_SCENARIOS[0])
+    else:
+        scn = load_scenario(case)
+    return replace(scn, count=count)
+
+
+@pytest.mark.parametrize("jobs", [1, 3])
+@pytest.mark.parametrize("chunk", [512, 256])
+@pytest.mark.parametrize("case", ["product", "sl3_levi_block"])
+def test_streamed_run_matches_the_whole_measures(case, chunk, jobs, monkeypatch):
+    """run_scenario folds each chunk into histogram counts and keeps the
+    first POINTS_CAP rows; they are, bit for bit, boundary_histograms of
+    the whole empirical_measures and the first rows of its arrays.  With
+    256-sample chunks the kept rows span two chunks; the last chunk is
+    short.  The three pool threads switch every microsecond."""
+    import sys
+
+    from escmass.cli import POINTS_CAP, run_scenario, sequence_translate
+
+    monkeypatch.setattr(measures, "CHUNK", chunk)
+    scn = _run_case(case, 1300)
+    seq = scn.sequence
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6 if jobs > 1 else interval)
+    try:
+        res = run_scenario(scn, jobs=jobs)
+    finally:
+        sys.setswitchinterval(interval)
+    translates = [sequence_translate(seq, idx) for idx in seq.indices]
+    full = measures.empirical_measures(seq.subgroup, translates, scn.count, scn.seed, scn.y_cap)
+    for idx, m in zip(seq.indices, full):
+        for t, want in zip(scn.t_sweep, boundary_histograms(m, scn.t_sweep)):
+            got = res.histograms[idx][t]
+            assert (got.threshold, got.rank) == (want.threshold, want.rank)
+            assert list(got.mass.items()) == list(want.mass.items())
+        head = res.points[idx]
+        assert head.sample_count == scn.count
+        for kept, whole in ((head.log_a, m.log_a), (head.u_coords, m.u_coords)):
+            assert np.array_equal(_bits(kept), _bits(whole[:POINTS_CAP]))
+
+
+def test_a_warm_run_holds_no_sample_count_sized_arrays(monkeypatch):
+    """numpy reports its buffers to tracemalloc.  Once its thread has run a
+    scenario, the peak of a run over 32 chunks stays within one chunk's
+    reduced coordinates of the peak over 8 chunks: no array grows with the
+    sample count.  An n = 2 product keeps the traced runs short;
+    tools/count_sweep.py measures an n = 3 scenario."""
+    import tracemalloc
+
+    from escmass.cli import run_scenario
+
+    monkeypatch.setattr(measures, "CHUNK", 128)
+    r, n = _run_case("sl2_mixed", 1).sequence.subgroup.shape
+    chunk_coords = r * (n + n * (n - 1) // 2) * measures.CHUNK * 8
+
+    def peak(chunks):
+        scn = _run_case("sl2_mixed", chunks * measures.CHUNK)
+        tracemalloc.start()
+        try:
+            run_scenario(scn, jobs=1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    run_scenario(_run_case("sl2_mixed", 8 * measures.CHUNK), jobs=1)  # the workspace grows here
+    low, high = peak(8), peak(32)
+    assert high - low < chunk_coords, (low, high, chunk_coords)
