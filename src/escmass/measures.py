@@ -34,6 +34,7 @@ from .qfield import int_inverse, rat_mul, unimodular
 from .reduction import (
     RATIO_MIN,
     U_BOUND,
+    WALK_BLOCK,
     reduce_siegel_batched,
     reduce_sl2_coords,
 )
@@ -343,7 +344,13 @@ def _rotation(theta: np.ndarray) -> np.ndarray:
 
 def _sample_modular_chunk(size: int, rng, y_cap: float) -> np.ndarray:
     """Hyperbolic-area samples of the standard fundamental domain truncated
-    at y_cap, times a uniform rotation fiber; returns (size, 2, 2)."""
+    at y_cap, times a uniform rotation fiber; returns (size, 2, 2).
+
+    The points are drawn first, then every rotation angle in one call.  The
+    product of each upper-triangular point with its rotation is formed one
+    ``PUSH_BLOCK`` of matrices at a time, into the output: each matrix's
+    product does not depend on the stack it is in, so no bit changes, and
+    no (size, 2, 2) stack is formed but the output."""
     inv_span = 1.0 / FLOOR_HEIGHT - 1.0 / y_cap
     xs = np.empty(size)
     ys = np.empty(size)
@@ -358,12 +365,17 @@ def _sample_modular_chunk(size: int, rng, y_cap: float) -> np.ndarray:
         xs[filled : filled + kept] = x[keep]
         ys[filled : filled + kept] = y[keep]
         filled += kept
-    sq = np.sqrt(ys)
-    upper = np.zeros((size, 2, 2))
-    upper[:, 0, 0] = sq
-    upper[:, 0, 1] = xs / sq
-    upper[:, 1, 1] = 1.0 / sq
-    return upper @ _rotation(rng.uniform(0.0, 2.0 * np.pi, size=size))
+    theta = rng.uniform(0.0, 2.0 * np.pi, size=size)
+    out = np.empty((size, 2, 2))
+    for start in range(0, size, PUSH_BLOCK):
+        cols = slice(start, start + PUSH_BLOCK)
+        sq = np.sqrt(ys[cols])
+        upper = np.zeros((len(sq), 2, 2))
+        upper[:, 0, 0] = sq
+        upper[:, 0, 1] = xs[cols] / sq
+        upper[:, 1, 1] = 1.0 / sq
+        np.matmul(upper, _rotation(theta[cols]), out=out[cols])
+    return out
 
 
 def _uniform_coordinates(spec: SubgroupSpec) -> List[Tuple[int, int]]:
@@ -376,15 +388,18 @@ def _uniform_coordinates(spec: SubgroupSpec) -> List[Tuple[int, int]]:
 def _draw_factor_chunk(spec: SubgroupSpec, size: int, rng, y_cap: float) -> Optional[np.ndarray]:
     """The random part of one chunk of a factor's samples, and the only step
     that reads its RNG stream: (k, size) uniform columns for the k entries of
-    a unipotent kind, the (size, 2, 2) modular block of a 2x2-block kind, or
-    None for a trivial factor, which draws nothing."""
+    a unipotent kind, the modular 2x2 blocks of a 2x2-block kind as a
+    component-major (2, 2, size) view of the row-major (size, 2, 2) draw, or
+    None for a trivial factor, which draws nothing.  Every draw holds its
+    samples along its last axis, so draw[..., lo:hi] is the draw of samples
+    lo to hi."""
     if spec.kind == "trivial":
         return None
     if spec.kind in ("one_param_unipotent", "full_unipotent_radical"):
         # one block draw reads the stream as one column after another would
         return rng.uniform(size=(len(_uniform_coordinates(spec)), size))
     if spec.kind in ("levi_semisimple_nc", "embedded_sl2"):
-        return _sample_modular_chunk(size, rng, y_cap)
+        return _sample_modular_chunk(size, rng, y_cap).transpose(1, 2, 0)
     raise ValueError(f"unknown kind {spec.kind}")  # pragma: no cover
 
 
@@ -393,13 +408,14 @@ def _embed_factor_chunk(spec: SubgroupSpec, draw: Optional[np.ndarray], size: in
     size) array whose [i, k] row holds entry (i, k) of every sample.  Each
     sample is the identity with the drawn entries or block written in,
     conjugated if spec is.  A 2x2 block that fills an unconjugated n = 2
-    sample is returned as a component-major view of the row-major draw,
-    not copied; callers only read it.  For n = 3, 4 an unconjugated chunk is
-    written into the calling thread's ``"stack"`` workspace slot (see
-    :func:`lingrp.workspace`), valid until the chunk is reduced."""
+    sample is returned as it was drawn, a component-major view of the
+    row-major draw, not copied; callers only read it.  For n = 3, 4 an
+    unconjugated chunk is written into the calling thread's ``"stack"``
+    workspace slot (see :func:`lingrp.workspace`), valid until the chunk
+    is reduced."""
     n = spec.n
     if n == 2 and spec.kind == "embedded_sl2" and spec.conjugator is None:
-        return draw.transpose(1, 2, 0)
+        return draw
     # a conjugated sample is formed row-major, where the stacked products
     # run, and transposed once; any other is written component-major
     conj = spec.conjugator is not None
@@ -418,7 +434,7 @@ def _embed_factor_chunk(spec: SubgroupSpec, draw: Optional[np.ndarray], size: in
             out[r, c] = column
     elif spec.kind in ("levi_semisimple_nc", "embedded_sl2"):
         b = spec.block
-        out[b : b + 2, b : b + 2] = draw.transpose(1, 2, 0)
+        out[b : b + 2, b : b + 2] = draw
     if conj:
         gamma = np.array(spec.conjugator, dtype=float)
         stack = gamma @ stack @ np.array(int_inverse(spec.conjugator), dtype=float)
@@ -456,7 +472,9 @@ class EmpiricalMeasure:
     its representative are not formed.  :func:`empirical_measures` stores
     them factor-major: both are transposed views of (factors, n, count) and
     (factors, n(n-1)/2, count) buffers, so each coordinate's values over the
-    samples are contiguous.  Every row is held, so the arrays grow with the
+    samples are contiguous.  The log character value of simple root j of
+    factor f is the difference of adjacent columns, log_a[:, f, j] -
+    log_a[:, f, j + 1].  Every row is held, so the arrays grow with the
     sample count; ``escmass run`` holds none of them, only what
     :func:`stream_measures` keeps (see :class:`MeasureHead`).
     """
@@ -468,18 +486,6 @@ class EmpiricalMeasure:
     @property
     def sample_count(self) -> int:
         return self.log_a.shape[0]
-
-    def root_log_values(self) -> np.ndarray:
-        """(count, total roots) log character values of the reduced diagonal,
-        factors concatenated: a fresh read-only array on each call, stored
-        root-major, so each root's values over the samples are contiguous.
-        The differences of adjacent rows of a factor-major ``log_a`` come
-        out root-major as they are."""
-        rows = self.log_a.transpose(1, 2, 0)
-        diffs = rows[:, :-1] - rows[:, 1:]
-        roots = np.ascontiguousarray(diffs.reshape(-1, self.sample_count))
-        roots.setflags(write=False)
-        return roots.T
 
 
 def truncation_bound(spec: SubgroupSpec, y_cap: float) -> float:
@@ -592,14 +598,29 @@ def _sample_chunks(
 
     For each chunk every factor is drawn from its (seed, chunk, factor)
     stream; then, for each translate, every factor is embedded, pushed and
-    reduced into the chunk's rows.  A ``trivial`` factor draws nothing: its
-    one matrix is pushed and reduced once per translate, before the first
-    chunk, and broadcast into each chunk's rows (the reduction of a matrix
-    does not depend on the stack it comes in, so this changes no bit).
-    Without an executor the draws are dropped, factor by factor, before the
-    last translate's reductions; with one, each chunk runs one task per
-    translate, and the chunk's draws are held until every task is done.
+    reduced into the chunk's rows.  For n = 2 this runs one block of
+    ``WALK_BLOCK`` columns at a time: the block's columns of each factor's
+    draw are embedded, pushed, factored and walked into the block's rows,
+    which are then checked and folded, so no stack of the path is larger
+    than a block.  Every step is per column, so blocking changes no bit.
+    For n = 3, 4 the block is the whole chunk: the LLL pays a fixed cost per
+    sweep whatever the width of its stack.  A ``trivial`` factor draws
+    nothing: its one matrix is pushed and reduced once per translate,
+    before the first chunk, and broadcast into each block's rows (the
+    reduction of a matrix does not depend on the stack it comes in, so this
+    changes no bit).  Without an executor the draws are dropped, factor by
+    factor, before the last translate's last block is reduced; with one,
+    each chunk runs one task per translate, and the chunk's draws are held
+    until every task is done.
+
+    Raises ValueError, before drawing, on a count below one or a y_cap not
+    above the floor of the fundamental domain, where the modular sampler
+    would accept no point.
     """
+    if not count >= 1:
+        raise ValueError(f"the sample count must be at least 1, not {count}")
+    if not y_cap > FLOOR_HEIGHT:
+        raise ValueError(f"y_cap must exceed the domain floor sqrt(3)/2, not {y_cap}")
     _check_precision_budget(spec)
     r, n = spec.shape
     g_arrs = [_translate_array(g, r, n) for g in translates]
@@ -625,21 +646,24 @@ def _sample_chunks(
         times.push_reduce[k] += time.monotonic() - t0
 
     def push_reduce(k: int, start: int, size: int, draws: list, drop: bool) -> None:
-        t0 = time.monotonic()
-        log_a, u_coords = target(k, start, size)
-        for f, fac in enumerate(spec.parts):
-            if f in trivial[k]:
-                log_a[f], u_coords[f] = trivial[k][f]
-                continue
-            pushed = push(k, f, fac, draws[f], size)
-            if drop:  # a one-translate call holds nothing extra
-                draws[f] = None
-            _reduce_into(pushed, log_a[f], u_coords[f])
-            del pushed
-        times.push_reduce[k] += time.monotonic() - t0
-        _assert_reduced(log_a.transpose(2, 0, 1), u_coords.transpose(2, 0, 1), n)
-        if fold is not None:
-            fold(k, start, log_a, u_coords)
+        step = WALK_BLOCK if n == 2 else size
+        for lo in range(0, size, step):
+            hi = min(lo + step, size)
+            t0 = time.monotonic()
+            log_a, u_coords = target(k, start + lo, hi - lo)
+            for f, fac in enumerate(spec.parts):
+                if f in trivial[k]:
+                    log_a[f], u_coords[f] = trivial[k][f]
+                    continue
+                pushed = push(k, f, fac, draws[f][..., lo:hi], hi - lo)
+                if drop and hi == size:  # a one-translate call holds nothing extra
+                    draws[f] = None
+                _reduce_into(pushed, log_a[f], u_coords[f])
+                del pushed
+            times.push_reduce[k] += time.monotonic() - t0
+            _assert_reduced(log_a.transpose(2, 0, 1), u_coords.transpose(2, 0, 1), n)
+            if fold is not None:
+                fold(k, start + lo, log_a, u_coords)
 
     for ci, size in _chunk_plan(count):
         t0 = time.monotonic()
@@ -681,10 +705,10 @@ def empirical_measures(
     (lattice reduction for n = 3, 4, the half-plane walk for n = 2); the
     coordinates are read from the Gram-Schmidt factor of the reduced stack,
     and N and K of the split are never formed.  Only the draws are held
-    across translates, never an embedded n x n chunk.  Each chunk is
-    reduced straight into its rows of the output arrays, which are
-    allocated before the translate's first push, and checked against the
-    Siegel bounds there.
+    across translates, never an embedded n x n chunk.  Each chunk, for
+    n = 2 each block of ``WALK_BLOCK`` columns of it, is reduced straight
+    into its rows of the output arrays, which are allocated before the
+    translate's first push, and checked against the Siegel bounds there.
 
     For n = 3, 4 the embedded chunk, the pushed stack, its reduced factor
     and the reducer's buffers live in the calling thread's workspace (see
@@ -697,9 +721,11 @@ def empirical_measures(
     thread's workspace; every output bit is the same.  ``times``, when
     given, receives the wall times.
 
-    Raises PrecisionBudgetError, before sampling, when a conjugator of spec
-    takes more than the float64 budget (see conjugator_bits) or a translate
-    stretches the samples past it (see translate_log_stretch).
+    Raises ValueError, before sampling, on a count below one or a y_cap at
+    or below the floor sqrt(3)/2 of the fundamental domain, and
+    PrecisionBudgetError when a conjugator of spec takes more than the
+    float64 budget (see conjugator_bits) or a translate stretches the
+    samples past it (see translate_log_stretch).
     """
     r, n = spec.shape
     # each translate's factor-major (log_a, u_coords), see EmpiricalMeasure
@@ -756,18 +782,18 @@ def stream_measures(
     histograms at each of the thresholds, in their order, and the first
     ``keep`` rows.  Memory does not grow with the sample count.
 
-    Each chunk is reduced into one (factors, n + n(n-1)/2, rows) buffer in
-    the reducing thread's ``"coords"`` workspace slot (see
-    :func:`lingrp.workspace`), checked against the Siegel bounds, and
-    folded: its depth-code tables (see :func:`boundary_histograms`) are
-    added to the translate's, and its rows below ``keep`` are copied.  The
-    tables hold integer counts, so the histograms are those of
-    :func:`boundary_histograms` on the whole measure, bit for bit, and the
-    kept rows are those of the measure; with an ``executor`` each task
-    folds only its own translate's chunk.
+    Each chunk, for n = 2 each block of ``WALK_BLOCK`` columns of it, is
+    reduced into one (factors, n + n(n-1)/2, rows) buffer in the reducing
+    thread's ``"coords"`` workspace slot (see :func:`lingrp.workspace`),
+    checked against the Siegel bounds, and folded: its depth-code tables
+    (see :func:`boundary_histograms`) are added to the translate's, and its
+    rows below ``keep`` are copied.  The tables hold integer counts, so the
+    histograms are those of :func:`boundary_histograms` on the whole
+    measure, bit for bit, and the kept rows are those of the measure; with
+    an ``executor`` each task folds only its own translate's chunk.
 
     Raises ValueError, before sampling, on a threshold at or below the
-    reduced-domain floor, and PrecisionBudgetError as
+    reduced-domain floor, and ValueError and PrecisionBudgetError as
     :func:`empirical_measures` does.
     """
     _check_thresholds(thresholds)
@@ -775,13 +801,16 @@ def stream_measures(
     d = n * (n - 1) // 2
     kept = min(keep, count)
     sweeps = [_SweepTables(thresholds, r * (n - 1)) for _ in translates]
-    heads = [(np.empty((kept, r, n)), np.empty((kept, r, d))) for _ in translates]
+    # each translate's first rows, allocated at its first fold
+    heads: List[Optional[tuple]] = [None] * len(translates)
 
     def rows(k: int, start: int, size: int) -> tuple:
         buf = workspace("coords", (r, n + d, size))
         return buf[:, :n], buf[:, n:]
 
     def fold(k: int, start: int, log_a: np.ndarray, u_coords: np.ndarray) -> None:
+        if heads[k] is None:
+            heads[k] = (np.empty((kept, r, n)), np.empty((kept, r, d)))
         sweeps[k].add(log_a)
         stop = min(start + log_a.shape[-1], kept)
         if start < stop:  # the kept rows may span several chunks
@@ -941,8 +970,8 @@ def _depth_table(log_a: np.ndarray, levels: np.ndarray) -> np.ndarray:
     """The table of depth codes (see :func:`boundary_histograms`) of the
     factor-major (factors, n, m) log_a at the sorted, distinct log
     thresholds ``levels``: (len(levels) + 1)^rank counts.  Root i is the
-    difference of rows j and j + 1 of factor f, i = f (n - 1) + j, the
-    root-major order of EmpiricalMeasure.root_log_values."""
+    difference of rows j and j + 1 of factor f, i = f (n - 1) + j: the
+    simple roots factor by factor, as a label numbers them."""
     r, n, count = log_a.shape
     rank, base = r * (n - 1), len(levels) + 1
     size = base**rank

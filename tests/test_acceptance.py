@@ -180,7 +180,8 @@ def test_05_rank_one_escape():
     assert h.mass.get(frozenset(), 0.0) >= 0.999  # closed form: exactly 1.0
     m_flat = empirical_measure(line, np.eye(2)[None], 100000, 20240817)
     # the window |u| <= 1/2, every root value at most 10^3
-    inside = np.all(np.exp(m_flat.root_log_values()) <= 1e3, axis=1)
+    roots = m_flat.log_a[:, :, :-1] - m_flat.log_a[:, :, 1:]
+    inside = np.all(np.exp(roots) <= 1e3, axis=(1, 2))
     inside &= np.all(np.abs(m_flat.u_coords.reshape(100000, -1)) <= 0.5, axis=1)
     assert np.count_nonzero(inside) / 100000 >= 0.999
     assert time.monotonic() - start < 30.0
@@ -369,7 +370,8 @@ def test_09_product_factors():
         seq = sequence_spec(spec, direction)
         bounded = set(sl2r_classify(seq).P.I)
         m = empirical_measure(spec, sequence_translate(seq, max(seq.indices)), 10000, 496)
-        frac = (m.root_log_values() > math.log(100.0)).mean(axis=0)
+        roots = m.log_a[:, :, 0] - m.log_a[:, :, 1]  # the one root of each factor
+        frac = (roots > math.log(100.0)).mean(axis=0)
         for f in range(3):
             assert (frac[f] > 0.5) == (f not in bounded), (combo, f, frac)
     assert time.monotonic() - start < 600.0

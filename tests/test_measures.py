@@ -31,6 +31,7 @@ from escmass.measures import (
     trivial_subgroup,
     truncation_bound,
 )
+from escmass.reduction import WALK_BLOCK
 
 Y0 = math.sqrt(3.0) / 2.0
 
@@ -50,6 +51,12 @@ def _samples(spec, count, seed, y_cap=measures.Y_CAP_DEFAULT):
             draw = measures._draw_factor_chunk(fac, size, rng, y_cap)
             out[rows, f] = measures._embed_factor_chunk(fac, draw, size).transpose(2, 0, 1)
     return out
+
+
+def _roots(m):
+    """(count, total roots) log character values of the reduced diagonal,
+    factors concatenated: the differences of adjacent log_a columns."""
+    return (m.log_a[:, :, :-1] - m.log_a[:, :, 1:]).reshape(m.sample_count, -1)
 
 
 def _push(stack, g):
@@ -152,6 +159,64 @@ def test_modular_sampler_density():
     assert quad_num / quad_den == pytest.approx(expected, rel=1e-6)
 
 
+def _sample_modular_chunk_whole(size, rng, y_cap):
+    """The modular sampler before its product was blocked, kept as an
+    oracle: the whole-stack product upper @ _rotation(theta)."""
+    inv_span = 1.0 / Y0 - 1.0 / y_cap
+    xs = np.empty(size)
+    ys = np.empty(size)
+    filled = 0
+    while filled < size:
+        need = size - filled
+        u = rng.uniform(size=need)
+        x = rng.uniform(-0.5, 0.5, size=need)
+        y = 1.0 / (1.0 / Y0 - inv_span * u)
+        keep = x * x + y * y >= 1.0
+        kept = int(np.count_nonzero(keep))
+        xs[filled : filled + kept] = x[keep]
+        ys[filled : filled + kept] = y[keep]
+        filled += kept
+    sq = np.sqrt(ys)
+    upper = np.zeros((size, 2, 2))
+    upper[:, 0, 0] = sq
+    upper[:, 0, 1] = xs / sq
+    upper[:, 1, 1] = 1.0 / sq
+    return upper @ measures._rotation(rng.uniform(0.0, 2.0 * np.pi, size=size))
+
+
+@pytest.mark.parametrize("size", [1, measures.PUSH_BLOCK + 1, CHUNK])
+def test_blocked_modular_draw_matches_the_whole_stack_product(size):
+    """The sampler forms its product one PUSH_BLOCK at a time: the same
+    bits as the whole-stack product, and the stream is read as far."""
+    got_rng, want_rng = np.random.default_rng([12, 3, 1]), np.random.default_rng([12, 3, 1])
+    got = measures._sample_modular_chunk(size, got_rng, 1.0e4)
+    want = _sample_modular_chunk_whole(size, want_rng, 1.0e4)
+    assert got.shape == want.shape == (size, 2, 2)
+    assert np.array_equal(_bits(got), _bits(want))
+    assert got_rng.uniform() == want_rng.uniform()
+
+
+@pytest.mark.parametrize(
+    "count, y_cap",
+    [(0, 1.0e4), (-2, 1.0e4), (10, 0.8), (10, Y0), (10, float("nan"))],
+)
+def test_sampling_refuses_an_empty_count_or_a_cap_at_the_floor_first(count, y_cap, monkeypatch):
+    """No samples, or a height cap at or below sqrt(3)/2, where the modular
+    sampler would accept no point and never return: ValueError before any
+    draw."""
+
+    def draw(*args):
+        raise AssertionError("drew before the sampling input was checked")
+
+    monkeypatch.setattr(measures, "_draw_factor_chunk", draw)
+    spec = product_subgroup([embedded_sl2(2), one_param_unipotent(2, (0, 1))])
+    g = np.stack([np.eye(2)] * 2)
+    with pytest.raises(ValueError, match="count|y_cap"):
+        empirical_measure(spec, g, count, 0, y_cap=y_cap)
+    with pytest.raises(ValueError, match="count|y_cap"):
+        measures.stream_measures(spec, [g], count, 0, [1.0e2], keep=4, y_cap=y_cap)
+
+
 def test_sampler_determinism():
     spec = product_subgroup([embedded_sl2(2), one_param_unipotent(2, (0, 1))])
     a = _samples(spec, 300, seed=77)
@@ -188,7 +253,7 @@ def test_pushed_horocycle_exact_height():
     # unipotent line pushed by diag(e^5, e^-5): reduced height e^10 exactly
     spec = one_param_unipotent(2, (0, 1))
     m = empirical_measure(spec, np.diag([np.exp(5.0), np.exp(-5.0)]), 4000, seed=7)
-    assert np.allclose(np.exp(m.root_log_values()), np.exp(10.0), rtol=1e-9)
+    assert np.allclose(np.exp(_roots(m)), np.exp(10.0), rtol=1e-9)
     h = boundary_histogram(m, t_esc=1.0e3)
     assert h.fraction(frozenset()) == 1.0
     assert h.argmax() == frozenset()
@@ -226,7 +291,7 @@ def test_product_measure_and_per_factor_roots():
     spec = product_subgroup([one_param_unipotent(2, (0, 1)), trivial_subgroup(2)])
     g = np.stack([np.diag([np.exp(3.0), np.exp(-3.0)]), np.eye(2)])
     m = empirical_measure(spec, g, 3000, seed=10)
-    logs = m.root_log_values()
+    logs = _roots(m)
     assert logs.shape == (3000, 2)
     assert np.allclose(logs[:, 0], 6.0, atol=1e-9)  # escaping factor
     assert np.all(logs[:, 1] <= np.log(2 / np.sqrt(3)) + 1e-9)  # reduced identity
@@ -239,7 +304,7 @@ def _boundary_histogram_reference(m, t_esc):
     the reference for boundary_histograms."""
     if t_esc <= 2.0 / np.sqrt(3.0):
         raise ValueError("threshold must sit above the reduced-domain floor")
-    roots = m.root_log_values().T
+    roots = _roots(m).T
     rank = len(roots)
     log_t = np.log(t_esc)
     codes = (roots[0] <= log_t).astype(np.intp)
@@ -298,7 +363,7 @@ def test_one_pass_histograms_match_the_one_threshold_reference(n, factors, monke
     takes the wide code."""
     m = _synthetic_measure(n, factors, 3001, np.random.default_rng(10 * n + factors))
     rank = factors * (n - 1)
-    assert m.root_log_values().shape == (3001, rank)
+    assert _roots(m).shape == (3001, rank)
     real_bincount = np.bincount
     for sweep in SWEEPS:
         want = [_boundary_histogram_reference(m, t) for t in sweep]
@@ -349,7 +414,8 @@ class _Untouchable:
 
     sample_count = 10
 
-    def root_log_values(self):
+    @property
+    def log_a(self):
         raise AssertionError("samples read before the thresholds were checked")
 
 
@@ -451,20 +517,19 @@ def test_component_major_push_matches_the_flat_gemm(n, length, contiguous):
 )
 def test_measures_are_stored_factor_major(spec, g):
     """log_a and u_coords keep their (count, factors, ...) shapes as views of
-    factor-major buffers, and the root log-values read off those rows are
-    the old formula's, which transposed a row-major log_a."""
+    factor-major buffers, and the root log-values read off those rows, as
+    the histograms read them, are those of a row-major copy of log_a."""
     m = empirical_measure(spec, g, 1500, seed=46)
     r, n = spec.shape
     assert m.log_a.shape == (1500, r, n)
     assert m.u_coords.shape == (1500, r, n * (n - 1) // 2)
     assert m.log_a.transpose(1, 2, 0).flags.c_contiguous
     assert m.u_coords.transpose(1, 2, 0).flags.c_contiguous
+    rows = m.log_a.transpose(1, 2, 0)
+    roots = (rows[:, :-1] - rows[:, 1:]).reshape(-1, 1500)  # root-major
     log_a = np.ascontiguousarray(m.log_a)
-    diffs = log_a[:, :, :-1] - log_a[:, :, 1:]
-    want = np.ascontiguousarray(diffs.reshape(1500, -1).T).T
-    roots = m.root_log_values()
-    assert _same_bits(roots, want)
-    assert roots.T.flags.c_contiguous and not roots.flags.writeable
+    want = (log_a[:, :, :-1] - log_a[:, :, 1:]).reshape(1500, -1)
+    assert _same_bits(roots.T, want)
 
 
 def _sample_factor_chunk(spec, size, rng, y_cap):
@@ -532,8 +597,8 @@ def _assert_same_measure(m, full):
 
 
 def test_trivial_factors_reduced_once_match_full_stacks():
-    """A product with trivial factors, over two chunks, against the same
-    measure computed on full stacks."""
+    """A product with trivial factors, over one or two blocks and over two
+    chunks, against the same measure computed on full stacks."""
     spec = product_subgroup([
         trivial_subgroup(2),
         embedded_sl2(2),
@@ -546,9 +611,10 @@ def test_trivial_factors_reduced_once_match_full_stacks():
         [[np.exp(-3.0), np.sqrt(2.0) * np.exp(3.0)], [0.0, np.exp(3.0)]],
         np.diag([np.exp(-2.0), np.exp(2.0)]),
     ])
-    count = CHUNK + 3
-    m = empirical_measure(spec, g, count, seed=40)
-    _assert_same_measure(m, _empirical_measure_full(spec, g, count, seed=40))
+    # past the edges of the n = 2 path's WALK_BLOCK blocks and of a chunk
+    for count in (WALK_BLOCK - 1, WALK_BLOCK + 1, CHUNK + 3):
+        m = empirical_measure(spec, g, count, seed=40)
+        _assert_same_measure(m, _empirical_measure_full(spec, g, count, seed=40))
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -762,6 +828,31 @@ def test_a_warm_measure_allocates_only_its_outputs_and_its_draw():
     assert peak < outputs + draw + scratch, (peak, outputs, draw)
 
 
+def test_the_n2_path_holds_no_chunk_sized_stack():
+    """numpy reports its buffers to tracemalloc.  A warm streamed n = 2
+    measure over one whole chunk allocates its draw and a few (2, 2,
+    WALK_BLOCK) stacks of one block (the embed, the push, its factor and
+    the walk's scratch), never a (2, 2, CHUNK) stack of the whole chunk."""
+    import tracemalloc
+
+    spec = one_param_unipotent(2, (0, 1))
+    g = np.diag([np.exp(2.0), np.exp(-2.0)])
+    draw = CHUNK * 8
+    block = 2 * 2 * WALK_BLOCK * 8
+
+    def run():
+        measures.stream_measures(spec, [g], CHUNK, 5, [1.0e2, 1.0e3], keep=512)
+
+    run()  # the workspace grows here
+    tracemalloc.start()
+    try:
+        run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < draw + 4 * block, (peak, draw, block)
+
+
 def test_results_own_their_arrays():
     """The workspace never leaks into a result: a measure and a public
     reduction keep their bits through a later measure on the same thread,
@@ -892,20 +983,31 @@ def _run_case(case, count):
 
 
 @pytest.mark.parametrize("jobs", [1, 3])
-@pytest.mark.parametrize("chunk", [512, 256])
-@pytest.mark.parametrize("case", ["product", "sl3_levi_block"])
-def test_streamed_run_matches_the_whole_measures(case, chunk, jobs, monkeypatch):
-    """run_scenario folds each chunk into histogram counts and keeps the
-    first POINTS_CAP rows; they are, bit for bit, boundary_histograms of
-    the whole empirical_measures and the first rows of its arrays.  With
-    256-sample chunks the kept rows span two chunks; the last chunk is
-    short.  The three pool threads switch every microsecond."""
+@pytest.mark.parametrize(
+    "case, chunk, count",
+    [
+        pytest.param(case, chunk, 1300, id=f"{case}-{chunk}")
+        for case in ("product", "sl3_levi_block")
+        for chunk in (512, 256)
+    ] + [  # the n = 2 path's block edges, with whole chunks
+        pytest.param("product", CHUNK, WALK_BLOCK - 1, id="product-walk_block-1"),
+        pytest.param("product", CHUNK, WALK_BLOCK + 1, id="product-walk_block+1"),
+        pytest.param("product", CHUNK, CHUNK + 1, id="product-chunk+1"),
+    ],
+)
+def test_streamed_run_matches_the_whole_measures(case, chunk, count, jobs, monkeypatch):
+    """run_scenario folds each chunk, for n = 2 each block of a chunk, into
+    histogram counts and keeps the first POINTS_CAP rows; they are, bit for
+    bit, boundary_histograms of the whole empirical_measures and the first
+    rows of its arrays.  With 256-sample chunks the kept rows span two
+    chunks; the last chunk, or block, is short.  The three pool threads
+    switch every microsecond."""
     import sys
 
     from escmass.cli import POINTS_CAP, run_scenario, sequence_translate
 
     monkeypatch.setattr(measures, "CHUNK", chunk)
-    scn = _run_case(case, 1300)
+    scn = _run_case(case, count)
     seq = scn.sequence
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6 if jobs > 1 else interval)

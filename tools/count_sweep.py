@@ -1,11 +1,13 @@
 """Peak resident memory of ``escmass run`` against the sample count.
 
-Runs ``cli.run_scenario`` on one scenario (``sl3_case1`` by default) at
-each count, each in a fresh Python process, and prints the count, the wall
-time of the run and the process's peak resident set size (``ru_maxrss``).
-A run that streams its samples peaks at the same memory at every count.
+Runs ``cli.run_scenario`` on each scenario at each count, each run in a
+fresh Python process, and prints the count, the wall time of the run and
+the process's peak resident set size (``ru_maxrss``).  A run that streams
+its samples peaks at the same memory at every count.  The default
+scenarios, ``sl3_case1`` and ``sl2_mixed``, take the n = 3 and the n = 2
+sampling paths.
 
-    python tools/count_sweep.py [--scenario NAME] [--counts 100000 400000 1600000]
+    python tools/count_sweep.py [--scenario NAME ...] [--counts 100000 400000 1600000]
 
 The package is imported from the ``src`` directory next to this one.
 """
@@ -21,6 +23,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 COUNTS = (100_000, 400_000, 1_600_000)
+SCENARIOS = ("sl3_case1", "sl2_mixed")
 
 # run in the child: one scenario at one count, then report ru_maxrss
 _CHILD = """
@@ -48,18 +51,19 @@ def measure(scenario: str, count: int) -> dict:
 
 def main(argv=None) -> int:
     par = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    par.add_argument("--scenario", default="sl3_case1")
+    par.add_argument("--scenario", nargs="+", default=list(SCENARIOS))
     par.add_argument("--counts", type=int, nargs="+", default=list(COUNTS))
     args = par.parse_args(argv)
-    print(f"{args.scenario}: peak RSS of run_scenario in a fresh process")
-    print(f"{'count':>10}  {'wall_s':>7}  {'peak_rss_mb':>11}  verdict")
-    peaks = []
-    for count in args.counts:
-        rec = measure(args.scenario, count)
-        peaks.append(rec["peak_rss_mb"])
-        verdict = "agree" if rec["ok"] else "disagree"
-        print(f"{count:>10}  {rec['wall_s']:>7.2f}  {rec['peak_rss_mb']:>11.1f}  {verdict}")
-    print(f"spread of the peaks: {max(peaks) - min(peaks):.1f} MB")
+    for scenario in args.scenario:
+        print(f"{scenario}: peak RSS of run_scenario in a fresh process")
+        print(f"{'count':>10}  {'wall_s':>7}  {'peak_rss_mb':>11}  verdict")
+        peaks = []
+        for count in args.counts:
+            rec = measure(scenario, count)
+            peaks.append(rec["peak_rss_mb"])
+            verdict = "agree" if rec["ok"] else "disagree"
+            print(f"{count:>10}  {rec['wall_s']:>7.2f}  {rec['peak_rss_mb']:>11.1f}  {verdict}")
+        print(f"spread of the peaks: {max(peaks) - min(peaks):.1f} MB")
     return 0
 
 
