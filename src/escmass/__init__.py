@@ -43,7 +43,6 @@ from .measures import (
     boundary_histogram,
     embedded_sl2,
     empirical_measure,
-    empirical_measures,
     format_histogram,
     full_unipotent_radical,
     levi_semisimple_nc,
@@ -71,7 +70,6 @@ __all__ = [
     "build_type_a",
     "embedded_sl2",
     "empirical_measure",
-    "empirical_measures",
     "format_histogram",
     "full_unipotent_radical",
     "group_element",

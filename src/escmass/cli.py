@@ -61,11 +61,11 @@ import random
 import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -92,7 +92,6 @@ from .measures import (
     Y_CAP_DEFAULT,
     BoundaryHistogram,
     EmpiricalMeasure,
-    MeasureHead,
     PrecisionBudgetError,
     SamplingTimes,
     SubgroupSpec,
@@ -211,7 +210,7 @@ def _check_count(count: int, spec, field: str) -> None:
     (their byte size would pass the largest array index).  ``escmass run``
     streams its samples and forms no such arrays; the bound stays, so that
     any count a scenario states can also be sampled whole by
-    ``measures.empirical_measures``."""
+    ``measures.empirical_measure``."""
     if count < 1:
         raise ScenarioError(f"{field} must be positive")
     r, n = spec.shape
@@ -462,7 +461,7 @@ class RunResult:
     descriptor: LimitDescriptor
     predicted: FrozenSet[int]
     histograms: Dict[int, Dict[float, BoundaryHistogram]]
-    points: Dict[int, MeasureHead]
+    points: Dict[int, EmpiricalMeasure]
     timings: Dict[int, float]
     agreement: Dict[float, dict]
     ok: bool
@@ -569,7 +568,7 @@ def summary_dict(res: RunResult) -> dict:
     }
 
 
-def points_text(m: Union[EmpiricalMeasure, MeasureHead], cap: int = POINTS_CAP) -> str:
+def points_text(m: EmpiricalMeasure, cap: int = POINTS_CAP) -> str:
     """Columnar dump of the first reduced sample points (factors separated
     by '|'): the log diagonal, then the strictly-upper frame entries.  The
     header counts every sample of the measure, also when m holds only its
@@ -855,9 +854,46 @@ def build_parser() -> argparse.ArgumentParser:
     return par
 
 
+class _PipeGuard:
+    """Stands for stdout while a command runs.  Once the reader of a pipe
+    has gone, as in ``escmass list-catalog | head -1``, writing raises
+    BrokenPipeError; the rest of stdout then goes to os.devnull, so the
+    command runs on to its own exit code."""
+
+    def __init__(self, stream):
+        self.stream, self.gone = stream, False
+
+    def __getattr__(self, name):
+        return getattr(self.stream, name)
+
+    def write(self, text: str) -> None:
+        self._call("write", text)
+
+    def flush(self) -> None:
+        self._call("flush")
+
+    def _call(self, method: str, *args) -> None:
+        try:
+            if not self.gone:
+                getattr(self.stream, method)(*args)
+        except BrokenPipeError:
+            import os
+
+            self.gone = True
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            with suppress(AttributeError, OSError):  # the buffer is flushed at exit
+                os.dup2(devnull, self.stream.fileno())
+            os.close(devnull)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.fn(args)
+    stdout, sys.stdout = sys.stdout, _PipeGuard(sys.stdout)
+    try:
+        args = build_parser().parse_args(argv)
+        return args.fn(args)
+    finally:
+        sys.stdout.flush()
+        sys.stdout = stdout
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -72,7 +72,6 @@ from .rootsys import (
     levi_sphere,
     make_vector,
     pairing,
-    quasi_fundamental_weights,
     weyl_elements,
 )
 
@@ -404,41 +403,21 @@ def unip_limit_I(v: Sequence, rs: RootSystem) -> Tuple[FrozenSet[int], Dict[int,
 
 def ma_split(v: Sequence, I: Sequence[int], rs: RootSystem):
     """Split a torus direction fixed by the walls in I: returns
-    ``(w, J, R_inf, R_0, v_inf, v_0)`` where (w, J) is the canonical chamber
-    face of v, R_inf / R_0 are the complementary roots with growing /
-    constant twisted values, and v = v_inf + v_0 is the matching exact
-    splitting.  Under the exponential model a twisted root value is either
-    identically one or strictly growing, so R_0 is always empty; the
-    splitting code handles the general shape anyway.
+    ``(w, J, R_inf)`` where (w, J) is the canonical chamber face of v and
+    R_inf the complementary roots.  Under the exponential model a twisted
+    root value is either identically one, on the walls J, or strictly
+    growing, so every root of R_inf grows; that is asserted exactly.
     """
     v = make_vector(rs, v)
-    iset = frozenset(I)
-    for a in iset:
+    for a in frozenset(I):
         if pairing(rs, v, rs.simple_roots[a]) != 0:
             raise ValueError("direction must pair to zero with every wall in I")
     face = locate_chamber(rs, v)
     w, J = face.w, face.I
-    rates = {
-        a: pairing(rs, v, w.act(rs.simple_roots[a]))
-        for a in range(rs.rank)
-        if a not in J
-    }
-    R_inf = frozenset(a for a, r in rates.items() if r > 0)
-    R_0 = frozenset(a for a, r in rates.items() if r == 0)
-    assert R_inf | R_0 == frozenset(rates), "chamber certificate failed"
-    chis = quasi_fundamental_weights(rs)
-    v_0 = [Fraction(0)] * rs.ambient_dim
-    for a in R_0:
-        chi = w.act(chis[a].ambient())
-        for k in range(rs.ambient_dim):
-            v_0[k] += rates[a] * chi[k]
-    v_inf = tuple(x - y for x, y in zip(v, v_0))
-    v_0 = tuple(v_0)
+    R_inf = frozenset(range(rs.rank)) - J
     for a in R_inf:
-        assert pairing(rs, v_inf, w.act(rs.simple_roots[a])) > 0
-    for a in J | R_0:
-        assert pairing(rs, v_inf, w.act(rs.simple_roots[a])) == 0
-    return w, J, R_inf, R_0, v_inf, v_0
+        assert pairing(rs, v, w.act(rs.simple_roots[a])) > 0, "chamber certificate failed"
+    return w, J, R_inf
 
 
 # ---------------------------------------------------------------------------

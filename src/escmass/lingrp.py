@@ -30,7 +30,6 @@ __all__ = [
     "group_element",
     "iwasawa",
     "iwasawa_batched",
-    "iwasawa_coordinates",
     "gram_schmidt_components",
     "gram_schmidt_lower",
     "workspace",
@@ -325,23 +324,6 @@ def _gram_schmidt_block(rows: np.ndarray, low: np.ndarray, q: np.ndarray, work) 
         norm = np.sqrt(_dot(res, res, low[i, i], prod), out=low[i, i])
         if i < len(q):
             np.divide(res, norm, out=q[i])
-
-
-def iwasawa_coordinates(low: np.ndarray) -> Tuple[List[np.ndarray], List[np.ndarray]]:
-    """The n-a-k coordinates of a stack, read from the component-major lower
-    factor ``low`` of its row-reversed stack (as :func:`gram_schmidt_components`
-    returns it): the n diagonal entries a[j] = low[n-1-j, n-1-j] and the
-    n(n-1)/2 strictly upper entries u_ij = low[n-1-i, n-1-j] / a[j] of N in
-    row-major (i, j) order, each an array over the m matrices (the a[j] are
-    views into low).
-
-    These are the divisions :func:`iwasawa_batched` performs, so both give
-    the same bits; N and K are never formed.
-    """
-    n = low.shape[0]
-    a = [low[n - 1 - j, n - 1 - j] for j in range(n)]
-    u = [low[n - 1 - i, n - 1 - j] / a[j] for i in range(n) for j in range(i + 1, n)]
-    return a, u
 
 
 def iwasawa_batched(mats: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -9,10 +9,9 @@ serial runs produce bit-identical results.
 
 Measures are stored column-wise (coordinate arrays, not object lists): at the
 sample counts the statistics need, per-point objects would cost gigabytes.
-One loop samples, pushes and reduces chunk by chunk; ``empirical_measures``
-keeps every row it reduces, ``stream_measures`` folds each chunk into
-histogram counts and the first rows, so its memory does not grow with the
-sample count.
+One loop samples, pushes and reduces chunk by chunk, and ``stream_measures``
+folds each chunk into histogram counts and the first rows, so its memory
+does not grow with the sample count unless every row is kept.
 """
 
 from __future__ import annotations
@@ -66,9 +65,7 @@ __all__ = [
     "product_subgroup",
     "lie_generators",
     "empirical_measure",
-    "empirical_measures",
     "stream_measures",
-    "MeasureHead",
     "SamplingTimes",
     "boundary_histogram",
     "boundary_histograms",
@@ -464,28 +461,24 @@ def _translate_array(g, r: int, n: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class EmpiricalMeasure:
-    """Uniformly-weighted reduced sample cloud, stored column-wise.
+    """Uniformly-weighted reduced sample cloud, stored column-wise: the
+    first rows of a measure of ``sample_count`` samples, or every row of it
+    when ``len(log_a) == sample_count``.
 
-    ``log_a`` has shape (count, factors, n); ``u_coords`` has shape
-    (count, factors, n(n-1)/2).  These are the coordinates of the reduced
+    ``log_a`` has shape (rows, factors, n); ``u_coords`` has shape
+    (rows, factors, n(n-1)/2).  These are the coordinates of the reduced
     representatives; the integer reducers that take each pushed sample to
-    its representative are not formed.  :func:`empirical_measures` stores
-    them factor-major: both are transposed views of (factors, n, count) and
-    (factors, n(n-1)/2, count) buffers, so each coordinate's values over the
+    its representative are not formed.  :func:`stream_measures` stores
+    them factor-major: both are transposed views of (factors, n, rows) and
+    (factors, n(n-1)/2, rows) buffers, so each coordinate's values over the
     samples are contiguous.  The log character value of simple root j of
     factor f is the difference of adjacent columns, log_a[:, f, j] -
-    log_a[:, f, j + 1].  Every row is held, so the arrays grow with the
-    sample count; ``escmass run`` holds none of them, only what
-    :func:`stream_measures` keeps (see :class:`MeasureHead`).
+    log_a[:, f, j + 1].  ``escmass run`` keeps the first rows only.
     """
 
-    spec: SubgroupSpec
     log_a: np.ndarray
     u_coords: np.ndarray
-
-    @property
-    def sample_count(self) -> int:
-        return self.log_a.shape[0]
+    sample_count: int
 
 
 def truncation_bound(spec: SubgroupSpec, y_cap: float) -> float:
@@ -541,9 +534,10 @@ def _reduce_into(rev: np.ndarray, log_a: np.ndarray, u_coords: np.ndarray) -> No
     n, _, m = rev.shape
     if n in (3, 4):
         # the reducer reads the (m, n, n) view, copies it once and writes the
-        # factor of the reduced stack over it; the coordinates are the
-        # divisions of lingrp.iwasawa_coordinates, computed into the output
-        # rows
+        # factor of the reduced stack over it; the coordinates are read off
+        # the factor's diagonal, a_j = low[n-1-j, n-1-j], and its divisions
+        # u_ij = low[n-1-i, n-1-j] / a_j, which lingrp.iwasawa_batched
+        # performs too, computed into the output rows
         _, low = reduce_siegel_batched(rev[::-1].transpose(2, 0, 1), out=rev)
         for j in range(n):
             np.log(low[n - 1 - j, n - 1 - j], out=log_a[j])
@@ -552,8 +546,7 @@ def _reduce_into(rev: np.ndarray, log_a: np.ndarray, u_coords: np.ndarray) -> No
             np.divide(low[n - 1 - i, n - 1 - j], low[n - 1 - j, n - 1 - j], out=u_coords[col])
         return
     # the half-plane point z = x + iy of the n-a-k split, computed into the
-    # output rows, x = u_01 and y = a_0 / a_1 (see iwasawa_coordinates), and
-    # reduced there
+    # output rows, x = u_01 and y = a_0 / a_1, and reduced there
     low = np.empty((n, n, m))
     gram_schmidt_lower(rev, low)
     x = np.divide(low[1, 0], low[0, 0], out=u_coords[0])
@@ -573,10 +566,9 @@ class SamplingTimes:
     push_reduce: List[float] = field(default_factory=list)
 
 
-# where the loop reduces a chunk of translate k: (k, first row, rows) ->
-# factor-major (factors, n, rows) log_a and (factors, n(n-1)/2, rows) u_coords
-ChunkTarget = Callable[[int, int, int], Tuple[np.ndarray, np.ndarray]]
-# what the loop hands a reduced chunk to: (k, first row, log_a, u_coords)
+# what the loop hands a reduced chunk of translate k to: (k, first row,
+# log_a, u_coords), factor-major (factors, n, rows) and (factors, n(n-1)/2,
+# rows) views of the reducing thread's "coords" workspace slot
 ChunkFold = Callable[[int, int, np.ndarray, np.ndarray], None]
 
 
@@ -588,17 +580,18 @@ def _sample_chunks(
     y_cap: float,
     executor,
     times: Optional[SamplingTimes],
-    target: ChunkTarget,
-    fold: Optional[ChunkFold] = None,
+    fold: ChunkFold,
 ) -> None:
-    """The sampling loop of :func:`empirical_measures` and
-    :func:`stream_measures`: sample the subgroup once, push each chunk by
-    every translate, reduce it into the arrays ``target`` gives, check it
-    against the Siegel bounds and hand it to ``fold``.
+    """The sampling loop of :func:`stream_measures`: sample the subgroup
+    once, push each chunk by every translate, reduce it into the calling
+    thread's ``"coords"`` workspace slot (see :func:`lingrp.workspace`),
+    check it against the Siegel bounds and hand it to ``fold``.
 
     For each chunk every factor is drawn from its (seed, chunk, factor)
-    stream; then, for each translate, every factor is embedded, pushed and
-    reduced into the chunk's rows.  For n = 2 this runs one block of
+    stream, never keyed by translate; then, for each translate, every
+    factor is embedded, pushed and reduced into the chunk's rows (lattice
+    reduction for n = 3, 4, whose stacks live in the reducing thread's
+    workspace too, the half-plane walk for n = 2).  For n = 2 this runs one block of
     ``WALK_BLOCK`` columns at a time: the block's columns of each factor's
     draw are embedded, pushed, factored and walked into the block's rows,
     which are then checked and folded, so no stack of the path is larger
@@ -623,6 +616,7 @@ def _sample_chunks(
         raise ValueError(f"y_cap must exceed the domain floor sqrt(3)/2, not {y_cap}")
     _check_precision_budget(spec)
     r, n = spec.shape
+    d = n * (n - 1) // 2
     g_arrs = [_translate_array(g, r, n) for g in translates]
     _check_translate_budget(spec, g_arrs)
     last = len(g_arrs) - 1
@@ -640,7 +634,7 @@ def _sample_chunks(
         trivial.append({})
         for f, fac in enumerate(spec.parts):
             if fac.kind == "trivial":
-                one = np.empty((n, 1)), np.empty((n * (n - 1) // 2, 1))
+                one = np.empty((n, 1)), np.empty((d, 1))
                 _reduce_into(push(k, f, fac, None, 1), *one)
                 trivial[k][f] = one
         times.push_reduce[k] += time.monotonic() - t0
@@ -650,7 +644,8 @@ def _sample_chunks(
         for lo in range(0, size, step):
             hi = min(lo + step, size)
             t0 = time.monotonic()
-            log_a, u_coords = target(k, start + lo, hi - lo)
+            buf = workspace("coords", (r, n + d, hi - lo))
+            log_a, u_coords = buf[:, :n], buf[:, n:]
             for f, fac in enumerate(spec.parts):
                 if f in trivial[k]:
                     log_a[f], u_coords[f] = trivial[k][f]
@@ -662,8 +657,7 @@ def _sample_chunks(
                 del pushed
             times.push_reduce[k] += time.monotonic() - t0
             _assert_reduced(log_a.transpose(2, 0, 1), u_coords.transpose(2, 0, 1), n)
-            if fold is not None:
-                fold(k, start + lo, log_a, u_coords)
+            fold(k, start + lo, log_a, u_coords)
 
     for ci, size in _chunk_plan(count):
         t0 = time.monotonic()
@@ -685,87 +679,6 @@ def _sample_chunks(
             push_reduce(k, ci * CHUNK, size, draws, k == last)
 
 
-def empirical_measures(
-    spec: SubgroupSpec,
-    translates: Sequence,
-    count: int,
-    seed: int,
-    y_cap: float = Y_CAP_DEFAULT,
-    executor=None,
-    times: Optional[SamplingTimes] = None,
-) -> List[EmpiricalMeasure]:
-    """Sample the subgroup once, push the sample by every translate, reduce,
-    and keep each translate's coordinates: every row of them, in arrays of
-    the sample count.  :func:`stream_measures` runs the same loop and keeps
-    only what ``escmass run`` writes.
-
-    The RNG streams are keyed by (seed, chunk, factor), never by translate,
-    so each chunk of each factor is drawn once and held while every
-    translate embeds it again, pushes it by flat gemms and reduces it
-    (lattice reduction for n = 3, 4, the half-plane walk for n = 2); the
-    coordinates are read from the Gram-Schmidt factor of the reduced stack,
-    and N and K of the split are never formed.  Only the draws are held
-    across translates, never an embedded n x n chunk.  Each chunk, for
-    n = 2 each block of ``WALK_BLOCK`` columns of it, is reduced straight
-    into its rows of the output arrays, which are allocated before the
-    translate's first push, and checked against the Siegel bounds there.
-
-    For n = 3, 4 the embedded chunk, the pushed stack, its reduced factor
-    and the reducer's buffers live in the calling thread's workspace (see
-    :func:`lingrp.workspace`), which grows to the largest chunk the thread
-    has reduced and lives as long as the thread; a warm call allocates only
-    its output arrays and its draws.  No result is a view of it.
-
-    With an ``executor`` (a concurrent.futures.Executor) the translates of
-    each chunk are pushed and reduced as parallel tasks, each in its worker
-    thread's workspace; every output bit is the same.  ``times``, when
-    given, receives the wall times.
-
-    Raises ValueError, before sampling, on a count below one or a y_cap at
-    or below the floor sqrt(3)/2 of the fundamental domain, and
-    PrecisionBudgetError when a conjugator of spec takes more than the
-    float64 budget (see conjugator_bits) or a translate stretches the
-    samples past it (see translate_log_stretch).
-    """
-    r, n = spec.shape
-    # each translate's factor-major (log_a, u_coords), see EmpiricalMeasure
-    outs: List[Optional[tuple]] = [None] * len(translates)
-
-    def rows(k: int, start: int, size: int) -> tuple:
-        if outs[k] is None:
-            outs[k] = (np.empty((r, n, count)), np.empty((r, n * (n - 1) // 2, count)))
-        return tuple(a[:, :, start : start + size] for a in outs[k])
-
-    _sample_chunks(spec, translates, count, seed, y_cap, executor, times, rows)
-    return [
-        EmpiricalMeasure(spec, log_a.transpose(2, 0, 1), u_coords.transpose(2, 0, 1))
-        for log_a, u_coords in outs
-    ]
-
-
-def empirical_measure(
-    spec: SubgroupSpec,
-    g,
-    count: int,
-    seed: int,
-    y_cap: float = Y_CAP_DEFAULT,
-) -> EmpiricalMeasure:
-    """Sample the subgroup, push by g, reduce, and keep the coordinates:
-    :func:`empirical_measures` for the one translate g."""
-    return empirical_measures(spec, [g], count, seed, y_cap)[0]
-
-
-@dataclass(frozen=True, eq=False)
-class MeasureHead:
-    """The first rows of a reduced measure, laid out as in EmpiricalMeasure:
-    ``log_a`` (rows, factors, n) and ``u_coords`` (rows, factors,
-    n(n-1)/2); ``sample_count`` counts every row of the measure."""
-
-    log_a: np.ndarray
-    u_coords: np.ndarray
-    sample_count: int
-
-
 def stream_measures(
     spec: SubgroupSpec,
     translates: Sequence,
@@ -776,52 +689,65 @@ def stream_measures(
     y_cap: float = Y_CAP_DEFAULT,
     executor=None,
     times: Optional[SamplingTimes] = None,
-) -> List[Tuple[List[BoundaryHistogram], MeasureHead]]:
-    """The measures of :func:`empirical_measures`, folded chunk by chunk
-    into what ``escmass run`` writes: for each translate, the boundary
-    histograms at each of the thresholds, in their order, and the first
-    ``keep`` rows.  Memory does not grow with the sample count.
+) -> List[Tuple[List[BoundaryHistogram], EmpiricalMeasure]]:
+    """Sample the subgroup once, push the sample by every translate, reduce,
+    and fold each translate's measure chunk by chunk (see
+    :func:`_sample_chunks`) into what ``escmass run`` writes: the boundary
+    histograms at each of the thresholds, in their order, and the measure's
+    first ``keep`` rows.  Memory grows with ``keep``, not with the count.
 
-    Each chunk, for n = 2 each block of ``WALK_BLOCK`` columns of it, is
-    reduced into one (factors, n + n(n-1)/2, rows) buffer in the reducing
-    thread's ``"coords"`` workspace slot (see :func:`lingrp.workspace`),
-    checked against the Siegel bounds, and folded: its depth-code tables
-    (see :func:`boundary_histograms`) are added to the translate's, and its
-    rows below ``keep`` are copied.  The tables hold integer counts, so the
-    histograms are those of :func:`boundary_histograms` on the whole
-    measure, bit for bit, and the kept rows are those of the measure; with
-    an ``executor`` each task folds only its own translate's chunk.
+    Each reduced chunk's depth-code tables (see :func:`boundary_histograms`)
+    are added to the translate's, and its rows below ``keep`` are copied
+    into the translate's factor-major head.  The tables hold integer counts,
+    so the histograms are those of :func:`boundary_histograms` on the whole
+    measure, bit for bit.  No result is a view of a workspace.  With an
+    ``executor`` (a concurrent.futures.Executor) each chunk runs one task
+    per translate, which folds only its own translate's chunk; every output
+    bit is the same.  ``times``, when given, receives the wall times.
 
     Raises ValueError, before sampling, on a threshold at or below the
-    reduced-domain floor, and ValueError and PrecisionBudgetError as
-    :func:`empirical_measures` does.
+    reduced-domain floor, a count below one or a y_cap at or below the floor
+    sqrt(3)/2 of the fundamental domain, and PrecisionBudgetError when a
+    conjugator of spec takes more than the float64 budget (see
+    conjugator_bits) or a translate stretches the samples past it (see
+    translate_log_stretch).
     """
     _check_thresholds(thresholds)
     r, n = spec.shape
     d = n * (n - 1) // 2
     kept = min(keep, count)
     sweeps = [_SweepTables(thresholds, r * (n - 1)) for _ in translates]
-    # each translate's first rows, allocated at its first fold
+    # each translate's factor-major first rows, allocated at its first fold
     heads: List[Optional[tuple]] = [None] * len(translates)
-
-    def rows(k: int, start: int, size: int) -> tuple:
-        buf = workspace("coords", (r, n + d, size))
-        return buf[:, :n], buf[:, n:]
 
     def fold(k: int, start: int, log_a: np.ndarray, u_coords: np.ndarray) -> None:
         if heads[k] is None:
-            heads[k] = (np.empty((kept, r, n)), np.empty((kept, r, d)))
+            heads[k] = (np.empty((r, n, kept)), np.empty((r, d, kept)))
         sweeps[k].add(log_a)
         stop = min(start + log_a.shape[-1], kept)
         if start < stop:  # the kept rows may span several chunks
             for head, chunk in zip(heads[k], (log_a, u_coords)):
-                head[start:stop] = chunk[:, :, : stop - start].transpose(2, 0, 1)
+                head[:, :, start:stop] = chunk[:, :, : stop - start]
 
-    _sample_chunks(spec, translates, count, seed, y_cap, executor, times, rows, fold)
+    _sample_chunks(spec, translates, count, seed, y_cap, executor, times, fold)
     return [
-        (sweep.histograms(), MeasureHead(*head, sample_count=count))
-        for sweep, head in zip(sweeps, heads)
+        (sweep.histograms(), EmpiricalMeasure(
+            log_a.transpose(2, 0, 1), u_coords.transpose(2, 0, 1), count
+        ))
+        for sweep, (log_a, u_coords) in zip(sweeps, heads)
     ]
+
+
+def empirical_measure(
+    spec: SubgroupSpec,
+    g,
+    count: int,
+    seed: int,
+    y_cap: float = Y_CAP_DEFAULT,
+) -> EmpiricalMeasure:
+    """Sample the subgroup, push by g, reduce, and keep every row:
+    :func:`stream_measures` for the one translate g, with no thresholds."""
+    return stream_measures(spec, [g], count, seed, (), keep=count, y_cap=y_cap)[0][1]
 
 
 # Above this diagonal ratio the u_ij entry of a reduced frame carries fewer
@@ -958,8 +884,14 @@ def boundary_histograms(
     ones that fit (one threshold at a time always does).  The whole measure
     makes one table per run here; :func:`stream_measures` adds up the
     tables of its chunks.
+
+    Raises ValueError on a threshold at or below the reduced-domain floor,
+    and on a measure that holds only its first rows: their histogram is not
+    the measure's.
     """
     _check_thresholds(thresholds)
+    if len(m.log_a) != m.sample_count:
+        raise ValueError(f"the measure holds {len(m.log_a)} of its {m.sample_count} rows")
     log_a = m.log_a.transpose(1, 2, 0)
     sweep = _SweepTables(thresholds, log_a.shape[0] * (log_a.shape[1] - 1))
     sweep.add(log_a)

@@ -363,7 +363,7 @@ def reduce_siegel_batched(
     Each rep is gamma @ mat for an integer gamma of determinant one, which
     is not formed.  low is the component-major (n, n, m) lower Gram-Schmidt
     factor of the row-reversed reps, from which
-    :func:`lingrp.iwasawa_coordinates` reads the reduced coordinates; the
+    :func:`measures._reduce_into` reads the reduced coordinates; the
     certification below needs it anyway, so the reduced stack is factored
     once.  Without ``out`` both are fresh arrays the caller owns.
 

@@ -329,33 +329,6 @@ def project_weight(rs: RootSystem, I: Iterable[int], w: WeightVector) -> WeightV
     return WeightVector(rs, tuple(coords))
 
 
-def restrict_weights(rs: RootSystem, I: Iterable[int]) -> List[WeightVector]:
-    """Projections of the quasi-fundamental weights chi_alpha, alpha in I,
-    onto span(I); verifies exactly that they are quasi-fundamental there.
-
-    >>> rs = build_type_a(3)
-    >>> restrict_weights(rs, [0])[0].coords
-    (Fraction(1, 2), Fraction(0, 1))
-    """
-    idx = sorted(set(I))
-    chis = quasi_fundamental_weights(rs)
-    out = []
-    for a in idx:
-        proj = project_weight(rs, idx, chis[a])
-        # quasi-fundamental inside span(I): pairing with alpha_b, b in I,
-        # is a positive multiple of delta_ab
-        for b in idx:
-            val = sum(
-                Fraction(rs.cartan[b][k]) * proj.coords[k] for k in range(rs.rank)
-            )
-            if b == a and val <= 0:
-                raise AssertionError("restricted weight lost positivity")
-            if b != a and val != 0:
-                raise AssertionError("restricted weight not orthogonal")
-        out.append(proj)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # chambers
 

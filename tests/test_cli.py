@@ -442,6 +442,49 @@ def test_cli_statistical_disagreement_exits_2(tmp_path):
     assert "MISMATCH" in r.stdout and "verdict: disagree" in r.stdout
 
 
+class _ClosedPipe:
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+def test_a_closed_pipe_keeps_the_command_exit_code(tmp_path, capsys, monkeypatch):
+    """``escmass list-catalog | head -1``: once stdout's reader has gone the
+    rest of the output is dropped, and the command still returns its own
+    exit code, here 0 and 2."""
+    doc = _doc(name="early")
+    doc["sequence"]["subgroup"] = {"kind": "one_param_unipotent", "n": 3, "coordinate": [1, 2]}
+    doc["sequence"]["direction"] = ["3", "-2", "-1"]
+    doc["sequence"]["indices"] = [1]
+    doc["sampling"] = {"count": 2000, "seed": 7, "t_sweep": [1000.0]}
+    p = tmp_path / "early.json"
+    p.write_text(json.dumps(doc))
+    for argv, code in ((["list-catalog"], EXIT_OK), (["run", str(p)], EXIT_DISAGREE)):
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+        assert main(argv) == code
+        assert isinstance(sys.stdout, _ClosedPipe)
+    assert capsys.readouterr().err == ""
+
+
+def test_a_closed_pipe_ends_the_process_quietly(tmp_path):
+    """The reader of the process's stdout pipe is gone before it writes:
+    no traceback, and the exit code of the command."""
+    err = tmp_path / "stderr.txt"
+    with err.open("w") as sink:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "escmass", "list-catalog"],
+            stdout=subprocess.PIPE,
+            stderr=sink,
+        )
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == EXIT_OK
+    assert err.read_text() == ""
+
+
 def test_cli_not_covered_exits_3(tmp_path):
     doc = _doc(name="uncovered")
     doc["sequence"]["subgroup"] = {"kind": "full_unipotent_radical", "n": 3, "I": [1]}

@@ -22,7 +22,6 @@ from escmass.lingrp import (
     group_element,
     iwasawa,
     iwasawa_batched,
-    iwasawa_coordinates,
     langlands,
     parabolic_root_values,
     verify_dalpha,
@@ -396,12 +395,23 @@ def _same_bits(x, y):
     return np.array_equal(x, y) and np.array_equal(np.signbit(x), np.signbit(y))
 
 
+def _read_split(low):
+    """The n-a-k coordinates of a stack read off the component-major lower
+    factor of its row-reversed stack, as the sampling path reads them: the
+    diagonals a[j] = low[n-1-j, n-1-j], (m, n), and u_ij = low[n-1-i, n-1-j]
+    / a[j] in row-major (i, j) order, (m, n(n-1)/2)."""
+    n = low.shape[0]
+    a = [low[n - 1 - j, n - 1 - j] for j in range(n)]
+    u = [low[n - 1 - i, n - 1 - j] / a[j] for i in range(n) for j in range(i + 1, n)]
+    return np.stack(a, axis=1), np.stack(u, axis=1)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize("kind", ["random", "cusp", "integer"])
 def test_iwasawa_coordinates_read_the_split_bit_for_bit(n, kind):
     """Coordinates read from the component-major factor of the row-reversed
     stack equal iwasawa_batched's a and the strictly upper entries of its N,
-    signs of zero included."""
+    signs of zero included: the divisions are the ones the split performs."""
     rng = np.random.default_rng(31 * n + len(kind))
     if kind == "random":
         mats = _det_one_stack(n, 500, rng)
@@ -416,12 +426,12 @@ def test_iwasawa_coordinates_read_the_split_bit_for_bit(n, kind):
         mats[5, 0, 1] = -0.0
     nil, a, _ = iwasawa_batched(mats)
     low = gram_schmidt_components(mats[:, ::-1, :].transpose(1, 2, 0))[0]
-    a_read, u_read = iwasawa_coordinates(low)
-    assert _same_bits(np.stack(a_read, axis=1), a)
+    a_read, u_read = _read_split(low)
+    assert _same_bits(a_read, a)
     iu = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    assert len(u_read) == len(iu)
+    assert u_read.shape[1] == len(iu)
     for col, (i, j) in enumerate(iu):
-        assert _same_bits(u_read[col], nil[:, i, j])
+        assert _same_bits(u_read[:, col], nil[:, i, j])
 
 
 def test_flag_shapes():

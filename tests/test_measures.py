@@ -345,14 +345,11 @@ def _synthetic_measure(n, factors, count, rng):
     if n == 2:
         h = roots.reshape(count, factors, 1) / 2.0
         log_a = np.concatenate([h, -h], axis=2)
-        spec = product_subgroup([one_param_unipotent(2, (0, 1))] * factors)
     else:
         log_a = np.zeros((count, 1, n))
         log_a[:, 0, 1:] = -np.cumsum(roots, axis=1)
-        spec = full_unipotent_radical(n, [])
-    return EmpiricalMeasure(
-        spec=spec, log_a=log_a, u_coords=np.zeros((count, factors, n * (n - 1) // 2))
-    )
+    u_coords = np.zeros((count, factors, n * (n - 1) // 2))
+    return EmpiricalMeasure(log_a=log_a, u_coords=u_coords, sample_count=count)
 
 
 @pytest.mark.parametrize("n, factors", [(2, 1), (3, 1), (4, 1), (2, 2), (2, 4), (2, 5)])
@@ -426,6 +423,19 @@ def test_histogram_sweep_refuses_a_floor_threshold_first(bad):
             boundary_histograms(_Untouchable(), sweep)
     with pytest.raises(ValueError, match="reduced-domain floor"):
         boundary_histogram(_Untouchable(), bad)
+
+
+def test_histograms_refuse_a_measure_that_holds_only_its_first_rows():
+    """A run keeps only the first rows of a measure; histogramming them as
+    if they were the whole measure is refused."""
+    spec = one_param_unipotent(2, (0, 1))
+    g = np.diag([np.exp(2.0), np.exp(-2.0)])
+    ((_, head),) = measures.stream_measures(spec, [g], 1000, 5, [1.0e2], keep=100)
+    assert len(head.log_a) == 100 and head.sample_count == 1000
+    with pytest.raises(ValueError, match="holds 100 of its 1000 rows"):
+        boundary_histograms(head, [1.0e2])
+    with pytest.raises(ValueError, match="holds 100 of its 1000 rows"):
+        boundary_histogram(head)
 
 
 def test_truncation_bound():
@@ -738,19 +748,26 @@ SHARED_DRAW_CASES = {
 }
 
 
+def _whole_measures(spec, gs, count, seed, **kwargs):
+    """Every translate's whole measure, from one stream_measures call that
+    keeps every row."""
+    streamed = measures.stream_measures(spec, gs, count, seed, (), keep=count, **kwargs)
+    return [m for _, m in streamed]
+
+
 @pytest.mark.parametrize("indices", [(2,), (1, 2, 4)], ids=["one", "three"])
 @pytest.mark.parametrize("case", sorted(SHARED_DRAW_CASES))
 def test_shared_draws_match_per_index_measures(case, indices, monkeypatch):
-    """One empirical_measures call gives, bit for bit, the measures of one
+    """One stream_measures call gives, bit for bit, the measures of one
     per-index call each; several chunks, the last one short."""
     monkeypatch.setattr(measures, "CHUNK", 512)
     spec, translates = SHARED_DRAW_CASES[case]()
     gs = translates(indices)
     count = 1027
-    got = measures.empirical_measures(spec, gs, count, seed=43)
+    got = _whole_measures(spec, gs, count, seed=43)
     assert len(got) == len(gs)
     for m, g in zip(got, gs):
-        assert m.sample_count == count and m.spec == spec
+        assert m.sample_count == count
         _assert_same_measure(m, _empirical_measure_per_index(spec, g, count, seed=43))
 
 
@@ -774,9 +791,9 @@ def test_each_chunk_is_drawn_once(parallel, monkeypatch):
     times = measures.SamplingTimes()
     if parallel:
         with ThreadPoolExecutor(3) as pool:
-            got = measures.empirical_measures(spec, gs, 1027, 44, executor=pool, times=times)
+            got = _whole_measures(spec, gs, 1027, 44, executor=pool, times=times)
     else:
-        got = measures.empirical_measures(spec, gs, 1027, 44, times=times)
+        got = _whole_measures(spec, gs, 1027, 44, times=times)
     assert sorted(draws) == [(44, ci, f) for ci in range(3) for f in (0, 2)]
     assert len(times.push_reduce) == 3 and min(times.push_reduce) > 0.0
     for m, g in zip(got, gs):
@@ -882,12 +899,12 @@ def test_pool_threads_give_the_serial_bits(monkeypatch):
     monkeypatch.setattr(measures, "CHUNK", 1024)
     spec = levi_semisimple_nc(4, 1)
     gs = _test_translates(4, (1, 2, 4))
-    serial = measures.empirical_measures(spec, gs, 2000, seed=8)
+    serial = _whole_measures(spec, gs, 2000, seed=8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(3) as pool:
-            parallel = measures.empirical_measures(spec, gs, 2000, seed=8, executor=pool)
+            parallel = _whole_measures(spec, gs, 2000, seed=8, executor=pool)
     finally:
         sys.setswitchinterval(interval)
     for m, want in zip(parallel, serial):
@@ -939,8 +956,9 @@ def test_product_path_is_pinned():
     """log_a, u_coords and histogram counts of products over every factor
     atom (embedded, expanding and contracting horocycle, escaping, bounded
     and plunging trivial factor; offsets 0, 1/2 and tau), bit for bit.  The
-    arrays come from empirical_measures, the counts from run_scenario,
-    which runs the same loop and keeps the arrays' first rows."""
+    arrays come from stream_measures keeping every row, the counts from
+    run_scenario, which runs the same loop and keeps the arrays' first
+    rows."""
     from escmass.cli import POINTS_CAP, run_scenario, sequence_translate
 
     h = hashlib.sha256()
@@ -949,7 +967,7 @@ def test_product_path_is_pinned():
         seq = scn.sequence
         res = run_scenario(scn, jobs=1)
         translates = [sequence_translate(seq, idx) for idx in seq.indices]
-        full = measures.empirical_measures(seq.subgroup, translates, scn.count, scn.seed)
+        full = _whole_measures(seq.subgroup, translates, scn.count, scn.seed)
         for idx, m in zip(seq.indices, full):
             head = res.points[idx]
             assert head.sample_count == scn.count and len(head.log_a) == POINTS_CAP
@@ -998,8 +1016,8 @@ def _run_case(case, count):
 def test_streamed_run_matches_the_whole_measures(case, chunk, count, jobs, monkeypatch):
     """run_scenario folds each chunk, for n = 2 each block of a chunk, into
     histogram counts and keeps the first POINTS_CAP rows; they are, bit for
-    bit, boundary_histograms of the whole empirical_measures and the first
-    rows of its arrays.  With 256-sample chunks the kept rows span two
+    bit, boundary_histograms of the whole measures, which stream_measures
+    gives when it keeps every row, and the first rows of their arrays.  With 256-sample chunks the kept rows span two
     chunks; the last chunk, or block, is short.  The three pool threads
     switch every microsecond."""
     import sys
@@ -1016,7 +1034,7 @@ def test_streamed_run_matches_the_whole_measures(case, chunk, count, jobs, monke
     finally:
         sys.setswitchinterval(interval)
     translates = [sequence_translate(seq, idx) for idx in seq.indices]
-    full = measures.empirical_measures(seq.subgroup, translates, scn.count, scn.seed, scn.y_cap)
+    full = _whole_measures(seq.subgroup, translates, scn.count, scn.seed, y_cap=scn.y_cap)
     for idx, m in zip(seq.indices, full):
         for t, want in zip(scn.t_sweep, boundary_histograms(m, scn.t_sweep)):
             got = res.histograms[idx][t]

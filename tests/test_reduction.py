@@ -27,7 +27,6 @@ from escmass.lingrp import (
     group_element,
     iwasawa,
     iwasawa_batched,
-    iwasawa_coordinates,
 )
 from escmass.measures import (
     CHUNK,
@@ -35,8 +34,8 @@ from escmass.measures import (
     _chunk_plan,
     _draw_factor_chunk,
     _embed_factor_chunk,
+    _reduce_into,
     _right_multiply,
-    embedded_sl2,
 )
 from escmass.reduction import (
     RATIO_MIN,
@@ -126,7 +125,7 @@ def _reduced(mats):
     reducers have gammas @ mats = reps and det gamma = 1 exactly, with reps
     inside the default Siegel set.  Returns the oracle's gammas, reps, the
     diagonals a (m, n) and the strictly upper entries u (m, n(n-1)/2) of the
-    reduced split."""
+    reduced split, as the sampling path reads them (see _sampled_split)."""
     mats = np.asarray(mats, dtype=float)
     reps, low = reduce_siegel_batched(mats)
     gammas, want_reps, want_low = _reduce_siegel_full(mats)
@@ -135,8 +134,24 @@ def _reduced(mats):
     for gamma, rep in zip(gammas, reps):
         assert _exact_det(gamma.tolist()) == 1
         assert _in_siegel(rep)
-    a, u = iwasawa_coordinates(low)
-    return gammas, reps, np.stack(a, axis=1), np.stack(u, axis=1)
+    a, u = _sampled_split(mats, reps)
+    return gammas, reps, a, u
+
+
+def _sampled_split(mats, reps):
+    """measures._reduce_into on a (m, n, n) stack, fed as the sampling path
+    feeds it, row-reversed and component-major.  Its log_a is np.log of the
+    diagonals a of iwasawa_batched(reps) and its u_coords are the strictly
+    upper entries u of that N, row-major, bit for bit; returns a, (m, n),
+    and u, (m, n(n-1)/2)."""
+    m, n, _ = mats.shape
+    rev = np.ascontiguousarray(mats[:, ::-1, :].transpose(1, 2, 0))
+    log_a, u_coords = np.empty((n, m)), np.empty((n * (n - 1) // 2, m))
+    _reduce_into(rev, log_a, u_coords)
+    nil, a, _ = iwasawa_batched(reps)
+    u = np.stack([nil[:, i, j] for i in range(n) for j in range(i + 1, n)], axis=1)
+    assert _same_bits(log_a.T, np.log(a)) and _same_bits(u_coords.T, u)
+    return a, u
 
 
 def test_doctests():
@@ -483,13 +498,10 @@ def test_reducer_factors_only_the_matrices_that_moved(levi_stack, monkeypatch):
 
 def test_reduced_factor_gives_the_split_of_the_reps(levi_stack):
     """The factor the reducer returns is the one iwasawa_batched computes on
-    the reps, so the coordinates read from it match bit for bit."""
-    reps, low = reduce_siegel_batched(levi_stack)
-    nil, a, _ = iwasawa_batched(reps)
-    a_read, u_read = iwasawa_coordinates(low)
-    assert _same_bits(np.stack(a_read, axis=1), a)
-    for col, (i, j) in enumerate(((0, 1), (0, 2), (1, 2))):
-        assert _same_bits(u_read[col], nil[:, i, j])
+    the reps, so the coordinates the sampling path reads from it match bit
+    for bit."""
+    reps, _ = reduce_siegel_batched(levi_stack)
+    _sampled_split(levi_stack, reps)
 
 
 def test_recertified_matrices_are_factored_again(levi_stack, monkeypatch):
@@ -512,10 +524,10 @@ def test_recertified_matrices_are_factored_again(levi_stack, monkeypatch):
     assert len(sizes) >= 2 and 0 < sizes[1] <= 1000  # the reduced half passes
     assert np.all(reduction._ratio_certified(low))
     nil, a, _ = iwasawa_batched(reps)
-    a_read, u_read = iwasawa_coordinates(low)
-    assert _same_bits(np.stack(a_read, axis=1), a)
-    for col, (i, j) in enumerate(((0, 1), (0, 2), (1, 2))):
-        assert _same_bits(u_read[col], nil[:, i, j])
+    for j in range(3):
+        assert _same_bits(low[2 - j, 2 - j], a[:, j])
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        assert _same_bits(low[2 - i, 2 - j] / low[2 - j, 2 - j], nil[:, i, j])
 
 
 def test_reduction_into_out_gives_the_factor_and_keeps_no_reps(levi_stack):
@@ -894,7 +906,7 @@ def test_format_columnar():
     mats = np.stack([np.eye(2), [[1.0, 5.0], [0.0, 1.0]]])
     x, y = reduce_sl2_coords(*half_plane_point(mats))
     log_a = np.stack([0.5 * np.log(y), -0.5 * np.log(y)], axis=1)[:, None]
-    m = EmpiricalMeasure(embedded_sl2(2), log_a, x[:, None, None])
+    m = EmpiricalMeasure(log_a, x[:, None, None], 2)
     lines = points_text(m).strip().split("\n")
     assert lines[0].startswith("# 2 of 2 reduced points")
     assert len(lines) == 3
