@@ -855,10 +855,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 class _PipeGuard:
-    """Stands for stdout while a command runs.  Once the reader of a pipe
-    has gone, as in ``escmass list-catalog | head -1``, writing raises
-    BrokenPipeError; the rest of stdout then goes to os.devnull, so the
-    command runs on to its own exit code."""
+    """Stands for stdout or stderr while a command runs.  Once the reader
+    of a pipe has gone, as in ``escmass list-catalog | head -1``, writing
+    raises BrokenPipeError; the rest of the stream then goes to os.devnull,
+    so the command runs on to its own exit code."""
 
     def __init__(self, stream):
         self.stream, self.gone = stream, False
@@ -887,13 +887,15 @@ class _PipeGuard:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    stdout, sys.stdout = sys.stdout, _PipeGuard(sys.stdout)
+    streams = sys.stdout, sys.stderr
+    sys.stdout, sys.stderr = _PipeGuard(sys.stdout), _PipeGuard(sys.stderr)
     try:
         args = build_parser().parse_args(argv)
         return args.fn(args)
     finally:
         sys.stdout.flush()
-        sys.stdout = stdout
+        sys.stderr.flush()
+        sys.stdout, sys.stderr = streams
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -453,7 +453,7 @@ def sequence_translate(seq: SequenceSpec, index: int) -> np.ndarray:
     """Float translate g_index = (recorded factor) * offset * exp(index*v),
     shaped (factors, n, n); this is what the Monte Carlo side pushes by.
     A direction large enough to overflow exp gives inf and nan entries
-    without a warning; the translate budget of empirical_measures refuses
+    without a warning; the translate budget of stream_measures refuses
     them."""
     r, n = seq.subgroup.shape
     out = np.empty((r, n, n))

@@ -227,10 +227,10 @@ def workspace(slot: str, shape, dtype=float) -> np.ndarray:
       pushed, then the reducer's working basis until the reduction returns;
     - ``"push"``: the pushed stack until the reducer has copied it, then
       the reduced factor over it, until its coordinates are read;
-    - ``"coords"``: a streamed chunk's reduced coordinates (measures), from
-      its reduction until it is folded into the run's counts; for n = 2
-      those of one ``reduction.WALK_BLOCK`` block of the chunk at a time,
-      so the slot is block-sized;
+    - ``"coords"``: the reduced coordinates of one block of a chunk in
+      ``measures.stream_measures``, from its reduction until that loop has
+      checked and folded them; a block is a whole chunk for n = 3, 4 and
+      one ``reduction.WALK_BLOCK`` for n = 2, where the slot is block-sized;
     - ``"lll"``, ``"lll_flags"``: the sweep buffers of one LLL pass;
     - ``"parity"``, ``"order"``, ``"inverse"``, ``"restore"``: the
       reducer's swap parity, working order, its inverse and the reordering

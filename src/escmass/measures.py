@@ -9,9 +9,9 @@ serial runs produce bit-identical results.
 
 Measures are stored column-wise (coordinate arrays, not object lists): at the
 sample counts the statistics need, per-point objects would cost gigabytes.
-One loop samples, pushes and reduces chunk by chunk, and ``stream_measures``
-folds each chunk into histogram counts and the first rows, so its memory
-does not grow with the sample count unless every row is kept.
+``stream_measures`` samples, pushes, reduces and folds chunk by chunk into
+histogram counts and the first rows, so its memory does not grow with the
+sample count unless every row is kept.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -566,54 +566,67 @@ class SamplingTimes:
     push_reduce: List[float] = field(default_factory=list)
 
 
-# what the loop hands a reduced chunk of translate k to: (k, first row,
-# log_a, u_coords), factor-major (factors, n, rows) and (factors, n(n-1)/2,
-# rows) views of the reducing thread's "coords" workspace slot
-ChunkFold = Callable[[int, int, np.ndarray, np.ndarray], None]
-
-
-def _sample_chunks(
+def stream_measures(
     spec: SubgroupSpec,
     translates: Sequence,
     count: int,
     seed: int,
-    y_cap: float,
-    executor,
-    times: Optional[SamplingTimes],
-    fold: ChunkFold,
-) -> None:
-    """The sampling loop of :func:`stream_measures`: sample the subgroup
-    once, push each chunk by every translate, reduce it into the calling
-    thread's ``"coords"`` workspace slot (see :func:`lingrp.workspace`),
-    check it against the Siegel bounds and hand it to ``fold``.
+    thresholds: Sequence[float],
+    keep: int,
+    y_cap: float = Y_CAP_DEFAULT,
+    executor=None,
+    times: Optional[SamplingTimes] = None,
+) -> List[Tuple[List[BoundaryHistogram], EmpiricalMeasure]]:
+    """Sample the subgroup once, push the sample by every translate, reduce,
+    and fold each translate's measure chunk by chunk into what ``escmass
+    run`` writes: the boundary histograms at each of the thresholds, in
+    their order, and the measure's first ``keep`` rows.  Memory grows with
+    ``keep``, not with the count.
 
     For each chunk every factor is drawn from its (seed, chunk, factor)
     stream, never keyed by translate; then, for each translate, every
-    factor is embedded, pushed and reduced into the chunk's rows (lattice
+    factor is embedded, pushed and reduced into the calling thread's
+    ``"coords"`` workspace slot (see :func:`lingrp.workspace`): lattice
     reduction for n = 3, 4, whose stacks live in the reducing thread's
-    workspace too, the half-plane walk for n = 2).  For n = 2 this runs one block of
-    ``WALK_BLOCK`` columns at a time: the block's columns of each factor's
-    draw are embedded, pushed, factored and walked into the block's rows,
-    which are then checked and folded, so no stack of the path is larger
-    than a block.  Every step is per column, so blocking changes no bit.
-    For n = 3, 4 the block is the whole chunk: the LLL pays a fixed cost per
-    sweep whatever the width of its stack.  A ``trivial`` factor draws
-    nothing: its one matrix is pushed and reduced once per translate,
-    before the first chunk, and broadcast into each block's rows (the
-    reduction of a matrix does not depend on the stack it comes in, so this
-    changes no bit).  Without an executor the draws are dropped, factor by
-    factor, before the last translate's last block is reduced; with one,
-    each chunk runs one task per translate, and the chunk's draws are held
-    until every task is done.
+    workspace too, the half-plane walk for n = 2.  Each reduced block is
+    checked against the Siegel bounds and folded: its depth-code tables
+    (see :func:`boundary_histograms`) are added to the translate's, and its
+    rows below ``keep`` are copied into the translate's factor-major head.
+    The tables hold integer counts, so the histograms are those of
+    :func:`boundary_histograms` on the whole measure, bit for bit.  No
+    result is a view of a workspace.
 
-    Raises ValueError, before drawing, on a count below one or a y_cap not
-    above the floor of the fundamental domain, where the modular sampler
-    would accept no point.
+    For n = 2 a block is ``WALK_BLOCK`` columns: the block's columns of
+    each factor's draw are embedded, pushed, factored and walked into the
+    block's rows, so no stack of the path is larger than a block.  Every
+    step is per column, so blocking changes no bit.  For n = 3, 4 the block
+    is the whole chunk: the LLL pays a fixed cost per sweep whatever the
+    width of its stack.  A ``trivial`` factor draws nothing: its one matrix
+    is pushed and reduced once per translate, before the first chunk, and
+    broadcast into each block's rows (the reduction of a matrix does not
+    depend on the stack it comes in, so this changes no bit).  Without an
+    ``executor`` the draws are dropped, factor by factor, before the last
+    translate's last block is reduced.  With one (a
+    concurrent.futures.Executor) each chunk runs one task per translate,
+    which folds only its own translate's blocks, and the chunk's draws are
+    held until every task is done; every output bit is the same.
+    ``times``, when given, receives the wall times.
+
+    Raises ValueError, before drawing, on a threshold at or below the
+    reduced-domain floor, a count below one, a y_cap at or below the floor
+    sqrt(3)/2 of the fundamental domain, where the modular sampler would
+    accept no point, or a matrix size n other than 2, 3 and 4; and
+    PrecisionBudgetError when a conjugator of spec takes more than the
+    float64 budget (see conjugator_bits) or a translate stretches the
+    samples past it (see translate_log_stretch).
     """
+    _check_thresholds(thresholds)
     if not count >= 1:
         raise ValueError(f"the sample count must be at least 1, not {count}")
     if not y_cap > FLOOR_HEIGHT:
         raise ValueError(f"y_cap must exceed the domain floor sqrt(3)/2, not {y_cap}")
+    if spec.n not in (2, 3, 4):
+        raise ValueError(f"the sampler reduces n = 2, 3 or 4, not n = {spec.n}")
     _check_precision_budget(spec)
     r, n = spec.shape
     d = n * (n - 1) // 2
@@ -622,6 +635,10 @@ def _sample_chunks(
     last = len(g_arrs) - 1
     times = SamplingTimes() if times is None else times
     times.push_reduce = [0.0] * len(g_arrs)
+    kept = min(keep, count)
+    sweeps = [_SweepTables(thresholds, r * (n - 1)) for _ in g_arrs]
+    # each translate's factor-major first rows, allocated at its first fold
+    heads: List[Optional[tuple]] = [None] * len(g_arrs)
 
     def push(k: int, f: int, fac: SubgroupSpec, draw, size: int) -> np.ndarray:
         return _right_multiply(_embed_factor_chunk(fac, draw, size), g_arrs[k][f])
@@ -656,8 +673,14 @@ def _sample_chunks(
                 _reduce_into(pushed, log_a[f], u_coords[f])
                 del pushed
             times.push_reduce[k] += time.monotonic() - t0
-            _assert_reduced(log_a.transpose(2, 0, 1), u_coords.transpose(2, 0, 1), n)
-            fold(k, start + lo, log_a, u_coords)
+            _assert_reduced(log_a, u_coords)
+            if heads[k] is None:
+                heads[k] = (np.empty((r, n, kept)), np.empty((r, d, kept)))
+            sweeps[k].add(log_a)
+            first, stop = start + lo, min(start + hi, kept)
+            if first < stop:  # the kept rows may span several chunks
+                for head, block in zip(heads[k], (log_a, u_coords)):
+                    head[:, :, first:stop] = block[:, :, : stop - first]
 
     for ci, size in _chunk_plan(count):
         t0 = time.monotonic()
@@ -677,59 +700,6 @@ def _sample_chunks(
             continue
         for k in range(len(g_arrs)):
             push_reduce(k, ci * CHUNK, size, draws, k == last)
-
-
-def stream_measures(
-    spec: SubgroupSpec,
-    translates: Sequence,
-    count: int,
-    seed: int,
-    thresholds: Sequence[float],
-    keep: int,
-    y_cap: float = Y_CAP_DEFAULT,
-    executor=None,
-    times: Optional[SamplingTimes] = None,
-) -> List[Tuple[List[BoundaryHistogram], EmpiricalMeasure]]:
-    """Sample the subgroup once, push the sample by every translate, reduce,
-    and fold each translate's measure chunk by chunk (see
-    :func:`_sample_chunks`) into what ``escmass run`` writes: the boundary
-    histograms at each of the thresholds, in their order, and the measure's
-    first ``keep`` rows.  Memory grows with ``keep``, not with the count.
-
-    Each reduced chunk's depth-code tables (see :func:`boundary_histograms`)
-    are added to the translate's, and its rows below ``keep`` are copied
-    into the translate's factor-major head.  The tables hold integer counts,
-    so the histograms are those of :func:`boundary_histograms` on the whole
-    measure, bit for bit.  No result is a view of a workspace.  With an
-    ``executor`` (a concurrent.futures.Executor) each chunk runs one task
-    per translate, which folds only its own translate's chunk; every output
-    bit is the same.  ``times``, when given, receives the wall times.
-
-    Raises ValueError, before sampling, on a threshold at or below the
-    reduced-domain floor, a count below one or a y_cap at or below the floor
-    sqrt(3)/2 of the fundamental domain, and PrecisionBudgetError when a
-    conjugator of spec takes more than the float64 budget (see
-    conjugator_bits) or a translate stretches the samples past it (see
-    translate_log_stretch).
-    """
-    _check_thresholds(thresholds)
-    r, n = spec.shape
-    d = n * (n - 1) // 2
-    kept = min(keep, count)
-    sweeps = [_SweepTables(thresholds, r * (n - 1)) for _ in translates]
-    # each translate's factor-major first rows, allocated at its first fold
-    heads: List[Optional[tuple]] = [None] * len(translates)
-
-    def fold(k: int, start: int, log_a: np.ndarray, u_coords: np.ndarray) -> None:
-        if heads[k] is None:
-            heads[k] = (np.empty((r, n, kept)), np.empty((r, d, kept)))
-        sweeps[k].add(log_a)
-        stop = min(start + log_a.shape[-1], kept)
-        if start < stop:  # the kept rows may span several chunks
-            for head, chunk in zip(heads[k], (log_a, u_coords)):
-                head[:, :, start:stop] = chunk[:, :, : stop - start]
-
-    _sample_chunks(spec, translates, count, seed, y_cap, executor, times, fold)
     return [
         (sweep.histograms(), EmpiricalMeasure(
             log_a.transpose(2, 0, 1), u_coords.transpose(2, 0, 1), count
@@ -775,10 +745,10 @@ def _log_floor(bound: float) -> float:
 _LOG_RATIO_FLOOR = _log_floor(RATIO_MIN - 1e-9)
 
 
-def _assert_reduced(log_a: np.ndarray, u_coords: np.ndarray, n: int) -> None:
-    """Check the (count, factors, ...) coordinates against the Siegel bounds,
-    on the factor-major rows they view (see EmpiricalMeasure)."""
-    log_a, u_coords = log_a.transpose(1, 2, 0), u_coords.transpose(1, 2, 0)
+def _assert_reduced(log_a: np.ndarray, u_coords: np.ndarray) -> None:
+    """Check the factor-major (factors, n, m) log_a and (factors,
+    n(n-1)/2, m) u_coords of a reduced block against the Siegel bounds."""
+    n = log_a.shape[1]
     # the log diagonal ratios against a log floor: no exp over the samples
     if not np.all(log_a[:, :-1] - log_a[:, 1:] >= _LOG_RATIO_FLOOR):
         raise RuntimeError("reduced diagonal escaped the target bounds")

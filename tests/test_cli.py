@@ -485,6 +485,22 @@ def test_a_closed_pipe_ends_the_process_quietly(tmp_path):
     assert err.read_text() == ""
 
 
+def test_a_closed_error_pipe_keeps_the_exit_code(tmp_path):
+    """``escmass run no_such_scenario 2>&1 | true``: the reader of the
+    process's stderr pipe is gone before the error is written, and the
+    process still exits with the command's code, 4."""
+    out = tmp_path / "stdout.txt"
+    with out.open("w") as sink:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "escmass", "run", "no_such_scenario_anywhere"],
+            stdout=sink,
+            stderr=subprocess.PIPE,
+        )
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == EXIT_INPUT
+    assert out.read_text() == ""
+
+
 def test_cli_not_covered_exits_3(tmp_path):
     doc = _doc(name="uncovered")
     doc["sequence"]["subgroup"] = {"kind": "full_unipotent_radical", "n": 3, "I": [1]}

@@ -196,24 +196,35 @@ def test_blocked_modular_draw_matches_the_whole_stack_product(size):
     assert got_rng.uniform() == want_rng.uniform()
 
 
+_MIXED = product_subgroup([embedded_sl2(2), one_param_unipotent(2, (0, 1))])
+
+
 @pytest.mark.parametrize(
-    "count, y_cap",
-    [(0, 1.0e4), (-2, 1.0e4), (10, 0.8), (10, Y0), (10, float("nan"))],
+    "spec, count, y_cap",
+    [
+        pytest.param(_MIXED, count, y_cap, id=f"{count}-{y_cap}")
+        for count, y_cap in [(0, 1.0e4), (-2, 1.0e4), (10, 0.8), (10, Y0), (10, float("nan"))]
+    ]
+    + [
+        pytest.param(trivial_subgroup(1), 10, 1.0e4, id="n1"),
+        pytest.param(full_unipotent_radical(5, []), 10, 1.0e4, id="n5"),
+    ],
 )
-def test_sampling_refuses_an_empty_count_or_a_cap_at_the_floor_first(count, y_cap, monkeypatch):
-    """No samples, or a height cap at or below sqrt(3)/2, where the modular
-    sampler would accept no point and never return: ValueError before any
-    draw."""
+def test_sampling_refuses_an_empty_count_or_a_cap_at_the_floor_first(
+    spec, count, y_cap, monkeypatch
+):
+    """No samples, a height cap at or below sqrt(3)/2, where the modular
+    sampler would accept no point and never return, or a matrix size the
+    reducer does not take: ValueError before any draw."""
 
     def draw(*args):
         raise AssertionError("drew before the sampling input was checked")
 
     monkeypatch.setattr(measures, "_draw_factor_chunk", draw)
-    spec = product_subgroup([embedded_sl2(2), one_param_unipotent(2, (0, 1))])
-    g = np.stack([np.eye(2)] * 2)
-    with pytest.raises(ValueError, match="count|y_cap"):
+    g = np.stack([np.eye(spec.n)] * len(spec.parts))
+    with pytest.raises(ValueError, match="count|y_cap|n = 2, 3 or 4"):
         empirical_measure(spec, g, count, 0, y_cap=y_cap)
-    with pytest.raises(ValueError, match="count|y_cap"):
+    with pytest.raises(ValueError, match="count|y_cap|n = 2, 3 or 4"):
         measures.stream_measures(spec, [g], count, 0, [1.0e2], keep=4, y_cap=y_cap)
 
 
@@ -664,17 +675,17 @@ def test_diagonal_check_is_at_least_as_strict_as_the_exp_form(n):
     passes = d >= floor
     assert np.all(np.exp(d[passes]) >= bound)
     assert np.exp(np.nextafter(np.nextafter(floor, -np.inf), -np.inf)) < bound
-    u_coords = np.zeros((1, 1, n * (n - 1) // 2))
+    u_coords = np.zeros((1, n * (n - 1) // 2, 1))
     for step, ok in ((np.inf, True), (0.0, True), (-np.inf, False)):
         ratio = np.nextafter(floor, step) if step else floor
         # every adjacent difference is exactly ratio
         log_a = (np.arange(n)[::-1] - (n - 1) // 2) * ratio
         assert np.all(log_a[:-1] - log_a[1:] == ratio)
         if ok:
-            measures._assert_reduced(log_a[None, None], u_coords, n)
+            measures._assert_reduced(log_a[None, :, None], u_coords)
         else:
             with pytest.raises(RuntimeError, match="reduced diagonal"):
-                measures._assert_reduced(log_a[None, None], u_coords, n)
+                measures._assert_reduced(log_a[None, :, None], u_coords)
 
 
 # ---------------------------------------------------------------------------
