@@ -113,6 +113,7 @@ from .qfield import QuadNum, as_int
 from .rootsys import build_type_a, locate_chamber, make_vector
 
 EXIT_OK = 0
+EXIT_WRITE = 1
 EXIT_DISAGREE = 2
 EXIT_NOT_COVERED = 3
 EXIT_INPUT = 4
@@ -638,6 +639,18 @@ def print_report(res: RunResult) -> None:
 # commands
 
 
+def _output_dir(path: Optional[str]) -> Optional[Path]:
+    """The ``--out`` directory, made now, so that a path which cannot be a
+    directory is refused before anything is classified or sampled."""
+    if not path:
+        return None
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ScenarioError(f"--out {path} cannot be a directory: {exc.strerror or exc}") from exc
+    return Path(path)
+
+
 def cmd_run(args) -> int:
     try:
         if args.jobs < 1:
@@ -649,6 +662,7 @@ def cmd_run(args) -> int:
         if args.seed is not None:
             _check_seed(args.seed, "--seed")
             scn = replace(scn, seed=args.seed)
+        out = _output_dir(args.out)
         res = run_scenario(scn, jobs=args.jobs)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -662,8 +676,12 @@ def cmd_run(args) -> int:
     except MemoryError as exc:
         print(f"error: the sample arrays do not fit in memory: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    if args.out:
-        write_outputs(res, Path(args.out))
+    if out is not None:
+        try:
+            write_outputs(res, out)
+        except OSError as exc:
+            print(f"error: cannot write the outputs to {out}: {exc}", file=sys.stderr)
+            return EXIT_WRITE
     print_report(res)
     return EXIT_OK if res.ok else EXIT_DISAGREE
 
@@ -857,11 +875,13 @@ def build_parser() -> argparse.ArgumentParser:
 class _PipeGuard:
     """Stands for stdout or stderr while a command runs.  Once the reader
     of a pipe has gone, as in ``escmass list-catalog | head -1``, writing
-    raises BrokenPipeError; the rest of the stream then goes to os.devnull,
-    so the command runs on to its own exit code."""
+    raises BrokenPipeError; any other failed write, as in ``escmass
+    list-catalog > /dev/full``, raises another OSError, which is kept in
+    ``error``.  Either way the rest of the stream goes to os.devnull, so the
+    command runs on to its own exit code, and main reports a kept error."""
 
-    def __init__(self, stream):
-        self.stream, self.gone = stream, False
+    def __init__(self, stream, name: str):
+        self.stream, self.name, self.gone, self.error = stream, name, False, None
 
     def __getattr__(self, name):
         return getattr(self.stream, name)
@@ -876,9 +896,11 @@ class _PipeGuard:
         try:
             if not self.gone:
                 getattr(self.stream, method)(*args)
-        except BrokenPipeError:
+        except OSError as exc:
             import os
 
+            if not isinstance(exc, BrokenPipeError):
+                self.error = exc
             self.gone = True
             devnull = os.open(os.devnull, os.O_WRONLY)
             with suppress(AttributeError, OSError):  # the buffer is flushed at exit
@@ -887,15 +909,27 @@ class _PipeGuard:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command and return its exit code; a failed write to stdout
+    or stderr other than a closed pipe ends it with one error line and
+    exit code 1 instead."""
     streams = sys.stdout, sys.stderr
-    sys.stdout, sys.stderr = _PipeGuard(sys.stdout), _PipeGuard(sys.stderr)
+    guards = _PipeGuard(sys.stdout, "stdout"), _PipeGuard(sys.stderr, "stderr")
+    sys.stdout, sys.stderr = guards
     try:
         args = build_parser().parse_args(argv)
-        return args.fn(args)
+        code = args.fn(args)
+    except SystemExit as exc:  # --help, or a usage error
+        code = exc.code
     finally:
-        sys.stdout.flush()
-        sys.stderr.flush()
+        for guard in guards:
+            guard.flush()
         sys.stdout, sys.stderr = streams
+    for guard in guards:
+        if guard.error is not None:
+            with suppress(OSError):  # stderr itself may be the stream that failed
+                print(f"error: cannot write to {guard.name}: {guard.error}", file=sys.stderr)
+            return EXIT_WRITE
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

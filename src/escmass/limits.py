@@ -438,15 +438,19 @@ def _strip_conjugation(seq: SequenceSpec, f: int = 0):
         if spec.conjugator is not None or seq.conjugator_policy == "recorded":
             raise _not_covered("a bounded-only offset cannot absorb conjugators")
         return spec, "bounded", notes
-    h_eff: QMatrix = qmat_identity(spec.n) if h is None else h[f]
+    # integer left factors stay ints until they meet an offset entry; None
+    # stands for the identity offset
+    h_eff = None if h is None else h[f]
     if seq.conjugator_policy == "recorded":
-        h_eff = qmat_mul(qmat(seq.recorded_conjugator[f]), h_eff)
+        g = seq.recorded_conjugator[f]
+        h_eff = qmat(g) if h_eff is None else qmat_mul(g, h_eff)
         notes.append("ingest:recorded_left_factor")
     if spec.conjugator is not None:
-        h_eff = qmat_mul(qmat(int_inverse(spec.conjugator)), h_eff)
+        g = int_inverse(spec.conjugator)
+        h_eff = qmat(g) if h_eff is None else qmat_mul(g, h_eff)
         spec = dataclasses.replace(spec, conjugator=None)
         notes.append("ingest:subgroup_conjugator_absorbed")
-    return spec, h_eff, notes
+    return spec, qmat_identity(spec.n) if h_eff is None else h_eff, notes
 
 
 def sequence_translate(seq: SequenceSpec, index: int) -> np.ndarray:
@@ -620,7 +624,8 @@ def _normalise_cusp(u0: Fraction, gens, h: QMatrix, notes):
     third column)."""
     p, q = u0.numerator, u0.denominator
     move = _embed_block(_cusp_move(p, q))
-    new_gens = [rat_mul(rat_mul(int_inverse(move), X), move) for X in gens]
+    inv = int_inverse(move)
+    new_gens = [rat_mul(rat_mul(inv, X), move) for X in gens]
     _, h02, h12 = _offset_entries(h)
     t_new = QuadNum.rational(p) * h12 - QuadNum.rational(q) * h02
     notes.append(f"m_walk:cusp_excursion;target={p}/{q}")

@@ -19,11 +19,15 @@ Arithmetic is kept lean because the classifiers run it per sequence:
 results are built from parts that are already Fractions by a private
 constructor that reuses the operand's law tuple (only the public
 :meth:`QuadNum.make` validates), equality compares parts instead of
-subtracting, :func:`qmat_mul` sums the rational and tau parts of its
-nonzero terms directly, and :func:`qmat_unipotent_inverse` back-substitutes.
-Two irrational numbers of different fields still refuse to meet, in any of
-these.  The integer helpers :func:`int_det` and :func:`int_inverse` give
-exact determinants and determinant-one inverses of small integer matrices.
+subtracting, and :func:`qmat_unipotent_inverse` back-substitutes.  The one
+matrix product, :func:`qmat_mul`, takes an integer left factor (a
+conjugator or a recorded left factor meeting an offset): it scales the
+rational and tau parts of each nonzero term by an int, with no product for
+a factor of 1 or -1, and passes an integer unit row through as the row of
+the right factor.  Two irrational numbers of different fields still refuse
+to meet, in any of these.  The integer helpers :func:`int_det` (cofactor
+expansion) and :func:`int_inverse` (fraction-free elimination) give exact
+determinants and determinant-one inverses of small integer matrices.
 Integers from outside the program are read by :func:`as_int`, which
 refuses what ``int()`` would truncate, and integer matrices of determinant
 one by :func:`unimodular`.
@@ -332,37 +336,40 @@ def qmat_identity(n: int) -> QMatrix:
     return qmat([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
 
-def qmat_mul(x: QMatrix, y: QMatrix) -> QMatrix:
-    """Exact product.  Each entry sums the rational and tau parts of its
-    nonzero terms directly; fields mix exactly where their scalar
-    operations would (a term or a partial sum joining two irrational
-    numbers of different fields raises ValueError).
+def qmat_mul(g, h: QMatrix) -> QMatrix:
+    """Exact product of an integer matrix g and a QuadNum matrix h.  Each
+    entry sums the rational and tau parts of its nonzero terms, each part
+    scaled by an int (a factor of 1 or -1 takes no product), and a row of g
+    that is a unit vector gives the matching row of h itself; a partial sum
+    joining two irrational numbers of different fields raises ValueError,
+    as the scalar sums would.
 
     >>> t = QuadNum.tau(0, 2)
-    >>> qmat_mul(qmat([[1, t], [0, 1]]), qmat([[t, 0], [1, 1]]))[0][0]
-    QuadNum(0 + 2*tau; tau^2 = 0*tau + 2)
+    >>> qmat_mul(((1, 2), (0, -1)), qmat([[t, 0], [1, t]]))[0]
+    (QuadNum(2 + 1*tau; tau^2 = 0*tau + 2), QuadNum(0 + 2*tau; tau^2 = 0*tau + 2))
     """
-    n, mid, m = len(x), len(y), len(y[0])
-    assert len(x[0]) == mid
+    assert len(g[0]) == len(h)
+    cols = range(len(h[0]))
     out = []
-    for i in range(n):
-        row = x[i]
-        terms = [(row[k], y[k]) for k in range(mid) if row[k].a or row[k].b]
+    for row in g:
+        terms = [(x, h[k]) for k, x in enumerate(row) if x]
+        if len(terms) == 1 and terms[0][0] == 1:
+            out.append(terms[0][1])
+            continue
         out_row = []
-        for j in range(m):
+        for j in cols:
             a = b = _ZERO
             law = None
-            for s, yk in terms:
-                t = yk[j]
-                if not t.a and not t.b:
-                    continue
-                term_law = _join(s.law, t.law)
-                ta, tb = _mul_parts(s.a, s.b, t.a, t.b, term_law)
+            for x, hk in terms:
+                t = hk[j]
+                ta, tb = t.a, t.b
                 if ta:
-                    a += ta
+                    ta = ta if x == 1 else -ta if x == -1 else x * ta
+                    a = a + ta if a else ta
                 if tb:
-                    law = _join(law, term_law)
-                    b += tb
+                    law = _join(law, t.law)
+                    tb = tb if x == 1 else -tb if x == -1 else x * tb
+                    b = b + tb if b else tb
                     if not b:
                         law = None
             out_row.append(QuadNum._of(a, b, law))
@@ -457,24 +464,36 @@ def int_det(m) -> int:
 
 
 def int_inverse(m) -> Tuple[Tuple[int, ...], ...]:
-    """Inverse of a small integer matrix of determinant one: its adjugate,
-    entry (i, j) = (-1)^(i+j) det(m without row j and column i).
+    """Inverse of a small integer matrix of determinant one, by
+    fraction-free (Bareiss) Gauss-Jordan elimination of ``[m | I]`` in
+    Python integers: every division is exact, the left half ends as
+    ``d * I`` with ``d = +-det(m)`` (the sign counts the row swaps), and the
+    right half as ``d * m^-1``.  ValueError unless ``det(m) == 1``.
 
     >>> int_inverse(((2, 1), (1, 1)))
     ((1, -1), (-1, 2))
     """
     rows = _square_int_rows(m)
-    if _cofactor_det(rows) != 1:
-        raise ValueError("int_inverse needs determinant one")
     n = len(rows)
-    if n == 1:
-        return ((1,),)
-
-    def cofactor(i: int, j: int) -> int:
-        minor = [row[:i] + row[i + 1 :] for r, row in enumerate(rows) if r != j]
-        return (-1) ** (i + j) * _cofactor_det(minor)
-
-    return tuple(tuple(cofactor(i, j) for j in range(n)) for i in range(n))
+    aug = [row + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    prev = sign = 1
+    for k in range(n):
+        if not aug[k][k]:
+            piv = next((r for r in range(k + 1, n) if aug[r][k]), None)
+            if piv is None:
+                raise ValueError("int_inverse needs determinant one")
+            aug[k], aug[piv] = aug[piv], aug[k]
+            sign = -sign
+        top = aug[k]
+        p = top[k]
+        for i in range(n):
+            f = aug[i][k]
+            if i != k and (f or p != prev):
+                aug[i] = [(p * a - f * b) // prev for a, b in zip(aug[i], top)]
+        prev = p
+    if sign * prev != 1:
+        raise ValueError("int_inverse needs determinant one")
+    return tuple(tuple(row[n:]) if prev == 1 else tuple(-x for x in row[n:]) for row in aug)
 
 
 def as_int(value) -> int:
@@ -569,8 +588,8 @@ def qmat_unipotent_inverse(x: QMatrix) -> QMatrix:
     """Inverse of I + N with N strictly (upper or lower) triangular, by
     back-substitution (a lower matrix goes through its transpose).
 
-    >>> u = qmat([[1, 2, 3], [0, 1, 5], [0, 0, 1]])
-    >>> qmat_mul(u, qmat_unipotent_inverse(u)) == qmat_identity(3)
+    >>> u = ((1, 2, 3), (0, 1, 5), (0, 0, 1))
+    >>> qmat_mul(u, qmat_unipotent_inverse(qmat(u))) == qmat_identity(3)
     True
     """
     if qmat_is_upper_unitriangular(x):

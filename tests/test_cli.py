@@ -1,5 +1,6 @@
 """Scenario-runner front end: schema validation, dispatch, exit codes."""
 
+import errno
 import hashlib
 import json
 import subprocess
@@ -16,6 +17,7 @@ from escmass.cli import (
     EXIT_INPUT,
     EXIT_NOT_COVERED,
     EXIT_OK,
+    EXIT_WRITE,
     Scenario,
     ScenarioError,
     bundled_scenarios,
@@ -499,6 +501,65 @@ def test_a_closed_error_pipe_keeps_the_exit_code(tmp_path):
         proc.stderr.close()
         assert proc.wait(timeout=120) == EXIT_INPUT
     assert out.read_text() == ""
+
+
+class _FullDisk:
+    """A stream on a full disk: every write raises OSError(ENOSPC)."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def flush(self):
+        pass
+
+
+def test_a_failed_write_exits_1_with_one_error_line(capsys, monkeypatch):
+    """``escmass list-catalog > /dev/full``: a write error other than a
+    closed pipe is one error line naming the stream, and exit code 1; when
+    stderr is the stream that fails, only the exit code is left."""
+    monkeypatch.setattr(sys, "stdout", _FullDisk())
+    assert main(["list-catalog"]) == EXIT_WRITE
+    assert isinstance(sys.stdout, _FullDisk)
+    full = "error: cannot write to stdout: [Errno 28] No space left on device\n"
+    assert capsys.readouterr().err == full
+    assert main(["--help"]) == EXIT_WRITE
+    assert capsys.readouterr().err == full
+    monkeypatch.undo()
+    monkeypatch.setattr(sys, "stderr", _FullDisk())
+    assert main(["run", "no_such_scenario_anywhere"]) == EXIT_WRITE
+    assert isinstance(sys.stderr, _FullDisk)
+
+
+def _refuse_to_sample(*args, **kwargs):
+    raise AssertionError("the run sampled before its --out path was checked")
+
+
+@pytest.mark.parametrize("where", ["existing_file", "beneath_a_file"])
+def test_an_out_path_that_cannot_be_a_directory_exits_4_before_sampling(
+    where, tmp_path, capsys, monkeypatch
+):
+    """``--out`` naming an existing file, or a path beneath one, is refused
+    with one error line naming it and exit code 4, before the run classifies
+    or samples."""
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker if where == "existing_file" else blocker / "dir"
+    monkeypatch.setattr(cli, "run_scenario", _refuse_to_sample)
+    assert main(["run", "sl2_cusp", "--samples", "100", "--out", str(out)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(out) in err
+    assert blocker.read_text() == ""
+
+
+def test_outputs_that_cannot_be_written_exit_1(tmp_path, capsys, monkeypatch):
+    def full_disk(res, out):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(cli, "write_outputs", full_disk)
+    out = tmp_path / "out"
+    assert main(["run", "sl2_cusp", "--samples", "100", "--out", str(out)]) == EXIT_WRITE
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write the outputs to {out}: [Errno 28] No space left on device\n"
 
 
 def test_cli_not_covered_exits_3(tmp_path):

@@ -570,6 +570,15 @@ _maybe_zero = st.one_of(st.just(Fraction(0)), _rationals)
 _quads = st.builds(lambda a, b: QuadNum.make(a, b, TAU2.law), _maybe_zero, _maybe_zero)
 
 
+def _qprod(x, y):
+    """Sum-of-products matrix product in QuadNum arithmetic, the oracle for
+    products whose left factor is not an integer matrix."""
+    return tuple(
+        tuple(sum((x[i][k] * y[k][j] for k in range(len(y))), Z) for j in range(len(y[0])))
+        for i in range(len(x))
+    )
+
+
 def _square(entries, n):
     row = st.lists(entries, min_size=n, max_size=n).map(tuple)
     return st.lists(row, min_size=n, max_size=n).map(tuple)
@@ -601,7 +610,7 @@ def test_weyl_conjugate_matches_product_on_quadnums(X):
     for w in WEYL[len(X)]:
         R = _weyl_rep_exact(w)
         got = _weyl_conjugate(X, w)
-        assert got == qmat_mul(qmat_mul(qmat(tuple(zip(*R))), X), qmat(R))
+        assert got == _qprod(qmat_mul(tuple(zip(*R)), X), qmat(R))
         assert _all_normal_quads(got)
 
 
@@ -621,8 +630,8 @@ def test_theta_lie_matches_j_product(X):
 def test_theta_unipotent_matches_j_product(u01, u02, u12):
     h = upper3(u01, u02, u12)
     got = _theta_unipotent(h)
-    j = qmat(J3)
-    assert got == qmat_mul(qmat_mul(j, tuple(zip(*qmat_unipotent_inverse(h)))), j)
+    j = tuple(tuple(int(x) for x in row) for row in J3)
+    assert got == _qprod(qmat_mul(j, tuple(zip(*qmat_unipotent_inverse(h)))), qmat(j))
     assert _all_normal_quads(got)
 
 
@@ -822,14 +831,15 @@ def test_sl3_corpus_outcomes_do_not_depend_on_cache_order():
 def test_traced_names_are_still_called(monkeypatch):
     """The benchmark's tracer times limits.qmat_mul, limits.levi_sphere and
     limits.locate_chamber by replacing those module names; each must still
-    be resolved there, the wall sphere on a cache miss."""
+    be resolved there, the wall sphere on a cache miss, and the product
+    where a recorded left factor meets an offset."""
     calls = []
     for name in ("qmat_mul", "levi_sphere", "locate_chamber"):
         fn = getattr(escmass.limits, name)
         spy = lambda *args, fn=fn, name=name: calls.append(name) or fn(*args)
         monkeypatch.setattr(escmass.limits, name, spy)
     escmass.limits._levi_walls.cache_clear()
-    recorded = _corpus_sequence(one_param_unipotent(3, (1, 2)), 9, -6, None, RECORDED)
+    recorded = _corpus_sequence(one_param_unipotent(3, (1, 2)), 9, -6, TAU_OFFSET, RECORDED)
     sl3_classify(recorded)
     levi_translate_classify(1, sequence_spec(levi_semisimple_nc(3, 1), [1, 1, -2]))
     sl3_classify(sequence_spec(one_param_unipotent(3, (0, 2)), [0, 3, -3], stage="block_reduced"))
@@ -927,3 +937,46 @@ def test_product_outcomes_are_pinned():
     assert len(outcomes) == 5 * 5 * 9 + 25 * 9 * 9
     text = json.dumps(outcomes, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == PRODUCT_SHA256
+
+
+# Conjugated SL3 sequences: the integer conjugators of the benchmark's exact
+# pool and their inverses, with and without a recorded left factor, over
+# offsets none, 1/2, tau and 1/3, so every shape of the integer-left
+# ingestion product (and the cusp excursion after it) is pinned.
+POOL_CONJUGATORS = (((1, 1, 0), (0, 1, 0), (0, 0, 1)), ((1, 0, 0), (0, 1, 0), (1, 0, 1)))
+POOL_INVERSES = (((1, -1, 0), (0, 1, 0), (0, 0, 1)), ((1, 0, 0), (0, 1, 0), (-1, 0, 1)))
+CONJUGATED_KINDS = (
+    lambda c: one_param_unipotent(3, (0, 1), conjugator=c),
+    lambda c: one_param_unipotent(3, (1, 2), conjugator=c),
+    lambda c: one_param_unipotent(3, (0, 2), conjugator=c),
+    lambda c: full_unipotent_radical(3, [], conjugator=c),
+    lambda c: full_unipotent_radical(3, [0], conjugator=c),
+    lambda c: full_unipotent_radical(3, [1], conjugator=c),
+    lambda c: embedded_sl2(3, 0, conjugator=c),
+    lambda c: embedded_sl2(3, 1, conjugator=c),
+)
+CONJUGATED_OFFSETS = (None, upper3(u12="1/2"), upper3(u12=TAU2), upper3(u01="1/3"))
+# sha256 of the outcomes below, recorded before integer left factors
+# skipped their Q(tau) coercion
+CONJUGATED_SHA256 = "817ed65f535c65447500c75465da8e7588eafb95958eabcef23ac7ba4b097341"
+
+
+def _conjugated_outcomes():
+    out = []
+    for kind in CONJUGATED_KINDS:
+        for conj in POOL_CONJUGATORS + POOL_INVERSES:
+            spec = kind(conj)
+            for a, b in itertools.product(DIRECTION_GRID, DIRECTION_GRID):
+                for offset in CONJUGATED_OFFSETS:
+                    for recorded in (None, RECORDED):
+                        out.append(_outcome(_corpus_sequence(spec, a, b, offset, recorded)))
+    return out
+
+
+def test_conjugated_outcomes_are_pinned():
+    outcomes = _conjugated_outcomes()
+    assert len(outcomes) == 8 * 4 * 16 * 4 * 2
+    notes = [note for o in outcomes if o[0] != "not_covered" for note in o[2]]
+    assert any(note.startswith("m_walk:cusp_excursion") for note in notes)
+    text = json.dumps(outcomes, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == CONJUGATED_SHA256

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 import escmass.qfield as qfield
@@ -81,14 +81,14 @@ def test_comparison_operators():
 
 
 def test_unipotent_matrix_inverse_lower_triangular_too():
-    m = qmat([[1, 0, 0], [5, 1, 0], [7, -2, 1]])
-    assert qmat_mul(m, qmat_unipotent_inverse(m)) == qmat_identity(3)
+    m = ((1, 0, 0), (5, 1, 0), (7, -2, 1))
+    assert qmat_mul(m, qmat_unipotent_inverse(qmat(m))) == qmat_identity(3)
 
 
 def test_unipotent_inverse_with_irrational_entries():
     t = QuadNum.tau(0, 2)
     m = qmat([[1, t, Fraction(1, 2)], [0, 1, t * 3], [0, 0, 1]])
-    assert qmat_mul(qmat_unipotent_inverse(m), m) == qmat_identity(3)
+    assert _old_qmat_mul(qmat_unipotent_inverse(m), m) == qmat_identity(3)
 
 
 # ---------------------------------------------------------------------------
@@ -221,45 +221,54 @@ def test_mixed_fields_raise_exactly_where_they_did(x, y):
 
 
 _shapes = st.tuples(*[st.integers(1, 4)] * 3)
+# integer left factors: 0 and +-1 take the shortcuts, the rest a product
+_int_entries = st.integers(-3, 3)
 
 
 def _factors(entries):
-    """A pair of matrices whose product is defined, of random shapes."""
+    """An integer matrix and a QuadNum matrix whose product is defined, of
+    random shapes."""
     return _shapes.flatmap(
-        lambda s: st.tuples(_matrix(entries, s[0], s[1]), _matrix(entries, s[1], s[2]))
+        lambda s: st.tuples(_matrix(_int_entries, s[0], s[1]), _matrix(entries, s[1], s[2]))
     )
+
+
+def _same_matrix(got, want):
+    return (len(got) == len(want) and all(len(r) == len(w) for r, w in zip(got, want))
+            and all(_same(g, w) for gr, wr in zip(got, want) for g, w in zip(gr, wr)))
 
 
 @seed(20240817)
 @settings(max_examples=40, deadline=None)
 @given(_factors(_scalar))
-def test_qmat_mul_matches_sum_of_products(xy):
-    x, y = xy
-    got, want = qmat_mul(x, y), _old_qmat_mul(x, y)
-    assert len(got) == len(want) and all(len(r) == len(w) for r, w in zip(got, want))
-    assert all(_same(g, w) for gr, wr in zip(got, want) for g, w in zip(gr, wr))
+def test_qmat_mul_matches_sum_of_products(gh):
+    g, h = gh
+    assert _same_matrix(qmat_mul(g, h), _old_qmat_mul(qmat(g), h))
 
 
 @seed(20240817)
 @settings(max_examples=40, deadline=None)
 @given(_factors(_mixed))
-def test_qmat_mul_mixed_fields_raise_exactly_where_they_did(xy):
-    got, want = _outcome(qmat_mul, *xy), _outcome(_old_qmat_mul, *xy)
+def test_qmat_mul_mixed_fields_raise_exactly_where_they_did(gh):
+    g, h = gh
+    got, want = _outcome(qmat_mul, g, h), _outcome(_old_qmat_mul, qmat(g), h)
     if want is ValueError:
         assert got is ValueError
     else:
-        assert all(_same(g, w) for gr, wr in zip(got, want) for g, w in zip(gr, wr))
+        assert _same_matrix(got, want)
 
 
 def test_qmat_mul_refuses_two_fields():
     with pytest.raises(ValueError):
-        qmat_mul(qmat([[ROOT2]]), qmat([[GOLDEN]]))
+        qmat_mul(((1, 1),), qmat([[ROOT2], [GOLDEN]]))
     with pytest.raises(ValueError):
-        qmat_mul(qmat([[ROOT2, 1]]), qmat([[1], [GOLDEN]]))
+        qmat_mul(((2, -1),), qmat([[ROOT2], [GOLDEN]]))
     # a partial sum whose tau part cancels is rational again, as it was for
     # the scalar sums, so a term from another field may follow
-    x, y = qmat([[ROOT2, -ROOT2, GOLDEN]]), qmat([[1], [1], [1]])
-    assert _same(qmat_mul(x, y)[0][0], _old_qmat_mul(x, y)[0][0])
+    g, h = ((1, -1, 1),), qmat([[ROOT2], [ROOT2], [GOLDEN]])
+    assert _same(qmat_mul(g, h)[0][0], _old_qmat_mul(qmat(g), h)[0][0])
+    # a zero column of g skips its row of h, whatever field that row is in
+    assert _same_matrix(qmat_mul(((1, 0),), qmat([[ROOT2], [GOLDEN]])), qmat([[ROOT2]]))
 
 
 def _unitriangular(n, lower):
@@ -284,7 +293,7 @@ def _unitriangular(n, lower):
 def test_unipotent_inverse_matches_neumann_series(x):
     got, want = qmat_unipotent_inverse(x), _old_unipotent_inverse(x)
     assert all(_same(g, w) for gr, wr in zip(got, want) for g, w in zip(gr, wr))
-    assert qmat_mul(x, got) == qmat_identity(len(x))
+    assert _old_qmat_mul(x, got) == qmat_identity(len(x))
 
 
 def test_unipotent_inverse_refuses_other_matrices():
@@ -368,6 +377,58 @@ def test_int_inverse_is_the_inverse(n, ops):
     assert all(type(x) is int for row in inv for x in row)
     prod = [[sum(m[i][k] * inv[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
     assert prod == [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def _cofactor_adjugate(m):
+    """The former int_inverse, kept as the oracle: entry (i, j) of the
+    adjugate is (-1)^(i+j) det(m without row j and column i)."""
+    n = len(m)
+    if n == 1:
+        return ((1,),)
+    return tuple(
+        tuple((-1) ** (i + j) * int_det([row[:i] + row[i + 1:] for r, row in enumerate(m) if r != j])
+              for j in range(n))
+        for i in range(n)
+    )
+
+
+def _det_one_swapped(n, ops, swaps):
+    """_det_one with rows swapped in pairs, one of each pair negated: the
+    determinant stays one, and zero pivots turn up for the elimination."""
+    m = [list(row) for row in _det_one(n, ops)]
+    for i, j in swaps:
+        i, j = i % n, j % n
+        if i != j:
+            m[i], m[j] = m[j], [-x for x in m[i]]
+    return tuple(tuple(row) for row in m)
+
+
+@seed(20240817)
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 4),
+    st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(-4, 4)), max_size=8),
+    st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=3),
+)
+def test_int_inverse_is_the_cofactor_adjugate(n, ops, swaps):
+    m = _det_one_swapped(n, ops, swaps)
+    assert int_det(m) == 1
+    assert int_inverse(m) == _cofactor_adjugate(m)
+
+
+@seed(20240817)
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: _matrix(st.integers(-3, 3), n, n)))
+@example(((-1,),))
+@example(((0, 1), (1, 0)))
+@example(((1, 0, 0), (0, 0, 1), (0, 1, 0)))
+@example(((1, 2, 3), (4, 5, 6), (7, 8, 9)))
+def test_int_inverse_refuses_any_other_determinant(m):
+    if int_det(m) == 1:
+        assert int_inverse(m) == _cofactor_adjugate(m)
+    else:
+        with pytest.raises(ValueError, match="determinant one"):
+            int_inverse(m)
 
 
 def test_rat_inverse_inverts_cartan_matrices_and_refuses_singular_ones():
