@@ -38,9 +38,12 @@ Scenario schema, all exact scalars written as strings::
 Subgroup objects take ``kind`` plus the fields their factory needs:
 ``coordinate`` for one-parameter lines, ``I`` for full radicals, ``block``
 for 2x2 Levi/embedded blocks, ``factors`` for products, and an optional
-integer ``conjugator``.  Matrix entries admit the exact grammar ``"p/q"``,
-``"tau"``, ``"-tau"``, ``"b*tau"`` and ``"a+b*tau"`` against the declared
-law, so irrational offsets stay symbolic all the way into the classifier.
+integer ``conjugator``; any other key exits 4, as an unknown key of the
+scenario, its ``sequence`` or its ``sampling`` does.  Matrix entries admit
+the exact grammar ``"p/q"``, ``"tau"``, ``"-tau"``, ``"b*tau"`` and
+``"a+b*tau"`` against the declared law, so irrational offsets stay symbolic
+all the way into the classifier.  Each ``bounded_part`` matrix must lie in
+SL_n: a determinant other than exactly one in Q(tau) exits 4.
 
 The integer fields are ``n``, ``coordinate``, ``I``, ``block``, the
 entries of ``conjugator`` and ``recorded_conjugator``, ``indices``,
@@ -280,6 +283,12 @@ def _subgroup_from_json(obj) -> SubgroupSpec:
     conj = obj.get("conjugator")
     if kind in ("product", "trivial") and conj is not None:
         raise ScenarioError(f"{kind} subgroups take no conjugator")
+    keys = next((row[1] for row in _CATALOG_ROWS if row[0] == kind), None)
+    if keys is None:
+        raise ScenarioError(f"unknown subgroup kind {kind!r}")
+    stray = set(obj) - keys - {"kind"}
+    if stray:
+        raise ScenarioError(f"unknown {kind} subgroup keys {sorted(stray)}")
     try:
         if kind == "product":
             factors = obj.get("factors")
@@ -297,13 +306,11 @@ def _subgroup_from_json(obj) -> SubgroupSpec:
         if kind == "embedded_sl2":
             block = _finite(obj.get("block", 0), as_int, "block")
             return embedded_sl2(n, block, conjugator=conj)
-        if kind == "trivial":
-            return trivial_subgroup(n)
+        return trivial_subgroup(n)
     except ScenarioError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioError(f"bad subgroup description: {exc}") from exc
-    raise ScenarioError(f"unknown subgroup kind {kind!r}")
 
 
 def scenario_from_json(doc, fallback_name: str = "scenario") -> Scenario:
@@ -686,39 +693,47 @@ def cmd_run(args) -> int:
     return EXIT_OK if res.ok else EXIT_DISAGREE
 
 
+# per kind: the keys a subgroup object may give besides "kind", then what
+# list-catalog prints
 _CATALOG_ROWS = (
     (
         "full_unipotent_radical",
+        frozenset({"n", "I", "conjugator"}),
         "n <= 4",
         "uniform box on the radical coordinates",
         "3x3 walk (raw or block_reduced stage)",
     ),
     (
         "levi_semisimple_nc",
+        frozenset({"n", "block", "conjugator"}),
         "n in {3,4}",
         "Haar on the 2x2 block via its Iwasawa box",
         "twisted-wall escape test",
     ),
     (
         "embedded_sl2",
+        frozenset({"n", "block", "conjugator"}),
         "n <= 4",
         "Haar on the 2x2 block via its Iwasawa box",
         "bounded factor atom in products",
     ),
     (
         "one_param_unipotent",
+        frozenset({"n", "coordinate", "conjugator"}),
         "n <= 4",
         "uniform box on the line parameter",
         "3x3 walk; escape/bounded factor atom",
     ),
     (
         "trivial",
+        frozenset({"n"}),
         "n <= 4",
         "point mass at the identity",
         "offset excursion atom in products",
     ),
     (
         "product",
+        frozenset({"factors"}),
         "2x2 factors",
         "independent per-factor sampling",
         "per-factor escape atoms, joined",
@@ -729,7 +744,7 @@ _CATALOG_ROWS = (
 def cmd_list_catalog(_args) -> int:
     width = max(len(row[0]) for row in _CATALOG_ROWS)
     print("subgroup catalog:")
-    for kind, size, sampler, coverage in _CATALOG_ROWS:
+    for kind, _keys, size, sampler, coverage in _CATALOG_ROWS:
         print(f"  {kind:<{width}}  {size:<11} {sampler}")
         print(f"  {'':<{width}}  {'':<11} classifier: {coverage}")
     print()
@@ -756,7 +771,10 @@ def _random_group(rng: np.random.Generator, n: int) -> GroupElement:
 
 
 def cmd_verify(args) -> int:
-    trials = max(1, args.trials)
+    trials = args.trials
+    if trials < 1:
+        print("error: --trials must be positive", file=sys.stderr)
+        return EXIT_INPUT
     rng = np.random.default_rng(8128)
     print(f"identity checks, {trials} trials per group size")
     failed = False

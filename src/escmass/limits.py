@@ -50,6 +50,7 @@ from .measures import SubgroupSpec, lie_generators, one_param_unipotent
 from .qfield import (
     QMatrix,
     QuadNum,
+    _cofactor_det,
     as_int,
     int_inverse,
     qmat,
@@ -122,10 +123,11 @@ class SequenceSpec:
 
     ``direction`` is an ambient exponent vector (summing to zero on each
     factor), so the torus part at evaluation index n is ``exp(n*direction)``.
-    ``bounded_part`` is a fixed offset with entries in Q(tau), stored as one
-    QMatrix per factor (None means the identity; the string ``"bounded"``
-    records an offset known only to be bounded -- branches that must read
-    its entries then refuse).  ``conjugator_policy`` is ``"identity"`` or
+    ``bounded_part`` is a fixed offset in SL_n(Q(tau)), stored as one
+    QMatrix of determinant one per factor (None means the identity; the
+    string ``"bounded"`` records an offset known only to be bounded --
+    branches that must read its entries then refuse).
+    ``conjugator_policy`` is ``"identity"`` or
     ``"recorded"``; a recorded integer left factor, stored as one integer
     matrix per factor, is struck out during ingestion, which is what makes
     classification insensitive to it.  A single-factor spec may be given
@@ -164,13 +166,8 @@ class SequenceSpec:
         if self.stage not in ("raw", "block_reduced"):
             raise ValueError(f"unknown stage {self.stage!r}")
         if self.bounded_part is not None and self.bounded_part != "bounded":
-            bounded = _per_factor(self.subgroup, self.bounded_part, "bounded part",
-                                  lambda m, n, what: qmat(square_rows(m, n, what)))
+            bounded = _per_factor(self.subgroup, self.bounded_part, "bounded part", _offset)
             object.__setattr__(self, "bounded_part", bounded)
-
-    @property
-    def rs(self) -> RootSystem:
-        return root_system_for(self.subgroup)
 
 
 def _per_factor(spec: SubgroupSpec, mats, what: str, read) -> tuple:
@@ -185,6 +182,20 @@ def _per_factor(spec: SubgroupSpec, mats, what: str, read) -> tuple:
     if not listed or len(mats) != r:
         raise ValueError(f"{what} must list one {n}x{n} matrix per factor, {r} in all")
     return tuple(read(m, n, what) for m in mats)
+
+
+def _offset(m, n: int, what: str) -> QMatrix:
+    """m as an n x n QuadNum matrix in SL_n: its exact determinant in Q(tau)
+    must be one; ValueError naming what otherwise.  An upper unitriangular
+    m, the normal position, takes no cofactor expansion."""
+    h = qmat(square_rows(m, n, what))
+    if qmat_is_upper_unitriangular(h):
+        return h
+    det = _cofactor_det(h)
+    if det != 1:
+        shown = det.a if det.is_rational() else f"{det.a} + {det.b}*tau"
+        raise ValueError(f"{what} must have determinant one, not {shown}")
+    return h
 
 
 # SequenceSpec coerces plain-Python arguments itself

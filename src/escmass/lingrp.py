@@ -58,9 +58,6 @@ class GroupElement:
     def inv(self) -> "GroupElement":
         return GroupElement(_freeze(np.linalg.inv(self.mat)))
 
-    def __matmul__(self, other: "GroupElement") -> "GroupElement":
-        return GroupElement(_freeze(self.mat @ other.mat))
-
     def __repr__(self) -> str:
         return f"GroupElement(n={self.n})"
 

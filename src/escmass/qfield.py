@@ -7,7 +7,7 @@ irrational).  This is just enough field arithmetic for the limit classifiers
 to decide, exactly, the questions they ask about bounded matrix entries:
 
 * is this entry rational?  (``b == 0``)
-* is it zero / positive / negative?
+* is it zero?
 * which float does it ingest as?  (for building numeric matrices)
 
 Numbers in a real quadratic field have eventually periodic continued
@@ -38,8 +38,6 @@ Fraction(1, 1)
 >>> root2 = QuadNum.tau(0, 2)             # tau**2 = 2
 >>> (root2 * root2).as_fraction()
 Fraction(2, 1)
->>> (root2 - Fraction(3, 2)).sign()       # sqrt(2) < 3/2
--1
 >>> (QuadNum.one() / (golden + 1)).is_rational()
 False
 """
@@ -122,7 +120,8 @@ class QuadNum:
     def tau(p: RationalLike, q: RationalLike) -> "QuadNum":
         """The larger root of x**2 = p*x + q.
 
-        >>> QuadNum.tau(0, 2) ** 2 == QuadNum.rational(2)
+        >>> t = QuadNum.tau(0, 2)
+        >>> t * t == QuadNum.rational(2)
         True
         """
         p, q = Fraction(p), Fraction(q)
@@ -228,18 +227,6 @@ class QuadNum:
     def __rtruediv__(self, other: ScalarLike) -> "QuadNum":
         return self._coerce(other) * self.inverse()
 
-    def __pow__(self, k: int) -> "QuadNum":
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = QuadNum.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
             return not self.b and self.a == other
@@ -269,38 +256,6 @@ class QuadNum:
     def _tau_float(self) -> float:
         p, q = self.law  # type: ignore[misc]
         return (float(p) + math.sqrt(float(p * p + 4 * q))) / 2.0
-
-    def sign(self) -> int:
-        """Exact sign in {-1, 0, 1}; tau is the larger root, so tau > p/2.
-
-        sign(a + b*tau) with tau = (p + sqrt(D))/2, D = p^2 + 4q reduces to
-        the sign of c + b*sqrt(D) with c = 2a + b p, decided by comparing
-        c^2 against b^2 D.
-        """
-        if self.b == 0:
-            return (self.a > 0) - (self.a < 0)
-        p, q = self.law  # type: ignore[misc]
-        disc = p * p + 4 * q
-        c = 2 * self.a + self.b * p
-        if self.b > 0:
-            if c >= 0:
-                return 1
-            return 1 if self.b * self.b * disc > c * c else -1
-        if c <= 0:
-            return -1
-        return -1 if self.b * self.b * disc > c * c else 1
-
-    def __lt__(self, other: ScalarLike) -> bool:
-        return (self - other).sign() < 0
-
-    def __le__(self, other: ScalarLike) -> bool:
-        return (self - other).sign() <= 0
-
-    def __gt__(self, other: ScalarLike) -> bool:
-        return (self - other).sign() > 0
-
-    def __ge__(self, other: ScalarLike) -> bool:
-        return (self - other).sign() >= 0
 
     def __float__(self) -> float:
         if self.b == 0:
@@ -431,7 +386,9 @@ def rat_inverse(m):
     return tuple(tuple(row[n:]) for row in aug)
 
 
-def _cofactor_det(m: List[List[int]]) -> int:
+def _cofactor_det(m):
+    """Determinant of a small square matrix by cofactor expansion; it needs
+    only +, - and * of the entries, so it is exact on ints and QuadNums."""
     n = len(m)
     if n == 1:
         return m[0][0]
@@ -560,9 +517,17 @@ def qmat_is_upper_unitriangular(x: QMatrix) -> bool:
     return True
 
 
-def _upper_unitriangular_inverse(x: QMatrix) -> QMatrix:
-    """Back-substitution: row i of the inverse V of an upper unitriangular
-    U is fixed by V[i][j] = -(U[i][j] + sum_{i<k<j} U[i][k] V[k][j])."""
+def qmat_unipotent_inverse(x: QMatrix) -> QMatrix:
+    """Inverse of an upper unitriangular matrix U, by back-substitution: row
+    i of the inverse V is fixed by V[i][j] = -(U[i][j] + sum_{i<k<j} U[i][k]
+    V[k][j]).
+
+    >>> u = ((1, 2, 3), (0, 1, 5), (0, 0, 1))
+    >>> qmat_mul(u, qmat_unipotent_inverse(qmat(u))) == qmat_identity(3)
+    True
+    """
+    if not qmat_is_upper_unitriangular(x):
+        raise ValueError("not an upper unitriangular matrix")
     n = len(x)
     zero, one = QuadNum.zero(), QuadNum.one()
     inv = [None] * n
@@ -578,23 +543,3 @@ def _upper_unitriangular_inverse(x: QMatrix) -> QMatrix:
             row[j] = -acc
         inv[i] = tuple(row)
     return tuple(inv)
-
-
-def _transpose(x: QMatrix) -> QMatrix:
-    return tuple(zip(*x))
-
-
-def qmat_unipotent_inverse(x: QMatrix) -> QMatrix:
-    """Inverse of I + N with N strictly (upper or lower) triangular, by
-    back-substitution (a lower matrix goes through its transpose).
-
-    >>> u = ((1, 2, 3), (0, 1, 5), (0, 0, 1))
-    >>> qmat_mul(u, qmat_unipotent_inverse(qmat(u))) == qmat_identity(3)
-    True
-    """
-    if qmat_is_upper_unitriangular(x):
-        return _upper_unitriangular_inverse(x)
-    if qmat_is_upper_unitriangular(_transpose(x)):
-        return _transpose(_upper_unitriangular_inverse(_transpose(x)))
-    raise ValueError("not a unitriangular matrix")
-

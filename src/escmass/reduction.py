@@ -413,28 +413,29 @@ def reduce_siegel_batched(
 # bounded enumeration of the integer group
 
 
-_ENUM_BUDGET = {2: 30, 3: 10, 4: 1}
+# the most candidate matrices enumerate_gamma tries: well under a second
+_ENUM_CANDIDATES = 100_000
 
 
 def enumerate_gamma(n: int, height: int) -> Iterator[np.ndarray]:
-    """All integer matrices of determinant one with max |entry| <= height,
-    each exactly once, as int64 arrays.  The height budget guards runtime;
-    exceeding it reports truncation rather than attempting the search.
+    """All integer n x n matrices of determinant one with max |entry| <=
+    height, each exactly once, as int64 arrays.  It tries every one of the
+    (2 * height + 1) ** (n * n) candidates, so it refuses with ValueError
+    more than ``_ENUM_CANDIDATES`` of them (n = 2 up to height 8, n = 3 at
+    height 1) rather than run for minutes or return a truncated search.
 
     >>> sum(1 for _ in enumerate_gamma(2, 1))
     20
     """
-    if n not in _ENUM_BUDGET:
-        raise ValueError(f"enumeration supports n in {sorted(_ENUM_BUDGET)}")
-    if height > _ENUM_BUDGET[n]:
-        raise ValueError(
-            f"height {height} exceeds the n={n} budget {_ENUM_BUDGET[n]}; "
-            "results would be truncated"
-        )
     if height < 1:
         return
     side = 2 * height + 1
     total = side ** (n * n)
+    if total > _ENUM_CANDIDATES:
+        raise ValueError(
+            f"height {height} at n={n} gives {total} candidates, above the budget "
+            f"{_ENUM_CANDIDATES}; results would be truncated"
+        )
     chunk = 1 << 18
     offsets = np.arange(n * n, dtype=np.int64)
     for start in range(0, total, chunk):

@@ -176,18 +176,6 @@ class WeylElement:
             inv_perms.append(tuple(inv))
         return WeylElement(self.system, tuple(inv_perms))
 
-    def compose(self, other: "WeylElement") -> "WeylElement":
-        """self ∘ other (apply other first)."""
-        if self.system != other.system:
-            raise ValueError("mismatched systems")
-        return WeylElement(
-            self.system,
-            tuple(
-                tuple(p[q[i]] for i in range(len(p)))
-                for p, q in zip(self.perms, other.perms)
-            ),
-        )
-
     def act(self, v: Vector) -> Vector:
         if len(v) != self.system.ambient_dim:
             raise ValueError("ambient vector expected")

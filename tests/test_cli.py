@@ -657,6 +657,70 @@ def test_misshapen_matrices_and_index_lists_exit_4_naming_the_field(tmp_path, ca
         assert f"error: {message}" in capsys.readouterr().err
 
 
+def _run_doc(doc, tmp_path):
+    p = tmp_path / "scenario.json"
+    p.write_text(json.dumps(doc))
+    return main(["run", str(p), "--jobs", "1"])
+
+
+def test_subgroup_objects_refuse_unknown_keys(tmp_path, capsys):
+    """A misspelt or foreign subgroup key exits 4 naming it, as an unknown
+    key of the scenario, its sequence or its sampling does, instead of
+    being dropped; a conjugator on a product or trivial subgroup keeps its
+    own message."""
+    trivial = {"kind": "trivial", "n": 2}
+    cases = [
+        ({"kind": "embedded_sl2", "n": 3, "blok": 1}, ["1", "0", "-1"],
+         "unknown embedded_sl2 subgroup keys ['blok']"),
+        ({"kind": "product", "factors": [{**trivial, "I": [0]}]}, ["1", "-1"],
+         "unknown trivial subgroup keys ['I']"),
+        ({"kind": "product", "n": 2, "factors": [trivial]}, ["1", "-1"],
+         "unknown product subgroup keys ['n']"),
+        ({"kind": "one_param_unipotent", "n": 3, "coordinate": [0, 1], "block": 0,
+          "factors": []}, ["1", "0", "-1"],
+         "unknown one_param_unipotent subgroup keys ['block', 'factors']"),
+        ({"kind": "product", "factors": [trivial], "conjugator": [[1, 1], [0, 1]]}, ["1", "-1"],
+         "product subgroups take no conjugator"),
+        ({"kind": "trivial", "n": 3, "conjugator": [[1, 1], [0, 1]], "blok": 1},
+         ["1", "0", "-1"], "trivial subgroups take no conjugator"),
+        ({"kind": "parabolic", "n": 3}, ["1", "0", "-1"], "unknown subgroup kind 'parabolic'"),
+    ]
+    for subgroup, direction, message in cases:
+        doc = _doc()
+        doc["sequence"].update(subgroup=subgroup, direction=direction)
+        assert _run_doc(doc, tmp_path) == EXIT_INPUT, message
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_offsets_outside_sl_n_exit_4_naming_the_bounded_part(tmp_path, capsys):
+    """Each bounded_part factor must have determinant exactly one in
+    Q(tau): a singular offset used to end in a traceback, and one of
+    determinant -1 or tau in a run whose histograms meant nothing.  A
+    determinant-one offset outside the normal position still exits 3."""
+    product = {"kind": "product", "factors": [{"kind": "embedded_sl2", "n": 2},
+                                              {"kind": "trivial", "n": 2}]}
+    identity = [["1", "0"], ["0", "1"]]
+    cases = [
+        (product, [identity, [["0", "0"], ["0", "0"]]], "0"),
+        (product, [identity, [["0", "1"], ["1", "0"]]], "-1"),
+        (product, [[["1", "0"], ["1", "tau"]], identity], "0 + 1*tau"),
+        ({"kind": "one_param_unipotent", "n": 3, "coordinate": [0, 1]},
+         [["2", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]], "2"),
+    ]
+    for subgroup, offset, det in cases:
+        n = 3 if subgroup["kind"] != "product" else 4
+        doc = _doc(tau_law=["0", "2"])
+        doc["sequence"].update(subgroup=subgroup, bounded_part=offset,
+                               direction=["1", "0", "-1"] if n == 3 else ["2", "-2", "-2", "2"])
+        assert _run_doc(doc, tmp_path) == EXIT_INPUT, det
+        message = f"error: bad sequence: bounded part must have determinant one, not {det}\n"
+        assert capsys.readouterr().err == message
+    doc = _doc()
+    doc["sequence"].update(bounded_part=[["1", "0", "0"], ["1/3", "1", "0"], ["0", "0", "1"]],
+                           direction=["9", "-6", "-3"])
+    assert _run_doc(doc, tmp_path) == EXIT_NOT_COVERED
+
+
 def test_integral_floats_and_integer_strings_still_load():
     """Integers written as integral floats or as integer strings read as the
     integers they spell, down to the same sequence."""
@@ -904,3 +968,12 @@ def test_cli_verify_identities():
     r = _run_cli("verify-identities", "--trials", "5")
     assert r.returncode == EXIT_OK
     assert "all identities hold" in r.stdout
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_cli_verify_identities_refuses_no_trials(trials, capsys):
+    """No trial checks nothing, so it is refused rather than run as one."""
+    assert main(["verify-identities", "--trials", trials]) == EXIT_INPUT
+    out = capsys.readouterr()
+    assert out.err == "error: --trials must be positive\n"
+    assert out.out == ""

@@ -8,6 +8,7 @@ import hashlib
 import itertools
 import json
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -192,6 +193,22 @@ def test_non_integral_conjugators_are_refused_not_truncated():
         SequenceSpec(line, [9, -6, -3], indices=(1, 1.5))
     with pytest.raises(ValueError, match="bounded part must list one 2x2 matrix per factor"):
         SequenceSpec(product_subgroup([trivial_subgroup(2)] * 2), [1, -1, 0, 0], bounded_part=5)
+
+
+def test_offsets_must_lie_in_sl_n():
+    """The determinant of each offset factor is exact in Q(tau): one, and
+    only one, is accepted."""
+    t = QuadNum.tau(0, 2)
+    pair = product_subgroup([trivial_subgroup(2)] * 2)
+    ok = SequenceSpec(pair, [1, -1, 0, 0], bounded_part=(((t, 1), (1, t)), upper2("1/2")))
+    assert ok.bounded_part[0] == qmat(((t, 1), (1, t)))
+    for offset, det in ((((t, 1), (1, 1)), "-1 + 1*tau"), (((0, 0), (0, 0)), "0"),
+                        (((2, 0), (0, Fraction(1, 3))), "2/3")):
+        with pytest.raises(ValueError, match=re.escape(f"must have determinant one, not {det}")):
+            SequenceSpec(pair, [1, -1, 0, 0], bounded_part=(upper2(), offset))
+    with pytest.raises(ValueError, match="determinant one, not -1"):
+        SequenceSpec(one_param_unipotent(3, (0, 1)), [1, 0, -1],
+                     bounded_part=((0, 1, 0), (1, 0, 0), (0, 0, 1)))
 
 
 # ---------------------------------------------------------------------------

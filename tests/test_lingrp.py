@@ -578,7 +578,7 @@ def test_d_function_conjugated_flag():
         assert abs(d_function(Pg, GroupElement(np.eye(2))) - 1.0) < 1e-12
         for _ in range(5):
             g = random_sl(2)
-            expected = d_function(P, g @ gamma) / d_function(P, gamma)
+            expected = d_function(P, GroupElement(g.mat @ gamma.mat)) / d_function(P, gamma)
             assert abs(d_function(Pg, g) - expected) < 1e-9 * expected
 
 

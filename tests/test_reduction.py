@@ -901,6 +901,17 @@ def test_enumerate_gamma_trivia():
         next(enumerate_gamma(5, 1))
 
 
+def test_enumerate_gamma_budget_bounds_the_candidate_count():
+    """The budget counts the (2h + 1)^(n^2) candidates: the heights in use
+    stay allowed, and n = 3 at height 2 (1.95M candidates) or n = 4 at
+    height 1 (43M) is refused before any is tried."""
+    assert sum(1 for _ in enumerate_gamma(2, 6)) == len(brute_force_sl_count(2, 6)[1])
+    assert next(enumerate_gamma(3, 1)).shape == (3, 3)
+    for n, height in ((3, 2), (4, 1), (2, 9)):
+        with pytest.raises(ValueError, match="candidates, above the budget"):
+            next(enumerate_gamma(n, height))
+
+
 def test_format_columnar():
     """Reduced points are written in columns by cli.points_text."""
     mats = np.stack([np.eye(2), [[1.0, 5.0], [0.0, 1.0]]])

@@ -200,7 +200,9 @@ def test_locate_chamber_partition_and_equivariance(raw, perm):
     assert len(matches) == 1 and matches[0].key() == face.key()
     w = rootsys.WeylElement(rs, (perm,))
     moved = locate_chamber(rs, w.act(v))
-    assert moved.key() == canonical_face(w.compose(face.w), face.I).key()
+    # w after face.w, in one-line form: i -> perm[face.w(i)]
+    composed = rootsys.WeylElement(rs, (tuple(perm[j] for j in face.w.perms[0]),))
+    assert moved.key() == canonical_face(composed, face.I).key()
 
 
 def test_levi_sphere_a2_wall_has_two_maximal_faces():

@@ -14,12 +14,21 @@ from escmass.cli import load_scenario, run_scenario, write_outputs
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 
-@pytest.fixture(scope="module")
-def bundled_digests():
-    spec = importlib.util.spec_from_file_location("bundled_digests", TOOLS / "bundled_digests.py")
+def _tool(name):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="module")
+def bundled_digests():
+    return _tool("bundled_digests")
+
+
+@pytest.fixture(scope="module")
+def reach():
+    return _tool("reach")
 
 
 def test_bundled_digests_print_every_output_file_but_meta(bundled_digests, capsys, tmp_path):
@@ -54,3 +63,30 @@ def test_bundled_digests_fail_when_the_job_counts_differ(bundled_digests, capsys
     monkeypatch.setattr(bundled_digests, "run_scenario", run_by_jobs)
     assert bundled_digests.main(["--scenario", "sl2_mixed", "--samples", "2048"]) == 1
     assert "sl2_mixed: --jobs 1 and --jobs 3 differ" in capsys.readouterr().err
+
+
+def test_reach_lists_what_a_run_never_enters(reach):
+    """The trace of one small run, with the other commands and no corpus,
+    never enters delta_truncated, and enters the sampling loop."""
+    unreached = reach.trace(["sl2_mixed"], samples=1024, seeds=())
+    assert "limits.delta_truncated" in unreached
+    assert "measures.stream_measures" not in unreached
+    assert "cli.cmd_verify" not in unreached
+    assert set(unreached) <= set(reach.package_functions().values())
+
+
+def test_reach_report_fails_on_a_stale_or_short_keep_list(reach):
+    """Exit 0 only when every unreached function is kept and every kept
+    name is a package function that was not entered."""
+    unreached = ["limits.delta_truncated", "limits.ma_split"]
+    keep = {name: "why" for name in unreached}
+    lines, code = reach.report(unreached, keep)
+    assert code == 0
+    assert lines[0].startswith("never entered: 2 of ")
+    assert lines[1].split() == ["limits.delta_truncated", "why"]
+    assert reach.report(unreached, {"limits.delta_truncated": "why"}) == (
+        lines[:2] + [lines[2].replace("why", "NOT ON THE KEEP-LIST")], 1)
+    lines, code = reach.report(unreached, {**keep, "measures.stream_measures": "why"})
+    assert (code, lines[-1]) == (1, "kept but entered: measures.stream_measures")
+    lines, code = reach.report(unreached, {**keep, "qfield.QuadNum.sign": "why"})
+    assert (code, lines[-1]) == (1, "kept but no such function: qfield.QuadNum.sign")
