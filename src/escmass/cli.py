@@ -63,7 +63,6 @@ import math
 import random
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext, suppress
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -153,8 +152,15 @@ _MIXED_RE = re.compile(r"(?P<head>[+-]?\d+(?:/\d+)?)(?P<rest>[+-].*)")
 
 
 def _fraction(text) -> Fraction:
+    """The Fraction that text spells; an integer of ASCII digits, with or
+    without a minus sign, is read by int(), which reads it as Fraction
+    would."""
+    s = str(text).strip()
+    digits = s[1:] if s[:1] == "-" else s
+    if digits.isascii() and digits.isdigit():
+        return Fraction(int(s))
     try:
-        return Fraction(str(text).strip())
+        return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise ScenarioError(f"bad rational value {text!r}") from exc
 
@@ -164,7 +170,7 @@ def parse_entry(text, tau: Optional[QuadNum]) -> QuadNum:
     or an int; a bool (JSON ``true``, ``false``) is refused, not read as 1
     or 0."""
     if isinstance(text, int) and not isinstance(text, bool):
-        return QuadNum.rational(Fraction(text))
+        return QuadNum.rational(text)
     if not isinstance(text, str):
         raise ScenarioError(f"matrix entries must be strings or ints, got {text!r}")
     s = text.replace(" ", "")
@@ -187,6 +193,8 @@ def parse_entry(text, tau: Optional[QuadNum]) -> QuadNum:
         b = _fraction(head[:-1])
     else:
         raise ScenarioError(f"cannot parse entry {text!r}")
+    if not a and b == 1:
+        return tau
     return QuadNum.rational(a) + QuadNum.rational(b) * tau
 
 
@@ -218,7 +226,8 @@ def _check_count(count: int, spec, field: str) -> None:
     if count < 1:
         raise ScenarioError(f"{field} must be positive")
     r, n = spec.shape
-    if count * r * max(n, n * (n - 1) // 2) * 8 > np.iinfo(np.intp).max:
+    # sys.maxsize is the largest Py_ssize_t, which numpy's intp matches
+    if count * r * max(n, n * (n - 1) // 2) * 8 > sys.maxsize:
         raise ScenarioError(f"{field} {count} is too large for the coordinate arrays")
 
 
@@ -227,16 +236,23 @@ def _check_seed(seed: int, field: str) -> None:
         raise ScenarioError(f"{field} must be non-negative")
 
 
-def _parse_entries(obj, tau: Optional[QuadNum]):
+def _parse_entries(obj, tau: Optional[QuadNum], seen: Dict[str, QuadNum]):
     """The exact entries of a bounded_part value, nested as in the scenario,
-    each a finite float; its shape is SequenceSpec's to check."""
+    each a finite float; its shape is SequenceSpec's to check.  Each
+    distinct string is read and checked once per scenario: ``seen`` holds
+    what it read."""
     if isinstance(obj, list):
-        return [_parse_entries(x, tau) for x in obj]
+        return [_parse_entries(x, tau, seen) for x in obj]
+    text = obj if type(obj) is str else None
+    if text is not None and text in seen:
+        return seen[text]
     try:
         x = parse_entry(obj, tau)
     except ScenarioError as exc:
         raise ScenarioError(f"bad bounded_part entry: {exc}") from exc
     _finite(x, float, "bounded_part", obj)
+    if text is not None:
+        seen[text] = x
     return x
 
 
@@ -283,7 +299,7 @@ def _subgroup_from_json(obj) -> SubgroupSpec:
     conj = obj.get("conjugator")
     if kind in ("product", "trivial") and conj is not None:
         raise ScenarioError(f"{kind} subgroups take no conjugator")
-    keys = next((row[1] for row in _CATALOG_ROWS if row[0] == kind), None)
+    keys = _KIND_KEYS.get(kind) if isinstance(kind, str) else None
     if keys is None:
         raise ScenarioError(f"unknown subgroup kind {kind!r}")
     stray = set(obj) - keys - {"kind"}
@@ -353,7 +369,7 @@ def scenario_from_json(doc, fallback_name: str = "scenario") -> Scenario:
         _finite(x, float, "direction", text)
     bounded = seq_doc.get("bounded_part")
     if bounded is not None and bounded != "bounded":
-        bounded = _parse_entries(bounded, tau)
+        bounded = _parse_entries(bounded, tau, {})
     try:
         seq = sequence_spec(
             spec,
@@ -500,6 +516,8 @@ def run_scenario(scn: Scenario, jobs: int = 1) -> RunResult:
     translates = [sequence_translate(scn.sequence, idx) for idx in indices]
     times = SamplingTimes()
     parallel = jobs > 1 and len(indices) > 1
+    if parallel:  # imported here: concurrent.futures brings in logging
+        from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(min(jobs, len(indices))) if parallel else nullcontext() as pool:
         streamed = stream_measures(
             scn.sequence.subgroup, translates, scn.count, scn.seed, scn.t_sweep,
@@ -739,6 +757,10 @@ _CATALOG_ROWS = (
         "per-factor escape atoms, joined",
     ),
 )
+
+
+# the keys of each kind, looked up by the scenario reader
+_KIND_KEYS = {row[0]: row[1] for row in _CATALOG_ROWS}
 
 
 def cmd_list_catalog(_args) -> int:

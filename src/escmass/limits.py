@@ -41,7 +41,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, List, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -114,7 +114,14 @@ def _not_covered(msg: str) -> "NotCoveredError":
 
 
 def root_system_for(spec: SubgroupSpec) -> RootSystem:
-    return build_product([f.n for f in spec.parts])
+    return _root_system(tuple(f.n for f in spec.parts))
+
+
+@lru_cache(maxsize=64)
+def _root_system(ns: Tuple[int, ...]) -> RootSystem:
+    """The product root system of the factor sizes ns, built once; a
+    product's factor count comes from the input, so the cache is bounded."""
+    return build_product(ns)
 
 
 @dataclass(frozen=True)
@@ -435,13 +442,23 @@ def ma_split(v: Sequence, I: Sequence[int], rs: RootSystem):
 # ingestion shared by the big classifiers
 
 
+@lru_cache(maxsize=256)
+def _stripped(spec: SubgroupSpec) -> Tuple[SubgroupSpec, IntMatrix, QMatrix]:
+    """(spec without its conjugator, the conjugator's integer inverse, that
+    inverse as a QMatrix), once per conjugated subgroup.  The key carries a
+    conjugator from the input, so the cache is bounded."""
+    g = int_inverse(spec.conjugator)
+    return dataclasses.replace(spec, conjugator=None), g, qmat(g)
+
+
 def _strip_conjugation(seq: SequenceSpec, f: int = 0):
     """Normalize (conjugated subgroup, recorded left factor, offset) of
     factor f to the catalog position: the orbit identity
     ``mu_{gHg^-1, x} = mu_{H, g^-1 x}`` for integer g absorbs the subgroup
     conjugator, and a recorded left factor cancels against the integer
     lattice.  Returns (plain factor spec, effective offset QMatrix |
-    "bounded", ingestion notes)."""
+    "bounded", ingestion notes).  The plain spec and the conjugator's
+    inverse come from :func:`_stripped`."""
     spec = seq.subgroup.parts[f]
     notes: List[str] = []
     h = seq.bounded_part
@@ -457,9 +474,8 @@ def _strip_conjugation(seq: SequenceSpec, f: int = 0):
         h_eff = qmat(g) if h_eff is None else qmat_mul(g, h_eff)
         notes.append("ingest:recorded_left_factor")
     if spec.conjugator is not None:
-        g = int_inverse(spec.conjugator)
-        h_eff = qmat(g) if h_eff is None else qmat_mul(g, h_eff)
-        spec = dataclasses.replace(spec, conjugator=None)
+        spec, g, g_q = _stripped(spec)
+        h_eff = g_q if h_eff is None else qmat_mul(g, h_eff)
         notes.append("ingest:subgroup_conjugator_absorbed")
     return spec, qmat_identity(spec.n) if h_eff is None else h_eff, notes
 
@@ -512,23 +528,50 @@ def _plain_generators(spec: SubgroupSpec) -> Tuple[IntMatrix, ...]:
     return tuple(lie_generators(spec))
 
 
+# the upper positions of a 3x3 matrix, in the order the walks read them
+_UPPER3 = ((0, 1), (0, 2), (1, 2))
+
+
+class _Witness(NamedTuple):
+    """One witness candidate of a stripped catalog subgroup: a Weyl twist
+    ``w`` (one-line form ``p``) and a ``wall`` whose parabolic holds the
+    twisted group."""
+
+    form: Tuple[int, ...]  # escape rate on the untwisted direction (_cross_rate_form)
+    kept: int  # bit k set when the twist keeps _UPPER3[k] upper
+    wall: int
+    p: Tuple[int, ...]
+    w: WeylElement
+    gens: Tuple[IntMatrix, ...]  # the twisted generators
+
+
 @lru_cache(maxsize=None)
-def _witness_walls(spec: SubgroupSpec):
+def _witness_walls(spec: SubgroupSpec) -> Tuple[_Witness, ...]:
     """The part of the level-G scan that depends only on the (stripped)
-    catalog subgroup: every (w, one-line p, wall, twisted generators, rate
-    form) with the w-twisted group inside the wall parabolic, in scan order;
-    the rate form gives the escape rate on the untwisted direction
-    (:func:`_cross_rate_form`)."""
+    catalog subgroup: every (w, wall) with the w-twisted group inside the
+    wall parabolic, already in preference order (wall alpha2 first, then
+    the lexicographically least twist).  Each entry carries its twist's
+    position map as the bits of the upper offset positions the twist keeps
+    upper, which is all the offset test reads."""
     gens = _plain_generators(spec)
     out = []
     for w in weyl_elements(build_type_a(3)):
         gens_c = tuple(_weyl_conjugate(X, w) for X in gens)
         p = w.one_line()
+        pos = [p.index(k) for k in range(3)]
+        kept = sum(1 << k for k, (r, c) in enumerate(_UPPER3) if pos[r] < pos[c])
         for wall in (1, 0):
             P = _wall_parabolic(3, wall)
             if all(_lie_fits(X, P) for X in gens_c):
-                out.append((w, p, wall, gens_c, _cross_rate_form(P, p)))
+                out.append(_Witness(_cross_rate_form(P, p), kept, wall, p, w, gens_c))
+    out.sort(key=lambda e: (e.wall != 1, e.p))
     return tuple(out)
+
+
+def _nonzero_mask(h: QMatrix) -> int:
+    """Bit k set when the entry of h at _UPPER3[k] is nonzero."""
+    a, b, c = h[0][1], h[0][2], h[1][2]
+    return (1 if a.a or a.b else 0) | (2 if b.a or b.b else 0) | (4 if c.a or c.b else 0)
 
 
 def _scan_witness(spec: SubgroupSpec, h_eff, v, notes):
@@ -540,47 +583,49 @@ def _scan_witness(spec: SubgroupSpec, h_eff, v, notes):
     preference only fixes which branch the trace reports.
 
     Which (w, wall) pairs hold the group depends only on the subgroup, so
-    that part comes from the cached :func:`_witness_walls`; per sequence
-    only the rate and the offset test run.  The twists conjugate by signed
-    permutation matrices, so the twisted group and offset are re-indexed
-    copies (:func:`_weyl_conjugate`), not matrix products; so is the
-    J-conjugation of the outer automorphism that the caller applies after
-    an alpha1 witness (:func:`_theta_lie`, :func:`_theta_unipotent`).
+    that part comes from the cached :func:`_witness_walls`, already in
+    preference order; per sequence only the rate and the offset test run,
+    and the scan returns the first entry that passes both.  The twists
+    conjugate by signed permutation matrices, so the caller re-indexes the
+    chosen witness's offset (:func:`_weyl_conjugate`), with no matrix
+    product; so is the J-conjugation of the outer automorphism it applies
+    after an alpha1 witness (:func:`_theta_lie`, :func:`_theta_unipotent`).
 
     ``h_eff`` is upper unitriangular, and its twist has entry (i, j) =
     +-h_eff[p(i)][p(j)], so the twist is upper unitriangular exactly when
     every nonzero off-diagonal entry (r, c) of h_eff keeps r before c in
-    the one-line form p; only the chosen witness's offset is re-indexed."""
-    support = [(r, c) for r in range(3) for c in range(r + 1, 3) if not h_eff[r][c].is_zero()]
-    candidates = []
-    blocked_by_offset = False
+    the one-line form p: a mask test against the entry's kept positions.
+    Only when no entry passes and some positive-rate entry failed the
+    offset test is the sequence refused."""
+    support = _nonzero_mask(h_eff)
     u, L = _scaled(v)
-    for w, p, wall, gens_c, form in _witness_walls(spec):
-        rate = sum(c * x for c, x in zip(form, u))
+    blocked_by_offset = False
+    for entry in _witness_walls(spec):
+        rate = sum(c * x for c, x in zip(entry.form, u))
         if rate <= 0:
             continue
-        if not all(p.index(r) < p.index(c) for r, c in support):
+        if support & ~entry.kept:
             blocked_by_offset = True
             continue
-        candidates.append((0 if wall == 1 else 1, p, wall, w, gens_c, rate))
-    if not candidates:
-        if blocked_by_offset:
-            raise _not_covered(
-                "escape witnesses exist but the offset leaves the unipotent normal position"
-            )
-        return None
-    candidates.sort(key=lambda c: (c[0], c[1]))
-    _, p, wall, w, gens_c, rate = candidates[0]
-    notes.append(f"witness:wall=alpha{wall + 1};twist={p};rate={Fraction(rate, L)}")
-    return wall, gens_c, tuple(v[i] for i in p), _weyl_conjugate(h_eff, w)
+        notes.append(f"witness:wall=alpha{entry.wall + 1};twist={entry.p};rate={Fraction(rate, L)}")
+        return entry
+    if blocked_by_offset:
+        raise _not_covered(
+            "escape witnesses exist but the offset leaves the unipotent normal position"
+        )
+    return None
 
 
-def _m_block_projection(gens) -> Tuple[str, List[IntMatrix]]:
-    """Classify the projection of the group to the upper-left 2x2 block."""
+@lru_cache(maxsize=256)
+def _m_block_projection(gens: Tuple[IntMatrix, ...]) -> str:
+    """Classify the projection of the group to the upper-left 2x2 block.
+    It reads only the generators: a witness's twisted ones, taken through
+    the outer automorphism after an alpha1 witness, so few distinct keys
+    reach it; the cache is bounded all the same."""
     vecs = [(X[0][0], X[0][1], X[1][0], X[1][1]) for X in gens]
     vecs = [u for u in vecs if any(x != 0 for x in u)]
     if not vecs:
-        return "trivial", gens
+        return "trivial"
     # exact rank over Q
     basis: List[tuple] = []
     for u in vecs:
@@ -593,15 +638,15 @@ def _m_block_projection(gens) -> Tuple[str, List[IntMatrix]]:
         if any(x != 0 for x in u):
             basis.append(tuple(u))
     if len(basis) >= 3:
-        return "full", gens
+        return "full"
     if len(basis) == 2:
         raise _not_covered("two-dimensional block projection (not a catalog shape)")
     (a, b, c, d) = basis[0]
     if a != 0 or d != 0 or (b != 0 and c != 0):
         if a + d == 0 and a * d - b * c == 0:
             raise _not_covered("slanted nilpotent block line (not a catalog shape)")
-        return "full", gens  # contains a semisimple direction: no block parabolic holds it
-    return ("line_upper" if b != 0 else "line_lower"), gens
+        return "full"  # contains a semisimple direction: no block parabolic holds it
+    return "line_upper" if b != 0 else "line_lower"
 
 
 def _offset_entries(h: QMatrix) -> Tuple[QuadNum, QuadNum, QuadNum]:
@@ -628,19 +673,25 @@ def _embed_block(m: IntMatrix) -> IntMatrix:
     return ((m[0][0], m[0][1], 0), (m[1][0], m[1][1], 0), (0, 0, 1))
 
 
-def _normalise_cusp(u0: Fraction, gens, h: QMatrix, notes):
-    """Left-multiply by the inverse cusp move for u0 = p/q: the plunging
-    block trajectory turns into a rising one, the group is conjugated, and
-    the residual corner entry becomes p*h12 - q*h02 (read off the moved
-    third column)."""
-    p, q = u0.numerator, u0.denominator
+@lru_cache(maxsize=256)
+def _cusp_moved(gens: Tuple[IntMatrix, ...], p: int, q: int) -> Tuple[IntMatrix, ...]:
+    """The generators conjugated by the cusp move for p/q.  The cusp comes
+    from the offset, so the cache is bounded."""
     move = _embed_block(_cusp_move(p, q))
     inv = int_inverse(move)
-    new_gens = [rat_mul(rat_mul(inv, X), move) for X in gens]
+    return tuple(rat_mul(rat_mul(inv, X), move) for X in gens)
+
+
+def _normalise_cusp(u0: Fraction, gens, h: QMatrix, notes):
+    """Left-multiply by the inverse cusp move for u0 = p/q: the plunging
+    block trajectory turns into a rising one, the group is conjugated
+    (:func:`_cusp_moved`), and the residual corner entry becomes
+    p*h12 - q*h02 (read off the moved third column)."""
+    p, q = u0.numerator, u0.denominator
     _, h02, h12 = _offset_entries(h)
-    t_new = QuadNum.rational(p) * h12 - QuadNum.rational(q) * h02
+    t_new = h12 * p - h02 * q
     notes.append(f"m_walk:cusp_excursion;target={p}/{q}")
-    return new_gens, t_new
+    return _cusp_moved(tuple(gens), p, q), t_new
 
 
 def _sl3_m_stage(gens, v, h, notes):
@@ -648,7 +699,8 @@ def _sl3_m_stage(gens, v, h, notes):
     ('exit', I, extra-notes...) or ('junction', rho_y, rho_x, t, gens)."""
     rho = (v[0] - v[1]) / 2
     rho_x = -v[2] / 2
-    kind, gens = _m_block_projection(gens)
+    gens = tuple(gens)
+    kind = _m_block_projection(gens)
     notes.append(f"m_projection:{kind}")
     u0, _, h12 = _offset_entries(h)
     if kind == "full":
@@ -719,14 +771,15 @@ def _sl3_raw(seq: SequenceSpec) -> LimitDescriptor:
         raise _not_covered("the SL3 walk reads offset entries; give them exactly")
     if not qmat_is_upper_unitriangular(h_eff):
         raise _not_covered("offset outside the unipotent normal position")
-    has_gens = bool(_plain_generators(spec))
     v = seq.direction
     found = _scan_witness(spec, h_eff, v, notes)
     if found is None:
         notes.append("node:no_escape_witness")
         return LimitDescriptor(ParabolicIndex(3, frozenset({0, 1})), "interior", tuple(notes))
-    wall, gens_c, v_c, h_c = found
-    flipped = wall == 0
+    gens_c = found.gens
+    v_c = tuple(v[i] for i in found.p)
+    h_c = _weyl_conjugate(h_eff, found.w)
+    flipped = found.wall == 0
     if flipped:
         notes.append("flip:outer_automorphism")
         gens_c = [_theta_lie(X) for X in gens_c]
@@ -744,7 +797,7 @@ def _sl3_raw(seq: SequenceSpec) -> LimitDescriptor:
     if flipped:
         notes.append("unflip:swap_walls")
         I = _swap_walls(I)
-    return _verdict(ParabolicIndex(3, I), has_gens, tuple(notes))
+    return _verdict(ParabolicIndex(3, I), bool(_plain_generators(spec)), tuple(notes))
 
 
 def _sl3_direct(seq: SequenceSpec) -> LimitDescriptor:
@@ -823,17 +876,28 @@ def _mobius_zero_target(m: QMatrix):
     return b / d
 
 
+def _mobius_infinity_target(m: QMatrix):
+    """Where the block trajectory m * (i*y) lands as y -> infinity, the
+    image a/c of the cusp: a Q(tau) value, or None for the cusp at infinity
+    itself."""
+    a, c = m[0][0], m[1][0]
+    if c.is_zero():
+        return None
+    return a / c
+
+
 def sl2r_classify(seq: SequenceSpec) -> LimitDescriptor:
     """Per-factor classification for products of SL2 factors.
 
     Factor atoms: a full SL2 factor never escapes; a unipotent-line factor
     escapes exactly at positive rate (descending horocycles equidistribute,
-    so negative rates stay tight); a trivial factor escapes at positive
-    rate, and at negative rate exactly when its plunge target is rational
-    (the cusp excursion) -- badly approximable targets wander in a compact
-    part forever.  The supporting parabolic keeps the full factor on the
-    bounded coordinates; the support is a point type when every bounded
-    factor is trivial.
+    so negative rates stay tight); a trivial factor follows the geodesic
+    offset * (i*y) to its end, the image a/c of the cusp at positive rate
+    and the plunge target b/d at negative rate, and escapes exactly when
+    that end is a cusp (rational or infinite) -- badly approximable ends
+    keep the point in a compact part forever.  The supporting parabolic
+    keeps the full factor on the bounded coordinates; the support is a
+    point type when every bounded factor is trivial.
     """
     spec = seq.subgroup
     if spec.kind != "product":
@@ -861,16 +925,24 @@ def sl2r_classify(seq: SequenceSpec) -> LimitDescriptor:
                     f"{tag}:closed_horocycle" if rate == 0 else f"{tag}:descending_horocycle_equidistributes"
                 )
         elif fac.kind == "trivial":
-            if rate > 0:
-                notes.append(f"{tag}:escape;theta_rate={rate}")
-            elif rate == 0:
+            if rate == 0:
                 bounded_factors.append(f)
                 notes.append(f"{tag}:constant_point")
+                continue
+            if offset == "bounded":
+                raise _not_covered(
+                    "a rising trivial factor needs its cusp image exactly" if rate > 0 else
+                    "a descending trivial factor needs its plunge target exactly"
+                )
+            if rate > 0:
+                target = _mobius_infinity_target(offset)
+                if target is None or target.is_rational():
+                    notes.append(f"{tag}:escape;theta_rate={rate}")
+                else:
+                    bounded_factors.append(f)
+                    notes.append(f"{tag}:ascend_badly_approximable")
+                    notes.append("support:subsequence_caveat")
             else:
-                if offset == "bounded":
-                    raise _not_covered(
-                        "a descending trivial factor needs its plunge target exactly"
-                    )
                 target = _mobius_zero_target(offset)
                 if target is None or target.is_rational():
                     notes.append(f"{tag}:escape_cusp_excursion;theta_rate={-rate}")
@@ -880,8 +952,7 @@ def sl2r_classify(seq: SequenceSpec) -> LimitDescriptor:
                     notes.append("support:subsequence_caveat")
         else:
             raise _not_covered(f"factor kind {fac.kind} has no SL2 atom")
-    J = frozenset(bounded_factors)
-    P = ProductParabolicIndex(r, J)
+    P = ProductParabolicIndex(r, frozenset(bounded_factors))
     if P.is_group:
         return LimitDescriptor(P, "interior", tuple(notes))
     kind = "dirac_point" if all_bounded_trivial else "boundary_homogeneous"

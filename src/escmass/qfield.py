@@ -68,6 +68,7 @@ def _is_rational_square(x: Fraction) -> bool:
 
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def _join(law: Optional[Law], other: Optional[Law]) -> Optional[Law]:
@@ -106,15 +107,15 @@ class QuadNum:
 
     @staticmethod
     def rational(x: RationalLike) -> "QuadNum":
-        return QuadNum._of(Fraction(x), _ZERO, None)
+        return QuadNum._of(x if type(x) is Fraction else Fraction(x), _ZERO, None)
 
     @staticmethod
     def zero() -> "QuadNum":
-        return QuadNum.rational(0)
+        return _QZERO
 
     @staticmethod
     def one() -> "QuadNum":
-        return QuadNum.rational(1)
+        return _QONE
 
     @staticmethod
     def tau(p: RationalLike, q: RationalLike) -> "QuadNum":
@@ -124,13 +125,17 @@ class QuadNum:
         >>> t * t == QuadNum.rational(2)
         True
         """
-        p, q = Fraction(p), Fraction(q)
-        disc = p * p + 4 * q
+        p = p if type(p) is Fraction else Fraction(p)
+        q = q if type(q) is Fraction else Fraction(q)
+        if p.denominator == 1 and q.denominator == 1:  # the usual law: integer arithmetic
+            disc = p.numerator * p.numerator + 4 * q.numerator
+        else:
+            disc = p * p + 4 * q
         if disc <= 0:
             raise ValueError("discriminant must be positive (real field)")
         if _is_rational_square(disc):
             raise ValueError("tau would be rational; use QuadNum.rational")
-        return QuadNum(Fraction(0), Fraction(1), (p, q))
+        return QuadNum._of(_ZERO, _ONE, (p, q))
 
     @staticmethod
     def make(a: RationalLike, b: RationalLike, law: Optional[Law]) -> "QuadNum":
@@ -192,6 +197,8 @@ class QuadNum:
         return self._coerce(other) - self
 
     def __mul__(self, other: ScalarLike) -> "QuadNum":
+        if type(other) is int:  # an integer factor scales both parts
+            return QuadNum._of(self.a * other, self.b * other, self.law)
         o = self._coerce(other)
         law = _join(self.law, o.law)
         a, b = _mul_parts(self.a, self.b, o.a, o.b, law)
@@ -266,6 +273,10 @@ class QuadNum:
         if self.b == 0:
             return f"QuadNum({self.a})"
         return f"QuadNum({self.a} + {self.b}*tau; tau^2 = {self.law[0]}*tau + {self.law[1]})"
+
+
+_QZERO = QuadNum._of(_ZERO, _ZERO, None)
+_QONE = QuadNum._of(_ONE, _ZERO, None)
 
 
 # -- small exact matrices ----------------------------------------------------
@@ -476,6 +487,8 @@ def as_int(value) -> int:
 
 def _is_rows(x, n: int) -> bool:
     """Whether x is a sequence of n items; a string is not one."""
+    if type(x) is list or type(x) is tuple:
+        return len(x) == n
     return isinstance(x, Sized) and not isinstance(x, str) and len(x) == n
 
 
@@ -510,10 +523,12 @@ def unimodular(m, n: int, what: str) -> Tuple[Tuple[int, ...], ...]:
 
 def qmat_is_upper_unitriangular(x: QMatrix) -> bool:
     for i, row in enumerate(x):
-        if row[i].b or row[i].a != 1:
+        d = row[i]
+        if d.b or d.a != 1:
             return False
-        if any(e.a or e.b for e in row[:i]):
-            return False
+        for e in row[:i]:
+            if e.a or e.b:
+                return False
     return True
 
 

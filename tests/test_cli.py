@@ -721,6 +721,26 @@ def test_offsets_outside_sl_n_exit_4_naming_the_bounded_part(tmp_path, capsys):
     assert _run_doc(doc, tmp_path) == EXIT_NOT_COVERED
 
 
+@pytest.mark.parametrize(
+    "offset, label",
+    [([["tau", "1"], ["1", "tau"]], "interior"), ([["1", "0"], ["1", "1"]], "()")],
+    ids=["irrational_cusp_image", "rational_cusp_image"],
+)
+def test_a_rising_trivial_factor_agrees_with_its_run(offset, label, tmp_path, capsys):
+    """A trivial factor at rate 4 runs to the image a/c of the cusp under
+    its offset.  For [[tau, 1], [1, tau]] that is tau, so the point stays
+    bounded: the classifier used to predict escape, and the run put all of
+    its mass on interior and exited 2.  For [[1, 0], [1, 1]] it is the
+    cusp 1, and the factor still escapes."""
+    doc = _doc(tau_law=["0", "2"])
+    doc["sequence"].update(subgroup={"kind": "product", "factors": [{"kind": "trivial", "n": 2}]},
+                           direction=["2", "-2"], bounded_part=[offset])
+    doc["sampling"] = {"count": 2048, "seed": 1}
+    assert _run_doc(doc, tmp_path) == EXIT_OK
+    out = capsys.readouterr().out
+    assert f"predicted label {label}" in out and "verdict: agree" in out
+
+
 def test_integral_floats_and_integer_strings_still_load():
     """Integers written as integral floats or as integer strings read as the
     integers they spell, down to the same sequence."""

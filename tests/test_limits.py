@@ -5,11 +5,14 @@ invariants (conjugation insensitivity, twist bookkeeping, refusal paths)."""
 import dataclasses
 import doctest
 import hashlib
+import importlib.util
 import itertools
 import json
 import random
 import re
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +20,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import escmass.limits
-from escmass.cli import classify_scenario
+from escmass.cli import classify_scenario, scenario_from_json
 from escmass.limits import (
     LimitDescriptor,
     NotCoveredError,
@@ -725,12 +728,13 @@ def test_sl2r_trivial_descent_needs_exact_target():
     )
     with pytest.raises(NotCoveredError):
         sl2r_classify(seq)
-    # an ascending bounded-flag factor is fine: the branch never reads it
+    # an ascending one is refused too: its cusp image a/c decides whether
+    # it escapes
     seq = sequence_spec(
         product_subgroup([trivial_subgroup(2)]), [1, -1], bounded_part="bounded"
     )
-    d = sl2r_classify(seq)
-    assert d.P.I == frozenset() and d.support_kind == "dirac_point"
+    with pytest.raises(NotCoveredError, match="rising trivial factor needs its cusp image"):
+        sl2r_classify(seq)
 
 
 def test_sl2r_conjugated_trivial_factor_target():
@@ -742,6 +746,30 @@ def test_sl2r_conjugated_trivial_factor_target():
     d = sl2r_classify(seq)
     assert d.P.I == frozenset()
     assert any("escape_cusp_excursion" in n for n in d.notes)
+
+
+def test_sl2r_rising_trivial_factor_reads_its_cusp_image():
+    """At positive rate a trivial factor runs along offset * (i*y) to the
+    image a/c of the cusp: an irrational a/c keeps it bounded, with the
+    subsequence caveat, and a rational a/c or c = 0 escapes with the note
+    it always had."""
+    t = QuadNum.tau(0, 2)
+    trivial = product_subgroup([trivial_subgroup(2)])
+
+    def classify(offset):
+        return sl2r_classify(sequence_spec(trivial, [2, -2], bounded_part=offset and [offset]))
+
+    d = classify(((t, O), (O, t)))
+    assert d.support_kind == "interior" and d.P.I == frozenset({0})
+    assert d.notes == ("factor0:trivial:ascend_badly_approximable", "support:subsequence_caveat")
+    for offset in (((O, Z), (O, O)), upper2(t), None):
+        d = classify(offset)
+        assert (d.support_kind, d.P.I) == ("dirac_point", frozenset())
+        assert d.notes == ("factor0:trivial:escape;theta_rate=4",)
+    # bounded next to a full factor: the product keeps both
+    pair = product_subgroup([trivial_subgroup(2), embedded_sl2(2)])
+    d = sl2r_classify(sequence_spec(pair, [2, -2, 1, -1], bounded_part=[((t, O), (O, t)), upper2()]))
+    assert d.P.is_group and d.support_kind == "interior"
 
 
 # ---------------------------------------------------------------------------
@@ -833,16 +861,34 @@ def test_sl3_corpus_outcomes_are_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == CORPUS_SHA256
 
 
+# every cache the walks fill on first use
+WALK_CACHES = (
+    "_cusp_moved",
+    "_levi_walls",
+    "_m_block_projection",
+    "_plain_generators",
+    "_root_system",
+    "_stripped",
+    "_witness_walls",
+)
+
+
 def test_sl3_corpus_outcomes_do_not_depend_on_cache_order():
-    for cached in (
-        escmass.limits._plain_generators,
-        escmass.limits._witness_walls,
-        escmass.limits._levi_walls,
-    ):
-        cached.cache_clear()
+    """Cleared caches refill in another order and give the same outcomes,
+    on the SL3 corpus and on the conjugated one, which reaches the
+    conjugator and cusp-move caches."""
+    cached = [name for name, obj in vars(escmass.limits).items()
+              if hasattr(obj, "cache_clear") and getattr(obj, "__module__", "") == "escmass.limits"]
+    assert sorted(cached) == sorted(WALK_CACHES)
+    for name in WALK_CACHES:
+        getattr(escmass.limits, name).cache_clear()
     outcomes = [_outcome(seq) for seq in reversed(_sl3_corpus())][::-1]
     text = json.dumps(outcomes, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == CORPUS_SHA256
+    text = json.dumps(_conjugated_outcomes(), separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == CONJUGATED_SHA256
+    for name in WALK_CACHES:
+        assert getattr(escmass.limits, name).cache_info().currsize > 0, name
 
 
 def test_traced_names_are_still_called(monkeypatch):
@@ -997,3 +1043,25 @@ def test_conjugated_outcomes_are_pinned():
     assert any(note.startswith("m_walk:cusp_excursion") for note in notes)
     text = json.dumps(outcomes, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == CONJUGATED_SHA256
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.mark.skipif(not PERFBENCH.is_dir(), reason="perfbench/ is not in this checkout")
+def test_exact_pool_outcomes_match_the_benchmark_reference(tmp_path, monkeypatch):
+    """All 3,000 documents of the benchmark's exact pool read and classify
+    to the outcome digests its reference records (perfbench/ is only read
+    here)."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclass looks itself up
+    spec.loader.exec_module(workloads)
+    ref = json.loads((PERFBENCH / "reference.json").read_text())["exact_pool"]
+    pool = workloads.exact_pool()
+    assert workloads.digest(pool) == ref["pool_digest"]
+    ctx = workloads.Context({}, tmp_path)
+    got = [workloads.digest(workloads.exact_outcome(ctx, scenario_from_json(doc).sequence))
+           for doc in pool]
+    assert len(got) == 3000
+    assert [k for k, (a, b) in enumerate(zip(got, ref["results"])) if a != b] == []

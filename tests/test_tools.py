@@ -31,6 +31,11 @@ def reach():
     return _tool("reach")
 
 
+@pytest.fixture(scope="module")
+def paired_bench():
+    return _tool("paired_bench")
+
+
 def test_bundled_digests_print_every_output_file_but_meta(bundled_digests, capsys, tmp_path):
     """One line per output file but meta.txt, with the sha256 of the bytes
     that ``escmass run`` writes, and exit 0 when --jobs 1 and 3 agree."""
@@ -90,3 +95,55 @@ def test_reach_report_fails_on_a_stale_or_short_keep_list(reach):
     assert (code, lines[-1]) == (1, "kept but entered: measures.stream_measures")
     lines, code = reach.report(unreached, {**keep, "qfield.QuadNum.sign": "why"})
     assert (code, lines[-1]) == (1, "kept but no such function: qfield.QuadNum.sign")
+
+
+BENCH_SPECS = [
+    {"name": "items_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
+    {"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25},
+]
+
+
+def _pairs(parent, change, setup=(0.2, 0.2)):
+    return [({"items_per_s": p, "setup_s": setup[0]}, {"items_per_s": c, "setup_s": setup[1]})
+            for p, c in zip(parent, change)]
+
+
+def test_paired_bench_summarises_synthetic_pairs(paired_bench):
+    """Quartiles, the median ratio, pairs won with ties for neither side,
+    the gap test against the parent's spread, the claim rule and the table;
+    no benchmark runs."""
+    parent = [100.0 + i for i in range(10)]
+    rec = paired_bench.summarise(_pairs(parent, [130.0 + i for i in range(10)]), BENCH_SPECS)
+    items, setup = rec["metrics"]["items_per_s"], rec["metrics"]["setup_s"]
+    assert rec["pairs"] == 10
+    assert items["parent"] == {"q1": 102.25, "median": 104.5, "q3": 106.75}
+    assert items["change"]["median"] == 134.5
+    assert items["change_over_parent"] == pytest.approx(134.5 / 104.5)
+    assert (items["pairs_won"], items["gap_exceeds_parent_iqr"]) == (10, True)
+    assert (setup["pairs_won"], setup["gap_exceeds_parent_iqr"]) == (0, False)
+    lower = paired_bench.summarise(_pairs(parent, parent, setup=(0.2, 0.1)), BENCH_SPECS)
+    assert lower["metrics"]["setup_s"]["pairs_won"] == 10
+    assert lower["metrics"]["items_per_s"]["pairs_won"] == 0
+
+    # seed 0: 9 of 10 pairs and a gap above the parent's spread; seed 7 higher
+    won9 = paired_bench.summarise(_pairs(parent, [99.0] + [130.0 + i for i in range(9)]),
+                                  BENCH_SPECS)
+    narrow = paired_bench.summarise(_pairs(parent, [103.0 + i for i in range(10)]), BENCH_SPECS)
+    seed7 = paired_bench.summarise(_pairs(parent[:5], [110.0] * 5), BENCH_SPECS)
+    worse7 = paired_bench.summarise(_pairs(parent[:5], [90.0] * 5), BENCH_SPECS)
+    won8 = paired_bench.summarise(_pairs(parent, [99.0, 98.0] + [130.0] * 8), BENCH_SPECS)
+
+    def holds(seed0, other):
+        return paired_bench.claim_holds({"w": {"seed0": seed0, "seed7": other, "operations": {}}},
+                                        "w", "items_per_s")
+
+    assert holds(won9, seed7)
+    assert not holds(won9, worse7)
+    assert not holds(won8, seed7)
+    assert narrow["metrics"]["items_per_s"]["pairs_won"] == 10 and not holds(narrow, seed7)
+
+    head, rule, row = paired_bench.table({"exact_corpus": {"seed0": rec, "operations": {}}})
+    assert head == "| workload | seed | pairs | items_per_s | setup_s |"
+    assert rule == "| --- | --- | --- | --- | --- |"
+    assert row == ("| `exact_corpus` | 0 | 10 | 104.5 [102.2, 106.8] → 134.5 (10/10, +28.7%) "
+                   "| 0.2 [0.2, 0.2] → 0.2 (0/10, +0.0%) |")

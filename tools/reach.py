@@ -49,7 +49,8 @@ _ITEM_13 = "ROADMAP item 13 adopts the general-n tools or deletes them"
 _TEST_03 = "acceptance test_03 reads the dual basis and the projections"
 _VALUE = "value semantics of the type"
 _IRRATIONAL = ("inverse of an irrational number: the plunge target b/d of a descending "
-               "trivial factor with offset [[tau, 1], [1, tau]]")
+               "trivial factor with offset [[tau, 1], [1, tau]], or the cusp image a/c of a "
+               "rising one with offset [[1, 0], [tau, 1]]")
 
 # module.qualname -> why the function stays although no served run enters it
 KEEP: Dict[str, str] = {
