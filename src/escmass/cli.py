@@ -154,12 +154,12 @@ _MIXED_RE = re.compile(r"(?P<head>[+-]?\d+(?:/\d+)?)(?P<rest>[+-].*)")
 def _fraction(text) -> Fraction:
     """The Fraction that text spells; an integer of ASCII digits, with or
     without a minus sign, is read by int(), which reads it as Fraction
-    would."""
+    would and refuses the same over-long digit strings."""
     s = str(text).strip()
     digits = s[1:] if s[:1] == "-" else s
-    if digits.isascii() and digits.isdigit():
-        return Fraction(int(s))
     try:
+        if digits.isascii() and digits.isdigit():
+            return Fraction(int(s))
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise ScenarioError(f"bad rational value {text!r}") from exc

@@ -127,10 +127,7 @@ class QuadNum:
         """
         p = p if type(p) is Fraction else Fraction(p)
         q = q if type(q) is Fraction else Fraction(q)
-        if p.denominator == 1 and q.denominator == 1:  # the usual law: integer arithmetic
-            disc = p.numerator * p.numerator + 4 * q.numerator
-        else:
-            disc = p * p + 4 * q
+        disc = p * p + 4 * q
         if disc <= 0:
             raise ValueError("discriminant must be positive (real field)")
         if _is_rational_square(disc):
@@ -487,8 +484,6 @@ def as_int(value) -> int:
 
 def _is_rows(x, n: int) -> bool:
     """Whether x is a sequence of n items; a string is not one."""
-    if type(x) is list or type(x) is tuple:
-        return len(x) == n
     return isinstance(x, Sized) and not isinstance(x, str) and len(x) == n
 
 

@@ -234,10 +234,8 @@ def make_vector(rs: RootSystem, entries: Sequence) -> Vector:
     v = tuple(x if type(x) is Fraction else Fraction(x) for x in entries)
     if len(v) != rs.ambient_dim:
         raise ValueError(f"expected {rs.ambient_dim} coordinates")
-    integral = all(x.denominator == 1 for x in v)  # then the sums run in ints
     for off, n in zip(rs.factor_offsets(), rs.ns):
-        part = v[off:off + n]
-        if (sum(x.numerator for x in part) if integral else sum(part)) != 0:
+        if sum(v[off:off + n]) != 0:
             raise ValueError("coordinates must sum to zero on each factor")
     return v
 

@@ -627,6 +627,28 @@ def test_out_of_range_scenario_numbers_exit_4_naming_the_field(old, new, message
     assert f"error: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field", ["direction", "tau_law", "bounded_part", "bounded_part_tau"])
+def test_over_long_integer_strings_exit_4_as_bad_rational_values(field, tmp_path, capsys):
+    """Python refuses to read an integer of more than 4300 digits; such an
+    entry is a bad rational value of its field (exit 4), not a traceback."""
+    big = "1" * 5000
+    doc = _doc()
+    offset = [[big, "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+    if field == "direction":
+        doc["sequence"]["direction"] = [big, "0", "-" + big]
+    elif field == "tau_law":
+        doc["tau_law"] = ["0", big]
+    elif field == "bounded_part":
+        doc["sequence"]["bounded_part"] = offset
+    else:
+        doc["tau_law"] = ["0", "2"]
+        offset[0][0] = big + "*tau"
+        doc["sequence"]["bounded_part"] = offset
+    prefix = {"direction": "", "tau_law": "bad tau_law: "}.get(field, "bad bounded_part entry: ")
+    assert _run_doc(doc, tmp_path) == EXIT_INPUT
+    assert capsys.readouterr().err == f"error: {prefix}bad rational value '{big}'\n"
+
+
 def test_misshapen_matrices_and_index_lists_exit_4_naming_the_field(tmp_path, capsys):
     """A matrix or an index list given as a number or a string is refused
     with its field's name, not read digit by digit or as a bare error; so

@@ -1,15 +1,15 @@
 """Paired benchmark runs of two commits: the record a speed-up claim needs.
 
-    python tools/paired_bench.py --parent REV [--change REV] --pr N
-        [--workload NAME ...] [--pairs SEED:COUNT ...] [--seconds 25]
-        [--claim WORKLOAD:METRIC] [--title TEXT] [--scratch DIR]
+    python tools/paired_bench.py --parent REV --pr N
+        [--claim WORKLOAD:METRIC] [--title TEXT]
 
-Every run of ``perfbench/run.py --trace 0`` starts in a new directory that
-holds a fresh ``git archive`` of its side's commit, so neither side sees
-the other's files or build products, and this checkout (``perfbench/``
-included) is only read.  Pairs alternate which side runs first.  The
-default plan is 10 pairs at seed 0 and 5 at seed 7 on every workload of
-``BENCHMARK.json``, 25 s a run.
+The change is the commit at HEAD.  Every run of ``perfbench/run.py --trace
+0`` starts in a new temporary directory that holds a fresh ``git archive``
+of its side's commit, so neither side sees the other's files or build
+products, and this checkout (``perfbench/`` included) is only read.  Pairs
+alternate which side runs first.  The plan is fixed: 10 pairs at seed 0
+and 5 at seed 7 on every workload of ``BENCHMARK.json``, each run as long
+as its ``run_seconds``.
 
 Per workload, seed and end-to-end metric the record keeps each side's
 inclusive quartiles, the change's median over the parent's, the pairs the
@@ -50,6 +50,7 @@ RULE = (
     "interquartile range; also higher at seed 7"
 )
 WIN_SHARE = 0.9
+PLAN = ((0, 10), (7, 5))
 
 
 def quartiles(xs) -> dict:
@@ -189,15 +190,9 @@ def host() -> dict:
 def parse_args(argv):
     par = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     par.add_argument("--parent", required=True, help="commit the change is measured against")
-    par.add_argument("--change", default="HEAD", help="commit of the change (default HEAD)")
     par.add_argument("--pr", required=True, help="number in the name BENCH_<pr>.json")
-    par.add_argument("--workload", action="append", help="a workload (default: all)")
-    par.add_argument("--pairs", action="append", metavar="SEED:COUNT",
-                     help="pairs at a seed (default 0:10 and 7:5)")
-    par.add_argument("--seconds", type=float, default=25.0)
     par.add_argument("--claim", metavar="WORKLOAD:METRIC", help="the metric a gain is claimed on")
     par.add_argument("--title", default="", help="one line naming the change")
-    par.add_argument("--scratch", type=Path, help="where the copies go (default: a temporary directory)")
     return par.parse_args(argv)
 
 
@@ -205,15 +200,14 @@ def main(argv=None) -> int:
     args = parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     specs = bench["end_to_end"]
-    workloads = args.workload or [w["name"] for w in bench["workloads"]]
-    plan = [tuple(int(x) for x in p.split(":")) for p in (args.pairs or ["0:10", "7:5"])]
-    shas = {"parent": commit(args.parent), "change": commit(args.change)}
-    scratch = Path(tempfile.mkdtemp(dir=args.scratch, prefix="paired-"))
+    seconds = bench["run_seconds"]
+    shas = {"parent": commit(args.parent), "change": commit("HEAD")}
+    scratch = Path(tempfile.mkdtemp(prefix="paired-"))
     record = {
         "change": args.title,
         "parent_commit": shas["parent"],
         "change_commit": shas["change"],
-        "command": COMMAND.replace("<seconds>", f"{args.seconds:g}"),
+        "command": COMMAND.replace("<seconds>", f"{seconds:g}"),
         "method": METHOD,
         "host": host(),
         "workloads": {},
@@ -223,9 +217,9 @@ def main(argv=None) -> int:
         record["claim"] = {"workload": claimed[0], "metric": claimed[1], "rule": RULE}
     sources = {"parent": set(), "change": set()}
     k = 0
-    for workload in workloads:
+    for workload in (w["name"] for w in bench["workloads"]):
         by_seed, ops = {}, {side: {"attempted": 0, "failed": 0} for side in shas}
-        for seed, count in plan:
+        for seed, count in PLAN:
             pairs = []
             for i in range(count):
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -233,7 +227,7 @@ def main(argv=None) -> int:
                 for side in order:
                     k += 1
                     where = scratch / f"run{k}-{side}"
-                    got[side] = run_side(shas[side], where, workload, seed, args.seconds)
+                    got[side] = run_side(shas[side], where, workload, seed, seconds)
                     shutil.rmtree(where)
                     ops[side]["attempted"] += got[side]["attempted"]
                     ops[side]["failed"] += got[side]["failed"]
