@@ -66,6 +66,7 @@ import sys
 from contextlib import nullcontext, suppress
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
@@ -594,23 +595,121 @@ def summary_dict(res: RunResult) -> dict:
     }
 
 
+# 10^(9 - e) at index e + _E_PAD, for every decimal exponent e that a value
+# in [1e-101, 1e101] can be given on its way to its 10-digit form
+_E_PAD = 110
+_TEN_POWERS = 10.0 ** (9 - np.arange(-_E_PAD, _E_PAD + 1))
+# the four ASCII digits of each of 0 .. 9999, and the last two of them
+_DIGITS4 = (
+    np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4, indexing="ij"), -1)
+    .reshape(10000, 4)
+)
+_DIGITS2 = _DIGITS4[:, 2:].copy()
+
+
+def _e_fields(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The 16 ASCII bytes of ``"%+.9e" % v`` for each v of the float64
+    array x, as an (len(x), 16) uint8 array, and a mask of the values whose
+    bytes are those.
+
+    |v| is scaled by a power of ten into [1e9, 1e10) and rounded to ten
+    digits.  The scaling is off by at most about 3e-6, so a value whose
+    scaled |v| lies 1e-5 or more from a rounding tie has only one correctly
+    rounded 10-digit form, and its bytes are exact.  The mask is false on
+    the other values, and on non-finite values, subnormals and values whose
+    exponent takes three digits; zeros are exact."""
+    a = np.abs(x)
+    live = (a >= 1e-101) & (a <= 1e101)
+    a = np.where(live, a, 1.0)
+    e = np.floor(np.log10(a)).astype(np.intp)
+    y = a * _TEN_POWERS[e + _E_PAD]
+    up, down = y >= 1e10, y < 1e9
+    if up.any() or down.any():  # log10 was off by one at a power of ten
+        e += up
+        e -= down
+        y = a * _TEN_POWERS[e + _E_PAD]
+    q = np.floor(y)
+    frac = y - q
+    exact = live & (np.abs(frac - 0.5) >= 1e-5)
+    q += frac > 0.5
+    carry = q == 1e10
+    q[carry] = 1e9
+    e += carry
+    exact &= np.abs(e) <= 99
+    zero = x == 0
+    exact |= zero
+    q[zero] = 0.0
+    e[zero] = 0
+    # q = d0 * 10^9 + g1 * 10^5 + g2 * 10 + d9, each step exact in float64
+    d0 = np.floor(q / 1e9)
+    q -= d0 * 1e9
+    g1 = np.floor(q / 1e5)
+    q -= g1 * 1e5
+    g2 = np.floor(q / 10.0)
+    q -= g2 * 10.0
+    out = np.empty((len(x), 16), np.uint8)
+    out[:, 0] = np.where(np.signbit(x), ord("-"), ord("+"))
+    out[:, 1] = d0 + 48
+    out[:, 2] = ord(".")
+    out[:, 3:7] = _DIGITS4.take(g1.astype(np.intp), axis=0)
+    out[:, 7:11] = _DIGITS4.take(g2.astype(np.intp), axis=0)
+    out[:, 11] = q + 48
+    out[:, 12] = ord("e")
+    out[:, 13] = np.where(e < 0, ord("-"), ord("+"))
+    out[:, 14:] = _DIGITS2.take(np.abs(e), axis=0)
+    return out, exact
+
+
+@lru_cache(maxsize=None)
+def _points_layout(n: int, d: int, r: int) -> Tuple[str, np.ndarray, Tuple[int, ...]]:
+    """The ``%`` format of a points line of r factors of n + d values, the
+    line's bytes with every field blank and a newline at the end, and the
+    byte offset of each field in it."""
+    factor = " ".join(["%+.9e"] * n) + "   " + " ".join(["%+.9e"] * d)
+    line = "  |  ".join([factor] * r)
+    blank = line.replace("%+.9e", " " * 16) + "\n"
+    # each 5-character "%+.9e" of the format becomes 16 bytes
+    starts = [i for i in range(len(line)) if line.startswith("%+.9e", i)]
+    offsets = tuple(s + 11 * j for j, s in enumerate(starts))
+    return line, np.frombuffer(blank.encode("ascii"), np.uint8), offsets
+
+
 def points_text(m: EmpiricalMeasure, cap: int = POINTS_CAP) -> str:
-    """Columnar dump of the first reduced sample points (factors separated
-    by '|'): the log diagonal, then the strictly-upper frame entries.  The
-    header counts every sample of the measure, also when m holds only its
-    first rows."""
+    """Columnar dump of the first min(cap, rows of m) reduced sample points
+    (factors separated by '|'): the log diagonal, then the strictly-upper
+    frame entries.  The header counts every sample of the measure, also
+    when m holds only its first rows.
+
+    Each point is one line: per factor, its n log_a values joined by " ",
+    then "   ", then its n(n-1)/2 u values joined by " "; the factors are
+    joined by "  |  ".  Every value is written as ``"%+.9e" % value``
+    would write it, byte for byte.  The lines are built in one numpy pass
+    (see _e_fields); a line holding a value that pass cannot write exactly
+    (a non-finite value, a subnormal, one whose exponent takes three digits
+    or one within 1e-5 of a rounding tie in its tenth digit) is written by
+    ``%`` formatting instead."""
     _, r, n = m.log_a.shape
     d = m.u_coords.shape[2]
     k = min(cap, len(m.log_a))
-    factor = " ".join(["%+.9e"] * n) + "   " + " ".join(["%+.9e"] * d)
-    line = "  |  ".join([factor] * r)
+    line, blank, offsets = _points_layout(n, d, r)
     rows = np.concatenate([m.log_a[:k], m.u_coords[:k]], axis=2).reshape(k, r * (n + d))
-    lines = [
+    fields, exact = _e_fields(rows.ravel())
+    fields = fields.reshape(k, len(offsets), 16)
+    buf = np.empty((k, len(blank)), np.uint8)
+    buf[:] = blank
+    for j, at in enumerate(offsets):
+        buf[:, at:at + 16] = fields[:, j]
+    parts = [
         f"# {k} of {m.sample_count} reduced points; per factor: "
-        "log_a[0..n-1] then row-major strictly-upper u entries"
+        "log_a[0..n-1] then row-major strictly-upper u entries\n"
     ]
-    lines.extend(line % tuple(row) for row in rows.tolist())
-    return "\n".join(lines) + "\n"
+    start = 0
+    for i in np.flatnonzero(~exact.reshape(k, len(offsets)).all(axis=1)).tolist():
+        parts.append(buf[start:i].tobytes().decode("ascii"))
+        parts.append(line % tuple(rows[i].tolist()) + "\n")
+        start = i + 1
+    parts.append(buf[start:].tobytes().decode("ascii"))
+    return "".join(parts)
 
 
 def write_outputs(res: RunResult, out: Path) -> None:
@@ -865,6 +964,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_INPUT)
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     par = _Parser(
         prog="escmass",

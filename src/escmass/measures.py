@@ -608,8 +608,9 @@ def stream_measures(
     ``executor`` the draws are dropped, factor by factor, before the last
     translate's last block is reduced.  With one (a
     concurrent.futures.Executor) each chunk runs one task per translate,
-    which folds only its own translate's blocks, and the chunk's draws are
-    held until every task is done; every output bit is the same.
+    which folds only its own translate's blocks, submitted largest
+    translate_log_stretch first, and the chunk's draws are held until every
+    task is done; every output bit is the same.
     ``times``, when given, receives the wall times.
 
     Raises ValueError, before drawing, on a threshold at or below the
@@ -632,6 +633,11 @@ def stream_measures(
     d = n * (n - 1) // 2
     g_arrs = [_translate_array(g, r, n) for g in translates]
     _check_translate_budget(spec, g_arrs)
+    if executor is not None:
+        # the more a translate stretches the samples, the longer their
+        # reduction runs: the pool starts on the dearest translates first
+        stretch = [translate_log_stretch(spec, [g]) for g in g_arrs]
+        by_cost = sorted(range(len(g_arrs)), key=lambda k: (stretch[k], k), reverse=True)
     last = len(g_arrs) - 1
     times = SamplingTimes() if times is None else times
     times.push_reduce = [0.0] * len(g_arrs)
@@ -693,7 +699,7 @@ def stream_measures(
         if executor is not None:
             tasks = [
                 executor.submit(push_reduce, k, ci * CHUNK, size, draws, False)
-                for k in range(len(g_arrs))
+                for k in by_cost
             ]
             for task in tasks:
                 task.result()
@@ -755,6 +761,10 @@ def _assert_reduced(log_a: np.ndarray, u_coords: np.ndarray) -> None:
     if n == 2:
         if not np.all(np.abs(u_coords) <= U_BOUND):
             raise RuntimeError("reduced off-diagonals escaped the target bounds")
+        return
+    # every slack below is at least 1e-9, so a block inside this bound
+    # passes the per-pair test; a NaN fails it and goes on to that test
+    if np.all(np.abs(u_coords) <= U_BOUND + 1e-9):
         return
     iu = [(i, j) for i in range(n) for j in range(i + 1, n)]
     eps = float(np.finfo(float).eps)

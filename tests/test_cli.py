@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from escmass.cli import (
     EXIT_DISAGREE,
@@ -279,6 +281,90 @@ def test_points_text_layout(spec, count, cap):
             assert len(fields) == n + n * (n - 1) // 2
             want = list(m.log_a[i, f]) + list(m.u_coords[i, f])
             assert fields == pytest.approx(want, rel=1e-9)
+
+
+def _reference_points_text(m, cap=cli.POINTS_CAP):
+    """points_text written line by line with % formatting."""
+    _, r, n = m.log_a.shape
+    d = m.u_coords.shape[2]
+    k = min(cap, len(m.log_a))
+    factor = " ".join(["%+.9e"] * n) + "   " + " ".join(["%+.9e"] * d)
+    line = "  |  ".join([factor] * r)
+    rows = np.concatenate([m.log_a[:k], m.u_coords[:k]], axis=2).reshape(k, r * (n + d))
+    lines = [
+        f"# {k} of {m.sample_count} reduced points; per factor: "
+        "log_a[0..n-1] then row-major strictly-upper u entries"
+    ]
+    lines.extend(line % tuple(row) for row in rows.tolist())
+    return "\n".join(lines) + "\n"
+
+
+def _measure_of(values, rows, r, n, sample_count=None):
+    """A measure of rows points of r factors in SL_n whose coordinates are
+    the given values, repeated to fill; laid out factor-major like the
+    measures stream_measures returns."""
+    d = n * (n - 1) // 2
+    flat = np.resize(np.asarray(values, dtype=float), rows * r * (n + d))
+    cols = flat.reshape(rows, r, n + d).transpose(1, 2, 0).copy()
+    return measures.EmpiricalMeasure(
+        cols[:, :n].transpose(2, 0, 1), cols[:, n:].transpose(2, 0, 1),
+        rows if sample_count is None else sample_count,
+    )
+
+
+_POWERS = 10.0 ** np.arange(-99, 100)
+_EDGE_VALUES = np.concatenate([
+    [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -2.2e-308, 1.7976931348623157e308],
+    [1e-100, 9.99999999949e-100, 9.9999999995e-100, 1e100, 9.9999999994e99, 9.9999999996e99],
+    _POWERS, -_POWERS, np.nextafter(_POWERS, 0.0), np.nextafter(_POWERS, np.inf),
+    # ties in the tenth digit, (k + 0.5) * 10^j, and their neighbours
+    (np.array([1234567890.5, 9999999999.5, 1000000000.5, 4.5, 0.5, 12345.5])[:, None]
+     * 10.0 ** np.arange(-15, 15)).ravel(),
+    [0.5, 2.5, 1.0000000005, 1.0000000015, 9.9999999995, 1.2345678905e-7, 6.2500000005e44],
+    # three-digit exponents
+    [1e-150, 3.3e101, -7.7e200, 1e-305],
+])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_points_text_matches_percent_formatting_on_edge_values(n, r):
+    """Every row mixes values the numpy pass writes with values only %
+    formatting can write; each file keeps the bytes of the reference."""
+    rng = np.random.default_rng(n * 10 + r)
+    common = rng.standard_normal(400) * 10.0 ** rng.integers(-5, 5, 400)
+    values = np.concatenate([common, rng.permutation(_EDGE_VALUES)])
+    rows = len(values) // (r * (n + n * (n - 1) // 2)) + 1
+    m = _measure_of(values, rows, r, n, sample_count=10 * rows)
+    for cap in (0, 1, rows // 2, rows, rows + 7):
+        assert points_text(m, cap) == _reference_points_text(m, cap), cap
+
+
+def test_points_text_writes_common_values_without_fallback():
+    """Reduced coordinates of a realistic size take the numpy pass: at most
+    a few in 10^5 values sit within 1e-5 of a tie."""
+    rng = np.random.default_rng(5)
+    x = np.concatenate([rng.standard_normal(20000), rng.uniform(-0.5, 0.5, 20000), [0.0, -0.0]])
+    fields, exact = cli._e_fields(x)
+    assert exact.mean() > 0.999
+    want = ["%+.9e" % v for v in x[exact].tolist()]
+    assert [bytes(f).decode() for f in fields[exact]] == want
+
+
+@seed(20261020)
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=1, max_size=60),
+    st.sampled_from([2, 3, 4]),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=0, max_value=12),
+)
+def test_points_text_matches_percent_formatting_on_any_double(bits, n, r, cap):
+    """Doubles drawn over the whole bit range, NaN payloads and infinities
+    included."""
+    values = np.array(bits, dtype=np.uint64).view(np.float64)
+    m = _measure_of(values, 5, r, n)
+    assert points_text(m, cap) == _reference_points_text(m, cap)
 
 
 def test_jobs_keep_sl3_outputs_over_several_chunks(tmp_path, monkeypatch):

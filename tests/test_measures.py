@@ -688,6 +688,37 @@ def test_diagonal_check_is_at_least_as_strict_as_the_exp_form(n):
                 measures._assert_reduced(log_a[None, :, None], u_coords)
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_off_diagonal_check_takes_each_branch(n):
+    """A block inside U_BOUND + 1e-9 passes on the whole-block bound; a
+    larger |u| goes to the per-pair test, which allows a seen entry up to
+    its slack 1e-9 + 8 eps ratio and lets an unseen one (a NaN too) pass."""
+    d = n * (n - 1) // 2
+
+    def check(log_step, u01):
+        # adjacent log ratios log_step, so u_01's log ratio is log_step
+        log_a = (np.arange(n)[::-1] - (n - 1) / 2) * log_step
+        u_coords = np.zeros((1, d, 2))
+        u_coords[0, :, 1] = -measures.U_BOUND  # a second sample, on the bound
+        u_coords[0, 0, 0] = u01
+        measures._assert_reduced(np.repeat(log_a[None, :, None], 2, axis=2), u_coords)
+
+    eps = float(np.finfo(float).eps)
+    seen = math.log(1e6)  # slack 1e-9 + 8 eps 1e6, about 2.8e-9
+    unseen = measures._LOG_RATIO_SEEN + 1.0
+    assert 2e-9 < 8.0 * eps * 1e6 + 1e-9 < 1e-8
+    check(seen, measures.U_BOUND + 1e-9)
+    check(seen, -(measures.U_BOUND + 1e-9))
+    check(seen, measures.U_BOUND + 2e-9)
+    check(unseen, np.nan)
+    check(unseen, 1.0)
+    for bad in (measures.U_BOUND + 1e-8, -(measures.U_BOUND + 1e-8)):
+        with pytest.raises(RuntimeError, match="reduced off-diagonals"):
+            check(seen, bad)
+    with pytest.raises(RuntimeError, match="reduced off-diagonals"):
+        check(math.log(2.0), np.nan)
+
+
 # ---------------------------------------------------------------------------
 # draws shared across translates
 
