@@ -595,9 +595,9 @@ def summary_dict(res: RunResult) -> dict:
     }
 
 
-# 10^(9 - e) at index e + _E_PAD, for every decimal exponent e that a value
-# in [1e-101, 1e101] can be given on its way to its 10-digit form
-_E_PAD = 110
+# 10^(9 - e) at index e + _E_PAD, for e = floor(log10 |v|) of any v with
+# 1e-100 <= |v| < 1e100, the values that may print with a two-digit exponent
+_E_PAD = 101
 _TEN_POWERS = 10.0 ** (9 - np.arange(-_E_PAD, _E_PAD + 1))
 # the four ASCII digits of each of 0 .. 9999, and the last two of them
 _DIGITS4 = (
@@ -612,22 +612,21 @@ def _e_fields(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     array x, as an (len(x), 16) uint8 array, and a mask of the values whose
     bytes are those.
 
-    |v| is scaled by a power of ten into [1e9, 1e10) and rounded to ten
-    digits.  The scaling is off by at most about 3e-6, so a value whose
-    scaled |v| lies 1e-5 or more from a rounding tie has only one correctly
-    rounded 10-digit form, and its bytes are exact.  The mask is false on
-    the other values, and on non-finite values, subnormals and values whose
-    exponent takes three digits; zeros are exact."""
+    |v| is scaled by 10^(9 - floor(log10 |v|)) into [1e9, 1e10) and
+    rounded to ten digits, a round-up to 1e10 carried into the exponent.
+    The scaling is off by at most about 3e-6, so a value whose scaled |v|
+    lies 1e-5 or more from a rounding tie has only one correctly rounded
+    10-digit form, and its bytes are exact.  The mask is false on the other
+    values, and on non-finite values, subnormals and values whose exponent
+    takes three digits; zeros are exact."""
     a = np.abs(x)
-    live = (a >= 1e-101) & (a <= 1e101)
+    live = (a >= 1e-100) & (a < 1e100)
     a = np.where(live, a, 1.0)
     e = np.floor(np.log10(a)).astype(np.intp)
+    # log10 lands on the wrong side of a power of ten only for a value a
+    # few ulps from it: y is then just below 1e9, and rounds up to it, or
+    # just above 1e10, and carries like a round-up
     y = a * _TEN_POWERS[e + _E_PAD]
-    up, down = y >= 1e10, y < 1e9
-    if up.any() or down.any():  # log10 was off by one at a power of ten
-        e += up
-        e -= down
-        y = a * _TEN_POWERS[e + _E_PAD]
     q = np.floor(y)
     frac = y - q
     exact = live & (np.abs(frac - 0.5) >= 1e-5)
@@ -638,8 +637,7 @@ def _e_fields(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     exact &= np.abs(e) <= 99
     zero = x == 0
     exact |= zero
-    q[zero] = 0.0
-    e[zero] = 0
+    q[zero] = 0.0  # a zero was scaled as 1.0, so its e is already 0
     # q = d0 * 10^9 + g1 * 10^5 + g2 * 10 + d9, each step exact in float64
     d0 = np.floor(q / 1e9)
     q -= d0 * 1e9
