@@ -406,10 +406,10 @@ def _embed_factor_chunk(spec: SubgroupSpec, draw: Optional[np.ndarray], size: in
     sample is the identity with the drawn entries or block written in,
     conjugated if spec is.  A 2x2 block that fills an unconjugated n = 2
     sample is returned as it was drawn, a component-major view of the
-    row-major draw, not copied; callers only read it.  For n = 3, 4 an
+    row-major draw, not copied; callers only read it.  Any other
     unconjugated chunk is written into the calling thread's ``"stack"``
-    workspace slot (see :func:`lingrp.workspace`), valid until the chunk
-    is reduced."""
+    workspace slot (see :func:`lingrp.workspace`), valid until it is
+    pushed."""
     n = spec.n
     if n == 2 and spec.kind == "embedded_sl2" and spec.conjugator is None:
         return draw
@@ -419,8 +419,6 @@ def _embed_factor_chunk(spec: SubgroupSpec, draw: Optional[np.ndarray], size: in
     if conj:
         stack = np.zeros((size, n, n))
         out = stack.transpose(1, 2, 0)
-    elif n == 2:
-        out = np.zeros((n, n, size))
     else:
         out = workspace("stack", (n, n, size))
         out[...] = 0.0
@@ -510,11 +508,11 @@ def _right_multiply(rows: np.ndarray, g: np.ndarray) -> np.ndarray:
     (n m, n) rows times g, which it replaced: each entry sums the same n
     products in the same order.  A one-column block would run as a
     matrix-vector product, whose kernel rounds differently at n = 4, so it
-    runs as that flat product of its one matrix.  For n = 3, 4 the push is
-    written into the calling thread's ``"push"`` workspace slot (see
+    runs as that flat product of its one matrix.  The push is written into
+    the calling thread's ``"push"`` workspace slot (see
     :func:`lingrp.workspace`), valid until the next push."""
     n, _, m = rows.shape
-    out = workspace("push", (n, n, m)) if n > 2 else np.empty((n, n, m))
+    out = workspace("push", (n, n, m))
     for start in range(0, m, PUSH_BLOCK):
         stop = min(start + PUSH_BLOCK, m)
         if stop - start == 1:
@@ -530,7 +528,10 @@ def _reduce_into(rev: np.ndarray, log_a: np.ndarray, u_coords: np.ndarray) -> No
     write its coordinates into the rows of the (n, m) array log_a and the
     (n(n-1)/2, m) array u_coords.  For n = 3, 4 the stack is consumed: the
     reducer copies it into its working basis and then writes the reduced
-    factor into its memory."""
+    factor into its memory.  For n = 2 the factor goes into the calling
+    thread's ``"factor"`` workspace slot (see :func:`lingrp.workspace`):
+    the kernel zeroes a row of its output before it reads that row of its
+    input, so it cannot write over the stack."""
     n, _, m = rev.shape
     if n in (3, 4):
         # the reducer reads the (m, n, n) view, copies it once and writes the
@@ -547,7 +548,7 @@ def _reduce_into(rev: np.ndarray, log_a: np.ndarray, u_coords: np.ndarray) -> No
         return
     # the half-plane point z = x + iy of the n-a-k split, computed into the
     # output rows, x = u_01 and y = a_0 / a_1, and reduced there
-    low = np.empty((n, n, m))
+    low = workspace("factor", (n, n, m))
     gram_schmidt_lower(rev, low)
     x = np.divide(low[1, 0], low[0, 0], out=u_coords[0])
     y = np.divide(low[1, 1], low[0, 0], out=log_a[0])
@@ -587,9 +588,11 @@ def stream_measures(
     stream, never keyed by translate; then, for each translate, every
     factor is embedded, pushed and reduced into the calling thread's
     ``"coords"`` workspace slot (see :func:`lingrp.workspace`): lattice
-    reduction for n = 3, 4, whose stacks live in the reducing thread's
-    workspace too, the half-plane walk for n = 2.  Each reduced block is
-    checked against the Siegel bounds and folded: its depth-code tables
+    reduction for n = 3, 4, the half-plane walk for n = 2.  The pushed and
+    factored stacks, an unconjugated factor's embedded stack and the
+    reducers' scratch live in the reducing thread's workspace too, each
+    starting on a 64-byte cache line.  Each reduced block is checked
+    against the Siegel bounds and folded: its depth-code tables
     (see :func:`boundary_histograms`) are added to the translate's, and its
     rows below ``keep`` are copied into the translate's factor-major head.
     The tables hold integer counts, so the histograms are those of

@@ -62,14 +62,16 @@ def reduce_sl2_coords(
     iteration translates into |Re z| <= 1/2 and inverts the points still
     inside the unit disc.  The points are walked in blocks of ``WALK_BLOCK``
     (see :func:`_walk_block`); the walk of a point does not depend on the
-    others, so blocking changes no bit.  Warns once per call when some point
-    is still inside the disc after ``max_iter`` iterations.
+    others, so blocking changes no bit.  The walk's scratch is the calling
+    thread's ``"walk"`` and ``"walk_flags"`` workspace slots (see
+    :func:`lingrp.workspace`).  Warns once per call when some point is
+    still inside the disc after ``max_iter`` iterations.
     """
     x = np.require(x, dtype=float, requirements="CW")
     y = np.require(y, dtype=float, requirements="CW")
     flat_x, flat_y = x.reshape(-1), y.reshape(-1)
     size = min(len(flat_x), WALK_BLOCK)
-    scratch = (np.empty(size), np.empty(size), np.empty(size, dtype=bool))
+    scratch = (*workspace("walk", (2, size)), workspace("walk_flags", (size,), dtype=bool))
     capped = False
     for start in range(0, len(flat_x), WALK_BLOCK):
         block = slice(start, start + WALK_BLOCK)

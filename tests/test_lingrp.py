@@ -266,7 +266,7 @@ def test_gram_schmidt_blocks_change_no_bit(monkeypatch):
 def test_workspace_slots_only_grow_and_belong_to_their_thread():
     """A slot hands out the same memory while a request fits, whatever its
     dtype, moves to a new buffer for a larger request, and is another
-    buffer in another thread."""
+    buffer in another thread; each starts on a 64-byte cache line."""
     from concurrent.futures import ThreadPoolExecutor
 
     first = lingrp.workspace("test_slot", (3, 4))
@@ -278,6 +278,8 @@ def test_workspace_slots_only_grow_and_belong_to_their_thread():
     with ThreadPoolExecutor(1) as pool:
         other = pool.submit(lingrp.workspace, "test_slot", (2,)).result()
     assert not np.shares_memory(other, grown)
+    for arr in (first, grown, flags, other):
+        assert arr.ctypes.data % 64 == 0
 
 
 def _dot(x, y):

@@ -24,6 +24,7 @@ from escmass.limits import sequence_translate
 from escmass.lingrp import (
     GroupElement,
     gram_schmidt_components,
+    gram_schmidt_lower,
     group_element,
     iwasawa,
     iwasawa_batched,
@@ -36,6 +37,7 @@ from escmass.measures import (
     _embed_factor_chunk,
     _reduce_into,
     _right_multiply,
+    embedded_sl2,
 )
 from escmass.reduction import (
     RATIO_MIN,
@@ -473,6 +475,54 @@ def test_reduction_does_not_depend_on_the_stack(levi_stack):
         one = reduce_siegel_batched(levi_stack[i : i + 1])
         assert np.array_equal(_bits(one[0][0]), _bits(reps[i]))
         assert np.array_equal(_bits(one[1][:, :, 0]), _bits(low[:, :, i]))
+
+
+
+def _past_a_line(arr, offset):
+    """A copy of arr whose data starts offset bytes past a 64-byte line."""
+    raw = np.empty(arr.nbytes + 128, dtype=np.uint8)
+    start = -raw.ctypes.data % 64 + offset
+    out = raw[start : start + arr.nbytes].view(arr.dtype).reshape(arr.shape)
+    out[...] = arr
+    return out
+
+
+def _placed_outputs(levi_stack, offset):
+    """The bytes the sampling path's kernels write for a dense n = 3 stack
+    and an n = 2 block when every array passed to them starts offset bytes
+    past a cache line; 4,093 columns, so the SIMD loops' tails run too."""
+    m = 4093
+    n2 = _samples(embedded_sl2(2), m, 7, 1.0e4) @ np.diag([np.exp(2.5), np.exp(-2.5)])
+    x, y = half_plane_point(n2)
+    written = []
+
+    def at(arr):
+        return _past_a_line(arr, offset)
+
+    for mats in (levi_stack[:m], n2):
+        n = mats.shape[1]
+        rows = np.ascontiguousarray(mats.transpose(1, 2, 0))
+        low = at(np.empty((n, n, m)))
+        gram_schmidt_lower(at(rows), low)
+        log_a, u_coords = at(np.empty((n, m))), at(np.empty((n * (n - 1) // 2, m)))
+        _reduce_into(at(rows[::-1]), log_a, u_coords)
+        written += [low, log_a, u_coords]
+    out = at(np.empty((3, 3, m)))
+    reduce_siegel_batched(at(levi_stack[:m]), out=out)
+    written += [out, *reduce_sl2_coords(at(x), at(y))]
+    assert all(arr.ctypes.data % 64 == offset for arr in written)
+    return [arr.tobytes() for arr in written]
+
+
+def test_buffer_placement_moves_no_bit(levi_stack):
+    """numpy's SIMD loops run an unaligned head in separate code, and the
+    workspace puts every slot on a cache line for speed: that must move no
+    bit.  The Gram-Schmidt kernel, the coordinate split with its np.log, the
+    lattice reducer and the half-plane walk write the same bytes into
+    arrays at every 8-byte offset from a line."""
+    want = _placed_outputs(levi_stack, 0)
+    for offset in range(8, 64, 8):
+        assert _placed_outputs(levi_stack, offset) == want, offset
 
 
 # Gram-Schmidt columns the full-array reducer factored for levi_stack:
