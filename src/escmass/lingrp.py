@@ -231,14 +231,12 @@ def workspace(slot: str, shape, dtype=float) -> np.ndarray:
 
     - ``"gram_schmidt"``: the kernel's scratch, inside one factorization;
     - ``"stack"``: a chunk's or a block's embedded samples (measures) until
-      they are pushed, then, for n = 3, 4, the reducer's working basis until
-      the reduction returns;
-    - ``"push"``: the pushed stack until the reducer has copied it (n = 3,
-      4), then the reduced factor over it, or until it is factored (n = 2);
-      either way until its coordinates are read;
-    - ``"factor"``: for n = 2, the lower factor of a pushed block until its
-      coordinates are read (the kernel zeroes a row of its output before it
-      reads that row of its input, so the factor cannot overwrite the push);
+      they are pushed, then the reducer's working basis until the reduction
+      returns (n = 3, 4) or the pushed block's factor until its coordinates
+      are read (n = 2);
+    - ``"push"``: the pushed stack until the reducer has copied it, then
+      the reduced factor over it, until its coordinates are read (n = 3,
+      4), or until it is factored (n = 2);
     - ``"coords"``: the reduced coordinates of one block of a chunk in
       ``measures.stream_measures``, from its reduction until that loop has
       checked and folded them; a block is a whole chunk for n = 3, 4 and

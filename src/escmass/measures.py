@@ -529,9 +529,10 @@ def _reduce_into(rev: np.ndarray, log_a: np.ndarray, u_coords: np.ndarray) -> No
     (n(n-1)/2, m) array u_coords.  For n = 3, 4 the stack is consumed: the
     reducer copies it into its working basis and then writes the reduced
     factor into its memory.  For n = 2 the factor goes into the calling
-    thread's ``"factor"`` workspace slot (see :func:`lingrp.workspace`):
-    the kernel zeroes a row of its output before it reads that row of its
-    input, so it cannot write over the stack."""
+    thread's ``"stack"`` workspace slot (see :func:`lingrp.workspace`),
+    whose embedded samples the push has read by then: the kernel zeroes a
+    row of its output before it reads that row of its input, so the factor
+    cannot overwrite the pushed stack."""
     n, _, m = rev.shape
     if n in (3, 4):
         # the reducer reads the (m, n, n) view, copies it once and writes the
@@ -548,7 +549,7 @@ def _reduce_into(rev: np.ndarray, log_a: np.ndarray, u_coords: np.ndarray) -> No
         return
     # the half-plane point z = x + iy of the n-a-k split, computed into the
     # output rows, x = u_01 and y = a_0 / a_1, and reduced there
-    low = workspace("factor", (n, n, m))
+    low = workspace("stack", (n, n, m))
     gram_schmidt_lower(rev, low)
     x = np.divide(low[1, 0], low[0, 0], out=u_coords[0])
     y = np.divide(low[1, 1], low[0, 0], out=log_a[0])
