@@ -223,9 +223,10 @@ def workspace(slot: str, shape, dtype=float) -> np.ndarray:
     multiple of 8 doubles long starts on one too, and numpy's SIMD loops
     load no vector across two lines.  Left to the heap, a slot's offset
     from a line follows allocation history, and one np.multiply of two
-    16,384-double rows into a third took 5.7 us with all three on a line
-    against 10.0-14.0 us with them 8 to 48 bytes past one (best of 7 x
-    2,000 calls, AVX-512 Xeon, numpy 2.4).  Placement moves no bit.
+    16,384-double rows into a third took 4.7-5.1 us with all three on a
+    line against 8.3-10.8 us with them 8 to 56 bytes past one (best of 7
+    x 2,000 calls, two rounds, 2-CPU AVX-512 Xeon, numpy 2.4).  Placement
+    moves no bit.
 
     The slots, and who holds each:
 

@@ -477,7 +477,6 @@ def test_reduction_does_not_depend_on_the_stack(levi_stack):
         assert np.array_equal(_bits(one[1][:, :, 0]), _bits(low[:, :, i]))
 
 
-
 def _past_a_line(arr, offset):
     """A copy of arr whose data starts offset bytes past a 64-byte line."""
     raw = np.empty(arr.nbytes + 128, dtype=np.uint8)
