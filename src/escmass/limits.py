@@ -45,7 +45,7 @@ from typing import Dict, FrozenSet, List, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
 
-from .lingrp import GroupElement, ParabolicIndex, d_function
+from .lingrp import GroupElement, ParabolicIndex, d_function, ordered_product
 from .measures import SubgroupSpec, lie_generators, one_param_unipotent
 from .qfield import (
     QMatrix,
@@ -485,7 +485,8 @@ def sequence_translate(seq: SequenceSpec, index: int) -> np.ndarray:
     shaped (factors, n, n); this is what the Monte Carlo side pushes by.
     A direction large enough to overflow exp gives inf and nan entries
     without a warning; the translate budget of stream_measures refuses
-    them."""
+    them.  The recorded factor multiplies by :func:`lingrp.ordered_product`,
+    so the translate's bits do not depend on the BLAS kernel."""
     r, n = seq.subgroup.shape
     out = np.empty((r, n, n))
     for f in range(r):
@@ -495,7 +496,8 @@ def sequence_translate(seq: SequenceSpec, index: int) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
             g = h @ np.diag(np.exp([index * float(x) for x in seq.direction[f * n : (f + 1) * n]]))
             if seq.conjugator_policy == "recorded":
-                g = np.asarray(seq.recorded_conjugator[f], dtype=float) @ g
+                left = seq.recorded_conjugator[f]
+                g = ordered_product(left, g, np.empty((n, n, 1)))[..., 0]
         out[f] = g
     return out
 

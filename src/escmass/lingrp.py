@@ -32,6 +32,7 @@ __all__ = [
     "iwasawa_batched",
     "gram_schmidt_components",
     "gram_schmidt_lower",
+    "ordered_product",
     "workspace",
     "langlands",
     "parabolic_root_values",
@@ -199,6 +200,29 @@ def _dot(x: np.ndarray, y: np.ndarray, out: np.ndarray, prod: np.ndarray) -> np.
     return out
 
 
+def ordered_product(a, b, out: np.ndarray) -> np.ndarray:
+    """The matrix product a @ b of two nested sequences, written into the
+    (p, r, m) array ``out``, which must not share memory with an input:
+    entry (i, k) is the sum of a[i][j] * b[j][k] over j ascending, from
+    +0.0, each product and each sum rounded on its own.  Each entry of a and
+    b is a scalar or a stack-length row, so a stack of m matrices is
+    multiplied column by column.  The products go through one row of the
+    calling thread's ``"gram_schmidt"`` workspace slot, which no
+    factorization holds meanwhile.
+
+    These are the bits of a BLAS kernel without fused multiply-add, and of
+    Python floats summed left to right; a gemm's bits depend on whether the
+    kernel BLAS picks at run time rounds a * b + c once or twice."""
+    prod = workspace("gram_schmidt", out.shape[2:])
+    for i, row in enumerate(a):
+        for k in range(out.shape[1]):
+            acc = out[i, k]
+            np.add(np.multiply(row[0], b[0][k], out=prod), 0.0, out=acc)
+            for j in range(1, len(b)):
+                acc += np.multiply(row[j], b[j][k], out=prod)
+    return out
+
+
 _THREAD = threading.local()
 _CACHE_LINE = 64  # bytes
 
@@ -230,20 +254,22 @@ def workspace(slot: str, shape, dtype=float) -> np.ndarray:
 
     The slots, and who holds each:
 
-    - ``"gram_schmidt"``: the kernel's scratch, inside one factorization;
+    - ``"gram_schmidt"``: the kernel's scratch, inside one factorization,
+      and the products of :func:`ordered_product`, inside one call;
     - ``"stack"``: a chunk's or a block's embedded samples (measures) until
       they are pushed, then the reducer's working basis until the reduction
       returns (n = 3, 4) or the pushed block's factor until its coordinates
       are read (n = 2);
-    - ``"push"``: the pushed stack until the reducer has copied it, then
-      the reduced factor over it, until its coordinates are read (n = 3,
-      4), or until it is factored (n = 2);
+    - ``"push"``: a conjugated embed's left product until the conjugated
+      samples are formed over the embedded ones; then the pushed stack
+      until the reducer has copied it, then the reduced factor over it,
+      until its coordinates are read (n = 3, 4), or until it is factored
+      (n = 2), and then the half-plane walk's scratch, inside one
+      ``reduction.reduce_sl2_coords`` call;
     - ``"coords"``: the reduced coordinates of one block of a chunk in
       ``measures.stream_measures``, from its reduction until that loop has
       checked and folded them; a block is a whole chunk for n = 3, 4 and
       one ``reduction.WALK_BLOCK`` for n = 2, where the slot is block-sized;
-    - ``"walk"``, ``"walk_flags"``: the half-plane walk's scratch, inside
-      one ``reduction.reduce_sl2_coords`` call;
     - ``"lll"``, ``"lll_flags"``: the sweep buffers of one LLL pass;
     - ``"parity"``, ``"order"``, ``"inverse"``, ``"restore"``: the
       reducer's swap parity, working order, its inverse and the reordering

@@ -27,6 +27,7 @@ from .lingrp import (
     ParabolicIndex,
     gram_schmidt_lower,
     iwasawa_batched,  # noqa: F401 - perfbench/tracing.py wraps this name here
+    ordered_product,
     workspace,
 )
 from .qfield import int_inverse, rat_mul, unimodular
@@ -43,15 +44,6 @@ Y_CAP_DEFAULT = 1.0e4
 T_ESC_DEFAULT = 1.0e3
 T_ESC_SWEEP = (1.0e2, 1.0e3, 1.0e4)
 FLOOR_HEIGHT = math.sqrt(3.0) / 2.0
-
-KINDS = (
-    "full_unipotent_radical",
-    "levi_semisimple_nc",
-    "embedded_sl2",
-    "one_param_unipotent",
-    "trivial",
-    "product",
-)
 
 __all__ = [
     "SubgroupSpec",
@@ -329,25 +321,15 @@ def lie_generators(spec: SubgroupSpec) -> List[IntMatrix]:
 # samplers
 
 
-def _rotation(theta: np.ndarray) -> np.ndarray:
-    c, s = np.cos(theta), np.sin(theta)
-    out = np.empty(theta.shape + (2, 2))
-    out[..., 0, 0] = c
-    out[..., 0, 1] = -s
-    out[..., 1, 0] = s
-    out[..., 1, 1] = c
-    return out
-
-
 def _sample_modular_chunk(size: int, rng, y_cap: float) -> np.ndarray:
     """Hyperbolic-area samples of the standard fundamental domain truncated
-    at y_cap, times a uniform rotation fiber; returns (size, 2, 2).
+    at y_cap, times a uniform rotation fiber, component-major: a (2, 2,
+    size) array whose [i, k] row holds entry (i, k) of every sample.
 
-    The points are drawn first, then every rotation angle in one call.  The
-    product of each upper-triangular point with its rotation is formed one
-    ``PUSH_BLOCK`` of matrices at a time, into the output: each matrix's
-    product does not depend on the stack it is in, so no bit changes, and
-    no (size, 2, 2) stack is formed but the output."""
+    The points x + iy are drawn first, then every rotation angle in one
+    call.  Each sample is the product of [[sqrt y, x / sqrt y], [0,
+    1 / sqrt y]] with the rotation [[cos, -sin], [sin, cos]] by its angle,
+    in :func:`lingrp.ordered_product`'s fixed order."""
     inv_span = 1.0 / FLOOR_HEIGHT - 1.0 / y_cap
     xs = np.empty(size)
     ys = np.empty(size)
@@ -363,15 +345,19 @@ def _sample_modular_chunk(size: int, rng, y_cap: float) -> np.ndarray:
         ys[filled : filled + kept] = y[keep]
         filled += kept
     theta = rng.uniform(0.0, 2.0 * np.pi, size=size)
-    out = np.empty((size, 2, 2))
-    for start in range(0, size, PUSH_BLOCK):
-        cols = slice(start, start + PUSH_BLOCK)
-        sq = np.sqrt(ys[cols])
-        upper = np.zeros((len(sq), 2, 2))
-        upper[:, 0, 0] = sq
-        upper[:, 0, 1] = xs[cols] / sq
-        upper[:, 1, 1] = 1.0 / sq
-        np.matmul(upper, _rotation(theta[cols]), out=out[cols])
+    out = np.empty((2, 2, size))
+    # the rotation's cos and -sin are held in the output's second row until
+    # the first row is formed; the point's second row [0, 1 / sqrt y] then
+    # scales the rotation's, in place: with one nonzero entry, each sum is a
+    # single product
+    cos = np.cos(theta, out=out[1, 1])
+    sin = np.sin(theta, out=theta)
+    rotation = [[cos, np.negative(sin, out=out[1, 0])], [sin, cos]]
+    sq = np.sqrt(ys, out=ys)
+    ordered_product([[sq, np.divide(xs, sq, out=xs)]], rotation, out[:1])
+    inv_sq = np.divide(1.0, sq, out=sq)
+    np.multiply(inv_sq, sin, out=out[1, 0])
+    np.multiply(inv_sq, cos, out=out[1, 1])
     return out
 
 
@@ -385,9 +371,8 @@ def _uniform_coordinates(spec: SubgroupSpec) -> List[Tuple[int, int]]:
 def _draw_factor_chunk(spec: SubgroupSpec, size: int, rng, y_cap: float) -> Optional[np.ndarray]:
     """The random part of one chunk of a factor's samples, and the only step
     that reads its RNG stream: (k, size) uniform columns for the k entries of
-    a unipotent kind, the modular 2x2 blocks of a 2x2-block kind as a
-    component-major (2, 2, size) view of the row-major (size, 2, 2) draw, or
-    None for a trivial factor, which draws nothing.  Every draw holds its
+    a unipotent kind, the component-major (2, 2, size) modular blocks of a
+    2x2-block kind, or None for a trivial factor, which draws nothing.  Every draw holds its
     samples along its last axis, so draw[..., lo:hi] is the draw of samples
     lo to hi."""
     if spec.kind == "trivial":
@@ -396,7 +381,7 @@ def _draw_factor_chunk(spec: SubgroupSpec, size: int, rng, y_cap: float) -> Opti
         # one block draw reads the stream as one column after another would
         return rng.uniform(size=(len(_uniform_coordinates(spec)), size))
     if spec.kind in ("levi_semisimple_nc", "embedded_sl2"):
-        return _sample_modular_chunk(size, rng, y_cap).transpose(1, 2, 0)
+        return _sample_modular_chunk(size, rng, y_cap)
     raise ValueError(f"unknown kind {spec.kind}")  # pragma: no cover
 
 
@@ -405,23 +390,17 @@ def _embed_factor_chunk(spec: SubgroupSpec, draw: Optional[np.ndarray], size: in
     size) array whose [i, k] row holds entry (i, k) of every sample.  Each
     sample is the identity with the drawn entries or block written in,
     conjugated if spec is.  A 2x2 block that fills an unconjugated n = 2
-    sample is returned as it was drawn, a component-major view of the
-    row-major draw, not copied; callers only read it.  Any other
-    unconjugated chunk is written into the calling thread's ``"stack"``
+    sample is returned as it was drawn, not copied; callers only read it.
+    Any other chunk is written into the calling thread's ``"stack"``
     workspace slot (see :func:`lingrp.workspace`), valid until it is
-    pushed."""
+    pushed.  A conjugated sample gamma @ h @ gamma^-1 is formed by two
+    calls of :func:`lingrp.ordered_product`, the first into the ``"push"``
+    slot, the second back over h."""
     n = spec.n
     if n == 2 and spec.kind == "embedded_sl2" and spec.conjugator is None:
         return draw
-    # a conjugated sample is formed row-major, where the stacked products
-    # run, and transposed once; any other is written component-major
-    conj = spec.conjugator is not None
-    if conj:
-        stack = np.zeros((size, n, n))
-        out = stack.transpose(1, 2, 0)
-    else:
-        out = workspace("stack", (n, n, size))
-        out[...] = 0.0
+    out = workspace("stack", (n, n, size))
+    out[...] = 0.0
     for i in range(n):
         out[i, i] = 1.0
     if spec.kind in ("one_param_unipotent", "full_unipotent_radical"):
@@ -430,10 +409,11 @@ def _embed_factor_chunk(spec: SubgroupSpec, draw: Optional[np.ndarray], size: in
     elif spec.kind in ("levi_semisimple_nc", "embedded_sl2"):
         b = spec.block
         out[b : b + 2, b : b + 2] = draw
-    if conj:
+    if spec.conjugator is not None:
         gamma = np.array(spec.conjugator, dtype=float)
-        stack = gamma @ stack @ np.array(int_inverse(spec.conjugator), dtype=float)
-        out = np.ascontiguousarray(stack.transpose(1, 2, 0))
+        inv = np.array(int_inverse(spec.conjugator), dtype=float)
+        left = ordered_product(gamma, out, workspace("push", (n, n, size)))
+        ordered_product(left, inv, out)
     return out
 
 
@@ -488,39 +468,16 @@ def truncation_bound(spec: SubgroupSpec, y_cap: float) -> float:
     )
 
 
-# Matrices per gemm of the push by a translate.  Each block stays in cache,
-# and at most 4096 * 4^2 = 2^16 multiply-adds a gemm stays within the size
-# that OpenBLAS runs on one thread; a threaded split of this thin product was
-# seen to stall for 75-85 ms on a loaded 2-CPU host, against 3 ms for one
-# thread.
-PUSH_BLOCK = 4096
-
-
 def _right_multiply(rows: np.ndarray, g: np.ndarray) -> np.ndarray:
     """The push h @ g of a component-major (n, n, m) stack by one (n, n)
     matrix g, written as the row-reversed component-major stack the
-    reduction reads: out[n-1-i] = g.T @ rows[i], row i of every pushed
-    sample, as one gemm per row over each block of ``PUSH_BLOCK`` columns.
-    rows may be a transposed view of a row-major stack: BLAS reads its rows
-    with a stride.
-
-    These are the bits of the flat product of the row-major stack, its
-    (n m, n) rows times g, which it replaced: each entry sums the same n
-    products in the same order.  A one-column block would run as a
-    matrix-vector product, whose kernel rounds differently at n = 4, so it
-    runs as that flat product of its one matrix.  The push is written into
-    the calling thread's ``"push"`` workspace slot (see
-    :func:`lingrp.workspace`), valid until the next push."""
+    reduction reads: out[n-1-i] is row i of every pushed sample.  The
+    product is :func:`lingrp.ordered_product`'s, so its bits do not depend
+    on the BLAS kernel.  It is written into the calling thread's ``"push"``
+    workspace slot (see :func:`lingrp.workspace`), valid until the slot is
+    next requested."""
     n, _, m = rows.shape
-    out = workspace("push", (n, n, m))
-    for start in range(0, m, PUSH_BLOCK):
-        stop = min(start + PUSH_BLOCK, m)
-        if stop - start == 1:
-            out[::-1, :, start] = np.ascontiguousarray(rows[:, :, start]) @ g
-            continue
-        for i in range(n):
-            np.matmul(g.T, rows[i, :, start:stop], out=out[n - 1 - i, :, start:stop])
-    return out
+    return ordered_product(rows[::-1], g, workspace("push", (n, n, m)))
 
 
 def _reduce_into(rev: np.ndarray, log_a: np.ndarray, u_coords: np.ndarray) -> None:

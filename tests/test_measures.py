@@ -8,6 +8,10 @@ reduced heights are known exactly.
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -64,6 +68,37 @@ def _push(stack, g):
     stack: the push reads its component-major view and writes the
     row-reversed component-major stack, read back here row-major."""
     return measures._right_multiply(stack.transpose(1, 2, 0), g)[::-1].transpose(2, 0, 1)
+
+
+def _py_dot(row, col):
+    acc = 0.0
+    for x, y in zip(row, col):
+        acc = acc + x * y
+    return acc
+
+
+def _py_product(a, b):
+    """a @ b of two matrices in Python floats: entry (i, k) sums
+    a[i][j] * b[j][k] over j ascending from 0.0, and CPython rounds every
+    * and + on its own, so this is the fixed order of
+    lingrp.ordered_product on any host, whatever BLAS would do.  (Not
+    sum(), which compensates its rounding from Python 3.12 on.)"""
+    return [[_py_dot(row, col) for col in zip(*b)] for row in a]
+
+
+def _py_stack_product(stack, g):
+    """_py_product of each (n, n) matrix of a row-major stack with g."""
+    g = np.asarray(g, dtype=float).tolist()
+    return np.array([_py_product(h, g) for h in np.asarray(stack).tolist()]).reshape(stack.shape)
+
+
+def _py_conjugate(stack, gamma):
+    """gamma @ h @ gamma^-1 of each matrix h of a row-major stack, by
+    _py_product, for an integer conjugator gamma."""
+    gamma_f = np.array(gamma, dtype=float)
+    inv = np.array(measures.int_inverse(gamma), dtype=float)
+    left = np.array([_py_product(gamma_f.tolist(), h) for h in stack.tolist()])
+    return _py_stack_product(left, inv)
 
 
 def test_catalog_validation():
@@ -159,9 +194,12 @@ def test_modular_sampler_density():
     assert quad_num / quad_den == pytest.approx(expected, rel=1e-6)
 
 
-def _sample_modular_chunk_whole(size, rng, y_cap):
-    """The modular sampler before its product was blocked, kept as an
-    oracle: the whole-stack product upper @ _rotation(theta)."""
+def _modular_draw_py(size, rng, y_cap, columns):
+    """The modular sampler's samples at the given columns, as (len(columns),
+    2, 2) row-major matrices: the same points and angles drawn from rng, and
+    each product of [[sqrt y, x / sqrt y], [0, 1 / sqrt y]] with its
+    rotation by _py_product.  The square roots and divisions are correctly
+    rounded in numpy and Python alike; cos and sin are numpy's."""
     inv_span = 1.0 / Y0 - 1.0 / y_cap
     xs = np.empty(size)
     ys = np.empty(size)
@@ -176,23 +214,27 @@ def _sample_modular_chunk_whole(size, rng, y_cap):
         xs[filled : filled + kept] = x[keep]
         ys[filled : filled + kept] = y[keep]
         filled += kept
-    sq = np.sqrt(ys)
-    upper = np.zeros((size, 2, 2))
-    upper[:, 0, 0] = sq
-    upper[:, 0, 1] = xs / sq
-    upper[:, 1, 1] = 1.0 / sq
-    return upper @ measures._rotation(rng.uniform(0.0, 2.0 * np.pi, size=size))
+    theta = rng.uniform(0.0, 2.0 * np.pi, size=size)[columns]
+    out = []
+    for x, y, c, s in zip(xs[columns].tolist(), ys[columns].tolist(), np.cos(theta).tolist(),
+                          np.sin(theta).tolist()):
+        sq = math.sqrt(y)
+        out.append(_py_product([[sq, x / sq], [0.0, 1.0 / sq]], [[c, -s], [s, c]]))
+    return np.array(out)
 
 
-@pytest.mark.parametrize("size", [1, measures.PUSH_BLOCK + 1, CHUNK])
+# named for the blocked BLAS product the draw was once checked against
+@pytest.mark.parametrize("size", [1, 4097, CHUNK])
 def test_blocked_modular_draw_matches_the_whole_stack_product(size):
-    """The sampler forms its product one PUSH_BLOCK at a time: the same
-    bits as the whole-stack product, and the stream is read as far."""
+    """The component-major modular draw is the fixed-order product of its
+    points with their rotations, at every column the Python oracle checks
+    (a spread of 512 and the last), and the stream is read as far."""
     got_rng, want_rng = np.random.default_rng([12, 3, 1]), np.random.default_rng([12, 3, 1])
     got = measures._sample_modular_chunk(size, got_rng, 1.0e4)
-    want = _sample_modular_chunk_whole(size, want_rng, 1.0e4)
-    assert got.shape == want.shape == (size, 2, 2)
-    assert np.array_equal(_bits(got), _bits(want))
+    columns = np.unique(np.r_[np.linspace(0, size - 1, 512).astype(int), size - 1])
+    want = _modular_draw_py(size, want_rng, 1.0e4, columns)
+    assert got.shape == (2, 2, size) and got.flags.c_contiguous
+    assert _same_bits(got[:, :, columns].transpose(2, 0, 1), want)
     assert got_rng.uniform() == want_rng.uniform()
 
 
@@ -477,54 +519,101 @@ def _same_bits(x, y):
     return np.array_equal(x, y) and np.array_equal(np.signbit(x), np.signbit(y))
 
 
+def _push_case(rng, length, n):
+    """A (length, n, n) stack, as 61 matrices and the index of each row of
+    the stack among them, so that the Python oracle need only multiply
+    those, and a translate g: random matrices, identities and ones with a
+    zero row, whose exact zeros meet g's negative entries in signed-zero
+    products, as trivial and unipotent samples do."""
+    base = rng.normal(size=(61, n, n))
+    base[1::4] = np.eye(n)
+    base[2::4, -1, :] = 0.0
+    base[3::4, 0, :] = -0.0
+    g = rng.normal(size=(n, n))
+    g[-1, 0] = 0.0
+    g[0] = -np.abs(g[0])
+    return base, np.arange(length) % len(base), g
+
+
+# One dense push, one modular chunk, one conjugated embed and one translate
+# with a recorded left factor: each has entries that sum several nonzero
+# products, where a kernel with fused multiply-add rounds differently.
+_KERNEL_PROBE = """
+import hashlib
+from fractions import Fraction
+
+import numpy as np
+
+from escmass import measures
+from escmass.limits import SequenceSpec, sequence_translate
+from escmass.qfield import qmat
+
+
+def show(out):  # at once: the push and the embed share workspace slots
+    print(hashlib.sha256(np.ascontiguousarray(out).tobytes()).hexdigest())
+
+
+rng = np.random.default_rng(2024)
+show(measures._right_multiply(rng.normal(size=(4, 4, 4099)), rng.normal(size=(4, 4))))
+show(measures._sample_modular_chunk(measures.CHUNK, np.random.default_rng(5), 1.0e4))
+gamma = ((3, 5, 0), (1, 2, 0), (7, 4, 1))
+spec = measures.levi_semisimple_nc(3, 0, conjugator=gamma)
+draw = measures._draw_factor_chunk(spec, measures.CHUNK, np.random.default_rng(6), 1.0e4)
+show(measures._embed_factor_chunk(spec, draw, measures.CHUNK))
+offset = qmat([[1, Fraction(1, 3), Fraction(2, 7)], [0, 1, Fraction(5, 11)], [0, 0, 1]])
+seq = SequenceSpec(
+    measures.levi_semisimple_nc(3, 0), (Fraction(1), Fraction(0), Fraction(-1)),
+    bounded_part=(offset,), conjugator_policy="recorded", recorded_conjugator=(gamma,),
+)
+show(sequence_translate(seq, 4))
+"""
+
+
+def test_sampling_bits_do_not_depend_on_the_blas_kernel():
+    """The products of the sampling path write the same bytes under
+    OpenBLAS's default kernel and under Sandybridge, which has no fused
+    multiply-add.  (A BLAS that ignores OPENBLAS_CORETYPE runs the same
+    kernel twice; the Python oracle tests above pin the order itself.)"""
+    src = str(Path(measures.__file__).resolve().parents[1])
+    printed = []
+    for coretype in (None, "Sandybridge"):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        env["OPENBLAS_NUM_THREADS"] = "1"
+        if coretype:
+            env["OPENBLAS_CORETYPE"] = coretype
+        run = subprocess.run([sys.executable, "-c", _KERNEL_PROBE], env=env,
+                             capture_output=True, text=True, check=True)
+        printed.append(run.stdout.split())
+    assert len(printed[0]) == 4 and printed[0] == printed[1]
+
+
+# named for the stacked BLAS product the push was once checked against
 @pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize("length", [1, 7, CHUNK + 3])
 def test_flat_gemm_pushforward_matches_the_stacked_matmul(n, length):
+    """The push of a row-major stack is the Python oracle's product,
+    matrix by matrix, signed zeros included."""
     rng = np.random.default_rng(10 * n + length % 97)
-    stack = rng.normal(size=(length, n, n))
-    stack[::5] = np.eye(n)  # exact zeros, as trivial and unipotent samples have
-    stack[1::5, 0, :] = 0.0
-    g = rng.normal(size=(n, n))
-    g[0, -1] = 0.0
-    g[-1] = -np.abs(g[-1])  # negative entries meet the zeros: signed zeros
-    assert _same_bits(_push(stack, g), stack @ g)
+    base, idx, g = _push_case(rng, length, n)
+    assert _same_bits(_push(base[idx], g), _py_stack_product(base, g)[idx])
 
 
-def _flat_gemm_push(stack, g):
-    """The push before it wrote the component-major stack, kept as an
-    oracle: the row-major stack's (m n, n) rows times g, as flat gemms over
-    blocks of n * PUSH_BLOCK rows."""
-    n = g.shape[0]
-    flat = np.ascontiguousarray(stack).reshape(-1, n)
-    out = np.empty_like(flat)
-    step = n * measures.PUSH_BLOCK
-    for start in range(0, len(flat), step):
-        np.matmul(flat[start : start + step], g, out=out[start : start + step])
-    return out.reshape(stack.shape)
-
-
+# named for the flat BLAS product the push was once checked against
 @pytest.mark.parametrize("contiguous", [True, False], ids=["contiguous", "view"])
 @pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize("length", [1, 2, 5, 4097, 3 * 4096 + 1, 8190, 34464 + 3])
 def test_component_major_push_matches_the_flat_gemm(n, length, contiguous):
     """The row-reversed component-major push, signed zeros included, is the
-    flat gemm's stack, for stacks that end in a block of one column (a
-    matrix-vector product would round differently at n = 4), of a few and
-    of most of PUSH_BLOCK columns; the component-major input is an array,
-    as the embed writes it, or a view of the row-major stack, as the n = 2
-    modular draw is pushed."""
-    assert measures.PUSH_BLOCK == 4096
+    Python oracle's product at every length, whether the component-major
+    input is an array, as the embed writes it, or a view of a row-major
+    stack with strided rows."""
     rng = np.random.default_rng(100 * n + length % 89)
-    stack = rng.normal(size=(length, n, n))  # a random last matrix
-    stack[1::4] = np.eye(n)
-    stack[2::4, -1, :] = 0.0
-    g = rng.normal(size=(n, n))
-    g[-1, 0] = 0.0
-    g[0] = -np.abs(g[0])
-    rows = stack.transpose(1, 2, 0)
+    base, idx, g = _push_case(rng, length, n)
+    rows = base[idx].transpose(1, 2, 0)
     rev = measures._right_multiply(np.ascontiguousarray(rows) if contiguous else rows, g)
     assert rev.flags.c_contiguous and rev.shape == (n, n, length)
-    assert _same_bits(rev[::-1].transpose(2, 0, 1), _flat_gemm_push(stack, g))
+    assert _same_bits(rev[::-1].transpose(2, 0, 1), _py_stack_product(base, g)[idx])
 
 
 @pytest.mark.parametrize(
@@ -566,17 +655,17 @@ def _sample_factor_chunk(spec, size, rng, y_cap):
             out[:, r, c] = rng.uniform(size=size)
     elif spec.kind in ("levi_semisimple_nc", "embedded_sl2"):
         b = spec.block
-        out[:, b : b + 2, b : b + 2] = measures._sample_modular_chunk(size, rng, y_cap)
+        out[:, b : b + 2, b : b + 2] = measures._sample_modular_chunk(size, rng, y_cap).transpose(2, 0, 1)
     if spec.conjugator is not None:
-        gamma = np.array(spec.conjugator, dtype=float)
-        out = gamma @ out @ np.array(measures.int_inverse(spec.conjugator), dtype=float)
+        out = _py_conjugate(out, spec.conjugator)
     return out
 
 
 def _empirical_measure_full(spec, g, count, seed, y_cap=measures.Y_CAP_DEFAULT):
     """The old form of empirical_measure, kept as an oracle: every factor,
-    trivial ones too, is sampled as a full stack, pushed by the stacked
-    matmul and split by iwasawa_batched."""
+    trivial ones too, is sampled as a full stack, pushed by the push
+    (checked against the Python oracle above) and split by
+    iwasawa_batched."""
     r, n = spec.shape
     g_arr = measures._translate_array(g, r, n)
     factors = spec.factors if spec.kind == "product" else (spec,)
@@ -588,7 +677,7 @@ def _empirical_measure_full(spec, g, count, seed, y_cap=measures.Y_CAP_DEFAULT):
         lo = ci * CHUNK
         for f, fac in enumerate(factors):
             rng = np.random.default_rng([seed, ci, f])
-            pushed = _sample_factor_chunk(fac, size, rng, y_cap) @ g_arr[f]
+            pushed = _push(_sample_factor_chunk(fac, size, rng, y_cap), g_arr[f]).copy()
             if n in (3, 4):
                 reps, _ = measures.reduce_siegel_batched(pushed)
                 nil, a, _ = iwasawa_batched(reps)
@@ -975,7 +1064,7 @@ PRODUCT_SCENARIOS = (
         (_EMBEDDED, 3, "1/2"),
     ),
 )
-PRODUCT_DIGEST = "5b2d6bcfa229ab9913dec5b9a9bd01e099d678398a9d377b1ce50cdd14f9edf1"
+PRODUCT_DIGEST = "be2726ddd246942e8524e122f104f5f4f21380a6a71a267c22506fcc9300a212"
 
 
 def _product_scenario(k, factors):
