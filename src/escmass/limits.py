@@ -497,7 +497,7 @@ def sequence_translate(seq: SequenceSpec, index: int) -> np.ndarray:
             g = h @ np.diag(np.exp([index * float(x) for x in seq.direction[f * n : (f + 1) * n]]))
             if seq.conjugator_policy == "recorded":
                 left = seq.recorded_conjugator[f]
-                g = ordered_product(left, g, np.empty((n, n, 1)))[..., 0]
+                g = ordered_product(left, g, np.empty((n, n, 1)), np.empty(1))[..., 0]
         out[f] = g
     return out
 

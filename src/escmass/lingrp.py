@@ -200,20 +200,17 @@ def _dot(x: np.ndarray, y: np.ndarray, out: np.ndarray, prod: np.ndarray) -> np.
     return out
 
 
-def ordered_product(a, b, out: np.ndarray) -> np.ndarray:
+def ordered_product(a, b, out: np.ndarray, prod: np.ndarray) -> np.ndarray:
     """The matrix product a @ b of two nested sequences, written into the
-    (p, r, m) array ``out``, which must not share memory with an input:
-    entry (i, k) is the sum of a[i][j] * b[j][k] over j ascending, from
-    +0.0, each product and each sum rounded on its own.  Each entry of a and
-    b is a scalar or a stack-length row, so a stack of m matrices is
-    multiplied column by column.  The products go through one row of the
-    calling thread's ``"gram_schmidt"`` workspace slot, which no
-    factorization holds meanwhile.
+    (p, r, m) array ``out``: entry (i, k) is the sum of a[i][j] * b[j][k]
+    over j ascending, from +0.0, each product and each sum rounded on its
+    own.  Each entry of a and b is a scalar or a stack-length row, so a
+    stack of m matrices is multiplied column by column; ``prod`` is (m,)
+    scratch, and neither it nor out may share memory with an input.
 
     These are the bits of a BLAS kernel without fused multiply-add, and of
     Python floats summed left to right; a gemm's bits depend on whether the
     kernel BLAS picks at run time rounds a * b + c once or twice."""
-    prod = workspace("gram_schmidt", out.shape[2:])
     for i, row in enumerate(a):
         for k in range(out.shape[1]):
             acc = out[i, k]
@@ -255,7 +252,8 @@ def workspace(slot: str, shape, dtype=float) -> np.ndarray:
     The slots, and who holds each:
 
     - ``"gram_schmidt"``: the kernel's scratch, inside one factorization,
-      and the products of :func:`ordered_product`, inside one call;
+      and the products of :func:`ordered_product` in the push and the
+      conjugated embed (measures), inside one call;
     - ``"stack"``: a chunk's or a block's embedded samples (measures) until
       they are pushed, then the reducer's working basis until the reduction
       returns (n = 3, 4) or the pushed block's factor until its coordinates

@@ -354,7 +354,7 @@ def _sample_modular_chunk(size: int, rng, y_cap: float) -> np.ndarray:
     sin = np.sin(theta, out=theta)
     rotation = [[cos, np.negative(sin, out=out[1, 0])], [sin, cos]]
     sq = np.sqrt(ys, out=ys)
-    ordered_product([[sq, np.divide(xs, sq, out=xs)]], rotation, out[:1])
+    ordered_product([[sq, np.divide(xs, sq, out=xs)]], rotation, out[:1], np.empty(size))
     inv_sq = np.divide(1.0, sq, out=sq)
     np.multiply(inv_sq, sin, out=out[1, 0])
     np.multiply(inv_sq, cos, out=out[1, 1])
@@ -395,7 +395,8 @@ def _embed_factor_chunk(spec: SubgroupSpec, draw: Optional[np.ndarray], size: in
     workspace slot (see :func:`lingrp.workspace`), valid until it is
     pushed.  A conjugated sample gamma @ h @ gamma^-1 is formed by two
     calls of :func:`lingrp.ordered_product`, the first into the ``"push"``
-    slot, the second back over h."""
+    slot, the second back over h, with the ``"gram_schmidt"`` slot as
+    their scratch."""
     n = spec.n
     if n == 2 and spec.kind == "embedded_sl2" and spec.conjugator is None:
         return draw
@@ -412,8 +413,9 @@ def _embed_factor_chunk(spec: SubgroupSpec, draw: Optional[np.ndarray], size: in
     if spec.conjugator is not None:
         gamma = np.array(spec.conjugator, dtype=float)
         inv = np.array(int_inverse(spec.conjugator), dtype=float)
-        left = ordered_product(gamma, out, workspace("push", (n, n, size)))
-        ordered_product(left, inv, out)
+        prod = workspace("gram_schmidt", (size,))
+        left = ordered_product(gamma, out, workspace("push", (n, n, size)), prod)
+        ordered_product(left, inv, out, prod)
     return out
 
 
@@ -475,9 +477,10 @@ def _right_multiply(rows: np.ndarray, g: np.ndarray) -> np.ndarray:
     product is :func:`lingrp.ordered_product`'s, so its bits do not depend
     on the BLAS kernel.  It is written into the calling thread's ``"push"``
     workspace slot (see :func:`lingrp.workspace`), valid until the slot is
-    next requested."""
+    next requested, with the ``"gram_schmidt"`` slot as its scratch."""
     n, _, m = rows.shape
-    return ordered_product(rows[::-1], g, workspace("push", (n, n, m)))
+    out = workspace("push", (n, n, m))
+    return ordered_product(rows[::-1], g, out, workspace("gram_schmidt", (m,)))
 
 
 def _reduce_into(rev: np.ndarray, log_a: np.ndarray, u_coords: np.ndarray) -> None:
@@ -546,10 +549,11 @@ def stream_measures(
     stream, never keyed by translate; then, for each translate, every
     factor is embedded, pushed and reduced into the calling thread's
     ``"coords"`` workspace slot (see :func:`lingrp.workspace`): lattice
-    reduction for n = 3, 4, the half-plane walk for n = 2.  The pushed and
-    factored stacks, an unconjugated factor's embedded stack and the
-    reducers' scratch live in the reducing thread's workspace too, each
-    starting on a 64-byte cache line.  Each reduced block is checked
+    reduction for n = 3, 4, the half-plane walk for n = 2.  The embedded,
+    pushed and factored stacks and the reducers' scratch live in the
+    reducing thread's workspace too, each starting on a 64-byte cache
+    line (a 2x2 draw that fills an n = 2 sample is pushed as it was
+    drawn).  Each reduced block is checked
     against the Siegel bounds and folded: its depth-code tables
     (see :func:`boundary_histograms`) are added to the translate's, and its
     rows below ``keep`` are copied into the translate's factor-major head.

@@ -64,8 +64,9 @@ def reduce_sl2_coords(
     (see :func:`_walk_block`); the walk of a point does not depend on the
     others, so blocking changes no bit.  The walk's scratch, two float rows
     and a row of flags, is the calling thread's ``"push"`` workspace slot
-    (see :func:`lingrp.workspace`): the sampling path walks a pushed block
-    once its factor is formed, when the push is dead.  Warns once per call
+    (see :func:`lingrp.workspace`), so x and y must not live there: the
+    sampling path walks a pushed block once its factor is formed, when the
+    push is dead.  Warns once per call
     when some point is still inside the disc after ``max_iter`` iterations.
     """
     x = np.require(x, dtype=float, requirements="CW")
