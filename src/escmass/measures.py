@@ -372,9 +372,9 @@ def _draw_factor_chunk(spec: SubgroupSpec, size: int, rng, y_cap: float) -> Opti
     """The random part of one chunk of a factor's samples, and the only step
     that reads its RNG stream: (k, size) uniform columns for the k entries of
     a unipotent kind, the component-major (2, 2, size) modular blocks of a
-    2x2-block kind, or None for a trivial factor, which draws nothing.  Every draw holds its
-    samples along its last axis, so draw[..., lo:hi] is the draw of samples
-    lo to hi."""
+    2x2-block kind, or None for a trivial factor, which draws nothing.
+    Every draw holds its samples along its last axis, so draw[..., lo:hi]
+    is the draw of samples lo to hi."""
     if spec.kind == "trivial":
         return None
     if spec.kind in ("one_param_unipotent", "full_unipotent_radical"):
