@@ -485,8 +485,9 @@ def sequence_translate(seq: SequenceSpec, index: int) -> np.ndarray:
     shaped (factors, n, n); this is what the Monte Carlo side pushes by.
     A direction large enough to overflow exp gives inf and nan entries
     without a warning; the translate budget of stream_measures refuses
-    them.  The recorded factor multiplies by :func:`lingrp.ordered_product`,
-    so the translate's bits do not depend on the BLAS kernel."""
+    them.  Scaling the offset's columns keeps its exact zeros, and the
+    recorded factor multiplies by :func:`lingrp.ordered_product`: no BLAS
+    kernel decides a bit of the translate."""
     r, n = seq.subgroup.shape
     out = np.empty((r, n, n))
     for f in range(r):
@@ -494,7 +495,7 @@ def sequence_translate(seq: SequenceSpec, index: int) -> np.ndarray:
         if seq.bounded_part is not None and seq.bounded_part != "bounded":
             h = np.array([[float(x) for x in row] for row in seq.bounded_part[f]])
         with np.errstate(over="ignore", invalid="ignore"):
-            g = h @ np.diag(np.exp([index * float(x) for x in seq.direction[f * n : (f + 1) * n]]))
+            g = h * np.exp([index * float(x) for x in seq.direction[f * n : (f + 1) * n]])
             if seq.conjugator_policy == "recorded":
                 left = seq.recorded_conjugator[f]
                 g = ordered_product(left, g, np.empty((n, n, 1)), np.empty(1))[..., 0]

@@ -204,19 +204,37 @@ def ordered_product(a, b, out: np.ndarray, prod: np.ndarray) -> np.ndarray:
     """The matrix product a @ b of two nested sequences, written into the
     (p, r, m) array ``out``: entry (i, k) is the sum of a[i][j] * b[j][k]
     over j ascending, from +0.0, each product and each sum rounded on its
-    own.  Each entry of a and b is a scalar or a stack-length row, so a
-    stack of m matrices is multiplied column by column; ``prod`` is (m,)
-    scratch, and neither it nor out may share memory with an input.
+    own.  Each entry of a and b is a scalar or a stack-length row of finite
+    values, so a stack of m matrices is multiplied column by column;
+    ``prod`` is (m,) scratch, and neither it nor out may share memory with
+    an input.  A term with an exact-zero scalar factor (+0.0 or -0.0) is
+    skipped: a sum that starts from +0.0 is never -0.0, so adding a zero
+    product leaves it as it is.  Terms of two scalars are formed as
+    scalars, and an entry of scalar terms only is filled with their sum.
 
     These are the bits of a BLAS kernel without fused multiply-add, and of
     Python floats summed left to right; a gemm's bits depend on whether the
     kernel BLAS picks at run time rounds a * b + c once or twice."""
+    # each factor classified once: a row, a nonzero float, or None for a zero
+    a, b = ([[x if isinstance(x, np.ndarray) else float(x) or None for x in row] for row in m]
+            for m in (a, b))
     for i, row in enumerate(a):
         for k in range(out.shape[1]):
-            acc = out[i, k]
-            np.add(np.multiply(row[0], b[0][k], out=prod), 0.0, out=acc)
-            for j in range(1, len(b)):
-                acc += np.multiply(row[j], b[j][k], out=prod)
+            acc, head = out[i, k], 0.0  # head: the sum while every term is a scalar
+            for x, y in zip(row, (col[k] for col in b)):
+                if x is None or y is None:
+                    continue
+                both = isinstance(x, float) and isinstance(y, float)
+                term = x * y if both else np.multiply(x, y, out=prod)
+                if head is None:
+                    acc += term
+                elif both:
+                    head += term
+                else:
+                    np.add(term, head, out=acc)
+                    head = None
+            if head is not None:
+                acc[...] = head
     return out
 
 
@@ -254,8 +272,9 @@ def workspace(slot: str, shape, dtype=float) -> np.ndarray:
     - ``"gram_schmidt"``: the kernel's scratch, inside one factorization,
       and the products of :func:`ordered_product` in the push and the
       conjugated embed (measures), inside one call;
-    - ``"stack"``: a chunk's or a block's embedded samples (measures) until
-      they are pushed, then the reducer's working basis until the reduction
+    - ``"stack"``: a conjugated chunk's or block's embedded samples
+      (measures) until they are pushed (an unconjugated embed writes
+      nothing), then the reducer's working basis until the reduction
       returns (n = 3, 4) or the pushed block's factor until its coordinates
       are read (n = 2);
     - ``"push"``: a conjugated embed's left product until the conjugated
@@ -268,7 +287,8 @@ def workspace(slot: str, shape, dtype=float) -> np.ndarray:
       ``measures.stream_measures``, from its reduction until that loop has
       checked and folded them; a block is a whole chunk for n = 3, 4 and
       one ``reduction.WALK_BLOCK`` for n = 2, where the slot is block-sized;
-    - ``"lll"``, ``"lll_flags"``: the sweep buffers of one LLL pass;
+    - ``"lll"``, ``"lll_flags"``: the sweep buffers of one LLL pass; at
+      the end of each sweep ``"lll"`` is the reorder's scratch;
     - ``"parity"``, ``"order"``, ``"inverse"``, ``"restore"``: the
       reducer's swap parity, working order, its inverse and the reordering
       scratch, inside one reduction.

@@ -347,14 +347,15 @@ def _sample_modular_chunk(size: int, rng, y_cap: float) -> np.ndarray:
     theta = rng.uniform(0.0, 2.0 * np.pi, size=size)
     out = np.empty((2, 2, size))
     # the rotation's cos and -sin are held in the output's second row until
-    # the first row is formed; the point's second row [0, 1 / sqrt y] then
-    # scales the rotation's, in place: with one nonzero entry, each sum is a
-    # single product
+    # the first row is formed (entry (0, 1) with scratch (0, 0), then (0, 0)
+    # with the dead -sin); the point's second row [0, 1 / sqrt y] then scales
+    # the rotation's, in place: with one nonzero entry, each sum is a product
     cos = np.cos(theta, out=out[1, 1])
     sin = np.sin(theta, out=theta)
-    rotation = [[cos, np.negative(sin, out=out[1, 0])], [sin, cos]]
     sq = np.sqrt(ys, out=ys)
-    ordered_product([[sq, np.divide(xs, sq, out=xs)]], rotation, out[:1], np.empty(size))
+    point = [[sq, np.divide(xs, sq, out=xs)]]
+    ordered_product(point, [[np.negative(sin, out=out[1, 0])], [cos]], out[:1, 1:], out[0, 0])
+    ordered_product(point, [[cos], [sin]], out[:1, :1], out[1, 0])
     inv_sq = np.divide(1.0, sq, out=sq)
     np.multiply(inv_sq, sin, out=out[1, 0])
     np.multiply(inv_sq, cos, out=out[1, 1])
@@ -385,38 +386,33 @@ def _draw_factor_chunk(spec: SubgroupSpec, size: int, rng, y_cap: float) -> Opti
     raise ValueError(f"unknown kind {spec.kind}")  # pragma: no cover
 
 
-def _embed_factor_chunk(spec: SubgroupSpec, draw: Optional[np.ndarray], size: int) -> np.ndarray:
-    """The samples a draw of spec stands for, component-major: an (n, n,
-    size) array whose [i, k] row holds entry (i, k) of every sample.  Each
-    sample is the identity with the drawn entries or block written in,
-    conjugated if spec is.  A 2x2 block that fills an unconjugated n = 2
-    sample is returned as it was drawn, not copied; callers only read it.
-    Any other chunk is written into the calling thread's ``"stack"``
-    workspace slot (see :func:`lingrp.workspace`), valid until it is
-    pushed.  A conjugated sample gamma @ h @ gamma^-1 is formed by two
-    calls of :func:`lingrp.ordered_product`, the first into the ``"push"``
-    slot, the second back over h, with the ``"gram_schmidt"`` slot as
-    their scratch."""
+def _embed_factor_chunk(spec: SubgroupSpec, draw: Optional[np.ndarray], size: int):
+    """The samples a draw of spec stands for, component-major: entry [i][k]
+    holds entry (i, k) of every sample, the identity's with the drawn
+    entries or block written in, conjugated if spec is.  Unconjugated, they
+    are n nested lists of n entries, the Python floats 0.0 and 1.0 and the
+    draw's own rows, and nothing is written; callers only read them.
+    Conjugated, gamma @ h @ gamma^-1 is formed by two calls of
+    :func:`lingrp.ordered_product` with the ``"gram_schmidt"`` slot as
+    their scratch, the first into the ``"push"`` slot, the second into an
+    (n, n, size) array in the calling thread's ``"stack"`` slot (see
+    :func:`lingrp.workspace`), valid until it is pushed."""
     n = spec.n
-    if n == 2 and spec.kind == "embedded_sl2" and spec.conjugator is None:
-        return draw
-    out = workspace("stack", (n, n, size))
-    out[...] = 0.0
-    for i in range(n):
-        out[i, i] = 1.0
+    h = [[float(i == k) for k in range(n)] for i in range(n)]
     if spec.kind in ("one_param_unipotent", "full_unipotent_radical"):
         for (r, c), column in zip(_uniform_coordinates(spec), draw):
-            out[r, c] = column
+            h[r][c] = column
     elif spec.kind in ("levi_semisimple_nc", "embedded_sl2"):
         b = spec.block
-        out[b : b + 2, b : b + 2] = draw
-    if spec.conjugator is not None:
-        gamma = np.array(spec.conjugator, dtype=float)
-        inv = np.array(int_inverse(spec.conjugator), dtype=float)
-        prod = workspace("gram_schmidt", (size,))
-        left = ordered_product(gamma, out, workspace("push", (n, n, size)), prod)
-        ordered_product(left, inv, out, prod)
-    return out
+        for r in range(2):
+            h[b + r][b : b + 2] = draw[r]
+    if spec.conjugator is None:
+        return h
+    gamma = np.array(spec.conjugator, dtype=float)
+    inv = np.array(int_inverse(spec.conjugator), dtype=float)
+    prod = workspace("gram_schmidt", (size,))
+    left = ordered_product(gamma, h, workspace("push", (n, n, size)), prod)
+    return ordered_product(left, inv, workspace("stack", (n, n, size)), prod)
 
 
 def _chunk_plan(count: int) -> Iterator[Tuple[int, int]]:
@@ -470,15 +466,17 @@ def truncation_bound(spec: SubgroupSpec, y_cap: float) -> float:
     )
 
 
-def _right_multiply(rows: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """The push h @ g of a component-major (n, n, m) stack by one (n, n)
+def _right_multiply(rows, g: np.ndarray) -> np.ndarray:
+    """The push h @ g of a component-major stack of m matrices, an (n, n,
+    m) array or :func:`_embed_factor_chunk`'s nested samples, by one (n, n)
     matrix g, written as the row-reversed component-major stack the
     reduction reads: out[n-1-i] is row i of every pushed sample.  The
     product is :func:`lingrp.ordered_product`'s, so its bits do not depend
     on the BLAS kernel.  It is written into the calling thread's ``"push"``
     workspace slot (see :func:`lingrp.workspace`), valid until the slot is
     next requested, with the ``"gram_schmidt"`` slot as its scratch."""
-    n, _, m = rows.shape
+    n = len(rows)
+    m = max(np.size(x) for row in rows for x in row)
     out = workspace("push", (n, n, m))
     return ordered_product(rows[::-1], g, out, workspace("gram_schmidt", (m,)))
 
@@ -490,9 +488,10 @@ def _reduce_into(rev: np.ndarray, log_a: np.ndarray, u_coords: np.ndarray) -> No
     reducer copies it into its working basis and then writes the reduced
     factor into its memory.  For n = 2 the factor goes into the calling
     thread's ``"stack"`` workspace slot (see :func:`lingrp.workspace`),
-    whose embedded samples the push has read by then: the kernel zeroes a
-    row of its output before it reads that row of its input, so the factor
-    cannot overwrite the pushed stack."""
+    whose embedded samples, if a conjugated embed wrote any, the push has
+    read by then: the kernel zeroes a row of its output before it reads
+    that row of its input, so the factor cannot overwrite the pushed
+    stack."""
     n, _, m = rev.shape
     if n in (3, 4):
         # the reducer reads the (m, n, n) view, copies it once and writes the
@@ -549,11 +548,11 @@ def stream_measures(
     stream, never keyed by translate; then, for each translate, every
     factor is embedded, pushed and reduced into the calling thread's
     ``"coords"`` workspace slot (see :func:`lingrp.workspace`): lattice
-    reduction for n = 3, 4, the half-plane walk for n = 2.  The embedded,
-    pushed and factored stacks and the reducers' scratch live in the
-    reducing thread's workspace too, each starting on a 64-byte cache
-    line (a 2x2 draw that fills an n = 2 sample is pushed as it was
-    drawn).  Each reduced block is checked
+    reduction for n = 3, 4, the half-plane walk for n = 2.  The
+    conjugated embedded, pushed and factored stacks and the reducers'
+    scratch live in the reducing thread's workspace too, each starting on
+    a 64-byte cache line (an unconjugated embed is pushed from the draw's
+    rows and scalar constants).  Each reduced block is checked
     against the Siegel bounds and folded: its depth-code tables
     (see :func:`boundary_histograms`) are added to the translate's, and its
     rows below ``keep`` are copied into the translate's factor-major head.

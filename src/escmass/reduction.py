@@ -148,31 +148,46 @@ def _factor_rows(low: np.ndarray) -> Iterator[np.ndarray]:
 
 def _to_front(stack, moved: np.ndarray, live: int, scratch: np.ndarray) -> int:
     """Reorder the first ``live`` columns of the stack (b, low, odd, order)
-    so that the columns flagged by ``moved`` come first, in order; returns
-    their count.  The factors of those columns are out of date, so only the
-    others' factors are moved, and of those only the lower rows: the rows
-    above the diagonal are +0.0 in every column (see :func:`_lll_rows`).
-    Each stack-length row is gathered with ``np.take`` into ``scratch``, a
-    float64 vector of the stack's length (mode="clip", a no-op on these
-    valid indices, lets take write there directly), and copied back."""
+    so that the columns flagged by ``moved`` come first; returns their
+    count.  Each moved column behind that count swaps places with an
+    unmoved one in front of it, so at most min(count, live - count) swap.
+    b swaps as one (n*n, m) array, and odd and order with it; of the
+    factor only the unmoved columns' lower rows are copied to their new
+    places: the others are out of date or +0.0 (see :func:`_lll_rows`).
+    The flat indices (numpy's fastest fancy indexing) and the values go
+    through ``scratch``, a flat float64 buffer of (n + 4) * live entries,
+    as many rows at a time as fit (mode="clip", a no-op on these valid
+    indices, lets take write there directly)."""
     count = int(np.count_nonzero(moved))
-    if 0 < count < live:
-        perm = np.concatenate([np.flatnonzero(moved), np.flatnonzero(~moved)])
+    front = np.flatnonzero(~moved[:count])
+    s = len(front)
+    if s:
         b, low, odd, order = stack
-        rows = [(r, 0) for r in b.reshape(-1, b.shape[-1])]
-        rows += [(r, count) for r in _factor_rows(low)]
-        rows += [(odd, 0), (order, 0)]
-        for row, start in rows:
-            tmp = scratch.view(row.dtype)[start:live]
-            np.take(row[:live], perm[start:], out=tmp, mode="clip")
-            row[start:live] = tmp
+        n, _, m = b.shape
+        k = min(n * n, len(scratch) // (4 * s))  # rows per piece
+        at = scratch[: 2 * k * s].view(np.intp).reshape(2, k, s)
+        starts = np.arange(0, k * m, m)[:, None]
+        np.add(starts, front, out=at[0])
+        np.add(starts + count, np.flatnonzero(moved[count:live]), out=at[1])
+        pieces = [(b.reshape(n * n, m), True), (odd[None], True), (order[None], True)]
+        for x, swap in pieces + [(low[i, : i + 1], False) for i in range(n)]:
+            for lo in range(0, len(x), k):
+                part = x[lo : lo + k].reshape(-1)
+                at_i, at_j = at.reshape(2, -1)[:, : len(part) // m * s]
+                got_i, got_j = scratch[2 * k * s :].view(x.dtype)[: 2 * len(at_i)].reshape(2, -1)
+                np.take(part, at_i, out=got_i, mode="clip")
+                if swap:
+                    np.take(part, at_j, out=got_j, mode="clip")
+                    part[at_i] = got_j
+                part[at_j] = got_i
     return count
 
 
 def _lll_rows(stack, stale: int, delta: float, max_sweeps: int) -> Tuple[int, bool, int]:
     """One sweep-based row LLL pass over a component-major stack, in place.
 
-    stack is (b, low, odd, order): b is an (n, n, m) float array, b[i, k]
+    stack is (b, low, odd, order): b is a C-contiguous (n, n, m) float
+    array, b[i, k]
     holding entry k of row i across the m matrices, so every row operation
     below is an elementwise update of contiguous stack-length vectors; low
     is the (n, n, m) lower Gram-Schmidt factor of b (as
@@ -193,12 +208,12 @@ def _lll_rows(stack, stale: int, delta: float, max_sweeps: int) -> Tuple[int, bo
     coefficient and no swap leaves its basis unchanged, so it would make the
     same decisions in every later sweep of the pass.  Each sweep therefore
     factors and sweeps only the matrices the previous sweep changed, kept as
-    a prefix of the stack: at the end of a sweep the changed matrices are
-    moved to the front (reordering every array of the stack) and the rest
-    leave the working set.  A matrix that leaves keeps the factor computed at
-    the start of that sweep, which is still fresh: updates by q = +-0 leave
-    low bit-identical, since no entry of a fresh factor is -0.0.  The first
-    sweep runs over the whole stack.
+    a prefix of the stack: at the end of a sweep each changed matrix behind
+    their count swaps places with an unchanged one in front of it (see
+    :func:`_to_front`) and the rest leave the working set.  A matrix that
+    leaves keeps the factor computed at the start of that sweep, which is
+    still fresh: updates by q = +-0 leave low bit-identical, since no entry
+    of a fresh factor is -0.0.  The first sweep runs over the whole stack.
 
     Returns (sweeps, converged, stale'): converged tells whether the last
     sweep was swap-free (False only when the pass stopped at max_sweeps),
@@ -210,7 +225,8 @@ def _lll_rows(stack, stale: int, delta: float, max_sweeps: int) -> Tuple[int, bo
     # the sweep's stack-length temporaries go into these workspace buffers,
     # viewed over the working set: temporaries that shrank with the working
     # set, sweep by sweep, fragmented the allocator's heap and raised the
-    # peak resident memory of a run although less memory was in use
+    # peak resident memory of a run although less memory was in use; the
+    # whole buffer is the reorder's scratch at the end of a sweep
     lll = workspace("lll", (4 + n, live))
     vec, rows_f = lll[:4], lll[4:]
     flags = workspace("lll_flags", (3, live), dtype=bool)
@@ -255,7 +271,7 @@ def _lll_rows(stack, stale: int, delta: float, max_sweeps: int) -> Tuple[int, bo
                 pending &= ~bad
                 swapped = True
         moved |= ~pending
-        live = stale = _to_front(stack, moved, live, rows_f[0])
+        live = stale = _to_front(stack, moved, live, lll.reshape(-1))
         if not swapped:
             break
     return sweeps, not swapped, stale

@@ -18,6 +18,7 @@ import pytest
 from scipy import integrate
 
 import escmass.measures as measures
+from escmass import lingrp
 from escmass.lingrp import group_element, iwasawa_batched
 from escmass.measures import (
     CHUNK,
@@ -53,7 +54,18 @@ def _samples(spec, count, seed, y_cap=measures.Y_CAP_DEFAULT):
         for f, fac in enumerate(factors):
             rng = np.random.default_rng([seed, ci, f])
             draw = measures._draw_factor_chunk(fac, size, rng, y_cap)
-            out[rows, f] = measures._embed_factor_chunk(fac, draw, size).transpose(2, 0, 1)
+            out[rows, f] = _materialize(measures._embed_factor_chunk(fac, draw, size), size).transpose(2, 0, 1)
+    return out
+
+
+def _materialize(h, size):
+    """The (n, n, size) array of a component-major embed: the nested
+    samples of an unconjugated factor, whose scalar entries stand for
+    constant rows, or a conjugated factor's array."""
+    out = np.empty((len(h), len(h), size))
+    for i, row in enumerate(h):
+        for k, x in enumerate(row):
+            out[i, k] = x
     return out
 
 
@@ -614,6 +626,75 @@ def test_component_major_push_matches_the_flat_gemm(n, length, contiguous):
     rev = measures._right_multiply(np.ascontiguousarray(rows) if contiguous else rows, g)
     assert rev.flags.c_contiguous and rev.shape == (n, n, length)
     assert _same_bits(rev[::-1].transpose(2, 0, 1), _py_stack_product(base, g)[idx])
+
+
+def _mixed_operand(rng, n, m):
+    """An n x n operand of ordered_product: each entry a scalar 0.0, -0.0,
+    1.0 or a random value, or a length-m row of random values with -0.0
+    and 0.0 in it, or a row of signed zeros."""
+    def entry():
+        pick = rng.integers(7)
+        if pick < 4:
+            return (0.0, -0.0, 1.0, float(rng.normal()))[pick]
+        row = rng.normal(size=m)
+        row[rng.random(m) < 0.3] = -0.0
+        row[rng.random(m) < 0.1] = 0.0
+        return np.where(rng.random(m) < 0.5, -0.0, 0.0) if pick == 6 else row
+
+    return [[entry() for _ in range(n)] for _ in range(n)]
+
+
+def _column(op, c):
+    """Column c of a nested operand as Python floats."""
+    return [[float(x if np.ndim(x) == 0 else x[c]) for x in row] for row in op]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_ordered_product_with_scalar_entries_matches_the_python_oracle(n):
+    """Operands that mix the scalars 0.0, -0.0 and 1.0 with rows holding
+    -0.0 multiply to the Python oracle's product, column by column, signed
+    zeros included: skipping the exact-zero scalars and forming scalar
+    terms as scalars moves no bit."""
+    rng = np.random.default_rng(300 + n)
+    m = 23
+    out, prod = np.empty((n, n, m)), np.empty(m)
+    for _ in range(60):
+        a, b = _mixed_operand(rng, n, m), _mixed_operand(rng, n, m)
+        lingrp.ordered_product(a, b, out, prod)
+        for c in range(m):
+            want = np.array(_py_product(_column(a, c), _column(b, c)))
+            assert _same_bits(out[:, :, c], want)
+
+
+def test_ordered_product_entries_of_skipped_terms_are_plus_zero():
+    """An entry whose every term has an exact-zero scalar factor is +0.0,
+    and an entry of scalar terms only is filled with their sum."""
+    m = 5
+    row = np.array([-0.0, 2.0, -3.0, 0.0, -0.0])
+    a = [[-0.0, 0.0], [1.0, row]]
+    b = [[row, -0.0], [-2.0, 0.0]]
+    out = np.full((2, 2, m), np.nan)
+    lingrp.ordered_product(a, b, out, np.empty(m))
+    assert _same_bits(out[0, 0], np.zeros(m)) and _same_bits(out[0, 1], np.zeros(m))
+    assert _same_bits(out[1, 1], np.zeros(m))
+    assert _same_bits(out[1, 0], row + 0.0 - 2.0 * row)
+    scalars = lingrp.ordered_product([[2.0, -0.0]], [[3.0], [np.inf]], np.empty((1, 1, m)), np.empty(m))
+    assert _same_bits(scalars[0, 0], np.full(m, 6.0))
+
+
+@pytest.mark.parametrize("zero", [0.0, -0.0])
+def test_ordered_product_never_forms_a_skipped_term(zero):
+    """A term with an exact-zero scalar factor, of either sign and on either
+    side, is skipped, not formed: a zero times a row of infinities would be
+    nan, and here adds nothing."""
+    m = 4
+    bad = np.array([np.inf, -np.inf, np.nan, np.inf])
+    row = np.array([1.5, -0.0, 0.0, -2.0])
+    out, prod = np.empty((1, 1, m)), np.empty(m)
+    lingrp.ordered_product([[zero, 1.0]], [[bad], [row]], out, prod)
+    assert _same_bits(out[0, 0], row + 0.0)
+    lingrp.ordered_product([[bad, row]], [[zero], [1.0]], out, prod)
+    assert _same_bits(out[0, 0], row + 0.0)
 
 
 @pytest.mark.parametrize(

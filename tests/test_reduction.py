@@ -12,6 +12,7 @@ against an independent brute-force filter written inline.
 """
 
 import doctest
+import hashlib
 import itertools
 import warnings
 
@@ -57,7 +58,18 @@ def _samples(spec, count, seed, y_cap):
     out = np.empty((count, spec.n, spec.n))
     for ci, size in _chunk_plan(count):
         draw = _draw_factor_chunk(spec, size, np.random.default_rng([seed, ci, 0]), y_cap)
-        out[ci * CHUNK : ci * CHUNK + size] = _embed_factor_chunk(spec, draw, size).transpose(2, 0, 1)
+        out[ci * CHUNK : ci * CHUNK + size] = _materialize(_embed_factor_chunk(spec, draw, size), size).transpose(2, 0, 1)
+    return out
+
+
+def _materialize(h, size):
+    """The (n, n, size) array of a component-major embed: the nested
+    samples of an unconjugated factor, whose scalar entries stand for
+    constant rows, or a conjugated factor's array."""
+    out = np.empty((len(h), len(h), size))
+    for i, row in enumerate(h):
+        for k, x in enumerate(row):
+            out[i, k] = x
     return out
 
 
@@ -462,6 +474,84 @@ def levi_stack():
     g = sequence_translate(scn.sequence, 4)
     samples = _samples(scn.sequence.subgroup, 4096, scn.seed, scn.y_cap)
     return _right_multiply(samples.transpose(1, 2, 0), g[0])[::-1].transpose(2, 0, 1).copy()
+
+
+@pytest.fixture(scope="module")
+def sl4_stack():
+    """4,096 samples of levi_semisimple_nc(4, block 1) pushed by the
+    translate of direction (3, 3, -3, -3) at index 4."""
+    doc = {"schema": "escape-scenario/1", "name": "sl4",
+           "sequence": {"subgroup": {"kind": "levi_semisimple_nc", "n": 4, "block": 1},
+                        "direction": ["3", "3", "-3", "-3"]}}
+    seq = scenario_from_json(doc).sequence
+    samples = _samples(seq.subgroup, 4096, 7, 1e4)
+    g = sequence_translate(seq, 4)[0]
+    return _right_multiply(samples.transpose(1, 2, 0), g)[::-1].transpose(2, 0, 1).copy()
+
+
+# sha256 of the reps and then the factor that reduce_siegel_batched
+# returns, as the reducer wrote them when each reorder gathered every live
+# column into place with np.take
+REDUCED_DIGESTS = {
+    "levi_stack": "88937fa79bd41b7f83eb3630711ea02dcdcfc5b1aacbe4740227533c3364b694",
+    "sl4_stack": "b986992432427a30f4e90f83d6961d0a6c7301994ea3ef9497a47d0e6fe58589",
+}
+
+
+@pytest.mark.parametrize("name", sorted(REDUCED_DIGESTS))
+def test_reduced_bytes_are_pinned(name, request):
+    """The order in which the working set keeps its columns moves no bit
+    of a dense SL_3 or SL_4 reduction."""
+    reps, low = reduce_siegel_batched(request.getfixturevalue(name))
+    digest = hashlib.sha256(reps.tobytes())
+    digest.update(low.tobytes())
+    assert digest.hexdigest() == REDUCED_DIGESTS[name]
+
+
+def _front_case(n, pattern, m=300, live=258):
+    """A stack (b, low, odd, order) of m columns with random bases, lower
+    factors (+0.0 above the diagonal, -0.0 in some lower entries), parities
+    and a permuted order, and the moved flags of its first live columns."""
+    rng = np.random.default_rng(n * 10 + len(pattern))
+    b = rng.normal(size=(n, n, m))
+    low = np.where(np.tril(np.ones((n, n)))[:, :, None] > 0, rng.normal(size=(n, n, m)), 0.0)
+    low[1, 0, ::7] = -0.0
+    odd = rng.random(m) < 0.5
+    order = rng.permutation(m)
+    half = np.arange(live) >= live // 2
+    moved = {"halves": half, "one_front": ~half, "sparse": rng.random(live) < 0.1,
+             "dense": rng.random(live) < 0.9, "all": np.ones(live, bool)}[pattern]
+    return (b, low, odd, order), moved
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("pattern", ["halves", "one_front", "sparse", "dense", "all"])
+def test_to_front_relocates_only_misplaced_columns(n, pattern):
+    """After _to_front the prefix is exactly the moved set and order is
+    still a permutation; every column's basis and parity go with it, the
+    unmoved columns keep their lower factor rows bit for bit, no column at
+    or past live moves, and at most min(count, live - count) moved columns
+    are relocated, each swapping with one unmoved column.  The scratch is
+    the (n + 4) * live floats of the sweep buffers, which the halves
+    pattern fills."""
+    stack, moved = _front_case(n, pattern)
+    live = len(moved)
+    before = [x.copy() for x in stack]
+    count = reduction._to_front(stack, moved.copy(), live, np.empty((n + 4) * live))
+    b, low, odd, order = stack
+    assert count == np.count_nonzero(moved)
+    assert np.array_equal(np.sort(order), np.arange(len(order)))
+    where = np.argsort(before[3])[order]  # each column's position before
+    assert np.array_equal(where[live:], np.arange(live, len(order)))
+    assert np.array_equal(np.sort(where[:count]), np.flatnonzero(moved))
+    assert np.array_equal(_bits(b), _bits(before[0][:, :, where]))
+    assert np.array_equal(odd, before[2][where])
+    kept = np.concatenate([np.arange(count, live), np.arange(live, len(order))])
+    assert np.array_equal(_bits(low[:, :, kept]), _bits(before[1][:, :, where[kept]]))
+    assert not _bits(low)[np.triu_indices(n, 1)].any()
+    relocated = where[:live] != np.arange(live)
+    assert np.count_nonzero(relocated[:count]) <= min(count, live - count)
+    assert np.count_nonzero(relocated) == 2 * np.count_nonzero(relocated[:count])
 
 
 def test_reduction_does_not_depend_on_the_stack(levi_stack):
