@@ -54,7 +54,8 @@ def _samples(spec, count, seed, y_cap=measures.Y_CAP_DEFAULT):
         for f, fac in enumerate(factors):
             rng = np.random.default_rng([seed, ci, f])
             draw = measures._draw_factor_chunk(fac, size, rng, y_cap)
-            out[rows, f] = _materialize(measures._embed_factor_chunk(fac, draw, size), size).transpose(2, 0, 1)
+            embed = measures._embed_factor_chunk(fac, draw, size)
+            out[rows, f] = _materialize(embed, size).transpose(2, 0, 1)
     return out
 
 
@@ -678,7 +679,8 @@ def test_ordered_product_entries_of_skipped_terms_are_plus_zero():
     assert _same_bits(out[0, 0], np.zeros(m)) and _same_bits(out[0, 1], np.zeros(m))
     assert _same_bits(out[1, 1], np.zeros(m))
     assert _same_bits(out[1, 0], row + 0.0 - 2.0 * row)
-    scalars = lingrp.ordered_product([[2.0, -0.0]], [[3.0], [np.inf]], np.empty((1, 1, m)), np.empty(m))
+    scalars = np.empty((1, 1, m))
+    lingrp.ordered_product([[2.0, -0.0]], [[3.0], [np.inf]], scalars, np.empty(m))
     assert _same_bits(scalars[0, 0], np.full(m, 6.0))
 
 

@@ -58,7 +58,8 @@ def _samples(spec, count, seed, y_cap):
     out = np.empty((count, spec.n, spec.n))
     for ci, size in _chunk_plan(count):
         draw = _draw_factor_chunk(spec, size, np.random.default_rng([seed, ci, 0]), y_cap)
-        out[ci * CHUNK : ci * CHUNK + size] = _materialize(_embed_factor_chunk(spec, draw, size), size).transpose(2, 0, 1)
+        embed = _materialize(_embed_factor_chunk(spec, draw, size), size)
+        out[ci * CHUNK : ci * CHUNK + size] = embed.transpose(2, 0, 1)
     return out
 
 
