@@ -282,13 +282,18 @@ def workspace(slot: str, shape, dtype=float) -> np.ndarray:
       until the reducer has copied it, then the reduced factor over it,
       until its coordinates are read (n = 3, 4), or until it is factored
       (n = 2), and then the half-plane walk's scratch, inside one
-      ``reduction.reduce_sl2_coords`` call;
+      ``reduction.reduce_sl2_coords`` call: two float rows (the
+      translation step, then the divisor's select mask; and |z|^2, then
+      the divisor) and a row of flags;
     - ``"coords"``: the reduced coordinates of one block of a chunk in
       ``measures.stream_measures``, from its reduction until that loop has
       checked and folded them; a block is a whole chunk for n = 3, 4 and
       one ``reduction.WALK_BLOCK`` for n = 2, where the slot is block-sized;
-    - ``"lll"``, ``"lll_flags"``: the sweep buffers of one LLL pass; at
-      the end of each sweep ``"lll"`` is the reorder's scratch;
+    - ``"lll"``, ``"lll_flags"``: the sweep buffers of one LLL pass, the
+      swap's select mask in the Lovasz lhs row of ``"lll"``; at the end of
+      each sweep ``"lll"`` is the reorder's scratch, and after the two
+      passes of a reduction it holds the parity fix's select mask and its
+      0.0 - low rows;
     - ``"parity"``, ``"order"``, ``"inverse"``, ``"restore"``: the
       reducer's swap parity, working order, its inverse and the reordering
       scratch, inside one reduction.

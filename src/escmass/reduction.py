@@ -41,6 +41,83 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
+# selects by bit pattern
+
+# A masked write (``where=``, ``np.where``, a masked ``np.copyto``) takes a
+# slow, branchy numpy loop when its mask is mixed: swapping two 3 x 16,384
+# row blocks at half the columns took 742 us against 39 us for a plain swap
+# (one BLAS thread, best of 7).  On the uint64 views of float rows,
+# a ^ ((a ^ b) & sel) selects b where sel is all ones and a where it is 0,
+# in branch-free passes that move exactly the bits the masked write would,
+# signed zeros, NaN and inf included.
+_ONE_BITS = np.float64(1.0).view(np.uint64)
+_SIGN_BIT = np.uint64(1 << 63)
+
+
+def _bit_mask(flags: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """The select mask of a bool row, written over the 8-byte row ``row``
+    of the same length: returns row's uint64 view, all ones where flags is
+    set and 0 elsewhere."""
+    return np.negative(flags.view(np.int8), out=row.view(np.int64)).view(np.uint64)
+
+
+def _swap_where(x: np.ndarray, y: np.ndarray, flags: np.ndarray, mask, scratch) -> int:
+    """Swap the float rows x and y in the columns flagged by the bool row
+    flags, in place; returns the count of flagged columns.  With all of
+    them flagged it is a plain swap through ``scratch``, free rows of x's
+    shape; otherwise a XOR swap, d = (x ^ y) & sel, x ^= d, y ^= d, with d
+    in ``scratch`` and the mask sel written over ``mask``, a free 8-byte
+    row."""
+    count = int(np.count_nonzero(flags))
+    if count == len(flags):
+        np.copyto(scratch, x)
+        np.copyto(x, y)
+        np.copyto(y, scratch)
+    elif count:
+        xb, yb = x.view(np.uint64), y.view(np.uint64)
+        d = np.bitwise_xor(xb, yb, out=scratch.view(np.uint64))
+        d &= _bit_mask(flags, mask)
+        xb ^= d
+        yb ^= d
+    return count
+
+
+def _negate_where(row: np.ndarray, coef: np.ndarray, flags: np.ndarray) -> None:
+    """row = -row and coef = 0.0 - coef, in place, in the columns flagged
+    by the bool row flags.  Unless every column is flagged, row's sign bits
+    are flipped by XOR, and coef is selected by bits between itself and
+    0.0 - coef, formed with the mask in the calling thread's ``"lll"``
+    workspace slot."""
+    count = int(np.count_nonzero(flags))
+    if count == len(flags):
+        np.negative(row, out=row)
+        np.subtract(0.0, coef, out=coef)
+    elif count:
+        rows = workspace("lll", (1 + len(coef), len(flags)))
+        sel = _bit_mask(flags, rows[0])
+        row_bits, coef_bits = row.view(np.uint64), coef.view(np.uint64)
+        row_bits ^= np.bitwise_and(sel, _SIGN_BIT, out=rows[1].view(np.uint64))
+        new = np.subtract(0.0, coef, out=rows[1:]).view(np.uint64)
+        new ^= coef_bits
+        new &= sel
+        coef_bits ^= new
+
+
+def _divisor(norm2: np.ndarray, low: np.ndarray, inside: int, mask) -> np.ndarray:
+    """-norm2 in the columns flagged by the bool row low, of which there
+    are ``inside``, and 1.0 in the others, in place over norm2, which is
+    returned: negated, then 1.0 selected by bits, ONE ^ ((x ^ ONE) & sel),
+    with the mask sel written over ``mask``, a free 8-byte row."""
+    div = np.negative(norm2, out=norm2)
+    if inside < len(low):
+        bits = div.view(np.uint64)
+        bits ^= _ONE_BITS
+        bits &= _bit_mask(low, mask)
+        bits ^= _ONE_BITS
+    return div
+
+
+# ---------------------------------------------------------------------------
 # n = 2: translate/invert walk on half-plane coordinates
 
 
@@ -94,7 +171,10 @@ def _walk_block(bx: np.ndarray, by: np.ndarray, max_iter: int, scratch) -> bool:
     while at least half of it is still inside, and the iteration inverts the
     whole set in place through a divisor that is -|z|^2 inside and 1 outside
     (x / -|z|^2 is the bits of -x / |z|^2, and y is divided by its absolute
-    value), which leaves an outside point as it is.  Once fewer than half
+    value), which leaves an outside point as it is.  The divisor is formed
+    in place over |z|^2 (:func:`_divisor`): negated, then, unless every
+    point is inside, 1.0 selected by bits where the point is outside, the
+    mask written over the dead translation step.  Once fewer than half
     are inside, the working set is written back to the block and only the
     points inside are carried on.
     """
@@ -121,7 +201,7 @@ def _walk_block(bx: np.ndarray, by: np.ndarray, max_iter: int, scratch) -> bool:
             xs /= norm2
             ys /= norm2
         else:
-            div = np.where(low, np.negative(norm2, out=norm2), 1.0)
+            div = _divisor(norm2, low, inside, step)
             xs /= div
             ys /= np.abs(div, out=div)
     else:
@@ -202,7 +282,11 @@ def _lll_rows(stack, stale: int, delta: float, max_sweeps: int) -> Tuple[int, bo
     sweep; every other column's is fresh.  At n <= 4 a float64 Gram-Schmidt
     carries enough precision for the size-reduction and swap decisions (the
     floating-point LLL analysis of Nguyen and Stehle's L^2).  One swap per
-    matrix per sweep keeps the batched swaps independent.
+    matrix per sweep keeps the batched swaps independent.  The flagged
+    matrices swap rows k-1 and k (:func:`_swap_where`): by a plain row swap
+    through the sweep's scratch rows when the whole working set is flagged,
+    and otherwise by a XOR swap of the rows' bits, whose mask is written
+    over the Lovasz lhs row, dead once the flags are formed.
 
     Working set: a sweep in which a matrix meets no nonzero size-reduction
     coefficient and no swap leaves its basis unchanged, so it would make the
@@ -263,10 +347,7 @@ def _lll_rows(stack, stale: int, delta: float, max_sweeps: int) -> Tuple[int, bo
             rhs *= 1.0 - 1e-14
             bad = np.less(lhs, rhs, out=flag)
             bad &= pending
-            if bad.any():
-                np.copyto(fw, bw[k - 1])
-                np.copyto(bw[k - 1], bw[k], where=bad)
-                np.copyto(bw[k], fw, where=bad)
+            if _swap_where(bw[k - 1], bw[k], bad, lhs, fw):
                 odd[:live] ^= bad
                 pending &= ~bad
                 swapped = True
@@ -291,7 +372,8 @@ def _reduce_stack(
     b is the calling thread's ``"stack"`` workspace slot.  The parity, the
     working order, inverse and the reordering scratch are workspace slots in
     either case (see :func:`lingrp.workspace`), valid until the thread's
-    next reduction.  The input is copied once into b: a view of a
+    next reduction; the parity fix below selects by bits through the
+    ``"lll"`` slot, dead once the passes end.  The input is copied once into b: a view of a
     row-reversed component-major stack, as the sampling path passes, copies
     as contiguous rows, and a row-major stack by one transposing copy.
 
@@ -346,9 +428,9 @@ def _reduce_stack(
     # reps in the coset of a determinant-one reducer.  Negating a row negates
     # its Gram-Schmidt coefficients exactly, and the kernel's sums 0.0 + c
     # give +0.0 for either sign of a zero c, hence 0.0 - low rather than
-    # -low; the diagonal is a norm and stays
-    np.negative(b[-1], out=b[-1], where=odd)
-    np.subtract(0.0, low[-1, :-1], out=low[-1, :-1], where=odd)
+    # -low; the diagonal is a norm and stays.  Both go by bits through the
+    # sweep buffer, dead once the passes end
+    _negate_where(b[-1], low[-1, :-1], odd)
     gram_schmidt_lower(b[:, :, :stale], low[:, :, :stale])
     inverse = workspace("inverse", (m,), dtype=np.intp)
     inverse[order] = np.arange(m)
@@ -410,6 +492,8 @@ def reduce_siegel_batched(
     m, n, _ = mats.shape
     if out is not None and (out.shape != (n, n, m) or out.dtype != float):
         raise ValueError(f"out must be a float64 array of shape {(n, n, m)}")
+    if not m:  # no factor to set a sweep budget from, and nothing to reduce
+        return np.empty((0, n, n)), np.empty((n, n, 0)) if out is None else out
     b, low, inverse = _reduce_stack(mats) if out is None else _reduce_stack(mats, out)
     bad = np.flatnonzero(~_ratio_certified(low))
     if out is None or bad.size:  # before another reduction takes the workspace
