@@ -344,6 +344,12 @@ def test_live_set_walk_matches_the_full_array_loop(monkeypatch):
     monkeypatch.setattr(reduction, "WALK_BLOCK", 64)
     x, y = _mixed_depth_blocks(rng, 64, [1.0, 0.9, 0.7, 0.55, 0.45, 0.2, 0.0, 0.6])
     _assert_walk_matches(np.append(x, edge_x[:21]), np.append(y, edge_y[:21]))
+    # a block whose every point starts inside the disc, and a second one
+    # deep inside, so that the whole block inverts before any point leaves
+    x = rng.uniform(-0.5, 0.5, size=128)
+    y = np.exp(np.append(rng.uniform(np.log(1e-6), np.log(0.7), size=64),
+                         rng.uniform(np.log(1e-9), np.log(1e-7), size=64)))
+    _assert_walk_matches(x, y)
     # the iteration cap still warns, with the capped walk's bits
     x, y = np.array([0.25, 3.0, 0.1, 0.3]), np.array([1e-12, 2.0, 1e-6, 0.2])
     with pytest.warns(UserWarning, match="iteration cap"):
@@ -958,10 +964,16 @@ def _oracle_stacks(levi_stack):
                         "direction": ["3", "1", "-1", "-3"]}}
     seq = scenario_from_json(doc).sequence
     samples = _samples(seq.subgroup, 2048, 7, 1e6)
-    yield "sl4_embedded_sl2", samples @ sequence_translate(seq, 4)[0]
+    sl4 = samples @ sequence_translate(seq, 4)[0]
+    yield "sl4_embedded_sl2", sl4
     reduced = reduce_siegel_batched(levi_stack[:1000])[0]
     yield "raw_and_reduced", np.concatenate([levi_stack[:1000], reduced])[::-1].copy()
-    yield "one_matrix", levi_stack[7:8]
+    # single matrices and tiles of one: every swap flags the whole working
+    # set, and no matrix or every matrix ends with odd parity
+    yield "one_matrix", levi_stack[7:8]  # odd
+    yield "one_matrix_4", sl4[6:7]  # even
+    yield "tile_3", np.tile(levi_stack[3], (64, 1, 1))  # even
+    yield "tile_4", np.tile(sl4[0], (64, 1, 1))  # odd
     yield "zeros_3", _zeros_stack(3)
     yield "zeros_4", _zeros_stack(4)
 
@@ -979,6 +991,109 @@ def test_working_set_matches_the_full_array_loop(levi_stack, monkeypatch):
             for x, y in zip(got, want):
                 assert np.array_equal(_bits(x), _bits(y)), (name, cap)
             assert got_passes == want_passes and got_warn == want_warn, (name, cap)
+
+
+def test_oracle_stacks_reach_every_swap_and_parity_case(levi_stack, monkeypatch):
+    """At n = 3 and at n = 4 the oracle stacks swap rows both ways (every
+    column of the working set flagged, and some), and the parity fix meets
+    no odd matrix, some and all of them."""
+    seen = set()
+    real_swap, real_negate = reduction._swap_where, reduction._negate_where
+
+    def swap(x, y, flags, *rest):
+        count = real_swap(x, y, flags, *rest)
+        if count:
+            seen.add((len(x), "swap", "all" if count == len(flags) else "some"))
+        return count
+
+    def negate(row, coef, flags):
+        count = np.count_nonzero(flags)
+        seen.add((len(row), "negate", {0: "none", len(flags): "all"}.get(count, "some")))
+        real_negate(row, coef, flags)
+
+    monkeypatch.setattr(reduction, "_swap_where", swap)
+    monkeypatch.setattr(reduction, "_negate_where", negate)
+    for _, mats in _oracle_stacks(levi_stack):
+        reduce_siegel_batched(mats)
+    want = {(n, "swap", case) for n in (3, 4) for case in ("all", "some")}
+    want |= {(n, "negate", case) for n in (3, 4) for case in ("none", "all", "some")}
+    assert seen == want
+
+
+# Special float64 values for the bit selects: signed zeros, infinities,
+# quiet NaNs of either sign and with a payload, a signalling NaN,
+# subnormals and normals
+_SPECIAL = np.array(
+    [0x0000000000000000, 0x8000000000000000, 0x7FF0000000000000, 0xFFF0000000000000,
+     0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000123, 0x7FF0000000000001,
+     0x0000000000000001, 0x8000000000000001, 0x000FFFFFFFFFFFFF, 0x3FF0000000000000],
+    dtype=np.uint64,
+).view(float)
+
+
+def _special_rows(rows, size, seed):
+    rng = np.random.default_rng(seed)
+    vals = np.concatenate([_SPECIAL, rng.normal(size=4), -2.5 * _SPECIAL[-1:]])
+    return rng.choice(vals, size=(rows, size))
+
+
+def _select_flags(case, size):
+    flags = np.zeros(size, dtype=bool)
+    if case == "single":
+        flags[size // 3] = True
+    elif case == "mixed":
+        flags[np.random.default_rng(5).random(size) < 0.5] = True
+    elif case == "full":
+        flags[:] = True
+    return flags
+
+
+@pytest.mark.parametrize("case, size", [
+    ("empty", 37), ("single", 37), ("mixed", 37), ("full", 37),
+    ("empty", 1), ("full", 1), ("empty", 0),
+])
+def test_bit_selects_match_the_masked_writes(case, size):
+    """The swap, the parity fix and the walk's divisor give the bits that
+    masked np.copyto, ufuncs with where= and np.where give, on signed
+    zeros, infinities, NaNs and subnormals, whatever share of the columns
+    is flagged.  The parity fix forms 0.0 - x on the factor row, not -x:
+    the two differ at +0.0 and on a NaN's sign."""
+    flags = _select_flags(case, size)
+    count = int(np.count_nonzero(flags))
+    mask = np.empty(size)
+    assert np.array_equal(reduction._bit_mask(flags, mask),
+                          np.where(flags, np.uint64(2**64 - 1), np.uint64(0)))
+
+    x, y = _special_rows(3, size, 1), _special_rows(3, size, 2)
+    want_x, want_y = x.copy(), y.copy()
+    np.copyto(want_x, y, where=flags)
+    np.copyto(want_y, x, where=flags)
+    assert reduction._swap_where(x, y, flags, mask, np.empty((3, size))) == count
+    assert np.array_equal(_bits(x), _bits(want_x)) and np.array_equal(_bits(y), _bits(want_y))
+
+    row, coef = _special_rows(4, size, 3), _special_rows(3, size, 4)
+    want_row, want_coef = row.copy(), coef.copy()
+    with np.errstate(invalid="ignore"):  # 0.0 - a signalling NaN
+        np.negative(want_row, out=want_row, where=flags)
+        np.subtract(0.0, want_coef, out=want_coef, where=flags)
+        reduction._negate_where(row, coef, flags)
+    assert np.array_equal(_bits(row), _bits(want_row))
+    assert np.array_equal(_bits(coef), _bits(want_coef))
+
+    norm2 = _special_rows(1, size, 5)[0]
+    want = np.where(flags, np.negative(norm2), 1.0)
+    got = reduction._divisor(norm2, flags, count, mask)
+    assert got is norm2 and np.array_equal(_bits(got), _bits(want))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_an_empty_stack_reduces_to_empty_arrays(n):
+    """No matrices: reps (0, n, n) and low (n, n, 0), with and without out."""
+    reps, low = reduce_siegel_batched(np.empty((0, n, n)))
+    assert reps.shape == (0, n, n) and low.shape == (n, n, 0)
+    out = np.empty((n, n, 0))
+    reps, low = reduce_siegel_batched(np.empty((0, n, n)), out=out)
+    assert reps.shape == (0, n, n) and low is out
 
 
 def test_sweep_cap_warns_naming_the_pass(levi_stack, monkeypatch):

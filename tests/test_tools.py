@@ -36,6 +36,11 @@ def paired_bench():
     return _tool("paired_bench")
 
 
+@pytest.fixture(scope="module")
+def reduce_phases():
+    return _tool("reduce_phases")
+
+
 def test_bundled_digests_print_every_output_file_but_meta(bundled_digests, capsys, tmp_path):
     """One line per output file but meta.txt, with the sha256 of the bytes
     that ``escmass run`` writes, and exit 0 when --jobs 1 and 3 agree."""
@@ -95,6 +100,32 @@ def test_reach_report_fails_on_a_stale_or_short_keep_list(reach):
     assert (code, lines[-1]) == (1, "kept but entered: measures.stream_measures")
     lines, code = reach.report(unreached, {**keep, "qfield.QuadNum.sign": "why"})
     assert (code, lines[-1]) == (1, "kept but no such function: qfield.QuadNum.sign")
+
+
+def test_reduce_phases_add_up_to_the_reducer(reduce_phases, tmp_path):
+    """One pass of sl4_measures: the sweep and the kernel take time, no
+    phase is negative, the five add up to the time inside
+    reduce_siegel_batched, and the wrapped names are restored."""
+    import escmass.measures as measures
+    import escmass.reduction as reduction
+
+    names = [(measures, "reduce_siegel_batched"), (reduction, "_lll_rows"),
+             (reduction, "gram_schmidt_lower")]
+    before = [getattr(module, name) for module, name in names]
+    best = reduce_phases.measure("sl4_measures", 1, tmp_path)
+    assert [getattr(module, name) for module, name in names] == before
+    assert list(best) == list(reduce_phases.COLUMNS["sl4_measures"])
+    assert min(best.values()) >= 0.0 and best["sweep"] > 0.0 and best["gram_schmidt"] > 0.0
+    phases = sum(best[phase] for phase in reduce_phases.REDUCER)
+    assert phases == pytest.approx(best["reducer"], rel=0.01)
+
+
+def test_reduce_phases_prints_the_walk(reduce_phases, capsys):
+    assert reduce_phases.main(["--workload", "modular_products", "--passes", "1"]) == 0
+    head, line = capsys.readouterr().out.splitlines()
+    assert head == "seconds per corpus pass at seed 0, best of 1"
+    name, walk, seconds = line.split()
+    assert (name, walk) == ("modular_products:", "walk") and float(seconds) > 0.0
 
 
 BENCH_SPECS = [
